@@ -143,14 +143,14 @@ void RunComposite(double record_cache_warm_ms) {
 // E1-R: the serving runtime under concurrent FindNSM-shaped load, measured
 // in wall-clock over real loopback sockets. One RPC endpoint whose handler
 // costs ~1 ms (the warm remote-NSM exchange of E1), hosted two ways:
-//   (a) thread-per-endpoint — the seed model, one serve thread, so the
-//       endpoint processes at most one request at a time;
-//   (b) the shared epoll reactor with concurrent dispatch, fanning the same
-//       endpoint across the worker pool.
+//   (a) a serial loop — the seed contract, so the endpoint processes at
+//       most one request at a time;
+//   (b) concurrent loops — one per client at the sweep's peak, all
+//       receiving from the same socket.
 // Each client thread keeps one budgeted request in flight; with 8+ clients
-// the reactor must clear >= 2x the baseline's throughput.
+// the concurrent loops must clear >= 2x the serial loop's throughput.
 void RunRuntimeSweep() {
-  PrintHeader("E1-R: service runtime sweep, thread-per-endpoint vs epoll reactor (wall-clock)");
+  PrintHeader("E1-R: service runtime sweep, serial loop vs concurrent loops (wall-clock)");
 
   RpcServer server(ControlKind::kRaw, "findnsm-like");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> {
@@ -162,22 +162,22 @@ void RunRuntimeSweep() {
   const std::vector<int> kClients = {1, 2, 4, 8, 16};
   constexpr int kRequestsPerClient = 100;
   std::vector<SweepPoint> baseline =
-      SweepRuntime(ServeMode::kThreadPerEndpoint, &server, kClients, kRequestsPerClient);
-  std::vector<SweepPoint> reactor =
-      SweepRuntime(ServeMode::kReactor, &server, kClients, kRequestsPerClient);
-  PrintSweepTable("thread-per-endpoint", "reactor (concurrent)", baseline, reactor);
+      SweepRuntime(/*concurrent=*/false, &server, kClients, kRequestsPerClient);
+  std::vector<SweepPoint> concurrent =
+      SweepRuntime(/*concurrent=*/true, &server, kClients, kRequestsPerClient);
+  PrintSweepTable("serial loop", "concurrent loops", baseline, concurrent);
 
   for (size_t i = 0; i < kClients.size(); ++i) {
     if (kClients[i] >= 8 && baseline[i].throughput_qps > 0 &&
-        reactor[i].throughput_qps < 2.0 * baseline[i].throughput_qps) {
-      std::printf("FATAL: reactor %.0f qps < 2x baseline %.0f qps at %d clients\n",
-                  reactor[i].throughput_qps, baseline[i].throughput_qps, kClients[i]);
+        concurrent[i].throughput_qps < 2.0 * baseline[i].throughput_qps) {
+      std::printf("FATAL: concurrent loops %.0f qps < 2x serial loop %.0f qps at %d clients\n",
+                  concurrent[i].throughput_qps, baseline[i].throughput_qps, kClients[i]);
       std::abort();
     }
   }
   std::printf("  a serial endpoint caps out near 1/handler-cost regardless of offered load;\n");
-  std::printf("  the reactor fans one endpoint across the pool, so throughput scales with\n");
-  std::printf("  clients until the workers saturate.\n");
+  std::printf("  concurrent loops share the endpoint's socket, so throughput scales with\n");
+  std::printf("  clients until the loops saturate.\n");
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Real-socket service-runtime sweep shared by bench_findnsm and
-// bench_workload: the same RPC service is hosted once under the seed's
-// thread-per-endpoint model and once on the shared epoll reactor
-// (concurrent dispatch), then driven by N client threads with one request
-// in flight each. The client drivers themselves (thread-per-call and the
-// async burst-refill window driver) live in src/workload/driver.h, shared
-// with the workload scenario suite; this header keeps only the
-// bench-specific hosting and table-printing wrappers.
+// bench_workload: the same RPC service is hosted once on a serial endpoint
+// (one serve loop, the seed's one-at-a-time contract) and once on a
+// concurrent endpoint (several serve loops on one socket), then driven by
+// N client threads with one request in flight each. The client drivers
+// themselves (thread-per-call and the async burst-refill window driver)
+// live in src/workload/driver.h, shared with the workload scenario suite;
+// this header keeps only the bench-specific hosting and table-printing
+// wrappers.
 
 #ifndef HCS_BENCH_BENCH_REACTOR_UTIL_H_
 #define HCS_BENCH_BENCH_REACTOR_UTIL_H_
@@ -20,12 +21,12 @@
 
 namespace hcs {
 
-// Hosts `server` under `mode` (reactor hosts use concurrent dispatch — the
-// handler must be thread-safe) and runs the client sweep against it. The
-// worker pool is sized for the sweep's peak concurrency rather than the
-// core count: the handlers model downstream I/O waits, so workers park in
-// the kernel and more of them are nearly free.
-inline std::vector<SweepPoint> SweepRuntime(ServeMode mode, RpcServer* server,
+// Hosts `server` on one endpoint, serial or `concurrent` (the handler must
+// then be thread-safe), and runs the client sweep against it. A concurrent
+// endpoint runs one loop per client at the sweep's peak rather than one per
+// core: the handlers model downstream I/O waits, so loops park in the
+// kernel and more of them are nearly free.
+inline std::vector<SweepPoint> SweepRuntime(bool concurrent, RpcServer* server,
                                             const std::vector<int>& client_counts,
                                             int requests_per_client) {
   int peak = 1;
@@ -33,10 +34,8 @@ inline std::vector<SweepPoint> SweepRuntime(ServeMode mode, RpcServer* server,
     peak = std::max(peak, clients);
   }
   std::vector<SweepPoint> points;
-  UdpServerHost host(mode, /*reactor_workers=*/peak);
-  Result<uint16_t> port = mode == ServeMode::kReactor
-                              ? host.ServeConcurrent(server, 0)
-                              : host.Serve(server, 0);
+  UdpServerHost host(/*workers=*/peak);
+  Result<uint16_t> port = concurrent ? host.ServeConcurrent(server, 0) : host.Serve(server, 0);
   if (!port.ok()) {
     std::fprintf(stderr, "serve failed: %s\n", port.status().ToString().c_str());
     std::abort();
@@ -48,15 +47,15 @@ inline std::vector<SweepPoint> SweepRuntime(ServeMode mode, RpcServer* server,
   return points;
 }
 
-inline void PrintSweepTable(const char* baseline_label, const char* reactor_label,
+inline void PrintSweepTable(const char* baseline_label, const char* concurrent_label,
                             const std::vector<SweepPoint>& baseline,
-                            const std::vector<SweepPoint>& reactor) {
-  std::printf("  %-8s | %-28s | %-28s | %7s\n", "", baseline_label, reactor_label, "");
+                            const std::vector<SweepPoint>& concurrent) {
+  std::printf("  %-8s | %-28s | %-28s | %7s\n", "", baseline_label, concurrent_label, "");
   std::printf("  %-8s | %9s %8s %8s | %9s %8s %8s | %7s\n", "clients", "qps", "p50 ms",
               "p99 ms", "qps", "p50 ms", "p99 ms", "speedup");
-  for (size_t i = 0; i < baseline.size() && i < reactor.size(); ++i) {
+  for (size_t i = 0; i < baseline.size() && i < concurrent.size(); ++i) {
     const SweepPoint& b = baseline[i];
-    const SweepPoint& r = reactor[i];
+    const SweepPoint& r = concurrent[i];
     std::printf("  %-8d | %9.0f %8.2f %8.2f | %9.0f %8.2f %8.2f | %6.2fx\n", b.clients,
                 b.throughput_qps, b.p50_ms, b.p99_ms, r.throughput_qps, r.p50_ms, r.p99_ms,
                 b.throughput_qps > 0 ? r.throughput_qps / b.throughput_qps : 0.0);
@@ -67,7 +66,7 @@ inline void PrintSweepTable(const char* baseline_label, const char* reactor_labe
     attempts += p.attempts;
     retries += p.retries;
   }
-  for (const SweepPoint& p : reactor) {
+  for (const SweepPoint& p : concurrent) {
     attempts += p.attempts;
     retries += p.retries;
   }

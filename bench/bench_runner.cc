@@ -34,8 +34,8 @@ struct Baseline {
 
 struct ScenarioResult {
   std::string name;
-  ServeMode mode = ServeMode::kReactor;
-  int udp_batch = 0;
+  bool concurrent = true;
+  int udp_batch = 0;  // datagrams per serve-loop receive
   int clients = 0;
   int requests = 0;  // nominal total (clients * requests_per_client)
   SweepPoint point;
@@ -44,31 +44,31 @@ struct ScenarioResult {
   Baseline baseline;  // label empty = no checked floor (comparison row)
 };
 
-// Hosts `server` on the reactor with concurrent dispatch and the given
-// batch size, then drives the closed-loop client sweep. One scenario, one
-// host: the UdpIoSnapshot delta isolates this scenario's server-side
-// syscalls (client sockets do not go through the mmsg wrappers).
-ScenarioResult RunScenario(const std::string& name, RpcServer* server, int udp_batch,
-                           int clients, int requests_per_client, Baseline baseline,
-                           ServeMode mode = ServeMode::kReactor) {
-  std::fprintf(stderr, "  running %-22s batch=%-2d clients=%-2d reqs=%d\n", name.c_str(),
-               udp_batch, clients, clients * requests_per_client);
+// Hosts `server` on one endpoint — `concurrent` loops, one per client, or
+// one serial loop taking up to `udp_batch` datagrams per receive — then
+// drives the closed-loop client sweep. One scenario, one host: the server
+// side of the UdpIoSnapshot delta is this scenario's serve-loop syscalls.
+ScenarioResult RunScenario(const std::string& name, RpcServer* server, bool concurrent,
+                           int udp_batch, int clients, int requests_per_client,
+                           Baseline baseline) {
+  UdpServerHost host(/*workers=*/clients, udp_batch);
   ScenarioResult result;
   result.name = name;
-  result.mode = mode;
-  result.udp_batch = udp_batch;
+  result.concurrent = concurrent;
+  result.udp_batch = host.receive_batch(concurrent);
+  std::fprintf(stderr, "  running %-27s batch=%-2d clients=%-2d reqs=%d\n", name.c_str(),
+               result.udp_batch, clients, clients * requests_per_client);
   result.clients = clients;
   result.requests = clients * requests_per_client;
   result.baseline = std::move(baseline);
 
-  UdpServerHost host(mode, /*reactor_workers=*/clients, udp_batch);
-  Result<uint16_t> port = host.ServeConcurrent(server, 0);
+  Result<uint16_t> port = concurrent ? host.ServeConcurrent(server, 0) : host.Serve(server, 0);
   if (!port.ok()) {
     std::fprintf(stderr, "serve failed: %s\n", port.status().ToString().c_str());
     std::abort();
   }
-  // Warm the path (thread-local client sockets, scratch buffers, server
-  // batch pool) outside the measured window.
+  // Warm the path (thread-local client sockets, scratch buffers) outside
+  // the measured window.
   // hcs:ignore-status(warmup sweep; the measured run below is what counts)
   (void)DriveClients(*port, clients, 20);
 
@@ -79,27 +79,24 @@ ScenarioResult RunScenario(const std::string& name, RpcServer* server, int udp_b
   return result;
 }
 
-// The async-client counterpart: the same hosting, but the sweep is ONE
-// client process-thread holding `window` CallAsync requests in flight
+// The async-client counterpart, hosted on one serial loop: the sweep is
+// ONE client process-thread holding `window` CallAsync requests in flight
 // (bench_reactor_util's DriveClientsAsync) instead of `window` blocking
-// threads with one call each. The engine's UDP channel batches through the
-// mmsg wrappers too, so this scenario's syscall delta covers BOTH sides of
-// the wire — client and server — unlike the thread-per-call rows.
+// threads with one call each.
 ScenarioResult RunScenarioAsync(const std::string& name, RpcServer* server, int udp_batch,
-                                int window, int requests_per_slot, Baseline baseline,
-                                ServeMode mode = ServeMode::kReactor) {
-  std::fprintf(stderr, "  running %-22s batch=%-2d window=%-2d reqs=%d (async client)\n",
-               name.c_str(), udp_batch, window, window * requests_per_slot);
+                                int window, int requests_per_slot, Baseline baseline) {
+  UdpServerHost host(/*workers=*/window, udp_batch);
   ScenarioResult result;
   result.name = name;
-  result.mode = mode;
-  result.udp_batch = udp_batch;
+  result.concurrent = false;
+  result.udp_batch = host.receive_batch(/*concurrent=*/false);
+  std::fprintf(stderr, "  running %-27s batch=%-2d window=%-2d reqs=%d (async client)\n",
+               name.c_str(), result.udp_batch, window, window * requests_per_slot);
   result.clients = window;
   result.requests = window * requests_per_slot;
   result.baseline = std::move(baseline);
 
-  UdpServerHost host(mode, /*reactor_workers=*/window, udp_batch);
-  Result<uint16_t> port = host.ServeConcurrent(server, 0);
+  Result<uint16_t> port = host.Serve(server, 0);
   if (!port.ok()) {
     std::fprintf(stderr, "serve failed: %s\n", port.status().ToString().c_str());
     std::abort();
@@ -122,8 +119,7 @@ void AppendJsonScenario(std::string* out, const ScenarioResult& r, bool last) {
   };
   add("    {\n");
   add("      \"name\": \"%s\",\n", r.name.c_str());
-  add("      \"serve_mode\": \"%s\",\n",
-      r.mode == ServeMode::kReactor ? "reactor" : "thread_per_endpoint");
+  add("      \"serve_mode\": \"%s\",\n", r.concurrent ? "concurrent" : "serial");
   add("      \"udp_batch\": %d,\n", r.udp_batch);
   add("      \"clients\": %d,\n", r.clients);
   add("      \"requests\": %d,\n", r.requests);
@@ -131,24 +127,15 @@ void AppendJsonScenario(std::string* out, const ScenarioResult& r, bool last) {
   add("      \"p50_us\": %.1f,\n", r.point.p50_ms * 1000.0);
   add("      \"p99_us\": %.1f,\n", r.point.p99_ms * 1000.0);
 
-  uint64_t recv_sys = r.after.recv_syscalls - r.before.recv_syscalls;
-  uint64_t send_sys = r.after.send_syscalls - r.before.send_syscalls;
-  uint64_t recv_dg = r.after.recv_datagrams - r.before.recv_datagrams;
-  uint64_t send_dg = r.after.send_datagrams - r.before.send_datagrams;
-  if (recv_dg + send_dg > 0 && r.requests > 0) {
-    double n = static_cast<double>(r.requests);
-    add("      \"recv_syscalls_per_req\": %.3f,\n", static_cast<double>(recv_sys) / n);
-    add("      \"send_syscalls_per_req\": %.3f,\n", static_cast<double>(send_sys) / n);
-    add("      \"syscalls_per_req\": %.3f,\n", static_cast<double>(recv_sys + send_sys) / n);
-  } else {
-    // No wrapper traffic in this window (a server on the single-shot legacy
-    // path, driven by a client stack that predates the async engine's
-    // batched UDP channel). With the engine in the loop the client side
-    // always batches, so this branch is only reachable on historic replays.
-    add("      \"recv_syscalls_per_req\": null,\n");
-    add("      \"send_syscalls_per_req\": null,\n");
-    add("      \"syscalls_per_req\": null,\n");
-  }
+  // Server side only: the serve loops' receive and send syscalls.
+  const UdpIoCounts& before = r.before.server;
+  const UdpIoCounts& after = r.after.server;
+  uint64_t recv_sys = after.recv_syscalls - before.recv_syscalls;
+  uint64_t send_sys = after.send_syscalls - before.send_syscalls;
+  double n = static_cast<double>(r.requests);
+  add("      \"recv_syscalls_per_req\": %.3f,\n", static_cast<double>(recv_sys) / n);
+  add("      \"send_syscalls_per_req\": %.3f,\n", static_cast<double>(send_sys) / n);
+  add("      \"syscalls_per_req\": %.3f,\n", static_cast<double>(recv_sys + send_sys) / n);
   if (!r.baseline.label.empty()) {
     add("      \"baseline\": {\n");
     add("        \"label\": \"%s\",\n", r.baseline.label.c_str());
@@ -202,43 +189,45 @@ int Main(int argc, char** argv) {
     return args.ToBytes();
   });
 
-  // Trajectory floors: the carried-over scenarios hold BENCH_6's measured
-  // numbers with a 0.5 floor rather than 0.85 — the code paths are
-  // unchanged since PR 6, but absolute wall-clock throughput swings 30-50%
-  // between container instances (this box measures the same echo binary at
-  // 0.5-0.7x of the BENCH_6 box, run to run), so the floor is a tripwire
-  // for order-of-magnitude regressions, not a precision claim. The async
-  // leg's 2x floor is immune to that: it compares against the
-  // thread-per-call baseline measured in the SAME run on the SAME box.
+  // Trajectory floors: the concurrent rows hold BENCH_6's reactor rows
+  // (same handlers and client counts, now one serve loop per client) with a
+  // 0.5 floor rather than 0.85 — absolute wall-clock throughput swings
+  // 30-50% between container instances, so the floor is a tripwire for
+  // order-of-magnitude regressions, not a precision claim. The async leg's
+  // 2x floor is immune to that: it compares against the thread-per-call
+  // baseline measured in the SAME run on the SAME box. The serial echo pair
+  // measures the serial loop's receive batch against a batch of one under
+  // the same 8 clients.
   std::vector<ScenarioResult> results;
   results.push_back(RunScenario(
-      "udp_echo_floor", &echo, kDefaultUdpBatch, 8, 4000 / scale,
+      "udp_echo_floor", &echo, /*concurrent=*/true, kDefaultUdpBatch, 8, 4000 / scale,
       {"BENCH_6 udp_echo_floor (PR 6)", 119464.8, 0.5}));
-  results.push_back(RunScenario("udp_echo_single_shot", &echo, 1, 8, 4000 / scale, {}));
+  results.push_back(RunScenario("udp_echo_serial_batched", &echo, /*concurrent=*/false,
+                                kDefaultUdpBatch, 8, 4000 / scale, {}));
+  results.push_back(RunScenario("udp_echo_serial_single_shot", &echo, /*concurrent=*/false,
+                                1, 8, 4000 / scale, {}));
   results.push_back(RunScenario(
-      "e1r_reactor_batched", &e1r, kDefaultUdpBatch, 64, 400 / scale,
+      "e1r_concurrent", &e1r, /*concurrent=*/true, kDefaultUdpBatch, 64, 400 / scale,
       {"BENCH_6 e1r_reactor_batched (PR 6)", 37488.4, 0.5}));
   results.push_back(RunScenario(
-      "e5r_reactor_batched", &e5r, kDefaultUdpBatch, 64, 600 / scale,
+      "e5r_concurrent", &e5r, /*concurrent=*/true, kDefaultUdpBatch, 64, 600 / scale,
       {"BENCH_6 e5r_reactor_batched (PR 6)", 54785.9, 0.5}));
-  results.push_back(RunScenario("e5r_single_shot", &e5r, 1, 64, 600 / scale, {}));
 
   // The async client core: 64 blocking threads with one call each vs one
   // thread keeping 64 CallAsync requests in flight, same echo service. Both
-  // rows host the echo under the seed's thread-per-endpoint model (one
-  // server thread, batched I/O) so the comparison isolates the CLIENT
-  // runtimes: the paper-era server is fixed, only the client stack differs.
+  // rows host the echo on one serial loop taking up to 64 datagrams per
+  // receive, so the comparison isolates the CLIENT runtimes: the server is
+  // fixed, only the client stack differs.
   // Longer rows than the floor scenarios (3000 requests per slot): the 2x
   // claim is the PR's headline and per-run scheduler noise on a 1-CPU box
   // is large, so both sides get enough wall-clock to average it out.
-  ScenarioResult tpc = RunScenario("client_thread_per_call_64", &echo, kMaxUdpBatch, 64,
-                                   3000 / scale, {}, ServeMode::kThreadPerEndpoint);
+  ScenarioResult tpc = RunScenario("client_thread_per_call_64", &echo, /*concurrent=*/false,
+                                   kMaxUdpBatch, 64, 3000 / scale, {});
   double tpc_qps = tpc.point.throughput_qps;
   results.push_back(std::move(tpc));
   results.push_back(RunScenarioAsync(
       "client_async_64", &echo, kMaxUdpBatch, 64, 3000 / scale,
-      {"this snapshot's client_thread_per_call_64", tpc_qps, 2.0},
-      ServeMode::kThreadPerEndpoint));
+      {"this snapshot's client_thread_per_call_64", tpc_qps, 2.0}));
 
   std::string json;
   json.append("{\n");

@@ -87,7 +87,9 @@ void Arena::AddBlock(size_t min_size) {
   // mallocs, with the floor keeping tiny arenas out of the allocator.
   size_t size = std::max({min_size, capacity_, kMinBlock});
   Block block;
-  block.data = std::make_unique<uint8_t[]>(size);
+  // Not zero-filled: Allocate's callers write before they read, so a big
+  // block costs no page touches until it is used.
+  block.data = std::make_unique_for_overwrite<uint8_t[]>(size);
   block.size = size;
   capacity_ += size;
   blocks_.push_back(std::move(block));

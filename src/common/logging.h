@@ -22,6 +22,11 @@ enum class LogLevel : int {
 void SetLogThreshold(LogLevel level);
 LogLevel GetLogThreshold();
 
+// True when a message at `level` passes the threshold.
+inline bool LogEnabled(LogLevel level) {
+  return static_cast<int>(level) >= static_cast<int>(GetLogThreshold());
+}
+
 // Emits one line to stderr if `level` passes the threshold.
 void LogMessage(LogLevel level, const char* file, int line, const std::string& message);
 
@@ -45,8 +50,13 @@ class LogStream {
   std::ostringstream stream_;
 };
 
-#define HCS_LOG(level) \
-  ::hcs::LogStream(::hcs::LogLevel::k##level, __FILE__, __LINE__)
+// HCS_LOG(Info) << a << b; is a statement. Below the threshold it builds no
+// LogStream and evaluates none of the << operands. The empty if-branch
+// keeps a following `else` bound to the caller's own `if`.
+#define HCS_LOG(level)                                   \
+  if (!::hcs::LogEnabled(::hcs::LogLevel::k##level)) {   \
+  } else                                                 \
+    ::hcs::LogStream(::hcs::LogLevel::k##level, __FILE__, __LINE__)
 
 }  // namespace hcs
 

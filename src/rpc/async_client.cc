@@ -440,7 +440,7 @@ Status AsyncClientEngine::EnsureUdpChannel() {
   udp_fd_ = fd;
   // Full-width receive batch: a pipelining client drains a window of
   // replies per wake, so the deepest batch the wrappers allow pays off.
-  udp_rx_ = std::make_unique<UdpRecvBatch>(kMaxUdpBatch, kMaxDatagram);
+  udp_rx_ = std::make_unique<UdpRecvBatch>(kMaxUdpBatch, kMaxDatagram, UdpIoSide::kClient);
   return Status::Ok();
 }
 
@@ -494,7 +494,7 @@ void AsyncClientEngine::FlushUdpOutbox() {
   }
   std::vector<UdpReply> batch;
   batch.swap(udp_outbox_);
-  size_t sent = SendReplies(udp_fd_, batch);
+  size_t sent = SendReplies(udp_fd_, batch, UdpIoSide::kClient);
   if (sent < batch.size()) {
     // UDP semantics: the shortfall is a drop; each affected call's attempt
     // timer fires and the retry loop re-sends.

@@ -63,7 +63,8 @@ struct RpcCallInfo {
 // Shared completion state behind an RpcFuture. Completion happens exactly
 // once: on the engine loop thread (async path) or inline in CallAsync
 // (sync-fallback path). The optional completion callback fires on whichever
-// thread completes the call — callbacks must not block.
+// thread completes the call — callbacks must not block — and before the
+// future reads ready, so a caller returning from Wait sees its effects.
 class RpcFutureState {
  public:
   using CompletionFn = std::function<void(const Result<Bytes>&, const RpcCallInfo&)>;
@@ -82,19 +83,23 @@ class RpcFutureState {
     CompletionFn callback;
     {
       MutexLock lock(mu_);
-      if (ready_) {
+      if (completed_) {
         return;  // first completion wins
       }
       result_ = std::move(result);
       info_ = info;
-      ready_ = true;
+      completed_ = true;
       callback = std::move(on_complete_);
       on_complete_ = nullptr;
     }
-    cv_.NotifyAll();
     if (callback) {
       callback(result_snapshot(), info);
     }
+    {
+      MutexLock lock(mu_);
+      ready_ = true;
+    }
+    cv_.NotifyAll();
   }
 
   HCS_NODISCARD Result<Bytes> Wait() {
@@ -138,7 +143,7 @@ class RpcFutureState {
     bool fire_now = false;
     {
       MutexLock lock(mu_);
-      if (ready_) {
+      if (completed_) {
         fire_now = true;
       } else {
         on_complete_ = std::move(fn);
@@ -161,7 +166,8 @@ class RpcFutureState {
   const char* birth_file_ = nullptr;  // set once before the future escapes
   int birth_line_ = 0;
 #endif
-  bool ready_ HCS_GUARDED_BY(mu_) = false;
+  bool completed_ HCS_GUARDED_BY(mu_) = false;  // result set; callback taken
+  bool ready_ HCS_GUARDED_BY(mu_) = false;      // and the callback has run
   Result<Bytes> result_ HCS_GUARDED_BY(mu_) = Result<Bytes>(UnavailableError("call pending"));
   RpcCallInfo info_ HCS_GUARDED_BY(mu_);
   CompletionFn on_complete_ HCS_GUARDED_BY(mu_);

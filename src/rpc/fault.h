@@ -15,8 +15,8 @@
 //     blackhole for 2 s, then healed forever";
 //   - the injector interposes at two points: FaultInjectingTransport wraps
 //     any client Transport (simulated or real), and the serving runtimes
-//     (UdpServerHost's thread-per-endpoint loop and the reactor's UDP/stream
-//     endpoints) filter inbound messages through the process-global injector
+//     (UdpServerHost's UDP serve loops and the reactor's stream endpoints)
+//     filter inbound messages through the process-global injector
 //     installed from the HCS_FAULTS environment spec or by a test.
 //
 // Nothing here runs unless an injector is configured: with HCS_FAULTS unset
@@ -161,7 +161,7 @@ class FaultInjector {
   // Flips 1..3 bits of `frame` at positions derived from `salt` (a pure
   // function: the same salt corrupts the same frame the same way). Empty
   // frames are left alone. The span overload corrupts a frame in place in
-  // its arrival buffer (the batched serve path).
+  // its arrival buffer (the UDP serve loop).
   static void CorruptFrame(Bytes* frame, uint64_t salt);
   static void CorruptFrame(uint8_t* data, size_t size, uint64_t salt);
 
@@ -252,9 +252,10 @@ void InstallGlobalFaultInjector(FaultInjector* injector);
 HCS_NODISCARD Status FilterInbound(FaultInjector* injector, uint16_t local_port,
                                    Bytes* message);
 
-// Span variant for the batched serve path: one decision per frame (never
-// per batch), corruption applied in place in the arrival buffer. Same
-// contract as FilterInbound — a non-OK Status means drop-and-account.
+// Span variant for the UDP serve loop: one decision per frame (never per
+// batch), corruption applied in place in the arrival buffer. Same contract
+// as FilterInbound — a non-OK Status means drop-and-account. The loop
+// skips zero-byte datagrams before this call: they draw no decision.
 HCS_NODISCARD Status FilterInboundFrame(FaultInjector* injector, uint16_t local_port,
                                         uint8_t* data, size_t size);
 

@@ -1,7 +1,9 @@
 #include "src/rpc/mmsg.h"
 
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -15,11 +17,52 @@ struct UdpIoCounters {
   std::atomic<uint64_t> recv_datagrams{0};
   std::atomic<uint64_t> send_syscalls{0};
   std::atomic<uint64_t> send_datagrams{0};
+
+  void CountRecv(uint64_t datagrams) {
+    recv_syscalls.fetch_add(1, std::memory_order_relaxed);
+    recv_datagrams.fetch_add(datagrams, std::memory_order_relaxed);
+  }
+  void CountSend(uint64_t datagrams) {
+    send_syscalls.fetch_add(1, std::memory_order_relaxed);
+    send_datagrams.fetch_add(datagrams, std::memory_order_relaxed);
+  }
+  UdpIoCounts Load() const {
+    UdpIoCounts out;
+    out.recv_syscalls = recv_syscalls.load(std::memory_order_relaxed);
+    out.recv_datagrams = recv_datagrams.load(std::memory_order_relaxed);
+    out.send_syscalls = send_syscalls.load(std::memory_order_relaxed);
+    out.send_datagrams = send_datagrams.load(std::memory_order_relaxed);
+    return out;
+  }
 };
 
-UdpIoCounters& Counters() {
-  static UdpIoCounters counters;
-  return counters;
+UdpIoCounters& Counters(UdpIoSide side) {
+  static UdpIoCounters server;
+  static UdpIoCounters client;
+  return side == UdpIoSide::kServer ? server : client;
+}
+
+// Room for one SCM_TIMESTAMPNS message per received datagram.
+constexpr size_t kControlBytes = CMSG_SPACE(sizeof(timespec));
+constexpr size_t kControlWords = (kControlBytes + sizeof(uint64_t) - 1) / sizeof(uint64_t);
+
+int64_t ClockNs(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+
+// The realtime SO_TIMESTAMPNS stamp a receive left in `hdr`, in ns; 0 when
+// the message carries none.
+int64_t KernelStampNs(msghdr* hdr) {
+  for (cmsghdr* c = CMSG_FIRSTHDR(hdr); c != nullptr; c = CMSG_NXTHDR(hdr, c)) {
+    if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SCM_TIMESTAMPNS) {
+      timespec ts{};
+      std::memcpy(&ts, CMSG_DATA(c), sizeof(ts));
+      return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+    }
+  }
+  return 0;
 }
 
 int RealRecvmmsg(int fd, mmsghdr* msgs, unsigned int vlen, int flags) {
@@ -44,8 +87,13 @@ bool IsUnsupportedErrno(int err) { return err == ENOSYS || err == EOPNOTSUPP; }
 // re-trapped — the tail of each received slot past its datagram, and every
 // unreceived slot. A decoder that walks past frame.size, or dispatch code
 // that touches a neighboring slot, hits poison instead of stale bytes.
+// Without ASan there is nothing to do: the canary the arena's Reset
+// scribbled is still in every byte the kernel did not write.
 void PoisonUnreceivedSpans(uint8_t* slots, size_t slot_bytes, const UdpFrame* frames,
                            int count, int capacity) {
+  if (!DebugPoisonTraps()) {
+    return;
+  }
   for (int i = 0; i < count; ++i) {
     uint8_t* slot = slots + static_cast<size_t>(i) * slot_bytes;
     DebugPoisonSpan(slot + frames[i].size, slot_bytes - frames[i].size);
@@ -80,13 +128,15 @@ int ResolveUdpBatchSize(int requested) {
 }
 
 UdpIoSnapshot SnapshotUdpIoCounters() {
-  UdpIoCounters& c = Counters();
   UdpIoSnapshot out;
-  out.recv_syscalls = c.recv_syscalls.load(std::memory_order_relaxed);
-  out.recv_datagrams = c.recv_datagrams.load(std::memory_order_relaxed);
-  out.send_syscalls = c.send_syscalls.load(std::memory_order_relaxed);
-  out.send_datagrams = c.send_datagrams.load(std::memory_order_relaxed);
+  out.server = Counters(UdpIoSide::kServer).Load();
+  out.client = Counters(UdpIoSide::kClient).Load();
   return out;
+}
+
+void EnableArrivalStamps(int fd) {
+  int on = 1;
+  (void)setsockopt(fd, SOL_SOCKET, SO_TIMESTAMPNS, &on, sizeof(on));
 }
 
 void SetMmsgSyscallsForTest(RecvmmsgFn recv_fn, SendmmsgFn send_fn) {
@@ -98,32 +148,39 @@ bool MmsgAvailable() { return g_mmsg_available.load(std::memory_order_acquire); 
 
 void ResetMmsgAvailabilityForTest() { g_mmsg_available.store(true, std::memory_order_release); }
 
-UdpRecvBatch::UdpRecvBatch(int capacity, size_t slot_bytes)
+UdpRecvBatch::UdpRecvBatch(int capacity, size_t slot_bytes, UdpIoSide side)
     : capacity_(capacity < 1 ? 1 : capacity),
       slot_bytes_(slot_bytes < 1 ? 1 : slot_bytes),
+      side_(side),
       arena_(static_cast<size_t>(capacity_) * slot_bytes_),
       frames_(static_cast<size_t>(capacity_)),
       msgs_(static_cast<size_t>(capacity_)),
-      iovs_(static_cast<size_t>(capacity_)) {}
+      iovs_(static_cast<size_t>(capacity_)),
+      control_(static_cast<size_t>(capacity_) * kControlWords) {}
 
 int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
   arena_.Reset();
   uint8_t* slots = arena_.Allocate(static_cast<size_t>(capacity_) * slot_bytes_);
+  for (int i = 0; i < capacity_; ++i) {
+    UdpFrame& f = frames_[static_cast<size_t>(i)];
+    f.peer = sockaddr_in{};
+    iovs_[static_cast<size_t>(i)].iov_base = slots + static_cast<size_t>(i) * slot_bytes_;
+    iovs_[static_cast<size_t>(i)].iov_len = slot_bytes_;
+    // A zeroed header reads as "no control data" even when the receive
+    // leaves msg_controllen untouched (an injected fake syscall).
+    uint64_t* control = &control_[static_cast<size_t>(i) * kControlWords];
+    std::memset(control, 0, sizeof(cmsghdr));
+    mmsghdr& m = msgs_[static_cast<size_t>(i)];
+    std::memset(&m, 0, sizeof(m));
+    m.msg_hdr.msg_name = &f.peer;
+    m.msg_hdr.msg_namelen = sizeof(f.peer);
+    m.msg_hdr.msg_iov = &iovs_[static_cast<size_t>(i)];
+    m.msg_hdr.msg_iovlen = 1;
+    m.msg_hdr.msg_control = control;
+    m.msg_hdr.msg_controllen = kControlBytes;
+  }
 
   if (MmsgAvailable()) {
-    for (int i = 0; i < capacity_; ++i) {
-      UdpFrame& f = frames_[static_cast<size_t>(i)];
-      f.peer = sockaddr_in{};
-      f.truncated = false;
-      iovs_[static_cast<size_t>(i)].iov_base = slots + static_cast<size_t>(i) * slot_bytes_;
-      iovs_[static_cast<size_t>(i)].iov_len = slot_bytes_;
-      mmsghdr& m = msgs_[static_cast<size_t>(i)];
-      std::memset(&m, 0, sizeof(m));
-      m.msg_hdr.msg_name = &f.peer;
-      m.msg_hdr.msg_namelen = sizeof(f.peer);
-      m.msg_hdr.msg_iov = &iovs_[static_cast<size_t>(i)];
-      m.msg_hdr.msg_iovlen = 1;
-    }
     int flags = wait_for_one ? MSG_WAITFORONE : MSG_DONTWAIT;
     RecvmmsgFn recv_fn = g_recvmmsg.load(std::memory_order_acquire);
     int n;
@@ -131,19 +188,11 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
       n = recv_fn(fd, msgs_.data(), static_cast<unsigned int>(capacity_), flags);
     } while (n < 0 && errno == EINTR);
     if (n >= 0) {
-      Counters().recv_syscalls.fetch_add(1, std::memory_order_relaxed);
-      Counters().recv_datagrams.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+      Counters(side_).CountRecv(static_cast<uint64_t>(n));
       for (int i = 0; i < n; ++i) {
-        UdpFrame& f = frames_[static_cast<size_t>(i)];
-        const mmsghdr& m = msgs_[static_cast<size_t>(i)];
-        f.peer_len = m.msg_hdr.msg_namelen;
-        f.data = slots + static_cast<size_t>(i) * slot_bytes_;
-        f.size = m.msg_len;
-        f.truncated = (m.msg_hdr.msg_flags & MSG_TRUNC) != 0;
+        frames_[static_cast<size_t>(i)].size = msgs_[static_cast<size_t>(i)].msg_len;
       }
-#if HCS_VIEW_DEBUG_ENABLED
-      PoisonUnreceivedSpans(slots, slot_bytes_, frames_.data(), n, capacity_);
-#endif
+      LandFrames(slots, n);
       return n;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -156,18 +205,13 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
     // Fall through to the single-shot loop below.
   }
 
-  // Single-shot fallback: the same frames, one recvfrom per datagram. The
+  // Single-shot fallback: the same frames, one recvmsg per datagram. The
   // first read may block (wait_for_one on a blocking socket); the rest
   // never do, so a drained queue ends the batch instead of stalling it.
   int count = 0;
   while (count < capacity_) {
-    UdpFrame& f = frames_[static_cast<size_t>(count)];
-    f.peer = sockaddr_in{};
-    f.peer_len = sizeof(f.peer);
-    f.data = slots + static_cast<size_t>(count) * slot_bytes_;
     int flags = (count == 0 && wait_for_one) ? MSG_TRUNC : (MSG_DONTWAIT | MSG_TRUNC);
-    ssize_t n = recvfrom(fd, f.data, slot_bytes_, flags,
-                         reinterpret_cast<sockaddr*>(&f.peer), &f.peer_len);
+    ssize_t n = recvmsg(fd, &msgs_[static_cast<size_t>(count)].msg_hdr, flags);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -175,23 +219,46 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         break;
       }
-      return count > 0 ? count : -1;
+      if (count == 0) {
+        return -1;
+      }
+      break;
     }
-    Counters().recv_syscalls.fetch_add(1, std::memory_order_relaxed);
-    Counters().recv_datagrams.fetch_add(1, std::memory_order_relaxed);
-    // With MSG_TRUNC, recvfrom reports the datagram's full length even when
-    // the slot cut it short — the same signal recvmmsg gives via msg_flags.
-    f.truncated = static_cast<size_t>(n) > slot_bytes_;
-    f.size = f.truncated ? slot_bytes_ : static_cast<size_t>(n);
+    Counters(side_).CountRecv(1);
+    // With MSG_TRUNC, recvmsg reports the datagram's full length even when
+    // the slot cut it short; LandFrames clamps it to the slot.
+    frames_[static_cast<size_t>(count)].size = static_cast<size_t>(n);
     ++count;
+  }
+  LandFrames(slots, count);
+  return count;
+}
+
+void UdpRecvBatch::LandFrames(uint8_t* slots, int count) {
+  // One clock pair per batch converts the kernel's realtime stamps onto the
+  // steady clock that deadlines live on; both are read only when needed.
+  const int64_t steady_ns = count > 0 ? ClockNs(CLOCK_MONOTONIC) : 0;
+  int64_t real_ns = 0;  // read at the first stamped frame
+  for (int i = 0; i < count; ++i) {
+    UdpFrame& f = frames_[static_cast<size_t>(i)];
+    msghdr& hdr = msgs_[static_cast<size_t>(i)].msg_hdr;
+    f.peer_len = hdr.msg_namelen;
+    f.data = slots + static_cast<size_t>(i) * slot_bytes_;
+    f.truncated = (hdr.msg_flags & MSG_TRUNC) != 0 || f.size > slot_bytes_;
+    f.size = std::min(f.size, slot_bytes_);
+    int64_t stamp_ns = KernelStampNs(&hdr);
+    if (stamp_ns != 0 && real_ns == 0) {
+      real_ns = ClockNs(CLOCK_REALTIME);
+    }
+    int64_t age_ns = stamp_ns != 0 ? std::max<int64_t>(0, real_ns - stamp_ns) : 0;
+    f.arrival_ms = (steady_ns - age_ns) / 1000000;
   }
 #if HCS_VIEW_DEBUG_ENABLED
   PoisonUnreceivedSpans(slots, slot_bytes_, frames_.data(), count, capacity_);
 #endif
-  return count;
 }
 
-size_t SendReplies(int fd, std::vector<UdpReply>& replies) {
+size_t SendReplies(int fd, std::vector<UdpReply>& replies, UdpIoSide side) {
   if (replies.empty()) {
     return 0;
   }
@@ -225,8 +292,7 @@ size_t SendReplies(int fd, std::vector<UdpReply>& replies) {
         // drop semantics); the caller accounts for the shortfall.
         return sent;
       }
-      Counters().send_syscalls.fetch_add(1, std::memory_order_relaxed);
-      Counters().send_datagrams.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+      Counters(side).CountSend(static_cast<uint64_t>(n));
       sent += static_cast<size_t>(n);
     }
     if (sent == replies.size()) {
@@ -240,8 +306,7 @@ size_t SendReplies(int fd, std::vector<UdpReply>& replies) {
                  reinterpret_cast<const sockaddr*>(&replies[i].peer), replies[i].peer_len) < 0) {
         return done;
       }
-      Counters().send_syscalls.fetch_add(1, std::memory_order_relaxed);
-      Counters().send_datagrams.fetch_add(1, std::memory_order_relaxed);
+      Counters(side).CountSend(1);
       ++done;
     }
     return done;
@@ -257,8 +322,7 @@ size_t SendReplies(int fd, std::vector<UdpReply>& replies) {
     if (n < 0) {
       return done;
     }
-    Counters().send_syscalls.fetch_add(1, std::memory_order_relaxed);
-    Counters().send_datagrams.fetch_add(1, std::memory_order_relaxed);
+    Counters(side).CountSend(1);
     ++done;
   }
   return done;

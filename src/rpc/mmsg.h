@@ -1,15 +1,21 @@
-// Batched UDP I/O: recvmmsg/sendmmsg wrappers shared by the reactor's UDP
-// endpoints and UdpServerHost's thread-per-endpoint loops. One syscall
-// moves up to a batch of datagrams in either direction; each received frame
-// is a view into the batch's arena (src/common/arena.h), so decode and
-// dispatch run without a per-datagram copy.
+// Batched UDP I/O: recvmmsg/sendmmsg wrappers shared by UdpServerHost's
+// serve loops and the async client engine's UDP channel. One syscall moves
+// up to a batch of datagrams in either direction; each received frame is a
+// view into the batch's arena (src/common/arena.h), so decode and dispatch
+// run without a per-datagram copy.
 //
 // Availability and fallback. The first recvmmsg/sendmmsg that fails with
 // ENOSYS (or EINVAL from an emulation layer that rejects the vectors) flips
 // a process-global flag and every subsequent batch call degrades to a
-// recvfrom/sendto loop with identical semantics — same frames, same order,
+// recvmsg/sendto loop with identical semantics — same frames, same order,
 // same partial-completion accounting — so the serving runtimes never need a
 // second code path.
+//
+// Arrival time. Each frame carries the steady-clock time the kernel
+// received it, taken from the SO_TIMESTAMPNS stamp when the socket asked
+// for one (EnableArrivalStamps), so time a request waits in the socket
+// queue counts against its budget. A message without a stamp is stamped
+// when Recv lands it.
 //
 // Partial completion is the contract, not an error: Recv returns however
 // many datagrams were ready, SendReplies returns how many datagrams the
@@ -41,18 +47,32 @@ constexpr int kDefaultUdpBatch = 16;
 
 // Resolves a requested batch size: > 0 wins (clamped to [1, kMaxUdpBatch]);
 // 0 consults the HCS_UDP_BATCH environment variable, else kDefaultUdpBatch.
-// A result of 1 means "single-shot": the serving runtimes keep their
-// seed-identical recvfrom/sendto paths.
+// A result of 1 is a batch of one: one datagram per receive call.
 int ResolveUdpBatchSize(int requested);
 
 // --- Syscall counters (relaxed; bench_runner derives syscalls/req) ---------
-struct UdpIoSnapshot {
+// Every server and client datagram syscall goes through these wrappers, so
+// the counters are complete; each call names the side it counts toward.
+enum class UdpIoSide {
+  kServer,  // UdpServerHost's serve loops
+  kClient,  // the async client engine's UDP channel
+};
+struct UdpIoCounts {
   uint64_t recv_syscalls = 0;
   uint64_t recv_datagrams = 0;
   uint64_t send_syscalls = 0;
   uint64_t send_datagrams = 0;
 };
+struct UdpIoSnapshot {
+  UdpIoCounts server;
+  UdpIoCounts client;
+};
 UdpIoSnapshot SnapshotUdpIoCounters();
+
+// Asks the kernel to stamp every datagram `fd` receives (SO_TIMESTAMPNS).
+// The kernel turns stamping on asynchronously, so datagrams in the first
+// few milliseconds may be stamped only when they are received.
+void EnableArrivalStamps(int fd);
 
 // --- Test injection ---------------------------------------------------------
 using RecvmmsgFn = int (*)(int fd, mmsghdr* msgs, unsigned int vlen, int flags);
@@ -77,22 +97,26 @@ struct UdpFrame {
   // kernel (MSG_TRUNC). Callers drop such frames — a truncated RPC would
   // decode as garbage anyway.
   bool truncated = false;
+  // Steady-clock ms at which the kernel received the datagram: its
+  // SO_TIMESTAMPNS stamp converted from the realtime clock, or the time of
+  // the Recv call when the message carried no stamp.
+  int64_t arrival_ms = 0;
 };
 
 // A reusable receive batch: `capacity` slots of `slot_bytes` each, landed
-// in one arena block per Recv.
+// in one arena block per Recv, counted toward `side`.
 class UdpRecvBatch {
  public:
-  UdpRecvBatch(int capacity, size_t slot_bytes);
+  UdpRecvBatch(int capacity, size_t slot_bytes, UdpIoSide side);
 
   UdpRecvBatch(const UdpRecvBatch&) = delete;
   UdpRecvBatch& operator=(const UdpRecvBatch&) = delete;
 
   // Receives up to capacity() datagrams. `wait_for_one` blocks for the
-  // first datagram (thread-per-endpoint loops; the socket is blocking);
-  // otherwise the call never blocks (reactor; nonblocking socket). Returns
-  // the number of frames landed (0 = nothing ready), or -1 on a hard
-  // socket error (errno preserved). Invalidates the previous Recv's frames.
+  // first datagram (serve loops; the socket is blocking); otherwise the
+  // call never blocks (the client engine; nonblocking socket). Returns the
+  // number of frames landed (0 = nothing ready), or -1 on a hard socket
+  // error (errno preserved). Invalidates the previous Recv's frames.
   int Recv(int fd, bool wait_for_one = false);
 
   int capacity() const { return capacity_; }
@@ -106,12 +130,18 @@ class UdpRecvBatch {
   Arena* debug_arena() { return &arena_; }
 
  private:
+  // Fills the landed frames' fields from their message headers.
+  void LandFrames(uint8_t* slots, int count);
+
   const int capacity_;
   const size_t slot_bytes_;
+  const UdpIoSide side_;
   Arena arena_;
   std::vector<UdpFrame> frames_;
   std::vector<mmsghdr> msgs_;
   std::vector<iovec> iovs_;
+  // Per-slot control buffers for the SO_TIMESTAMPNS stamp.
+  std::vector<uint64_t> control_;
 };
 
 // One staged reply. `payload` is owned (encode targets move into it).
@@ -125,8 +155,8 @@ struct UdpReply {
 // completions (a short count resumes from the first unsent message).
 // Returns how many datagrams the kernel accepted; on EAGAIN or a hard error
 // mid-batch the remainder is abandoned — UDP semantics, the caller counts
-// the shortfall as drops and the peer retries.
-size_t SendReplies(int fd, std::vector<UdpReply>& replies);
+// the shortfall as drops and the peer retries. Counted toward `side`.
+size_t SendReplies(int fd, std::vector<UdpReply>& replies, UdpIoSide side);
 
 }  // namespace hcs
 

@@ -17,13 +17,13 @@
 #include "src/common/strings.h"
 #include "src/rpc/context.h"
 #include "src/rpc/fault.h"
-#include "src/rpc/mmsg.h"
 
 namespace hcs {
 
 namespace {
 
-constexpr size_t kMaxDatagram = 64 * 1024;
+// Read chunk for stream connections.
+constexpr size_t kReadChunk = 64 * 1024;
 
 // Which reactor's event loop is the current thread running, if any. Set for
 // the whole lifetime of LoopMain and cleared on every exit path; backs both
@@ -55,14 +55,21 @@ Status SetNonBlocking(int fd) {
   return Status::Ok();
 }
 
-// One registered socket: a UDP endpoint or a stream listener.
+int ResolveWorkerCount(int requested) {
+  if (requested > 0) {
+    return requested;
+  }
+  unsigned hw = std::thread::hardware_concurrency();
+  return static_cast<int>(std::min(8u, std::max(2u, hw)));
+}
+
+// One registered stream listener.
 struct Reactor::Endpoint {
   int fd = -1;
   SimService* service = nullptr;
-  bool stream = false;
   bool concurrent = false;
   uint16_t port = 0;
-  Handle handle{Handle::Kind::kUdp, nullptr};
+  Handle handle{Handle::Kind::kListener, nullptr};
 
   // Per-endpoint counters (relaxed; see Reactor::endpoint_stats).
   std::atomic<uint64_t> dispatched{0};
@@ -73,13 +80,6 @@ struct Reactor::Endpoint {
   Mutex mu{"reactor-endpoint"};
   std::deque<std::function<void()>> queue HCS_GUARDED_BY(mu);
   bool scheduled HCS_GUARDED_BY(mu) = false;
-
-  // Concurrent-mode reply combining (batched path): workers stage replies
-  // here; whichever worker finds `sending` clear drains the stage through
-  // SendReplies, so replies completing close together share one sendmmsg.
-  Mutex send_mu{"reactor-endpoint-send"};
-  std::vector<UdpReply> pending_replies HCS_GUARDED_BY(send_mu);
-  bool sending HCS_GUARDED_BY(send_mu) = false;
 };
 
 // One registered client fd (async RPC client channel). Loop-thread-only:
@@ -161,15 +161,8 @@ Status Reactor::Start() {
     MutexLock work_lock(work_mu_);
     draining_ = false;
   }
-  udp_batch_ = ResolveUdpBatchSize(options_.udp_batch);
-  udp_slot_bytes_ = options_.udp_slot_bytes != 0 ? options_.udp_slot_bytes : kMaxDatagram;
-  int workers = options_.workers;
-  if (workers < 0) {
-    workers = 0;  // client-only reactor: everything runs on the loop thread
-  } else if (workers == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    workers = static_cast<int>(std::min(8u, std::max(2u, hw)));
-  }
+  // A client-only reactor (workers < 0) runs everything on the loop thread.
+  int workers = options_.workers < 0 ? 0 : ResolveWorkerCount(options_.workers);
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerMain(); });
   }
@@ -245,38 +238,7 @@ void Reactor::Stop() {
   close(epoll_fd_);
   close(wake_fd_);
   epoll_fd_ = wake_fd_ = -1;
-  {
-    // Batch geometry may differ on the next Start(); drop the pool.
-    MutexLock lock(batch_mu_);
-    batch_pool_.clear();
-  }
   stopping_.store(false, std::memory_order_release);
-}
-
-Status Reactor::AddUdpEndpoint(int fd, SimService* service, ReactorEndpointOptions options) {
-  MutexLock lock(state_mu_);
-  if (!running_) {
-    close(fd);
-    return UnavailableError("reactor not running");
-  }
-  HCS_RETURN_IF_ERROR(SetNonBlocking(fd));
-  auto endpoint = std::make_unique<Endpoint>();
-  endpoint->fd = fd;
-  endpoint->service = service;
-  endpoint->stream = false;
-  endpoint->concurrent = options.concurrent;
-  endpoint->port = options.port;
-  endpoint->handle = Handle{Handle::Kind::kUdp, endpoint.get()};
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.ptr = &endpoint->handle;
-  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-    int saved = errno;
-    close(fd);
-    return UnavailableError(StrFormat("epoll_ctl(udp): %s", std::strerror(saved)));
-  }
-  endpoints_.push_back(std::move(endpoint));
-  return Status::Ok();
 }
 
 Status Reactor::AddStreamListener(int fd, SimService* service, ReactorEndpointOptions options) {
@@ -289,7 +251,6 @@ Status Reactor::AddStreamListener(int fd, SimService* service, ReactorEndpointOp
   auto endpoint = std::make_unique<Endpoint>();
   endpoint->fd = fd;
   endpoint->service = service;
-  endpoint->stream = true;
   endpoint->concurrent = options.concurrent;
   endpoint->port = options.port;
   endpoint->handle = Handle{Handle::Kind::kListener, endpoint.get()};
@@ -322,7 +283,7 @@ void Reactor::LoopMain() {
     }
   } mark(this);
   std::vector<epoll_event> events(64);
-  std::vector<uint8_t> buffer(kMaxDatagram);
+  std::vector<uint8_t> buffer(kReadChunk);
   while (!stopping_.load(std::memory_order_acquire)) {
     int n = epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
                        NextTimerTimeoutMs());
@@ -347,9 +308,6 @@ void Reactor::LoopMain() {
           wake_pending_.store(false, std::memory_order_release);
           break;
         }
-        case Handle::Kind::kUdp:
-          DrainUdp(static_cast<Endpoint*>(handle->target), buffer);
-          break;
         case Handle::Kind::kListener:
           DrainAccept(static_cast<Endpoint*>(handle->target));
           break;
@@ -536,202 +494,6 @@ void Reactor::RemoveClientFd(int fd) {
   (void)epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   client_by_fd_.erase(it);
   client_fds_.erase(client);  // ~ClientFd closes the fd
-}
-
-void Reactor::DrainUdp(Endpoint* endpoint, std::vector<uint8_t>& buffer) {
-  if (udp_batch_ > 1) {
-    DrainUdpBatched(endpoint);
-    return;
-  }
-  while (true) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof(peer);
-    ssize_t n = recvfrom(endpoint->fd, buffer.data(), buffer.size(), 0,
-                         reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      // EAGAIN: drained. Anything else (e.g. ICMP-induced errors): skip —
-      // level-triggered epoll re-reports genuine readiness.
-      return;
-    }
-    if (n == 0) {
-      continue;  // zero-byte datagram (the thread-mode wake convention)
-    }
-    Bytes request(buffer.begin(), buffer.begin() + n);
-    const int64_t arrival_ms = SteadyNowMs();
-    Submit(endpoint, [this, endpoint, request = std::move(request), peer, peer_len,
-                      arrival_ms]() mutable {
-      ScopedReceiveTimestamp stamp(arrival_ms);
-      // Fault filtering runs on the worker, not the loop thread, so an
-      // injected inbound delay never stalls the whole reactor.
-      Status admitted = FilterInbound(GlobalFaultInjector(), endpoint->port, &request);
-      if (!admitted.ok()) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      Result<Bytes> response = endpoint->service->HandleMessage(request);
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
-      endpoint->dispatched.fetch_add(1, std::memory_order_relaxed);
-      if (!response.ok()) {
-        // Garbled request: drop, as UDP servers do; the client times out.
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
-        HCS_LOG(Debug) << "reactor dropping garbled datagram: " << response.status();
-        return;
-      }
-      // Datagram sends are atomic; concurrent workers may share the fd. A
-      // would-block send is a drop (UDP semantics: the client retries).
-      if (sendto(endpoint->fd, response->data(), response->size(), 0,
-                 reinterpret_cast<const sockaddr*>(&peer), peer_len) < 0) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-}
-
-void Reactor::DrainUdpBatched(Endpoint* endpoint) {
-  while (true) {
-    std::shared_ptr<UdpRecvBatch> batch = AcquireBatch();
-    int count = batch->Recv(endpoint->fd, /*wait_for_one=*/false);
-    if (count <= 0) {
-      // 0: drained (EAGAIN). -1: transient socket error (e.g. ICMP-induced)
-      // — either way level-triggered epoll re-reports genuine readiness.
-      return;
-    }
-    const int64_t arrival_ms = SteadyNowMs();
-    if (endpoint->concurrent) {
-      // Fan each frame out across the pool; the shared batch keeps every
-      // frame's arena view alive until the last task finishes.
-      for (int i = 0; i < count; ++i) {
-        Enqueue([this, endpoint, batch, i, arrival_ms] {
-          ScopedReceiveTimestamp stamp(arrival_ms);
-          // Debug view stamping: views built over this batch's arena die
-          // when the pooled batch is reused (its next Recv Resets).
-          ScopedArenaViewBinding view_binding(batch->debug_arena());
-          ProcessUdpFrame(endpoint, batch->frame(i), nullptr);
-        });
-      }
-    } else {
-      // Serial endpoints process the whole batch as one task, in arrival
-      // order, and flush all staged replies with one SendReplies.
-      Submit(endpoint, [this, endpoint, batch, count, arrival_ms] {
-        ScopedReceiveTimestamp stamp(arrival_ms);
-        ScopedArenaViewBinding view_binding(batch->debug_arena());
-        std::vector<UdpReply> replies;
-        replies.reserve(static_cast<size_t>(count));
-        for (int i = 0; i < count; ++i) {
-          ProcessUdpFrame(endpoint, batch->frame(i), &replies);
-        }
-        size_t sent = SendReplies(endpoint->fd, replies);
-        if (sent < replies.size()) {
-          // UDP semantics: an unsendable reply is a drop, the client
-          // retries.
-          uint64_t shortfall = static_cast<uint64_t>(replies.size() - sent);
-          dropped_.fetch_add(shortfall, std::memory_order_relaxed);
-          endpoint->dropped.fetch_add(shortfall, std::memory_order_relaxed);
-        }
-      });
-    }
-    if (count < udp_batch_) {
-      return;  // short batch: the socket is drained
-    }
-  }
-}
-
-std::shared_ptr<UdpRecvBatch> Reactor::AcquireBatch() {
-  std::unique_ptr<UdpRecvBatch> batch;
-  {
-    MutexLock lock(batch_mu_);
-    if (!batch_pool_.empty()) {
-      batch = std::move(batch_pool_.back());
-      batch_pool_.pop_back();
-    }
-  }
-  if (batch == nullptr) {
-    batch = std::make_unique<UdpRecvBatch>(udp_batch_, udp_slot_bytes_);
-  }
-  // Workers drop their references before Stop() returns (phase-2 drain),
-  // so the deleter never outlives the reactor.
-  return std::shared_ptr<UdpRecvBatch>(batch.release(), [this](UdpRecvBatch* b) {
-    MutexLock lock(batch_mu_);
-    batch_pool_.emplace_back(b);
-  });
-}
-
-void Reactor::ProcessUdpFrame(Endpoint* endpoint, UdpFrame& frame,
-                              std::vector<UdpReply>* staged) {
-  if (frame.size == 0) {
-    return;  // zero-byte datagram (the thread-mode wake convention)
-  }
-  if (frame.truncated) {
-    // The kernel cut the datagram to the slot size; it would decode as
-    // garbage, so drop it whole.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // One fault decision per frame, never per batch: the decision stream
-  // stays a pure function of (seed, endpoint, per-endpoint sequence)
-  // whatever the batch geometry. Corruption rewrites the frame in place in
-  // the batch arena.
-  Status admitted =
-      FilterInboundFrame(GlobalFaultInjector(), endpoint->port, frame.data, frame.size);
-  if (!admitted.ok()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Result<Bytes> response = endpoint->service->HandleFrame(frame.data, frame.size);
-  dispatched_.fetch_add(1, std::memory_order_relaxed);
-  endpoint->dispatched.fetch_add(1, std::memory_order_relaxed);
-  if (!response.ok()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
-    HCS_LOG(Debug) << "reactor dropping garbled datagram: " << response.status();
-    return;
-  }
-  UdpReply reply;
-  reply.peer = frame.peer;
-  reply.peer_len = frame.peer_len;
-  reply.payload = std::move(response).value();
-  if (staged != nullptr) {
-    staged->push_back(std::move(reply));
-  } else {
-    SubmitUdpReply(endpoint, std::move(reply));
-  }
-}
-
-void Reactor::SubmitUdpReply(Endpoint* endpoint, UdpReply reply) {
-  {
-    MutexLock lock(endpoint->send_mu);
-    endpoint->pending_replies.push_back(std::move(reply));
-    if (endpoint->sending) {
-      return;  // the in-flight sender drains the stage before unsetting
-    }
-    endpoint->sending = true;
-  }
-  std::vector<UdpReply> out;
-  while (true) {
-    {
-      MutexLock lock(endpoint->send_mu);
-      if (endpoint->pending_replies.empty()) {
-        endpoint->sending = false;
-        return;
-      }
-      out.swap(endpoint->pending_replies);
-    }
-    size_t sent = SendReplies(endpoint->fd, out);
-    if (sent < out.size()) {
-      uint64_t shortfall = static_cast<uint64_t>(out.size() - sent);
-      dropped_.fetch_add(shortfall, std::memory_order_relaxed);
-      endpoint->dropped.fetch_add(shortfall, std::memory_order_relaxed);
-    }
-    out.clear();
-  }
 }
 
 void Reactor::DrainAccept(Endpoint* endpoint) {
@@ -956,7 +718,6 @@ std::vector<ReactorEndpointStats> Reactor::endpoint_stats() const {
   for (const auto& endpoint : endpoints_) {
     ReactorEndpointStats stats;
     stats.port = endpoint->port;
-    stats.stream = endpoint->stream;
     stats.dispatched = endpoint->dispatched.load(std::memory_order_relaxed);
     stats.dropped = endpoint->dropped.load(std::memory_order_relaxed);
     out.push_back(stats);

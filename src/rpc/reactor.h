@@ -1,20 +1,18 @@
-// Reactor: the shared epoll-based service runtime. One event-loop thread
-// multiplexes every registered nonblocking socket — UDP endpoints and
-// length-prefixed TCP stream listeners — and dispatches ready work onto a
-// small worker pool. This replaces the seed's thread-per-endpoint blocking
-// recvfrom model: a host serving the BIND meta store, an HNS, and a handful
-// of NSMs needs one loop and a few workers, not one parked thread per
-// socket.
+// Reactor: the epoll event loop behind everything that is not a UDP serve
+// loop. One loop thread multiplexes length-prefixed TCP stream listeners
+// and their connections, plus the async client engine's sockets, posted
+// tasks and timers (src/rpc/async_client.h); stream frames are dispatched
+// onto a small worker pool. UDP endpoints do not come here: UdpServerHost
+// serves each one with its own run-to-completion loops, which skip the
+// loop-to-worker hop.
 //
 // Concurrency model. The sim-era services behind these sockets (RpcServer
-// over World-touching handlers) are not thread-safe, and under
-// thread-per-endpoint they were implicitly serialized by their single serve
-// thread. The reactor preserves that contract by default: each endpoint's
-// messages are processed in arrival order with no two handler invocations
-// in flight at once (a per-endpoint run queue bounces between workers but
-// never runs concurrently). Endpoints whose service is thread-safe opt in
-// to `concurrent` dispatch and fan out across the whole pool — that is
-// where the throughput win over thread-per-endpoint comes from.
+// over World-touching handlers) are not thread-safe. The reactor serializes
+// each stream endpoint by default: its frames are processed in arrival
+// order with no two handler invocations in flight at once (a per-endpoint
+// run queue bounces between workers but never runs concurrently).
+// Endpoints whose service is thread-safe opt in to `concurrent` dispatch
+// and fan out across the whole pool.
 //
 // Shutdown is a graceful drain: Stop() first halts the event loop (no new
 // reads or accepts), then lets the workers finish every task already
@@ -53,32 +51,25 @@
 
 namespace hcs {
 
-class UdpRecvBatch;
-struct UdpFrame;
-struct UdpReply;
-
 // Upper bound on one length-prefixed stream frame (defense against a bogus
 // length prefix, and the framing assertion of the stream satellite).
 constexpr size_t kMaxStreamFrame = 1 << 20;
 
+// A requested worker or loop count: > 0 wins; 0 = min(8, max(2,
+// hardware_concurrency)).
+int ResolveWorkerCount(int requested);
+
 struct ReactorOptions {
-  // Worker threads; 0 = min(8, max(2, hardware_concurrency)); -1 = no
-  // worker pool at all (a client-only reactor: every callback runs on the
-  // loop thread, which is the async client engine's threading model).
+  // Worker threads, resolved by ResolveWorkerCount; -1 = no worker pool at
+  // all (a client-only reactor: every callback runs on the loop thread,
+  // which is the async client engine's threading model).
   int workers = 0;
-  // Datagrams moved per recvmmsg/sendmmsg on UDP endpoints. 0 = resolve
-  // from HCS_UDP_BATCH (default kDefaultUdpBatch); 1 = single-shot
-  // recvfrom/sendto, the seed-identical path. Clamped to kMaxUdpBatch.
-  int udp_batch = 0;
-  // Bytes per received-datagram slot in a batch; 0 = 64 KiB (the UDP
-  // maximum). Smaller slots trade truncation risk for a denser arena.
-  size_t udp_slot_bytes = 0;
 };
 
 struct ReactorEndpointOptions {
   // True: the service is thread-safe and handler invocations may run on
   // all workers concurrently. False (default): per-endpoint serial
-  // execution, the thread-per-endpoint contract.
+  // execution, the seed contract that handlers never overlap.
   bool concurrent = false;
   // The local port the socket is bound to. Labels this endpoint's
   // dispatch/drop counters (endpoint_stats()) and keys the fault
@@ -91,7 +82,6 @@ struct ReactorEndpointOptions {
 // messages for that endpoint alone.
 struct ReactorEndpointStats {
   uint16_t port = 0;
-  bool stream = false;
   uint64_t dispatched = 0;
   uint64_t dropped = 0;
 };
@@ -110,10 +100,6 @@ class Reactor {
   // may be started again (endpoints must be re-added).
   void Stop();
   bool running() const;
-
-  // Registers a bound, nonblocking UDP socket; the reactor takes ownership
-  // of `fd` and serves `service` on it. Requires running().
-  HCS_NODISCARD Status AddUdpEndpoint(int fd, SimService* service, ReactorEndpointOptions options = {});
 
   // Registers a listening, nonblocking TCP socket; accepted connections
   // speak 4-byte big-endian length-prefixed frames, one HandleMessage per
@@ -177,7 +163,7 @@ class Reactor {
 
   // Tag for the pointer stashed in each epoll event.
   struct Handle {
-    enum class Kind { kWake, kUdp, kListener, kConn, kClient };
+    enum class Kind { kWake, kListener, kConn, kClient };
     Kind kind;
     void* target = nullptr;
   };
@@ -195,19 +181,6 @@ class Reactor {
   void RunDueTimers();
 
   // hcs:loop-only
-  void DrainUdp(Endpoint* endpoint, std::vector<uint8_t>& buffer);
-  // hcs:loop-only
-  void DrainUdpBatched(Endpoint* endpoint);
-  // Checks out a pooled receive batch; the returned shared_ptr keeps the
-  // batch (and every frame view into its arena) alive until the last
-  // in-flight frame task drops it, which returns it to the pool.
-  std::shared_ptr<UdpRecvBatch> AcquireBatch();
-  // Filter + dispatch for one batched frame. A reply goes to *staged
-  // (serial path: one flush per batch) or, when staged is null, to the
-  // endpoint's combining sender (concurrent path).
-  void ProcessUdpFrame(Endpoint* endpoint, UdpFrame& frame, std::vector<UdpReply>* staged);
-  void SubmitUdpReply(Endpoint* endpoint, UdpReply reply);
-  // hcs:loop-only
   void DrainAccept(Endpoint* endpoint);
   // hcs:loop-only
   void HandleConnEvent(Conn* conn, uint32_t events, std::vector<uint8_t>& buffer);
@@ -221,13 +194,6 @@ class Reactor {
   void SendOnConn(const std::shared_ptr<Conn>& conn, const Bytes& framed);
 
   ReactorOptions options_;
-  // Resolved at Start() (before the loop/worker threads exist, so plain
-  // ints are race-free): 1 = single-shot, >1 = batched.
-  int udp_batch_ = 1;
-  size_t udp_slot_bytes_ = 0;
-
-  Mutex batch_mu_{"reactor-batch-pool"};
-  std::vector<std::unique_ptr<UdpRecvBatch>> batch_pool_ HCS_GUARDED_BY(batch_mu_);
 
   mutable Mutex state_mu_{"reactor-state"};
   bool running_ HCS_GUARDED_BY(state_mu_) = false;

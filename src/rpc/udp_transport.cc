@@ -8,12 +8,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
+#include <chrono>
 #include <cstring>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
-#include "src/rpc/control.h"
+#include "src/rpc/context.h"
 #include "src/rpc/fault.h"
 #include "src/rpc/mmsg.h"
 
@@ -55,87 +55,52 @@ Result<int> BindLoopback(int type, uint16_t port, uint16_t* bound_port_out) {
   return fd;
 }
 
-// One serve loop: receive, dispatch, answer. Exits when `stop` is raised
-// (StopAll wakes the blocking recvfrom with a zero-byte datagram); the
-// owner closes the socket only after joining this thread. `dropped` counts
-// this endpoint's discarded messages (garbled requests, undeliverable
-// replies, injector-discarded inbound traffic).
-void ServeLoop(int fd, uint16_t port, SimService* service, std::atomic<bool>* stop,
-               std::atomic<uint64_t>* dropped) {
-  std::vector<uint8_t> buffer(kMaxDatagram);
-  while (true) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof(peer);
-    ssize_t n = recvfrom(fd, buffer.data(), buffer.size(), 0,
-                         reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    if (stop->load(std::memory_order_acquire)) {
-      return;
-    }
-    if (n < 0) {
-      // Transient error: stop serving.
-      return;
-    }
-    Bytes request(buffer.begin(), buffer.begin() + n);
-    Status admitted = FilterInbound(GlobalFaultInjector(), port, &request);
-    if (!admitted.ok()) {
-      dropped->fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Result<Bytes> response = service->HandleMessage(request);
-    if (!response.ok()) {
-      // Transport-level failure (garbled request): drop it, as UDP servers
-      // do; the client times out and reports kTimeout.
-      dropped->fetch_add(1, std::memory_order_relaxed);
-      HCS_LOG(Debug) << "udp server dropping garbled request: " << response.status();
-      continue;
-    }
-    if (sendto(fd, response->data(), response->size(), 0,
-               reinterpret_cast<sockaddr*>(&peer), peer_len) < 0) {
-      dropped->fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
+}  // namespace
 
-// Batched serve loop: one recvmmsg blocks for the first datagram and sweeps
-// up whatever else is queued; replies for the whole batch leave in one
-// sendmmsg. Per-frame semantics match ServeLoop exactly — each frame gets
-// its own fault decision, a zero-byte frame still runs through filter and
-// dispatch (it garbles and counts a drop, and doubles as the stop wake),
-// and an unsendable reply is a drop.
-void ServeLoopBatched(int fd, uint16_t port, SimService* service, std::atomic<bool>* stop,
-                      std::atomic<uint64_t>* dropped, int batch, size_t slot_bytes) {
-  UdpRecvBatch recv_batch(batch, slot_bytes);
+// One serve loop, run to completion: a blocking recvmmsg takes up to
+// `batch` datagrams, each frame is filtered and dispatched on this thread,
+// and the batch's replies leave in one sendmmsg. Each frame gets its own
+// fault decision and its own arrival time; a zero-byte frame (StopAll's
+// wake) gets neither and is never dispatched; an unsendable reply is a
+// drop. Exits at the first receive after `state->stop` is raised; the owner
+// closes the socket only after every loop has exited.
+void UdpServerHost::ServeLoop(int fd, uint16_t port, SimService* service, int batch,
+                              size_t slot_bytes, LoopState* state) {
+  UdpRecvBatch recv_batch(batch, slot_bytes, UdpIoSide::kServer);
   // Debug builds stamp every view built over the batch arena with its
   // generation; a view that survives past the next Recv (which Resets the
   // arena) aborts on access instead of reading recycled bytes.
   ScopedArenaViewBinding view_binding(recv_batch.debug_arena());
   std::vector<UdpReply> replies;
-  while (true) {
+  while (!state->stop.load(std::memory_order_acquire)) {
     int count = recv_batch.Recv(fd, /*wait_for_one=*/true);
-    if (stop->load(std::memory_order_acquire)) {
-      return;
-    }
-    if (count < 0) {
-      // Transient error: stop serving.
-      return;
+    if (count < 0 || state->stop.load(std::memory_order_acquire)) {
+      break;  // stopping, or a hard socket error
     }
     replies.clear();
     for (int i = 0; i < count; ++i) {
       UdpFrame& frame = recv_batch.frame(i);
+      if (frame.size == 0) {
+        continue;
+      }
       if (frame.truncated) {
         // The kernel cut the datagram to the slot size; it would decode as
         // garbage, so drop it whole.
-        dropped->fetch_add(1, std::memory_order_relaxed);
+        state->dropped.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
+      // Queue time counts against the request's budget: the decoded
+      // deadline is rebased on the kernel's receive time.
+      ScopedReceiveTimestamp stamp(frame.arrival_ms);
       Status admitted = FilterInboundFrame(GlobalFaultInjector(), port, frame.data, frame.size);
       if (!admitted.ok()) {
-        dropped->fetch_add(1, std::memory_order_relaxed);
+        state->dropped.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       Result<Bytes> response = service->HandleFrame(frame.data, frame.size);
       if (!response.ok()) {
-        dropped->fetch_add(1, std::memory_order_relaxed);
+        // Garbled request: drop it, as UDP servers do; the client times out.
+        state->dropped.fetch_add(1, std::memory_order_relaxed);
         HCS_LOG(Debug) << "udp server dropping garbled request: " << response.status();
         continue;
       }
@@ -145,42 +110,29 @@ void ServeLoopBatched(int fd, uint16_t port, SimService* service, std::atomic<bo
       reply.payload = std::move(response).value();
       replies.push_back(std::move(reply));
     }
-    size_t sent = SendReplies(fd, replies);
+    size_t sent = SendReplies(fd, replies, UdpIoSide::kServer);
     if (sent < replies.size()) {
-      dropped->fetch_add(static_cast<uint64_t>(replies.size() - sent),
-                         std::memory_order_relaxed);
+      state->dropped.fetch_add(static_cast<uint64_t>(replies.size() - sent),
+                               std::memory_order_relaxed);
     }
   }
-}
-
-}  // namespace
-
-ServeMode DefaultServeMode() {
-  const char* env = std::getenv("HCS_REACTOR");
-  if (env != nullptr && env[0] != '\0') {
-    if (env[0] == '1' || env[0] == 'y' || env[0] == 'Y' || env[0] == 't' || env[0] == 'T' ||
-        (env[0] == 'o' && env[1] == 'n')) {
-      return ServeMode::kReactor;
-    }
-    return ServeMode::kThreadPerEndpoint;
-  }
-#ifdef HCS_REACTOR_DEFAULT
-  return ServeMode::kReactor;
-#else
-  return ServeMode::kThreadPerEndpoint;
-#endif
+  state->running.fetch_sub(1, std::memory_order_release);
 }
 
 Result<Reactor*> UdpServerHost::EnsureReactor() {
   if (reactor_ == nullptr) {
     ReactorOptions options;
-    options.workers = reactor_workers_;
-    options.udp_batch = udp_batch_;
-    options.udp_slot_bytes = udp_slot_bytes_;
+    options.workers = workers_;
     reactor_ = std::make_unique<Reactor>(options);
   }
   HCS_RETURN_IF_ERROR(reactor_->Start());
   return reactor_.get();
+}
+
+// A serial endpoint batches its receives; concurrent loops each take one
+// datagram, so a queued request never waits behind another loop's batch.
+int UdpServerHost::receive_batch(bool concurrent) const {
+  return concurrent ? 1 : ResolveUdpBatchSize(udp_batch_);
 }
 
 Result<uint16_t> UdpServerHost::Serve(SimService* service, uint16_t port) {
@@ -194,31 +146,19 @@ Result<uint16_t> UdpServerHost::ServeConcurrent(SimService* service, uint16_t po
 Result<uint16_t> UdpServerHost::ServeUdp(SimService* service, uint16_t port, bool concurrent) {
   uint16_t bound_port = 0;
   HCS_ASSIGN_OR_RETURN(int fd, BindLoopback(SOCK_DGRAM, port, &bound_port));
+  EnableArrivalStamps(fd);
 
-  if (mode_ == ServeMode::kReactor) {
-    MutexLock lock(mutex_);
-    HCS_ASSIGN_OR_RETURN(Reactor * reactor, EnsureReactor());
-    ReactorEndpointOptions options;
-    options.concurrent = concurrent;
-    options.port = bound_port;
-    HCS_RETURN_IF_ERROR(reactor->AddUdpEndpoint(fd, service, options));
-    return bound_port;
-  }
-
+  const int loops = concurrent ? workers_ : 1;
+  const int batch = receive_batch(concurrent);
+  const size_t slot_bytes = udp_slot_bytes_ != 0 ? udp_slot_bytes_ : kMaxDatagram;
   Endpoint endpoint;
   endpoint.fd = fd;
   endpoint.port = bound_port;
-  endpoint.stop = std::make_unique<std::atomic<bool>>(false);
-  endpoint.dropped = std::make_unique<std::atomic<uint64_t>>(0);
-  int batch = ResolveUdpBatchSize(udp_batch_);
-  if (batch > 1) {
-    size_t slot_bytes = udp_slot_bytes_ != 0 ? udp_slot_bytes_ : kMaxDatagram;
-    endpoint.thread =
-        std::thread(ServeLoopBatched, fd, bound_port, service, endpoint.stop.get(),
-                    endpoint.dropped.get(), batch, slot_bytes);
-  } else {
-    endpoint.thread = std::thread(ServeLoop, fd, bound_port, service, endpoint.stop.get(),
-                                  endpoint.dropped.get());
+  endpoint.state = std::make_unique<LoopState>();
+  endpoint.state->running.store(loops, std::memory_order_relaxed);
+  for (int i = 0; i < loops; ++i) {
+    endpoint.loops.emplace_back(ServeLoop, fd, bound_port, service, batch, slot_bytes,
+                                endpoint.state.get());
   }
 
   MutexLock lock(mutex_);
@@ -256,7 +196,7 @@ std::map<uint16_t, uint64_t> UdpServerHost::dropped_by_endpoint() const {
   MutexLock lock(mutex_);
   std::map<uint16_t, uint64_t> out;
   for (const Endpoint& endpoint : endpoints_) {
-    out[endpoint.port] += endpoint.dropped->load(std::memory_order_relaxed);
+    out[endpoint.port] += endpoint.state->dropped.load(std::memory_order_relaxed);
   }
   if (reactor_ != nullptr) {
     for (const ReactorEndpointStats& stats : reactor_->endpoint_stats()) {
@@ -269,27 +209,31 @@ std::map<uint16_t, uint64_t> UdpServerHost::dropped_by_endpoint() const {
 void UdpServerHost::StopAll() {
   MutexLock lock(mutex_);
   if (reactor_ != nullptr) {
-    reactor_->Stop();  // graceful drain; closes the endpoint fds it owns
+    reactor_->Stop();  // graceful drain; closes the stream fds it owns
   }
   for (Endpoint& endpoint : endpoints_) {
-    // Raise the stop flag, then wake the blocking recvfrom with a zero-byte
-    // datagram; the loop notices the flag and exits. The socket is closed
-    // only after the join — closing a live fd out from under recvfrom races
-    // with fd reuse.
-    endpoint.stop->store(true, std::memory_order_release);
-    int wake = socket(AF_INET, SOCK_DGRAM, 0);
-    if (wake >= 0) {
-      sockaddr_in addr = LoopbackAddress(endpoint.port);
-      (void)sendto(wake, nullptr, 0, 0, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-      close(wake);
+    // Raise the stop flag, then wake every loop with a zero-byte datagram
+    // the endpoint sends itself. A wake can go unused (a loop that exits on
+    // queued traffic) or be lost (a full receive queue), so they repeat
+    // every 5 ms (50 polls) until every loop has exited. The socket is
+    // closed only after the joins — closing a live fd out from under a
+    // receive races with fd reuse.
+    LoopState& state = *endpoint.state;
+    state.stop.store(true, std::memory_order_release);
+    const sockaddr_in self = LoopbackAddress(endpoint.port);
+    for (int round = 0; state.running.load(std::memory_order_acquire) > 0; ++round) {
+      if (round % 50 == 0) {
+        for (int i = state.running.load(std::memory_order_acquire); i > 0; --i) {
+          (void)sendto(endpoint.fd, nullptr, 0, 0, reinterpret_cast<const sockaddr*>(&self),
+                       sizeof(self));
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-    if (endpoint.thread.joinable()) {
-      endpoint.thread.join();
+    for (std::thread& loop : endpoint.loops) {
+      loop.join();
     }
-    if (endpoint.fd >= 0) {
-      close(endpoint.fd);
-      endpoint.fd = -1;
-    }
+    close(endpoint.fd);
   }
   endpoints_.clear();
 }

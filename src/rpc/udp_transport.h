@@ -4,17 +4,14 @@
 // genuine — the control protocols and stubs are byte-level real, and only
 // the transport is swapped.
 //
-// UdpServerHost serves in one of two modes:
-//   - kThreadPerEndpoint (the seed model): one background thread per served
-//     endpoint, blocking recvfrom.
-//   - kReactor: every endpoint is a nonblocking socket on a shared epoll
-//     reactor (src/rpc/reactor.h); handlers run on the reactor's worker
-//     pool, serialized per endpoint unless the service opts into
-//     concurrent dispatch.
-// The default comes from the HCS_REACTOR environment variable (1/0), else
-// the compile-time default (-DHCS_REACTOR=ON). Services must stay alive
-// until StopAll()/destruction. Simulated-time charging is a no-op on this
-// path (pass a null World to RpcClient).
+// UdpServerHost serves every UDP endpoint with one kind of loop, run to
+// completion on its own thread: receive a batch (recvmmsg), filter and
+// dispatch each frame, answer the batch (sendmmsg). Serve runs one loop per
+// endpoint, so its handlers never overlap; ServeConcurrent runs several
+// loops on the same socket, each taking one datagram per receive. Stream
+// endpoints run on a shared epoll reactor (src/rpc/reactor.h). Services
+// must stay alive until StopAll()/destruction. Simulated-time charging is a
+// no-op on this path (pass a null World to RpcClient).
 
 #ifndef HCS_SRC_RPC_UDP_TRANSPORT_H_
 #define HCS_SRC_RPC_UDP_TRANSPORT_H_
@@ -34,26 +31,16 @@
 
 namespace hcs {
 
-enum class ServeMode {
-  kThreadPerEndpoint,
-  kReactor,
-};
-
-// Resolves the process-wide default serving mode: the HCS_REACTOR
-// environment variable ("1"/"on"/"true" vs "0"/"off"/"false") wins; unset
-// falls back to the compile-time default.
-ServeMode DefaultServeMode();
-
 // Serves SimService instances on real sockets bound to 127.0.0.1.
 class UdpServerHost {
  public:
-  // `udp_batch` / `udp_slot_bytes` follow ReactorOptions semantics (0 =
-  // HCS_UDP_BATCH or the default; 1 = single-shot seed path) and apply to
-  // both serve modes — reactor endpoints and thread-per-endpoint loops.
-  explicit UdpServerHost(ServeMode mode = DefaultServeMode(), int reactor_workers = 0,
-                         int udp_batch = 0, size_t udp_slot_bytes = 0)
-      : mode_(mode),
-        reactor_workers_(reactor_workers),
+  // `workers` is the number of loops a ServeConcurrent endpoint runs and
+  // the stream reactor's worker pool (0 = ResolveWorkerCount's default).
+  // `udp_batch` is the datagrams one Serve loop takes per receive (0 =
+  // HCS_UDP_BATCH or the default; 1 = a batch of one), and
+  // `udp_slot_bytes` the bytes per received datagram (0 = 64 KiB).
+  explicit UdpServerHost(int workers = 0, int udp_batch = 0, size_t udp_slot_bytes = 0)
+      : workers_(ResolveWorkerCount(workers)),
         udp_batch_(udp_batch),
         udp_slot_bytes_(udp_slot_bytes) {}
   ~UdpServerHost() { StopAll(); }
@@ -61,33 +48,35 @@ class UdpServerHost {
   UdpServerHost(const UdpServerHost&) = delete;
   UdpServerHost& operator=(const UdpServerHost&) = delete;
 
-  // Binds 127.0.0.1:`port` (0 = ephemeral) and serves `service` on UDP.
-  // Handler invocations for this endpoint never overlap (the seed's
-  // implicit thread-per-endpoint contract — the sim-era services are not
-  // thread-safe). Returns the bound port.
+  // Binds 127.0.0.1:`port` (0 = ephemeral) and serves `service` on UDP with
+  // one loop. Handler invocations for this endpoint never overlap (the
+  // seed's contract — the sim-era services are not thread-safe). Returns
+  // the bound port.
   HCS_NODISCARD Result<uint16_t> Serve(SimService* service, uint16_t port = 0);
 
-  // Like Serve, but declares `service` thread-safe: in reactor mode its
-  // handlers fan out across the whole worker pool. In thread mode this is
-  // identical to Serve.
+  // Like Serve, but declares `service` thread-safe: `workers` loops share
+  // the socket, each receiving one datagram per call, so up to `workers`
+  // handlers run at once.
   HCS_NODISCARD Result<uint16_t> ServeConcurrent(SimService* service, uint16_t port = 0);
 
   // Serves `service` on a TCP listener speaking 4-byte big-endian
-  // length-prefixed frames (one HandleMessage per frame). Stream serving
-  // always runs on the reactor, regardless of mode.
+  // length-prefixed frames (one HandleMessage per frame), on the shared
+  // reactor.
   HCS_NODISCARD Result<uint16_t> ServeStream(SimService* service, uint16_t port = 0);
   HCS_NODISCARD Result<uint16_t> ServeStreamConcurrent(SimService* service, uint16_t port = 0);
 
-  // Stops every server thread / drains the reactor and closes the sockets.
+  // Stops every serve loop and the reactor and closes the sockets.
   // Idempotent; Serve may be called again afterwards.
   void StopAll();
 
-  ServeMode mode() const { return mode_; }
-  // The shared reactor (null until the first reactor-backed endpoint).
+  // The shared reactor (null until the first stream endpoint).
   Reactor* reactor() { return reactor_.get(); }
 
-  // Per-endpoint drop counters (port → dropped messages), merged across
-  // both serve modes: thread-per-endpoint loops and reactor endpoints.
+  // Datagrams one loop of a ServeConcurrent (`concurrent`) or Serve
+  // endpoint takes per receive.
+  int receive_batch(bool concurrent) const;
+
+  // Per-endpoint drop counters (port → dropped messages), UDP and stream.
   // Drops cover garbled requests, undeliverable replies, and messages the
   // fault injector discarded inbound. Snapshot before StopAll() — stopping
   // releases the endpoints. Chaos tests assert on these counts instead of
@@ -95,21 +84,28 @@ class UdpServerHost {
   std::map<uint16_t, uint64_t> dropped_by_endpoint() const;
 
  private:
+  // State the loops of one endpoint share; stable address for the threads.
+  struct LoopState {
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> dropped{0};
+    std::atomic<int> running{0};  // loops that have not exited yet
+  };
   struct Endpoint {
     int fd = -1;
     uint16_t port = 0;
-    std::unique_ptr<std::atomic<bool>> stop;  // stable address for the loop
-    std::unique_ptr<std::atomic<uint64_t>> dropped;  // stable address, ditto
-    std::thread thread;
+    std::unique_ptr<LoopState> state;
+    std::vector<std::thread> loops;
   };
 
+  // One serve loop of an endpoint; see udp_transport.cc.
+  static void ServeLoop(int fd, uint16_t port, SimService* service, int batch,
+                        size_t slot_bytes, LoopState* state);
   HCS_NODISCARD Result<uint16_t> ServeUdp(SimService* service, uint16_t port, bool concurrent);
   HCS_NODISCARD Result<uint16_t> ServeStreamInternal(SimService* service, uint16_t port, bool concurrent);
   // Lazily creates and starts the shared reactor.
   HCS_NODISCARD Result<Reactor*> EnsureReactor() HCS_REQUIRES(mutex_);
 
-  const ServeMode mode_;
-  const int reactor_workers_;
+  const int workers_;
   const int udp_batch_;
   const size_t udp_slot_bytes_;
   mutable Mutex mutex_{"udp-server-host"};

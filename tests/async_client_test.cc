@@ -4,11 +4,10 @@
 // reaping racing in-flight calls, the sync-fallback channel, and the
 // ResolveMany / PrefetchRecords layers built on top.
 //
-// Delay-bearing servers run on an explicit kReactor host with a fixed
-// worker pool, so the wall-clock assertions are independent of the
-// HCS_REACTOR environment default (a thread-per-endpoint host serializes
-// handlers per endpoint, which would re-serialize the very concurrency
-// under test).
+// Delay-bearing servers are served concurrently with a fixed number of
+// loops (UDP) or workers (stream), so the wall-clock assertions do not
+// depend on the core count; a serial endpoint would re-serialize the very
+// concurrency under test.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -100,7 +99,7 @@ TEST(AsyncClientTest, UdpFanOutCompletesEveryFuture) {
 TEST(AsyncClientTest, UdpInFlightCallsShareTheWallClock) {
   constexpr int kCalls = 16;
   constexpr int kDelayMs = 25;
-  UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/8);
+  UdpServerHost host(/*workers=*/8);
   RpcServer server(ControlKind::kRaw, "async-delay");
   server.RegisterProcedure(7, 1, [kDelayMs](const Bytes& args) -> Result<Bytes> {
     std::this_thread::sleep_for(std::chrono::milliseconds(kDelayMs));
@@ -132,7 +131,7 @@ TEST(AsyncClientTest, UdpInFlightCallsShareTheWallClock) {
 }
 
 TEST(AsyncClientTest, StreamPipeliningCompletesOutOfOrderOnOneConnection) {
-  UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/8);
+  UdpServerHost host(/*workers=*/8);
   RpcServer server(ControlKind::kSunRpc, "pipeline");
   server.RegisterProcedure(9, 1, [](const Bytes& args) -> Result<Bytes> {
     // First byte selects the handler latency: the slow call goes out first
@@ -278,7 +277,7 @@ TEST(AsyncClientTest, PartialFrameStraddlesTwoReadsWithPipelinedReplyBehind) {
 }
 
 TEST(AsyncClientTest, PoolExhaustionQueuesAttemptsAndStillCompletes) {
-  UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/8);
+  UdpServerHost host(/*workers=*/8);
   RpcServer server(ControlKind::kSunRpc, "pool");
   server.RegisterProcedure(9, 1, [](const Bytes& args) -> Result<Bytes> {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -403,7 +402,7 @@ TEST(AsyncClientTest, ResolveManyIssuesRemoteFindNsmConcurrently) {
   // TSan build adds ~100 ms of instrumentation overhead to the batch, which
   // must stay well under the half-serial-cost bound below.
   constexpr int kDelayMs = 50;
-  UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/8);
+  UdpServerHost host(/*workers=*/8);
   RpcServer hns_server(ControlKind::kRaw, "hns-server");
   hns_server.RegisterProcedure(
       kHnsProgram, kHnsProcFindNsm, [kDelayMs](const Bytes& args) -> Result<Bytes> {
@@ -555,7 +554,7 @@ TEST(AsyncClientTest, ResolveManyReportsPartialFailurePerName) {
 class DelayedMetaBind {
  public:
   explicit DelayedMetaBind(int delay_ms)
-      : host_(ServeMode::kReactor, /*reactor_workers=*/8),
+      : host_(/*workers=*/8),
         server_(ControlKind::kRaw, "delayed-meta-bind") {
     server_.RegisterProcedure(
         kBindProgram, kBindProcQuery, [this, delay_ms](const Bytes& args) -> Result<Bytes> {
@@ -648,8 +647,8 @@ int BindBlackHole(uint16_t* port_out) {
 // flight with the engine — each counting its OnComplete firings. Every
 // future must complete, and every callback must fire exactly once, no
 // matter which of completion/timeout/engine-stop wins the race.
-void OnCompleteFiresExactlyOnceUnderRaces(ServeMode mode) {
-  UdpServerHost host(mode, /*reactor_workers=*/8);
+TEST(AsyncClientTest, OnCompleteFiresExactlyOnceUnderRaces) {
+  UdpServerHost host;
   RpcServer server(ControlKind::kSunRpc, "stress-echo");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
   Result<uint16_t> port = host.Serve(&server, 0);
@@ -705,14 +704,6 @@ void OnCompleteFiresExactlyOnceUnderRaces(ServeMode mode) {
   client.set_async_engine(nullptr);
 }
 
-TEST(AsyncClientTest, OnCompleteFiresExactlyOnceUnderRacesThreadPerEndpoint) {
-  OnCompleteFiresExactlyOnceUnderRaces(ServeMode::kThreadPerEndpoint);
-}
-
-TEST(AsyncClientTest, OnCompleteFiresExactlyOnceUnderRacesReactor) {
-  OnCompleteFiresExactlyOnceUnderRaces(ServeMode::kReactor);
-}
-
 // --- Loop-affinity runtime enforcement (DESIGN.md §15) ----------------------
 //
 // The static half of the threading rules is tools/lint_loop.py; these death
@@ -733,8 +724,8 @@ TEST(LoopAffinityDeathTest, DebugModeCompiledOut) {
 // OnComplete callback, which runs on the loop) would self-deadlock — the
 // loop is the only thread that can complete the awaited future. The
 // detector must abort instead, naming this file as the birth site.
-void WaitOnLoopThread(ServeMode mode) {
-  UdpServerHost host(mode, /*reactor_workers=*/4);
+void WaitOnLoopThread() {
+  UdpServerHost host;
   RpcServer server(ControlKind::kSunRpc, "wait-on-loop");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
   Result<uint16_t> port = host.Serve(&server, 0);
@@ -744,7 +735,7 @@ void WaitOnLoopThread(ServeMode mode) {
   RpcClient client(nullptr, "localclient", &transport);
   AsyncClientEngine engine;
   client.set_async_engine(&engine);
-  // Prove the serving mode works before committing the violation.
+  // Prove the endpoint serves before committing the violation.
   ASSERT_TRUE(client.CallAsync(UdpBinding(*port, 7, ControlKind::kSunRpc), 1, Bytes{1})
                   .Wait()
                   .ok());
@@ -766,8 +757,8 @@ void WaitOnLoopThread(ServeMode mode) {
 
 // Touching a running reactor's loop-owned state (the timer wheel) from off
 // the loop thread must abort, naming the violating entry point.
-void TouchLoopOwnedStateOffLoop(ServeMode mode) {
-  UdpServerHost host(mode, /*reactor_workers=*/4);
+void TouchLoopOwnedStateOffLoop() {
+  UdpServerHost host;
   RpcServer server(ControlKind::kSunRpc, "assert-loop");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
   ASSERT_TRUE(host.Serve(&server, 0).ok());
@@ -789,27 +780,14 @@ void TouchLoopOwnedStateOffLoop(ServeMode mode) {
   reactor.Stop();
 }
 
-TEST(LoopAffinityDeathTest, WaitOnLoopThreadAbortsWithBirthSiteThreadPerEndpoint) {
+TEST(LoopAffinityDeathTest, WaitOnLoopThreadAbortsWithBirthSite) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(WaitOnLoopThread(ServeMode::kThreadPerEndpoint),
-               "self-deadlocks.*async_client_test");
+  EXPECT_DEATH(WaitOnLoopThread(), "self-deadlocks.*async_client_test");
 }
 
-TEST(LoopAffinityDeathTest, WaitOnLoopThreadAbortsWithBirthSiteReactor) {
+TEST(LoopAffinityDeathTest, OffLoopTimerAccessAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(WaitOnLoopThread(ServeMode::kReactor), "self-deadlocks.*async_client_test");
-}
-
-TEST(LoopAffinityDeathTest, OffLoopTimerAccessAbortsThreadPerEndpoint) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(TouchLoopOwnedStateOffLoop(ServeMode::kThreadPerEndpoint),
-               "HCS_ASSERT_LOOP: ScheduleAfter");
-}
-
-TEST(LoopAffinityDeathTest, OffLoopTimerAccessAbortsReactor) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(TouchLoopOwnedStateOffLoop(ServeMode::kReactor),
-               "HCS_ASSERT_LOOP: ScheduleAfter");
+  EXPECT_DEATH(TouchLoopOwnedStateOffLoop(), "HCS_ASSERT_LOOP: ScheduleAfter");
 }
 
 #endif  // HCS_LOOP_DEBUG_ENABLED

@@ -1,10 +1,11 @@
-// Batched UDP I/O (ctest label `concurrency`; run under
-// -DHCS_SANITIZE=thread too): the recvmmsg/sendmmsg wrappers, their
-// single-shot fallback, partial-completion handling, truncation inside a
-// batch, per-frame (never per-batch) fault decisions, and a batched
-// FindNSM-vs-Register storm over real sockets. Syscall fakes are injected
-// with SetMmsgSyscallsForTest so ENOSYS/EAGAIN/partial cases are
-// deterministic, not host-dependent.
+// Batched UDP I/O and the serve loop built on it (ctest label
+// `concurrency`; run under -DHCS_SANITIZE=thread too): the
+// recvmmsg/sendmmsg wrappers, their single-shot fallback,
+// partial-completion handling, truncation inside a batch, per-frame (never
+// per-batch) fault decisions, kernel arrival stamps, zero-byte datagrams,
+// concurrent loops on one socket, and the server/client split of the
+// syscall counters. Syscall fakes are injected with SetMmsgSyscallsForTest
+// so ENOSYS/EAGAIN/partial cases are deterministic, not host-dependent.
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -19,17 +20,14 @@
 #include <thread>
 #include <vector>
 
-#include "src/bindns/server.h"
 #include "src/common/arena.h"
-#include "src/hns/hns.h"
-#include "src/hns/name.h"
+#include "src/rpc/async_client.h"
 #include "src/rpc/client.h"
+#include "src/rpc/context.h"
 #include "src/rpc/fault.h"
 #include "src/rpc/mmsg.h"
 #include "src/rpc/server.h"
 #include "src/rpc/udp_transport.h"
-#include "src/sim/world.h"
-#include "src/wire/value.h"
 
 namespace hcs {
 namespace {
@@ -127,7 +125,7 @@ TEST(BatchIoTest, PartialBatchLandsQueuedDatagrams) {
   SendTo(sender, port, Bytes{2, 2});
   SendTo(sender, port, Bytes{3, 3, 3});
 
-  UdpRecvBatch batch(16, 512);
+  UdpRecvBatch batch(16, 512, UdpIoSide::kServer);
   // wait_for_one on the blocking socket: returns as soon as something is
   // queued — here all three, well short of capacity.
   int n = batch.Recv(fd, /*wait_for_one=*/true);
@@ -135,7 +133,7 @@ TEST(BatchIoTest, PartialBatchLandsQueuedDatagrams) {
   // The kernel may deliver the burst across polls; sweep until all three.
   while (total < 3) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    UdpRecvBatch more(16, 512);
+    UdpRecvBatch more(16, 512, UdpIoSide::kServer);
     int m = more.Recv(fd, /*wait_for_one=*/true);
     ASSERT_GT(m, 0);
     total += m;
@@ -148,7 +146,7 @@ TEST(BatchIoTest, PartialBatchLandsQueuedDatagrams) {
 
   // Nothing left: a nonblocking batch read reports zero frames.
   ASSERT_EQ(SetNonBlocking(fd).code(), StatusCode::kOk);
-  UdpRecvBatch empty(16, 512);
+  UdpRecvBatch empty(16, 512, UdpIoSide::kServer);
   EXPECT_EQ(empty.Recv(fd, /*wait_for_one=*/false), 0);
   close(sender);
   close(fd);
@@ -162,7 +160,7 @@ TEST(BatchIoTest, OversizedDatagramIsFlaggedTruncatedOthersSurvive) {
   SendTo(sender, port, Bytes(100, 0xee));  // exceeds the 16-byte slot
   SendTo(sender, port, Bytes{7, 8, 9});
 
-  UdpRecvBatch batch(8, 16);
+  UdpRecvBatch batch(8, 16, UdpIoSide::kServer);
   int total = 0;
   bool saw_truncated = false, saw_small = false;
   while (total < 2) {
@@ -236,7 +234,7 @@ TEST(BatchIoTest, EnosysRecvFlipsToSingleShotFallbackPermanently) {
   SendTo(sender, port, Bytes{4, 5});
 
   ASSERT_TRUE(MmsgAvailable());
-  UdpRecvBatch batch(8, 512);
+  UdpRecvBatch batch(8, 512, UdpIoSide::kServer);
   int n = batch.Recv(fd, /*wait_for_one=*/true);
   // The ENOSYS recvmmsg flipped availability and the same Recv call
   // finished the job over recvfrom — identical frames, no caller retry.
@@ -252,7 +250,7 @@ TEST(BatchIoTest, EnosysRecvFlipsToSingleShotFallbackPermanently) {
     replies[i].peer_len = sizeof(sockaddr_in);
     replies[i].payload = Bytes{static_cast<uint8_t>(i)};
   }
-  EXPECT_EQ(SendReplies(sender, replies), 2u);
+  EXPECT_EQ(SendReplies(sender, replies, UdpIoSide::kServer), 2u);
   close(sender);
   close(fd);
 }
@@ -273,7 +271,7 @@ TEST(BatchIoTest, SendRepliesConsumesPartialCompletions) {
   }
   // Each fake call accepts one datagram; SendReplies must resume from the
   // first unsent message until the whole batch is out.
-  EXPECT_EQ(SendReplies(tx, replies), 5u);
+  EXPECT_EQ(SendReplies(tx, replies, UdpIoSide::kServer), 5u);
 
   std::vector<bool> seen(6, false);
   for (int i = 0; i < 5; ++i) {
@@ -307,7 +305,7 @@ TEST(BatchIoTest, EagainMidBatchAbandonsRemainderAndReportsCount) {
   // One accepted, then EAGAIN: the shortfall is the caller's to account —
   // exactly the count contract tools/lint_failpaths.py enforces at raw
   // call sites.
-  EXPECT_EQ(SendReplies(tx, replies), 1u);
+  EXPECT_EQ(SendReplies(tx, replies, UdpIoSide::kServer), 1u);
   close(tx);
   close(rx);
 }
@@ -354,8 +352,8 @@ int BurstEcho(uint16_t port, int count) {
 
 class EchoServerFixture {
  public:
-  explicit EchoServerFixture(ServeMode mode, int batch, size_t slot_bytes = 0)
-      : host_(mode, /*reactor_workers=*/2, batch, slot_bytes),
+  explicit EchoServerFixture(int batch, size_t slot_bytes = 0)
+      : host_(/*workers=*/2, batch, slot_bytes),
         server_(ControlKind::kSunRpc, "batch-echo") {
     server_.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
       return args.ToBytes();
@@ -374,44 +372,38 @@ class EchoServerFixture {
   uint16_t port_ = 0;
 };
 
-TEST(BatchIoTest, BatchedEchoRoundTripsBothServeModes) {
-  for (ServeMode mode : {ServeMode::kThreadPerEndpoint, ServeMode::kReactor}) {
-    SCOPED_TRACE(mode == ServeMode::kReactor ? "reactor" : "thread");
-    EchoServerFixture fixture(mode, /*batch=*/8);
-    EXPECT_EQ(BurstEcho(fixture.port(), 32), 32);
-    fixture.host().StopAll();
-  }
+TEST(BatchIoTest, BatchedEchoRoundTrips) {
+  EchoServerFixture fixture(/*batch=*/8);
+  EXPECT_EQ(BurstEcho(fixture.port(), 32), 32);
+  fixture.host().StopAll();
 }
 
 TEST(BatchIoTest, OversizedDatagramInBatchIsDroppedNeighborsAnswered) {
-  for (ServeMode mode : {ServeMode::kThreadPerEndpoint, ServeMode::kReactor}) {
-    SCOPED_TRACE(mode == ServeMode::kReactor ? "reactor" : "thread");
-    // 256-byte slots: a jumbo garbage datagram truncates; echo calls fit.
-    EchoServerFixture fixture(mode, /*batch=*/8, /*slot_bytes=*/256);
+  // 256-byte slots: a jumbo garbage datagram truncates; echo calls fit.
+  EchoServerFixture fixture(/*batch=*/8, /*slot_bytes=*/256);
 
-    int fd = socket(AF_INET, SOCK_DGRAM, 0);
-    ASSERT_GE(fd, 0);
-    Bytes jumbo(1000, 0x5a);
-    sockaddr_in addr = Loopback(fixture.port());
-    ASSERT_EQ(sendto(fd, jumbo.data(), jumbo.size(), 0, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr)),
-              static_cast<ssize_t>(jumbo.size()));
-    close(fd);
+  int fd = socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  Bytes jumbo(1000, 0x5a);
+  sockaddr_in addr = Loopback(fixture.port());
+  ASSERT_EQ(sendto(fd, jumbo.data(), jumbo.size(), 0, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            static_cast<ssize_t>(jumbo.size()));
+  close(fd);
 
-    // The truncated frame is dropped (counted), its batch neighbors answer.
-    EXPECT_EQ(BurstEcho(fixture.port(), 16), 16);
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    uint64_t dropped = 0;
-    while (std::chrono::steady_clock::now() < deadline) {
-      dropped = fixture.host().dropped_by_endpoint()[fixture.port()];
-      if (dropped >= 1) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // The truncated frame is dropped (counted), its batch neighbors answer.
+  EXPECT_EQ(BurstEcho(fixture.port(), 16), 16);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  uint64_t dropped = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    dropped = fixture.host().dropped_by_endpoint()[fixture.port()];
+    if (dropped >= 1) {
+      break;
     }
-    EXPECT_GE(dropped, 1u);
-    fixture.host().StopAll();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+  EXPECT_GE(dropped, 1u);
+  fixture.host().StopAll();
 }
 
 TEST(BatchIoTest, FaultDecisionsArePerFrameNotPerBatch) {
@@ -426,7 +418,7 @@ TEST(BatchIoTest, FaultDecisionsArePerFrameNotPerBatch) {
   FaultInjector injector(config);
   InstallGlobalFaultInjector(&injector);
 
-  EchoServerFixture fixture(ServeMode::kThreadPerEndpoint, /*batch=*/8);
+  EchoServerFixture fixture(/*batch=*/8);
   constexpr int kFrames = 24;
   // All dropped: BurstEcho gets zero replies back.
   EXPECT_EQ(BurstEcho(fixture.port(), kFrames), 0);
@@ -466,7 +458,7 @@ TEST(BatchIoTest, DecisionSequenceMatchesSingleShotServing) {
     injector.set_trace_enabled(true);
     InstallGlobalFaultInjector(&injector);
 
-    EchoServerFixture fixture(ServeMode::kThreadPerEndpoint, batch);
+    EchoServerFixture fixture(batch);
     EXPECT_EQ(BurstEcho(fixture.port(), 12), 0);
     auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (std::chrono::steady_clock::now() < deadline &&
@@ -494,125 +486,162 @@ TEST(BatchIoTest, DecisionSequenceMatchesSingleShotServing) {
   EXPECT_EQ(batched, single);
 }
 
-// --- Batched FindNSM-vs-Register storm (TSan coverage) ----------------------
+// --- The serve loop ----------------------------------------------------------
 
-class FixedAddressNsm : public Nsm {
- public:
-  FixedAddressNsm(NsmInfo info, uint32_t address)
-      : info_(std::move(info)), address_(address) {}
-
-  const NsmInfo& info() const override { return info_; }
-
-  Result<WireValue> Query(const HnsName& name, const WireValue&) override {
-    return RecordBuilder().U32("address", address_).Str("host", name.individual).Build();
-  }
-
- private:
-  NsmInfo info_;
-  uint32_t address_;
-};
-
-TEST(BatchIoTest, BatchedFindNsmVsRegisterStorm) {
-  // The concurrency_test storm, but explicitly over batched serving: the
-  // meta authority answers through recvmmsg/sendmmsg while readers hammer
-  // FindNSM against a Register/Unregister loop. Bar: no torn handle, and
-  // TSan-clean batched dispatch.
-  World world;
-  ASSERT_TRUE(world.network().AddHost("metahost", MachineType::kMicroVax, OsType::kUnix).ok());
-  BindServerOptions meta_options;
-  meta_options.allow_dynamic_update = true;
-  meta_options.allow_unspecified_type = true;
-  BindServer* meta_bind = BindServer::InstallOn(&world, "metahost", meta_options).value();
-  ASSERT_TRUE(meta_bind->AddZone(MetaStore::kMetaZoneOrigin).ok());
-
-  UdpServerHost server_host(DefaultServeMode(), /*reactor_workers=*/0, /*udp_batch=*/8);
-  Result<uint16_t> port = server_host.Serve(meta_bind->rpc(), 0);
+TEST(ServeLoopTest, ConcurrentLoopsOverlapSlowHandlersAndStopAllJoinsThem) {
+  constexpr int kLoops = 4;
+  constexpr int kHandlerMs = 100;
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  RpcServer server(ControlKind::kSunRpc, "slow-echo");
+  server.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
+    started.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(kHandlerMs));
+    finished.fetch_add(1);
+    return args.ToBytes();
+  });
+  UdpServerHost host(/*workers=*/kLoops);
+  Result<uint16_t> port = host.ServeConcurrent(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
-  UdpTransport transport;
-  HnsOptions options;
-  options.meta_server_host = "metahost";
-  options.composite_cache = true;
-  options.cache.negative_ttl_seconds = 1;
-  Hns hns(/*world=*/nullptr, "client", &transport, options);
-  hns.meta().set_meta_port(*port);
+  // One request per loop: served one at a time they would take 400 ms.
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(BurstEcho(*port, kLoops), kLoops);
+  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+  EXPECT_LT(elapsed, 2 * kHandlerMs) << "the loops did not serve the requests side by side";
 
-  NsmInfo addr_info;
-  addr_info.nsm_name = "AddrNSM";
-  addr_info.query_class = kQueryClassHostAddress;
-  addr_info.ns_name = "UW-BIND";
-  addr_info.host = "metahost";
-  addr_info.host_context = "hostctx";
-  ASSERT_TRUE(hns.LinkNsm(std::make_shared<FixedAddressNsm>(addr_info, 0x7f000001)).ok());
-
-  NameServiceInfo ns_info;
-  ns_info.name = "UW-BIND";
-  ns_info.type = "BIND";
-  ASSERT_TRUE(hns.RegisterNameService(ns_info).ok());
-  ASSERT_TRUE(hns.RegisterContext("batchctx", "UW-BIND").ok());
-  ASSERT_TRUE(hns.RegisterContext("hostctx", "UW-BIND").ok());
-  ASSERT_TRUE(hns.RegisterNsm(addr_info).ok());
-
-  NsmInfo storm_info;
-  storm_info.nsm_name = "BatchNSM";
-  storm_info.query_class = kQueryClassHrpcBinding;
-  storm_info.ns_name = "UW-BIND";
-  storm_info.host = "nsmhost";
-  storm_info.host_context = "hostctx";
-  storm_info.program = 4242;
-  storm_info.version = 1;
-  storm_info.port = 999;
-  ASSERT_TRUE(hns.RegisterNsm(storm_info).ok());
-
-  HnsName name;
-  name.context = "batchctx";
-  name.individual = "anything";
-  {
-    Result<NsmHandle> warm = hns.FindNsm(name, kQueryClassHrpcBinding);
-    ASSERT_TRUE(warm.ok()) << warm.status();
-    EXPECT_EQ(warm->nsm_name, "BatchNSM");
+  // A request still in its handler when StopAll runs: StopAll must wait for
+  // that loop (and wake the idle ones) before it returns.
+  int fd = socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  Bytes call = EncodeEchoCall(99, Bytes{0x01});
+  sockaddr_in addr = Loopback(*port);
+  ASSERT_EQ(sendto(fd, call.data(), call.size(), 0, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            static_cast<ssize_t>(call.size()));
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (started.load() < kLoops + 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ASSERT_EQ(started.load(), kLoops + 1) << "the request never reached its handler";
+  host.StopAll();
+  EXPECT_EQ(finished.load(), kLoops + 1) << "StopAll returned before a loop finished";
+  EXPECT_TRUE(host.dropped_by_endpoint().empty()) << "StopAll must release the endpoint";
+  close(fd);
 
-  constexpr int kReaders = 3;
-  constexpr int kReadsPerThread = 120;
-  std::atomic<int> ok_results{0};
-  std::atomic<int> clean_failures{0};
-  std::atomic<int> wrong_results{0};
+  // The socket is closed: its port can be bound again.
+  int rebind = socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(rebind, 0);
+  EXPECT_EQ(bind(rebind, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  close(rebind);
+}
 
-  std::vector<std::thread> threads;
-  threads.reserve(kReaders + 1);
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kReadsPerThread; ++i) {
-        Result<NsmHandle> handle = hns.FindNsm(name, kQueryClassHrpcBinding);
-        if (handle.ok()) {
-          if (handle->nsm_name == "BatchNSM" && handle->binding.program == 4242 &&
-              handle->binding.port == 999) {
-            ++ok_results;
-          } else {
-            ++wrong_results;
-          }
-        } else {
-          ++clean_failures;
-        }
-      }
-    });
+TEST(ServeLoopTest, ZeroByteDatagramsGetNoFaultDecisionAndNoDrop) {
+  FaultConfig config;
+  config.seed = 11;
+  FaultPlan plan;
+  plan.endpoint = "local";
+  plan.phases.push_back(FaultPhase{});  // decides every frame, injects nothing
+  config.plans.push_back(plan);
+  FaultInjector injector(config);
+  InstallGlobalFaultInjector(&injector);
+
+  EchoServerFixture fixture(/*batch=*/8);
+  constexpr uint64_t kEmpty = 10;
+  const uint64_t received_before = SnapshotUdpIoCounters().server.recv_datagrams;
+  int fd = socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr = Loopback(fixture.port());
+  for (uint64_t i = 0; i < kEmpty; ++i) {
+    ASSERT_EQ(sendto(fd, nullptr, 0, 0, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
   }
-  threads.emplace_back([&] {
-    for (int round = 0; round < 10; ++round) {
-      EXPECT_TRUE(hns.UnregisterNsm("UW-BIND", kQueryClassHrpcBinding).ok());
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      EXPECT_TRUE(hns.RegisterNsm(storm_info).ok());
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  close(fd);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (SnapshotUdpIoCounters().server.recv_datagrams - received_before < kEmpty &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The loop has received every zero-byte datagram; it answers this echo
+  // only after it has finished with them.
+  EXPECT_EQ(BurstEcho(fixture.port(), 1), 1);
+  EXPECT_EQ(injector.stats().decisions, 1u) << "only the echo call may draw a decision";
+  EXPECT_EQ(fixture.host().dropped_by_endpoint()[fixture.port()], 0u);
+  fixture.host().StopAll();
+  InstallGlobalFaultInjector(nullptr);
+}
+
+constexpr int kLandingDelayMs = 30;
+
+// The real recvmmsg, then a pause before the frames are handed back, with
+// the control data (and so the kernel's arrival stamp) stripped.
+int UnstampedSlowRecvmmsg(int fd, mmsghdr* msgs, unsigned int vlen, int flags) {
+  int n = recvmmsg(fd, msgs, vlen, flags, nullptr);
+  if (n > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(kLandingDelayMs));
+    for (int i = 0; i < n; ++i) {
+      msgs[i].msg_hdr.msg_controllen = 0;
     }
-  });
-  for (std::thread& thread : threads) {
-    thread.join();
   }
-  EXPECT_EQ(wrong_results.load(), 0) << "a FindNSM result was torn by invalidation";
-  EXPECT_EQ(ok_results.load() + clean_failures.load(), kReaders * kReadsPerThread);
-  EXPECT_TRUE(hns.cache().CheckInvariants().ok());
-  server_host.StopAll();
+  return n;
+}
+
+TEST(ServeLoopTest, FrameWithoutKernelStampIsStampedWhenReceived) {
+  MmsgFakeGuard guard(&UnstampedSlowRecvmmsg, nullptr);
+  std::atomic<int64_t> seen_arrival{0};
+  RpcServer server(ControlKind::kSunRpc, "stamp-echo");
+  server.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
+    seen_arrival.store(CurrentReceiveTimestampMs());
+    return args.ToBytes();
+  });
+  UdpServerHost host;
+  Result<uint16_t> port = host.Serve(&server, 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  int64_t sent_ms = SteadyNowMs();
+  EXPECT_EQ(BurstEcho(*port, 1), 1) << "an unstamped frame must still be served";
+  int64_t answered_ms = SteadyNowMs();
+  // No kernel stamp: the arrival time is when Recv landed the frame, after
+  // the fake's pause, not when the datagram reached the socket.
+  EXPECT_GE(seen_arrival.load(), sent_ms + kLandingDelayMs);
+  EXPECT_LE(seen_arrival.load(), answered_ms);
+  host.StopAll();
+}
+
+TEST(ServeLoopTest, SyscallCountersSplitServerAndClientSides) {
+  constexpr int kCalls = 20;
+  EchoServerFixture fixture(/*batch=*/8);
+  HrpcBinding binding;
+  binding.service_name = "batch-echo";
+  binding.host = "localhost";
+  binding.port = fixture.port();
+  binding.program = 7;
+  binding.version = 2;
+  binding.control = ControlKind::kSunRpc;
+  binding.transport = TransportKind::kUdp;
+  UdpTransport transport;
+  RpcClient client(/*world=*/nullptr, "localclient", &transport);
+  AsyncClientEngine engine;
+  client.set_async_engine(&engine);
+  // Opens the engine's UDP channel outside the counted window.
+  ASSERT_TRUE(client.CallAsync(binding, 1, Bytes{0}).Wait().ok());
+
+  UdpIoSnapshot before = SnapshotUdpIoCounters();
+  std::vector<RpcFuture> futures;
+  for (int i = 0; i < kCalls; ++i) {
+    futures.push_back(client.CallAsync(binding, 1, Bytes{static_cast<uint8_t>(i)}));
+  }
+  for (RpcFuture& future : futures) {
+    ASSERT_TRUE(future.Wait().ok());
+  }
+  UdpIoSnapshot after = SnapshotUdpIoCounters();
+  EXPECT_EQ(after.server.recv_datagrams - before.server.recv_datagrams, uint64_t{kCalls});
+  EXPECT_EQ(after.server.send_datagrams - before.server.send_datagrams, uint64_t{kCalls});
+  EXPECT_EQ(after.client.send_datagrams - before.client.send_datagrams, uint64_t{kCalls});
+  EXPECT_EQ(after.client.recv_datagrams - before.client.recv_datagrams, uint64_t{kCalls});
+  fixture.host().StopAll();
+  client.set_async_engine(nullptr);
 }
 
 }  // namespace

@@ -114,10 +114,6 @@ HnsName SunName() {
   return HnsName::Parse(std::string(kContextBindBinding) + "!" + kSunServerHost).value();
 }
 
-std::string ServeModeName(const ::testing::TestParamInfo<ServeMode>& info) {
-  return info.param == ServeMode::kThreadPerEndpoint ? "ThreadPerEndpoint" : "Reactor";
-}
-
 // --- Injector mechanics ----------------------------------------------------
 
 TEST(ChaosTest, ParseFaultConfigAcceptsTheDocumentedGrammar) {
@@ -318,15 +314,9 @@ TEST(ChaosTest, FilterInboundAppliesDecisionsAndCountsDrops) {
 
 // --- Client-path chaos over real sockets -----------------------------------
 
-class ChaosServeModeTest : public ::testing::TestWithParam<ServeMode> {};
-
-INSTANTIATE_TEST_SUITE_P(BothModes, ChaosServeModeTest,
-                         ::testing::Values(ServeMode::kThreadPerEndpoint, ServeMode::kReactor),
-                         ServeModeName);
-
-TEST_P(ChaosServeModeTest, EchoSurvivesThirtyPercentLoss) {
+TEST(ChaosTest, EchoSurvivesThirtyPercentLoss) {
   uint64_t seed = AnnounceSeed("EchoSurvivesThirtyPercentLoss");
-  UdpServerHost host(GetParam());
+  UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "chaos-echo");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
   Result<uint16_t> port = host.Serve(&server, 0);
@@ -470,7 +460,7 @@ TEST(ChaosTest, ReorderAndDelayKeepRepliesMatchedToRequests) {
 
 // --- Serve-side chaos through the global injector --------------------------
 
-TEST_P(ChaosServeModeTest, CorruptAndDropInboundStormStaysLive) {
+TEST(ChaosTest, CorruptAndDropInboundStormStaysLive) {
   uint64_t seed = AnnounceSeed("CorruptAndDropInboundStormStaysLive");
   FaultSpec storm;
   storm.corrupt = 0.3;
@@ -478,7 +468,7 @@ TEST_P(ChaosServeModeTest, CorruptAndDropInboundStormStaysLive) {
   FaultInjector injector(FaultConfig{seed, {OnePhasePlan("local", storm)}});
   ScopedGlobalInjector installed(&injector);
 
-  UdpServerHost host(GetParam());
+  UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "chaos-inbound");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
   Result<uint16_t> port = host.Serve(&server, 0);

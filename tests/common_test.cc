@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/bytes.h"
+#include "src/common/logging.h"
 #include "src/common/rand.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
@@ -213,6 +214,38 @@ TEST(RngTest, IdentifierShape) {
     EXPECT_GE(c, 'a');
     EXPECT_LE(c, 'z');
   }
+}
+
+TEST(LoggingTest, OperandsAreEvaluatedOnlyAtOrAboveTheThreshold) {
+  LogLevel saved = GetLogThreshold();
+  int evaluations = 0;
+  auto operand = [&evaluations] {
+    ++evaluations;
+    return "x";
+  };
+  SetLogThreshold(LogLevel::kWarning);
+  HCS_LOG(Debug) << operand();
+  HCS_LOG(Info) << operand();
+  EXPECT_EQ(evaluations, 0) << "a message below the threshold formatted its operands";
+  testing::internal::CaptureStderr();
+  HCS_LOG(Warning) << operand();
+  std::string emitted = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(evaluations, 1);
+  EXPECT_NE(emitted.find("] x"), std::string::npos) << emitted;
+  SetLogThreshold(saved);
+}
+
+TEST(LoggingTest, MacroKeepsAFollowingElseWithItsOwnIf) {
+  LogLevel saved = GetLogThreshold();
+  SetLogThreshold(LogLevel::kSilent);
+  bool else_taken = false;
+  bool condition = false;
+  if (condition)
+    HCS_LOG(Error) << "unreachable";
+  else
+    else_taken = true;
+  EXPECT_TRUE(else_taken);
+  SetLogThreshold(saved);
 }
 
 }  // namespace

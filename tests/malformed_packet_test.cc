@@ -3,11 +3,10 @@
 // tests prove the property end to end: a BIND, Clearinghouse, portmapper, or
 // HNS server fed truncated and garbage frames over 127.0.0.1 must answer
 // with a protocol-level error reply or drop the frame cleanly — never crash,
-// desynchronize, or wedge the serving thread/reactor. Liveness is asserted
+// desynchronize, or wedge the serve loop/reactor. Liveness is asserted
 // after every storm by a well-formed call on the same endpoint.
 //
-// UDP endpoints run under both serving modes (thread-per-endpoint and the
-// shared epoll reactor); stream endpoints always run on the reactor.
+// UDP endpoints run on their serve loops; stream endpoints on the reactor.
 
 #include <gtest/gtest.h>
 
@@ -112,11 +111,8 @@ class MalformedPacketTest : public ::testing::Test {
   std::vector<Target> targets_;
 };
 
-class MalformedPacketUdpTest : public MalformedPacketTest,
-                               public ::testing::WithParamInterface<ServeMode> {};
-
-TEST_P(MalformedPacketUdpTest, UdpServersSurviveGarbageAndStayLive) {
-  UdpServerHost host(GetParam());
+TEST_F(MalformedPacketTest, UdpServersSurviveGarbageAndStayLive) {
+  UdpServerHost host;
   UdpTransport transport;
 
   for (Target& target : targets_) {
@@ -156,15 +152,6 @@ TEST_P(MalformedPacketUdpTest, UdpServersSurviveGarbageAndStayLive) {
   host.StopAll();
 }
 
-INSTANTIATE_TEST_SUITE_P(ServeModes, MalformedPacketUdpTest,
-                         ::testing::Values(ServeMode::kThreadPerEndpoint,
-                                           ServeMode::kReactor),
-                         [](const ::testing::TestParamInfo<ServeMode>& mode) {
-                           return mode.param == ServeMode::kReactor
-                                      ? "Reactor"
-                                      : "ThreadPerEndpoint";
-                         });
-
 // Sends raw bytes to a TCP port and closes without reading; used to poison
 // stream connections mid-frame.
 void BlindTcpSend(uint16_t port, const Bytes& data) {
@@ -194,7 +181,7 @@ Bytes FramedStream(const Bytes& payload, uint32_t announced_size) {
 TEST_F(MalformedPacketTest, StreamServersSurviveGarbageAndStayLive) {
   // Stream serving always rides the shared reactor: one poisoned connection
   // must never stall the loop that every other endpoint depends on.
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
 
   for (Target& target : targets_) {
     SCOPED_TRACE(target.label);

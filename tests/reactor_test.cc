@@ -1,12 +1,10 @@
-// Reactor runtime tests (ctest label `concurrency`; TSan-clean under
+// Serving-runtime tests (ctest label `concurrency`; TSan-clean under
 // -DHCS_SANITIZE=thread):
 //
-//   - Start/Stop idempotence and restartability, including Serve after
-//     StopAll on a reactor-mode UdpServerHost.
-//   - End-to-end echo over the reactor for every control protocol, on both
-//     UDP and length-prefixed stream endpoints.
-//   - The FindNSM vs Register/Unregister storm from concurrency_test.cc,
-//     re-run with the meta authority served by the reactor.
+//   - Reactor Start/Stop idempotence and restartability, and Serve after
+//     StopAll on a UdpServerHost.
+//   - End-to-end echo for every control protocol, on both UDP serve loops
+//     and length-prefixed stream endpoints (the reactor).
 //   - RequestContext deadline semantics: client-side shed before send,
 //     dispatch-time shed when queue delay eats the budget, ambient
 //     inheritance across a server hop, NSM budget checks, and per-attempt
@@ -20,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/bindns/server.h"
+#include "src/bindns/protocol.h"
 #include "src/hns/hns.h"
 #include "src/hns/meta_store.h"
 #include "src/hns/name.h"
@@ -32,7 +30,6 @@
 #include "src/rpc/server.h"
 #include "src/rpc/stream_transport.h"
 #include "src/rpc/udp_transport.h"
-#include "src/sim/world.h"
 #include "src/wire/value.h"
 
 namespace hcs {
@@ -65,28 +62,44 @@ TEST(ReactorTest, StartStopIdempotentAndRestartable) {
   reactor.Stop();
 }
 
+// StopAll stops the stream reactor along with the UDP loops; the next
+// ServeStream on the same host must start it again.
 TEST(ReactorTest, ServeAfterStopAllRestartsTheReactor) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "restart-echo");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
 
-  UdpTransport transport;
-  RpcClient client(/*world=*/nullptr, "localclient", &transport);
+  UdpTransport udp;
+  TcpStreamTransport tcp;
+  RpcClient udp_client(/*world=*/nullptr, "localclient", &udp);
+  RpcClient tcp_client(/*world=*/nullptr, "localclient", &tcp);
 
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(round);
     Result<uint16_t> port = host.Serve(&server, 0);
     ASSERT_TRUE(port.ok()) << port.status();
     Result<Bytes> reply =
-        client.Call(LoopbackBinding(*port, 7, ControlKind::kRaw), 1, Bytes{9, 8, 7});
+        udp_client.Call(LoopbackBinding(*port, 7, ControlKind::kRaw), 1, Bytes{9, 8, 7});
     ASSERT_TRUE(reply.ok()) << reply.status();
     EXPECT_EQ(*reply, (Bytes{9, 8, 7}));
+
+    Result<uint16_t> tcp_port = host.ServeStream(&server, 0);
+    ASSERT_TRUE(tcp_port.ok()) << tcp_port.status();
+    ASSERT_NE(host.reactor(), nullptr);
+    EXPECT_TRUE(host.reactor()->running());
+    reply = tcp_client.Call(
+        LoopbackBinding(*tcp_port, 7, ControlKind::kRaw, TransportKind::kTcp), 1,
+        Bytes{6, 5});
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(*reply, (Bytes{6, 5}));
+
     host.StopAll();
+    EXPECT_FALSE(host.reactor()->running());
   }
 }
 
-TEST(ReactorTest, EchoOverReactorAllControlProtocols) {
-  UdpServerHost host(ServeMode::kReactor);
+TEST(ReactorTest, EchoOverLoopsAndReactorAllControlProtocols) {
+  UdpServerHost host;
   UdpTransport udp;
   TcpStreamTransport tcp;
   RpcClient udp_client(/*world=*/nullptr, "localclient", &udp);
@@ -118,146 +131,16 @@ TEST(ReactorTest, EchoOverReactorAllControlProtocols) {
 
     keepalive.push_back(std::move(server));
   }
-  EXPECT_GE(host.reactor()->dispatched(), 6u);
+  // UDP endpoints are served by their own loops; the reactor dispatched the
+  // three stream calls.
+  EXPECT_GE(host.reactor()->dispatched(), 3u);
   host.StopAll();
-}
-
-// A linked HostAddress NSM answering from a fixed table (see
-// concurrency_test.cc) — bounds the FindNSM recursion without the network.
-class FixedAddressNsm : public Nsm {
- public:
-  FixedAddressNsm(NsmInfo info, uint32_t address)
-      : info_(std::move(info)), address_(address) {}
-
-  const NsmInfo& info() const override { return info_; }
-
-  Result<WireValue> Query(const HnsName& name, const WireValue&) override {
-    return RecordBuilder().U32("address", address_).Str("host", name.individual).Build();
-  }
-
- private:
-  NsmInfo info_;
-  uint32_t address_;
-};
-
-// The composite-invalidation storm from concurrency_test.cc, with the meta
-// authority served by the reactor instead of a dedicated thread. The BIND
-// server touches the (non-thread-safe) World, so it relies on the
-// reactor's serial-per-endpoint dispatch contract.
-TEST(ReactorTest, FindNsmStormAgainstReactorServedMetaStore) {
-  World world;
-  ASSERT_TRUE(world.network().AddHost("metahost", MachineType::kMicroVax, OsType::kUnix).ok());
-  BindServerOptions meta_options;
-  meta_options.allow_dynamic_update = true;
-  meta_options.allow_unspecified_type = true;
-  BindServer* meta_bind = BindServer::InstallOn(&world, "metahost", meta_options).value();
-  ASSERT_TRUE(meta_bind->AddZone(MetaStore::kMetaZoneOrigin).ok());
-
-  UdpServerHost server_host(ServeMode::kReactor);
-  Result<uint16_t> port = server_host.Serve(meta_bind->rpc(), 0);
-  ASSERT_TRUE(port.ok()) << port.status();
-
-  UdpTransport transport;
-  HnsOptions options;
-  options.meta_server_host = "metahost";
-  options.composite_cache = true;
-  options.cache.negative_ttl_seconds = 1;
-  Hns hns(/*world=*/nullptr, "client", &transport, options);
-  hns.meta().set_meta_port(*port);
-
-  NsmInfo addr_info;
-  addr_info.nsm_name = "AddrNSM";
-  addr_info.query_class = kQueryClassHostAddress;
-  addr_info.ns_name = "UW-BIND";
-  addr_info.host = "metahost";
-  addr_info.host_context = "hostctx";
-  ASSERT_TRUE(hns.LinkNsm(std::make_shared<FixedAddressNsm>(addr_info, 0x7f000001)).ok());
-
-  NameServiceInfo ns_info;
-  ns_info.name = "UW-BIND";
-  ns_info.type = "BIND";
-  ASSERT_TRUE(hns.RegisterNameService(ns_info).ok());
-  ASSERT_TRUE(hns.RegisterContext("stormctx", "UW-BIND").ok());
-  ASSERT_TRUE(hns.RegisterContext("hostctx", "UW-BIND").ok());
-  ASSERT_TRUE(hns.RegisterNsm(addr_info).ok());
-  NsmInfo storm_info;
-  storm_info.nsm_name = "StormNSM";
-  storm_info.query_class = kQueryClassHrpcBinding;
-  storm_info.ns_name = "UW-BIND";
-  storm_info.host = "nsmhost";
-  storm_info.host_context = "hostctx";
-  storm_info.program = 4242;
-  storm_info.version = 1;
-  storm_info.port = 999;
-  ASSERT_TRUE(hns.RegisterNsm(storm_info).ok());
-
-  HnsName name;
-  name.context = "stormctx";
-  name.individual = "anything";
-
-  {
-    Result<NsmHandle> warm = hns.FindNsm(name, kQueryClassHrpcBinding);
-    ASSERT_TRUE(warm.ok()) << warm.status();
-    EXPECT_EQ(warm->nsm_name, "StormNSM");
-  }
-
-  constexpr int kReaders = 4;
-  constexpr int kReadsPerThread = 150;
-  std::atomic<int> ok_results{0};
-  std::atomic<int> clean_failures{0};
-  std::atomic<int> wrong_results{0};
-
-  std::vector<std::thread> threads;
-  threads.reserve(kReaders + 1);
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kReadsPerThread; ++i) {
-        Result<NsmHandle> handle = hns.FindNsm(name, kQueryClassHrpcBinding);
-        if (handle.ok()) {
-          if (handle->nsm_name == "StormNSM" && handle->binding.program == 4242 &&
-              handle->binding.port == 999 && handle->binding.address == 0x7f000001) {
-            ++ok_results;
-          } else {
-            ++wrong_results;
-          }
-        } else {
-          ++clean_failures;
-        }
-      }
-    });
-  }
-  threads.emplace_back([&] {
-    for (int round = 0; round < 12; ++round) {
-      EXPECT_TRUE(hns.UnregisterNsm("UW-BIND", kQueryClassHrpcBinding).ok());
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      EXPECT_TRUE(hns.RegisterNsm(storm_info).ok());
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  });
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(wrong_results.load(), 0) << "a FindNSM result was torn by invalidation";
-  EXPECT_EQ(ok_results.load() + clean_failures.load(), kReaders * kReadsPerThread);
-
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  bool converged = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    Result<NsmHandle> handle = hns.FindNsm(name, kQueryClassHrpcBinding);
-    if (handle.ok() && handle->nsm_name == "StormNSM") {
-      converged = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  EXPECT_TRUE(converged) << "FindNSM never recovered after the registration storm";
-  server_host.StopAll();
 }
 
 // --- RequestContext deadline semantics --------------------------------------
 
 TEST(ReactorTest, ClientShedsSpentBudgetBeforeSending) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   std::atomic<int> invocations{0};
   RpcServer server(ControlKind::kRaw, "never-called");
   server.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
@@ -283,11 +166,12 @@ TEST(ReactorTest, ClientShedsSpentBudgetBeforeSending) {
 }
 
 TEST(ReactorTest, QueueDelayCountsAgainstTheBudget) {
-  // One serial endpoint whose handler holds the queue for 250 ms. A second
-  // request with a 100 ms budget arrives while the first is being served;
-  // by the time it is dispatched its (arrival-rebased) deadline has passed,
-  // so the server sheds it without invoking the handler.
-  UdpServerHost host(ServeMode::kReactor);
+  // One serial endpoint whose handler holds the loop for 250 ms. A second
+  // request with a 100 ms budget arrives while the first is being served
+  // and waits in the socket queue; by the time it is dispatched its
+  // deadline, rebased on the kernel's receive time, has passed, so the
+  // server sheds it without invoking the handler.
+  UdpServerHost host;
   std::atomic<int> invocations{0};
   RpcServer server(ControlKind::kRaw, "slow-serial");
   server.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
@@ -325,7 +209,7 @@ TEST(ReactorTest, AmbientContextPropagatesAcrossServerHop) {
   // front's handler burns the whole budget, then makes a nested call to
   // `backend` without passing a context: the ambient (decoded) context must
   // be inherited, found expired, and shed before the nested send.
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   std::atomic<int> backend_invocations{0};
   RpcServer backend(ControlKind::kRaw, "backend");
   backend.RegisterProcedure(8, 1, [&](const Bytes& args) -> Result<Bytes> {
@@ -413,7 +297,7 @@ class FlakyService : public SimService {
 };
 
 TEST(ReactorTest, BudgetedCallRetriesThroughTransientLoss) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "flaky-echo");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
   FlakyService flaky(&server, /*failures=*/2);
@@ -435,7 +319,7 @@ TEST(ReactorTest, BudgetedCallRetriesThroughTransientLoss) {
 }
 
 TEST(ReactorTest, UnbudgetedCallStaysSingleAttempt) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "flaky-once");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
   FlakyService flaky(&server, /*failures=*/1);
@@ -458,7 +342,7 @@ TEST(ReactorTest, UnbudgetedCallStaysSingleAttempt) {
 // Singleflight followers must not outwait their own deadline when the
 // leader's upstream fetch is slow.
 TEST(ReactorTest, SingleflightFollowerHonorsItsOwnDeadline) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   RpcServer slow_bind(ControlKind::kRaw, "slow-meta");
   slow_bind.RegisterProcedure(
       kBindProgram, kBindProcQuery, [](const Bytes&) -> Result<Bytes> {

@@ -235,7 +235,7 @@ class RawEchoService : public SimService {
 };
 
 TEST(TcpStreamTransportTest, ReactorReassemblesDribbledRequest) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   RawEchoService echo;
   Result<uint16_t> port = host.ServeStream(&echo, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -267,7 +267,7 @@ TEST(TcpStreamTransportTest, ReactorReassemblesDribbledRequest) {
 }
 
 TEST(TcpStreamTransportTest, ReactorClosesConnectionOnOversizedFrame) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   RawEchoService echo;
   Result<uint16_t> port = host.ServeStream(&echo, 0);
   ASSERT_TRUE(port.ok()) << port.status();

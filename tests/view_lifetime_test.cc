@@ -1,11 +1,11 @@
 // View-lifetime runtime enforcement (ctest label `concurrency`; the
-// views-asan leg of tools/check.sh runs this under ASan in both serve
-// modes): the poisoned debug arena and the generation-stamped BytesView
-// from DESIGN.md §13. Death tests assert that a view which outlives its
-// arena's Reset aborts with both sites (birth and reset) named; poison
-// tests assert freed spans trap (ASan) or carry the canary scribble
-// (plain debug builds); storm regressions prove no handler on either
-// serve path retains a view past its frame.
+// views-asan leg of tools/check.sh runs this under ASan): the poisoned
+// debug arena and the generation-stamped BytesView from DESIGN.md §13.
+// Death tests assert that a view which outlives its arena's Reset aborts
+// with both sites (birth and reset) named; poison tests assert freed spans
+// trap (ASan) or carry the canary scribble (plain debug builds); storm
+// regressions prove no handler on a serial or concurrent endpoint retains
+// a view past its frame.
 //
 // In release builds (HCS_VIEW_DEBUG_ENABLED == 0) every check here
 // compiles out of the product code, so the suite reduces to one skip;
@@ -257,7 +257,7 @@ TEST(ViewLifetimeTest, PartialBatchRecyclePoisonsUnfilledSpans) {
             static_cast<ssize_t>(payload.size()));
 
   constexpr size_t kSlot = 64;
-  UdpRecvBatch batch(4, kSlot);
+  UdpRecvBatch batch(4, kSlot, UdpIoSide::kServer);
   int n = batch.Recv(fd, /*wait_for_one=*/true);
   ASSERT_EQ(n, 1);
   uint8_t* slot0 = batch.frame(0).data;
@@ -288,15 +288,15 @@ TEST(ViewLifetimeTest, PartialBatchRecyclePoisonsUnfilledSpans) {
   close(fd);
 }
 
-// --- Use-after-recycle across the serving runtimes --------------------------
+// --- Use-after-recycle in the serve loop -------------------------------------
 
 // A server whose handler illegally retains the args view of request 1 and
 // dereferences it while serving request 2 — after the batch's next Recv
 // has Reset the arena. Run inside EXPECT_DEATH: the generation stamp must
 // abort the process on the second request. Returns only if the runtime
 // gate failed to fire (which the death test reports as the failure).
-void ServeWithRetainingHandler(ServeMode mode) {
-  UdpServerHost host(mode, /*reactor_workers=*/1, /*udp_batch=*/8);
+void ServeWithRetainingHandler() {
+  UdpServerHost host(/*workers=*/1, /*udp_batch=*/8);
   RpcServer server(ControlKind::kSunRpc, "retainer");
   struct Retained {
     // hcs:owns-view(deliberate violation: this death test asserts the
@@ -322,13 +322,9 @@ void ServeWithRetainingHandler(ServeMode mode) {
   (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   sockaddr_in addr = Loopback(*port);
   std::vector<uint8_t> buf(2048);
-  // Request 1 arms the retention; every later request dereferences the
-  // stale view. The reactor returns a batch to the pool only when its last
-  // in-flight frame task drops it, which races with the next Recv acquiring
-  // one — so a single follow-up request is not guaranteed to land in the
-  // recycled batch. Pause between requests and keep sending until the
-  // reuse happens and the generation stamp aborts the server (in practice
-  // the second request; the loop bounds the slow-timing case).
+  // Request 1 arms the retention; request 2 lands in the loop's next Recv,
+  // which Resets the arena, and dereferences the stale view. The loop
+  // bounds the case where the first abort is slow to arrive.
   for (uint32_t xid = 1; xid <= 10; ++xid) {
     Bytes call = EncodeEchoCall(xid, Bytes{0x5a, 0x5a});
     ASSERT_EQ(sendto(fd, call.data(), call.size(), 0,
@@ -341,16 +337,9 @@ void ServeWithRetainingHandler(ServeMode mode) {
   host.StopAll();
 }
 
-TEST(ViewLifetimeTest, RetainedViewAbortsAcrossRecycleThreadMode) {
+TEST(ViewLifetimeTest, RetainedViewAbortsAcrossRecycle) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(ServeWithRetainingHandler(ServeMode::kThreadPerEndpoint),
-               "use-after-reset");
-}
-
-TEST(ViewLifetimeTest, RetainedViewAbortsAcrossRecycleReactorMode) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(ServeWithRetainingHandler(ServeMode::kReactor),
-               "use-after-reset");
+  EXPECT_DEATH(ServeWithRetainingHandler(), "use-after-reset");
 }
 
 // --- Storm regression: no handler retains a view past its reply -------------
@@ -380,18 +369,19 @@ int BurstEcho(uint16_t port, int count) {
   return replies;
 }
 
-TEST(ViewLifetimeTest, BatchedStormRetainsNoViewsEitherServeMode) {
+TEST(ViewLifetimeTest, BatchedStormRetainsNoViews) {
   // Every frame's views die when its batch recycles; with the debug arena
   // live, any handler or dispatch path holding a view past its reply would
-  // abort this storm. Full completion in both modes is the proof.
-  for (ServeMode mode : {ServeMode::kThreadPerEndpoint, ServeMode::kReactor}) {
-    SCOPED_TRACE(mode == ServeMode::kReactor ? "reactor" : "thread");
-    UdpServerHost host(mode, /*reactor_workers=*/2, /*udp_batch=*/8);
+  // abort this storm. Full completion on a batching serial loop and on
+  // concurrent batch-of-one loops is the proof.
+  for (bool concurrent : {false, true}) {
+    SCOPED_TRACE(concurrent ? "concurrent" : "serial");
+    UdpServerHost host(/*workers=*/2, /*udp_batch=*/8);
     RpcServer server(ControlKind::kSunRpc, "storm-echo");
     server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
       return args.ToBytes();
     });
-    Result<uint16_t> port = host.Serve(&server, 0);
+    Result<uint16_t> port = concurrent ? host.ServeConcurrent(&server, 0) : host.Serve(&server, 0);
     ASSERT_TRUE(port.ok()) << port.status();
     EXPECT_EQ(BurstEcho(*port, 48), 48);
     host.StopAll();
