@@ -34,14 +34,19 @@ std::atomic<bool> g_timing_enabled{false};
 
 struct Edge {
   uint32_t to = 0;
-  std::string context;  // held-lock stack when the edge was first recorded
+  const char* to_name = "";  // the acquired mutex's name, for reports
+  std::string context;       // held-lock stack when the edge was first recorded
 };
 
 struct OrderGraph {
   std::mutex mu;
+  // Outgoing edges by source id, and the sources of each target's incoming
+  // edges. A mutex has entries here only while it has edges, and ~Mutex
+  // erases them in both directions (ForgetMutex): ids are never reused, so
+  // an edge to or from a destroyed mutex can never close a cycle again, and
+  // keeping it would grow the graph with every short-lived mutex.
   std::unordered_map<uint32_t, std::vector<Edge>> adjacency;
-  std::unordered_map<uint32_t, const char*> names;
-  uint32_t next_id = 1;
+  std::unordered_map<uint32_t, std::vector<uint32_t>> predecessors;
 };
 
 OrderGraph& Graph() {
@@ -50,21 +55,20 @@ OrderGraph& Graph() {
   return *graph;
 }
 
+std::atomic<uint32_t> g_next_mutex_id{1};
+
 // The stack of hcs::Mutexes this thread currently holds, oldest first.
 thread_local std::vector<const Mutex*> tls_held;
 
-const char* DisplayName(const OrderGraph& graph, uint32_t id) {
-  auto it = graph.names.find(id);
-  return it != graph.names.end() && it->second[0] != '\0' ? it->second : "<anonymous>";
-}
+const char* DisplayName(const char* name) { return name[0] != '\0' ? name : "<anonymous>"; }
 
-std::string DescribeHeldStack(const OrderGraph& graph, uint32_t acquiring_id) {
+std::string DescribeHeldStack(const Mutex* acquiring) {
   std::string out;
   for (const Mutex* held : tls_held) {
-    out += DisplayName(graph, held->id());
+    out += DisplayName(held->name());
     out += " -> ";
   }
-  out += DisplayName(graph, acquiring_id);
+  out += DisplayName(acquiring->name());
   return out;
 }
 
@@ -92,30 +96,21 @@ bool FindPath(const OrderGraph& graph, uint32_t from, uint32_t target,
   return false;
 }
 
-[[noreturn]] void ReportInversionAndAbort(const OrderGraph& graph, uint32_t held_id,
-                                          uint32_t acquiring_id,
+[[noreturn]] void ReportInversionAndAbort(const Mutex* held, const Mutex* acquiring,
                                           const std::vector<const Edge*>& reverse_path) {
   std::fprintf(stderr,
                "\n=== hcs lock-order inversion detected ===\n"
                "this thread:   holds '%s' (id %u), acquiring '%s' (id %u)\n",
-               DisplayName(graph, held_id), held_id, DisplayName(graph, acquiring_id),
-               acquiring_id);
-  std::string held_stack;
-  for (const Mutex* held : tls_held) {
-    if (!held_stack.empty()) held_stack += " -> ";
-    held_stack += DisplayName(graph, held->id());
-  }
-  held_stack += " -> ";
-  held_stack += DisplayName(graph, acquiring_id);
-  std::fprintf(stderr, "  acquisition stack: %s\n", held_stack.c_str());
+               DisplayName(held->name()), held->id(), DisplayName(acquiring->name()),
+               acquiring->id());
+  std::fprintf(stderr, "  acquisition stack: %s\n", DescribeHeldStack(acquiring).c_str());
   std::fprintf(stderr, "conflicting order '%s' ... '%s' was established by:\n",
-               DisplayName(graph, acquiring_id), DisplayName(graph, held_id));
-  uint32_t from = acquiring_id;
+               DisplayName(acquiring->name()), DisplayName(held->name()));
+  const char* from = acquiring->name();
   for (const Edge* edge : reverse_path) {
     std::fprintf(stderr, "  edge %s -> %s, first recorded with held stack: %s\n",
-                 DisplayName(graph, from), DisplayName(graph, edge->to),
-                 edge->context.c_str());
-    from = edge->to;
+                 DisplayName(from), DisplayName(edge->to_name), edge->context.c_str());
+    from = edge->to_name;
   }
   std::fprintf(stderr,
                "a thread running the recorded path concurrently with this one can "
@@ -123,38 +118,33 @@ bool FindPath(const OrderGraph& graph, uint32_t from, uint32_t target,
   std::abort();
 }
 
-// Records held -> acquiring edges for every lock this thread holds, checking
-// each new edge for a cycle. Called after the acquisition succeeded (the
-// abort makes "before or after" moot).
-void NoteAcquisition(uint32_t acquiring_id) {
-  if (tls_held.empty()) {
-    return;
-  }
-  OrderGraph& graph = Graph();
-  std::lock_guard<std::mutex> lock(graph.mu);
-  for (const Mutex* held : tls_held) {
-    uint32_t held_id = held->id();
-    if (held_id == acquiring_id) {
-      continue;  // recursive re-acquisition would already have deadlocked
-    }
-    std::vector<Edge>& edges = graph.adjacency[held_id];
-    bool known = false;
-    for (const Edge& edge : edges) {
-      if (edge.to == acquiring_id) {
-        known = true;
-        break;
+// Drops every edge into or out of `id`. Caller holds graph.mu.
+void ForgetMutex(OrderGraph& graph, uint32_t id) {
+  auto out = graph.adjacency.find(id);
+  if (out != graph.adjacency.end()) {
+    for (const Edge& edge : out->second) {
+      auto sources = graph.predecessors.find(edge.to);
+      if (sources != graph.predecessors.end()) {
+        std::erase(sources->second, id);
+        if (sources->second.empty()) {
+          graph.predecessors.erase(sources);
+        }
       }
     }
-    if (known) {
-      continue;
+    graph.adjacency.erase(out);
+  }
+  auto in = graph.predecessors.find(id);
+  if (in != graph.predecessors.end()) {
+    for (uint32_t source : in->second) {
+      auto edges = graph.adjacency.find(source);
+      if (edges != graph.adjacency.end()) {
+        std::erase_if(edges->second, [id](const Edge& edge) { return edge.to == id; });
+        if (edges->second.empty()) {
+          graph.adjacency.erase(edges);
+        }
+      }
     }
-    // New edge: a path acquiring_id -> ... -> held_id closes a cycle.
-    std::unordered_set<uint32_t> visited;
-    std::vector<const Edge*> path;
-    if (FindPath(graph, acquiring_id, held_id, &visited, &path)) {
-      ReportInversionAndAbort(graph, held_id, acquiring_id, path);
-    }
-    edges.push_back(Edge{acquiring_id, DescribeHeldStack(graph, acquiring_id)});
+    graph.predecessors.erase(in);
   }
 }
 
@@ -201,6 +191,17 @@ void ResetLockOrderGraph() {
   OrderGraph& graph = Graph();
   std::lock_guard<std::mutex> lock(graph.mu);
   graph.adjacency.clear();
+  graph.predecessors.clear();
+}
+
+size_t LockOrderGraphEntriesForTest() {
+  OrderGraph& graph = Graph();
+  std::lock_guard<std::mutex> lock(graph.mu);
+  size_t entries = graph.adjacency.size() + graph.predecessors.size();
+  for (const auto& [id, edges] : graph.adjacency) {
+    entries += edges.size();
+  }
+  return entries;
 }
 
 std::vector<MutexStats> AllMutexStats() {
@@ -216,13 +217,8 @@ std::vector<MutexStats> AllMutexStats() {
 
 Mutex::Mutex() : Mutex("") {}
 
-Mutex::Mutex(const char* name) : name_(name) {
-  OrderGraph& graph = Graph();
-  {
-    std::lock_guard<std::mutex> lock(graph.mu);
-    id_ = graph.next_id++;
-    graph.names[id_] = name_;
-  }
+Mutex::Mutex(const char* name)
+    : name_(name), id_(g_next_mutex_id.fetch_add(1, std::memory_order_relaxed)) {
   if (name_[0] != '\0') {
     Registry& registry = TheRegistry();
     std::lock_guard<std::mutex> lock(registry.mu);
@@ -236,8 +232,48 @@ Mutex::~Mutex() {
     std::lock_guard<std::mutex> lock(registry.mu);
     registry.named.erase(this);
   }
-  // The id stays in the order graph: edges record code-path facts, and ids
-  // are never reused, so a dead mutex's edges are inert.
+  if (in_order_graph_.load(std::memory_order_relaxed)) {
+    OrderGraph& graph = Graph();
+    std::lock_guard<std::mutex> lock(graph.mu);
+    ForgetMutex(graph, id_);
+  }
+}
+
+// Records held -> this edges for every lock this thread holds, checking
+// each new edge for a cycle. Called after the acquisition succeeded (the
+// abort makes "before or after" moot).
+void Mutex::NoteAcquisition() const {
+  if (tls_held.empty()) {
+    return;
+  }
+  OrderGraph& graph = Graph();
+  std::lock_guard<std::mutex> lock(graph.mu);
+  for (const Mutex* held : tls_held) {
+    if (held == this) {
+      continue;  // recursive re-acquisition would already have deadlocked
+    }
+    std::vector<Edge>& edges = graph.adjacency[held->id_];
+    bool known = false;
+    for (const Edge& edge : edges) {
+      if (edge.to == id_) {
+        known = true;
+        break;
+      }
+    }
+    if (known) {
+      continue;
+    }
+    // New edge: a path this -> ... -> held closes a cycle.
+    std::unordered_set<uint32_t> visited;
+    std::vector<const Edge*> path;
+    if (FindPath(graph, id_, held->id_, &visited, &path)) {
+      ReportInversionAndAbort(held, this, path);
+    }
+    edges.push_back(Edge{id_, name_, DescribeHeldStack(this)});
+    graph.predecessors[id_].push_back(held->id_);
+    held->in_order_graph_.store(true, std::memory_order_relaxed);
+    in_order_graph_.store(true, std::memory_order_relaxed);
+  }
 }
 
 void Mutex::Lock() {
@@ -258,7 +294,7 @@ void Mutex::Lock() {
     }
   }
   if (DeadlockDetectorEnabled()) {
-    NoteAcquisition(id_);
+    NoteAcquisition();
     PushHeld(this);
   }
 }

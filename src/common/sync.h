@@ -25,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -75,6 +76,9 @@ void SetMutexTimingEnabled(bool enabled);
 bool MutexTimingEnabled();
 // Drops every recorded acquisition-order edge (tests seed fresh graphs).
 void ResetLockOrderGraph();
+// Test-only: the size of the lock-order graph, counting each mutex it holds
+// state for and each edge. A destroyed Mutex leaves nothing behind.
+size_t LockOrderGraphEntriesForTest();
 
 // Counters of all currently-live *named* mutexes, for stats plumbing.
 std::vector<MutexStats> AllMutexStats();
@@ -111,6 +115,9 @@ class HCS_CAPABILITY("mutex") Mutex {
  private:
   friend class CondVar;
 
+  // Lock-order detector: records held -> this edges; aborts on a cycle.
+  void NoteAcquisition() const;
+
   std::mutex mu_;
   const char* name_;   // static storage expected; "" when anonymous
   uint32_t id_;        // creation-ordered, keys the order graph
@@ -119,6 +126,10 @@ class HCS_CAPABILITY("mutex") Mutex {
   std::atomic<uint64_t> wait_ns_{0};
   std::atomic<uint64_t> held_ns_{0};
   uint64_t acquired_at_ns_ = 0;  // written after acquiring, read before release
+  // Set (under the detector's lock) once an order-graph edge names this
+  // mutex, so ~Mutex knows to erase it; a mutex the detector never saw
+  // is destroyed without touching the detector.
+  mutable std::atomic<bool> in_order_graph_{false};
 };
 
 // RAII lock with a scoped capability attribute — the unit the analysis

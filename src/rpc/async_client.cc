@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sys/epoll.h>
+#include <thread>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -48,6 +50,80 @@ ReactorOptions ClientReactorOptions() {
   return options;
 }
 
+// --- Rules every channel shares, on the loop and on the caller --------------
+
+// Courier transaction ids are 16-bit: xids register and match within the
+// protocol's width (the sync client's masked-compare rule).
+uint32_t MaskXid(ControlKind control, uint32_t xid) {
+  return control == ControlKind::kCourier ? (xid & 0xffff) : xid;
+}
+
+// Encodes 0-based `attempt` of the call into `*out`. Every attempt carries
+// the call's one xid, so a late reply to an earlier attempt still answers
+// it; the attempt counter is re-marshalled per try.
+void EncodeAttemptTo(const ControlProtocol& control, const AsyncCallSpec& spec, uint32_t xid,
+                     uint32_t attempt, Bytes* out) {
+  RpcCall rpc;
+  rpc.xid = xid;
+  rpc.program = spec.binding.program;
+  rpc.version = spec.binding.version;
+  rpc.procedure = spec.procedure;
+  rpc.args = spec.args;
+  rpc.context = spec.context;
+  rpc.context.attempt = spec.context.attempt + attempt;
+  control.EncodeCallTo(rpc, out);
+}
+
+// A matched reply as the call's outcome: the application status the server
+// sent back, or the results.
+Result<Bytes> ReplyResult(RpcReplyMsg reply) {
+  if (reply.app_status != StatusCode::kOk) {
+    return Status(reply.app_status, reply.error_message);
+  }
+  return std::move(reply.results);
+}
+
+// How long 0-based `attempt` may wait: the channel's default timeout,
+// capped by the attempt budget when the call has a deadline; kTimeout once
+// that deadline has passed.
+Result<int64_t> AttemptTimeoutMs(const AsyncCallSpec& spec, uint32_t attempt) {
+  const int64_t timeout_ms = spec.channel.default_timeout_ms;
+  if (!spec.context.has_deadline()) {
+    return timeout_ms;
+  }
+  const int64_t remaining = spec.context.remaining_ms();
+  if (remaining <= 0) {
+    return TimeoutError(StrFormat("call to %s:%u: budget exhausted after %u attempts",
+                                  spec.binding.host.c_str(), spec.binding.port, attempt));
+  }
+  return std::min(timeout_ms, RetryPolicy::AttemptBudgetMs(attempt, remaining));
+}
+
+// After 0-based `attempt` failed with `error`: the backoff before the next
+// attempt (advancing `*backoff_ms`), or the status the call completes with.
+// Only calls with a deadline retry, and only on kTimeout/kUnavailable; the
+// backoff is the sync client's schedule exactly, jittered from (trace id,
+// wire attempt) and capped by the remaining budget.
+Result<int64_t> RetryBackoffMs(const AsyncCallSpec& spec, uint32_t attempt, int64_t* backoff_ms,
+                               const Status& error) {
+  const StatusCode code = error.code();
+  if (!spec.context.has_deadline() ||
+      (code != StatusCode::kTimeout && code != StatusCode::kUnavailable)) {
+    return error;
+  }
+  const int64_t remaining = spec.context.remaining_ms();
+  if (remaining <= 0) {
+    return TimeoutError(StrFormat("call to %s:%u: budget exhausted after %u attempts: %s",
+                                  spec.binding.host.c_str(), spec.binding.port, attempt + 1,
+                                  error.message().c_str()));
+  }
+  const uint32_t wire_attempt = spec.context.attempt + attempt;
+  const int64_t sleep_ms =
+      RetryPolicy::JitteredBackoffMs(spec.context.trace_id, wire_attempt, *backoff_ms, remaining);
+  *backoff_ms = RetryPolicy::NextBackoffMs(*backoff_ms);
+  return sleep_ms;
+}
+
 #if HCS_LOOP_DEBUG_ENABLED
 // Aborts when a guarded region re-enters itself. Waiter drains and conn
 // teardown are written to run with nothing of their own on the stack —
@@ -79,7 +155,6 @@ struct AsyncClientEngine::PendingCall {
   const ControlProtocol* control = nullptr;
   std::shared_ptr<RpcFutureState> state;
   RpcCallInfo info;
-  bool budgeted = false;
 
   // The xid travels unchanged across retries (like the sync client): a
   // retry is the same call, and a late reply to an earlier attempt still
@@ -117,13 +192,7 @@ struct AsyncClientEngine::Pool {
 };
 
 AsyncClientEngine::AsyncClientEngine(AsyncEngineOptions options)
-    : options_(options), reactor_(ClientReactorOptions()), read_buffer_(kMaxDatagram) {
-  Status started = reactor_.Start();
-  if (!started.ok()) {
-    // Post() will fail and every StartCall completes kUnavailable inline.
-    HCS_LOG(Warning) << "async client engine failed to start: " << started;
-  }
-}
+    : options_(options), reactor_(ClientReactorOptions()), read_buffer_(kMaxDatagram) {}
 
 AsyncClientEngine::~AsyncClientEngine() {
   // Fail every outstanding future on the loop (single-threaded with the
@@ -171,13 +240,19 @@ AsyncClientEngine::~AsyncClientEngine() {
 }
 
 void AsyncClientEngine::StartCall(AsyncCallSpec spec, std::shared_ptr<RpcFutureState> state) {
+  std::call_once(start_once_, [this] {
+    Status started = reactor_.Start();
+    if (!started.ok()) {
+      // Post() will fail and every StartCall completes kUnavailable inline.
+      HCS_LOG(Warning) << "async client engine failed to start: " << started;
+    }
+  });
   auto call = std::make_shared<PendingCall>();
   call->id = next_call_id_.fetch_add(1, std::memory_order_relaxed);
   call->spec = std::move(spec);
   call->control = &GetControlProtocol(call->spec.binding.control);
   call->state = std::move(state);
   call->info.trace_id = call->spec.context.trace_id;
-  call->budgeted = call->spec.context.has_deadline();
 
   // Stage-and-drain hand-off: a burst of StartCalls shares ONE posted drain
   // task (captureless-sized lambda, no per-call allocation) instead of one
@@ -246,9 +321,7 @@ AsyncClientEngine::PendingCall* AsyncClientEngine::FindCall(uint64_t call_id) {
 }
 
 uint32_t AsyncClientEngine::MaskedXid(const PendingCall* call) const {
-  // Courier transaction ids are 16-bit; register and match within the
-  // protocol's width (the sync client's masked-compare rule).
-  return call->spec.binding.control == ControlKind::kCourier ? (call->xid & 0xffff) : call->xid;
+  return MaskXid(call->spec.binding.control, call->xid);
 }
 
 void AsyncClientEngine::StartOnLoop(std::shared_ptr<PendingCall> call) {
@@ -269,22 +342,14 @@ void AsyncClientEngine::StartAttempt(PendingCall* call) {
     CompleteCall(call, UnavailableError("async client engine shutting down"));
     return;
   }
-  int64_t attempt_timeout = call->spec.channel.default_timeout_ms;
-  if (call->budgeted) {
-    int64_t remaining = call->spec.context.remaining_ms();
-    if (remaining <= 0) {
-      CompleteCall(call, TimeoutError(StrFormat(
-                             "call to %s:%u: budget exhausted after %u attempts",
-                             call->spec.binding.host.c_str(), call->spec.binding.port,
-                             call->info.attempts)));
-      return;
-    }
-    attempt_timeout =
-        std::min(attempt_timeout, RetryPolicy::AttemptBudgetMs(call->attempt, remaining));
+  Result<int64_t> attempt_timeout = AttemptTimeoutMs(call->spec, call->attempt);
+  if (!attempt_timeout.ok()) {
+    CompleteCall(call, attempt_timeout.status());
+    return;
   }
   ++call->info.attempts;
   const uint64_t id = call->id;
-  call->attempt_timer = reactor_.ScheduleAfter(attempt_timeout, [this, id] {
+  call->attempt_timer = reactor_.ScheduleAfter(*attempt_timeout, [this, id] {
     OnAttemptTimeout(id);
   });
   switch (call->spec.channel.kind) {
@@ -318,32 +383,18 @@ void AsyncClientEngine::HandleAttemptError(PendingCall* call, const Status& erro
     call->attempt_timer = 0;
   }
   UnregisterResidences(call);
-  const StatusCode code = error.code();
-  const bool retryable =
-      call->budgeted && (code == StatusCode::kTimeout || code == StatusCode::kUnavailable);
-  if (!retryable || stopping_) {
-    CompleteCall(call, error);
+  Result<int64_t> backoff_ms =
+      stopping_ ? Result<int64_t>(error)
+                : RetryBackoffMs(call->spec, call->attempt, &call->backoff_ms, error);
+  if (!backoff_ms.ok()) {
+    CompleteCall(call, backoff_ms.status());
     return;
   }
-  int64_t remaining = call->spec.context.remaining_ms();
-  if (remaining <= 0) {
-    CompleteCall(call, TimeoutError(StrFormat(
-                           "call to %s:%u: budget exhausted after %u attempts: %s",
-                           call->spec.binding.host.c_str(), call->spec.binding.port,
-                           call->info.attempts, error.message().c_str())));
-    return;
-  }
-  // The sync client's schedule exactly: jittered exponential backoff seeded
-  // from (trace id, wire attempt), capped by the remaining budget.
-  const uint32_t wire_attempt = call->spec.context.attempt + call->attempt;
-  int64_t sleep_ms = RetryPolicy::JitteredBackoffMs(call->spec.context.trace_id, wire_attempt,
-                                                    call->backoff_ms, remaining);
-  call->backoff_ms = RetryPolicy::NextBackoffMs(call->backoff_ms);
   ++call->info.retries;
   stat_retries_.fetch_add(1, std::memory_order_relaxed);
   ++call->attempt;
   const uint64_t id = call->id;
-  (void)reactor_.ScheduleAfter(sleep_ms, [this, id] {
+  (void)reactor_.ScheduleAfter(*backoff_ms, [this, id] {
     PendingCall* retry = FindCall(id);
     if (retry != nullptr) {
       StartAttempt(retry);
@@ -366,13 +417,8 @@ void AsyncClientEngine::CompleteCall(PendingCall* call, Result<Bytes> result) {
 }
 
 void AsyncClientEngine::CompleteFromReply(PendingCall* call, RpcReplyMsg reply) {
-  // The xid already matched (that is how we found the call); map the
-  // application status exactly as the sync tail does.
-  if (reply.app_status != StatusCode::kOk) {
-    CompleteCall(call, Status(reply.app_status, reply.error_message));
-    return;
-  }
-  CompleteCall(call, std::move(reply.results));
+  // The xid already matched (that is how we found the call).
+  CompleteCall(call, ReplyResult(std::move(reply)));
 }
 
 void AsyncClientEngine::UnregisterResidences(PendingCall* call) {
@@ -411,15 +457,7 @@ void AsyncClientEngine::EncodeAttempt(PendingCall* call) {
     call->wire = std::move(wire_pool_.back());  // encoder clears before use
     wire_pool_.pop_back();
   }
-  RpcCall rpc;
-  rpc.xid = call->xid;
-  rpc.program = call->spec.binding.program;
-  rpc.version = call->spec.binding.version;
-  rpc.procedure = call->spec.procedure;
-  rpc.args = call->spec.args;
-  rpc.context = call->spec.context;
-  rpc.context.attempt = call->spec.context.attempt + call->attempt;  // re-marshalled per try
-  call->control->EncodeCallTo(rpc, &call->wire);
+  EncodeAttemptTo(*call->control, call->spec, call->xid, call->attempt, &call->wire);
 }
 
 // --- UDP channel ------------------------------------------------------------
@@ -554,9 +592,7 @@ void AsyncClientEngine::DispatchUdpDatagram(uint16_t port, const Bytes& datagram
     if (!reply.ok()) {
       continue;
     }
-    const uint32_t masked = pending->spec.binding.control == ControlKind::kCourier
-                                ? (reply->xid & 0xffff)
-                                : reply->xid;
+    const uint32_t masked = MaskXid(pending->spec.binding.control, reply->xid);
     auto hit = bucket_it->second.find(masked);
     if (hit != bucket_it->second.end() && hit->second->control == pending->control) {
       CompleteFromReply(hit->second, std::move(*reply));
@@ -564,6 +600,86 @@ void AsyncClientEngine::DispatchUdpDatagram(uint16_t port, const Bytes& datagram
     }
   }
   stat_udp_unmatched_.fetch_add(1, std::memory_order_relaxed);
+}
+
+// --- Caller-run UDP calls ---------------------------------------------------
+
+Result<Bytes> AsyncClientEngine::CallOnCaller(const AsyncCallSpec& spec, RpcCallInfo* info) {
+  stat_calls_.fetch_add(1, std::memory_order_relaxed);
+  // Xids come from this thread's own sequence, from a random start: the
+  // socket is per-thread too, so a datagram left queued by an earlier call
+  // carries an earlier xid of this sequence and cannot match, whatever the
+  // protocol's xid width.
+  thread_local uint32_t next_xid = static_cast<uint32_t>(NewTraceId());
+  const uint32_t xid = next_xid++;
+  const ControlProtocol& control = GetControlProtocol(spec.binding.control);
+  thread_local Bytes wire;  // encode buffer, reused by this thread's calls
+  int64_t backoff_ms = RetryPolicy::kBackoffBaseMs;
+  Result<Bytes> result = UnavailableError("not attempted");
+  for (uint32_t attempt = 0;; ++attempt) {
+    Result<int64_t> timeout_ms = AttemptTimeoutMs(spec, attempt);
+    if (!timeout_ms.ok()) {
+      result = timeout_ms.status();
+      break;
+    }
+    ++info->attempts;
+    EncodeAttemptTo(control, spec, xid, attempt, &wire);
+    Result<RpcReplyMsg> reply = UdpAttemptOnCaller(spec, control, wire, xid, *timeout_ms);
+    if (reply.ok()) {
+      result = ReplyResult(std::move(reply).value());
+      break;
+    }
+    Result<int64_t> sleep_ms = RetryBackoffMs(spec, attempt, &backoff_ms, reply.status());
+    if (!sleep_ms.ok()) {
+      result = sleep_ms.status();
+      break;
+    }
+    ++info->retries;
+    stat_retries_.fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::milliseconds(*sleep_ms));
+  }
+  stat_completed_.fetch_add(1, std::memory_order_relaxed);
+  return result;
+}
+
+Result<RpcReplyMsg> AsyncClientEngine::UdpAttemptOnCaller(const AsyncCallSpec& spec,
+                                                          const ControlProtocol& control,
+                                                          Bytes& wire, uint32_t xid,
+                                                          int64_t timeout_ms) {
+  UdpClientSocket& socket = UdpClientSocket::ForThisThread();
+  const uint16_t port = spec.binding.port;
+  HCS_ASSIGN_OR_RETURN(bool sent, socket.Send(port, wire));
+  if (!sent) {
+    // A drop, as on the loop: the attempt still waits out its timeout,
+    // because a late reply to an earlier attempt answers the call too.
+    stat_udp_send_drops_.fetch_add(1, std::memory_order_relaxed);
+  }
+  const uint32_t want = MaskXid(spec.binding.control, xid);
+  const int64_t deadline_ms = SteadyNowMs() + timeout_ms;
+  thread_local Bytes datagram;  // the frame, copied out of the receive slot
+  for (int64_t left = timeout_ms; left > 0; left = deadline_ms - SteadyNowMs()) {
+    HCS_ASSIGN_OR_RETURN(UdpFrame* frame, socket.Receive(left));
+    if (frame == nullptr) {
+      break;  // nothing more within the attempt's timeout
+    }
+    if (frame->truncated || frame->size == 0) {
+      continue;
+    }
+    // The loop's matching rule with one pending call: the datagram must
+    // come from the call's port and decode, under the call's protocol, to
+    // the call's masked xid. A duplicate or a late reply to an earlier call
+    // does not, and is dropped.
+    if (ntohs(frame->peer.sin_port) == port) {
+      datagram.assign(frame->data, frame->data + frame->size);
+      Result<RpcReplyMsg> reply = control.DecodeReply(datagram);
+      if (reply.ok() && MaskXid(spec.binding.control, reply->xid) == want) {
+        return reply;
+      }
+    }
+    stat_udp_unmatched_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return TimeoutError(StrFormat("no response from %s:%u within the attempt budget",
+                                spec.binding.host.c_str(), port));
 }
 
 // --- Stream pool ------------------------------------------------------------
@@ -788,9 +904,7 @@ void AsyncClientEngine::DispatchStreamFrame(StreamConn* conn, const Bytes& frame
     if (!reply.ok()) {
       continue;
     }
-    const uint32_t masked = pending->spec.binding.control == ControlKind::kCourier
-                                ? (reply->xid & 0xffff)
-                                : reply->xid;
+    const uint32_t masked = MaskXid(pending->spec.binding.control, reply->xid);
     auto hit = conn->inflight.find(masked);
     if (hit != conn->inflight.end() && hit->second->control == pending->control) {
       // The iteration never resumes after the erase inside CompleteCall:

@@ -2,7 +2,14 @@
 // dedicated client-only reactor (zero workers — every callback on the loop
 // thread) drives nonblocking endpoints, xid-based reply matching, request
 // pipelining on length-prefixed stream connections, and a bounded
-// per-remote connection pool with idle reaping.
+// per-remote connection pool with idle reaping. The loop thread starts with
+// the first StartCall.
+//
+// Synchronous UDP calls do not cross the loop. RpcClient::Call hands them
+// to CallOnCaller, which runs the whole call on the calling thread over
+// that thread's UdpClientSocket (src/rpc/mmsg.h), with the reply-matching
+// rule, retry schedule and counters of the loop's UDP channel. Sync stream
+// calls are still CallAsync(...).Wait().
 //
 // Threading model. All engine state is loop-thread-only: StartCall posts
 // the call onto the loop, and every subsequent transition — send, reply
@@ -10,7 +17,8 @@
 // runs as a loop callback. The only cross-thread surface is the future
 // (mutex + condvar) and the stats counters (relaxed atomics). That is the
 // sresolv/event-loop resolver shape: no locks on the per-call state because
-// exactly one thread ever touches it.
+// exactly one thread ever touches it. CallOnCaller's state lives on its
+// caller's stack and that thread's socket; it shares only the counters.
 //
 // The model is machine-checked: the loop-only tags below feed
 // tools/lint_loop.py (rules T1–T4, DESIGN.md §15), and debug builds add
@@ -35,6 +43,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -228,9 +237,10 @@ struct AsyncEngineOptions {
   int64_t reap_interval_ms = 500;
 };
 
-// Engine counters (relaxed; readable from any thread).
+// Engine counters (relaxed; readable from any thread). The UDP counters
+// cover calls on the loop and on their caller alike.
 struct AsyncEngineStats {
-  uint64_t calls = 0;             // engine-path calls started
+  uint64_t calls = 0;             // calls started, on the loop or by CallOnCaller
   uint64_t completed = 0;
   uint64_t retries = 0;
   uint64_t udp_unmatched = 0;     // datagrams matching no pending xid (dups, late replies)
@@ -256,6 +266,16 @@ class AsyncClientEngine {
   // Takes ownership of the call; `state` completes exactly once. Safe from
   // any thread (including engine callbacks).
   void StartCall(AsyncCallSpec spec, std::shared_ptr<RpcFutureState> state);
+
+  // Runs a kUdpDatagram call to completion on the calling thread, without
+  // the loop: encodes it, sends it on this thread's UdpClientSocket, and
+  // receives until a datagram from the call's port decodes to the call's
+  // masked xid; every other datagram is dropped and counted unmatched.
+  // Attempts follow StartCall's schedule: one xid for all of them, the
+  // attempt counter re-marshalled, budgeted attempt timeouts, jittered
+  // backoff. Fills `*info` and counts into stats(). Blocks for up to the
+  // call's budget, so never call it on an event-loop thread.
+  HCS_NODISCARD Result<Bytes> CallOnCaller(const AsyncCallSpec& spec, RpcCallInfo* info);
 
   AsyncEngineStats stats() const;
   // Posts an immediate idle-reap pass (tests; normally the periodic timer).
@@ -284,6 +304,13 @@ class AsyncClientEngine {
   // UDP channel. Sends are staged per reactor iteration and flushed with
   // one sendmmsg; receives drain through a recvmmsg batch — the client
   // mirrors the serving runtime's batched-syscall hot path (DESIGN.md §12).
+  // CallOnCaller's attempt: send, then receive until the reply or the
+  // attempt's deadline. Not loop-only: it touches only its arguments and
+  // the atomic counters.
+  HCS_NODISCARD Result<RpcReplyMsg> UdpAttemptOnCaller(const AsyncCallSpec& spec,
+                                                       const ControlProtocol& control,
+                                                       Bytes& wire, uint32_t xid,
+                                                       int64_t timeout_ms);
   HCS_NODISCARD Status EnsureUdpChannel();                 // hcs:loop-only
   void SendUdpAttempt(PendingCall* call);                  // hcs:loop-only
   void FlushUdpOutbox();                                   // hcs:loop-only
@@ -312,6 +339,9 @@ class AsyncClientEngine {
 
   AsyncEngineOptions options_;
   Reactor reactor_;
+  // The loop starts with the first StartCall: a process that makes only
+  // caller-run calls never spawns it.
+  std::once_flag start_once_;
 
   // StartCall staging: new calls land here from any thread; one posted
   // drain task moves a whole burst onto the loop.

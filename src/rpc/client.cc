@@ -59,6 +59,24 @@ double ControlCostMs(const CostModel& costs, ControlKind kind) {
   return 0.0;
 }
 
+// The context a call runs under: `context` when non-empty, else whatever
+// the serving runtime installed for the request this thread is handling; a
+// call with a deadline always travels under a trace id.
+RequestContext EffectiveContext(const RequestContext& context) {
+  RequestContext effective = context.empty() ? CurrentRequestContext() : context;
+  if (effective.has_deadline() && effective.trace_id == 0) {
+    effective.trace_id = NewTraceId();
+  }
+  return effective;
+}
+
+// Client-side shed: a spent budget never goes on the wire.
+Status ShedError(const HrpcBinding& binding, const RequestContext& effective) {
+  return TimeoutError(StrFormat("call to %s:%u shed before send: budget exhausted (trace %016llx)",
+                                binding.host.c_str(), binding.port,
+                                static_cast<unsigned long long>(effective.trace_id)));
+}
+
 }  // namespace
 
 // Retry policy for budgeted real-transport calls. Attempts are derived from
@@ -99,12 +117,48 @@ uint32_t RetryPolicy::MaxAttempts(int64_t budget_ms) {
   return attempts;
 }
 
+void RpcClient::ChargeControlCost(ControlKind control) {
+  if (world_ != nullptr) {
+    world_->ChargeMs(ControlCostMs(world_->costs(), control));
+  }
+}
+
 Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
-                              const RequestContext& context, RpcCallInfo* info_out) {
-  RpcFuture future = CallAsync(binding, procedure, args, context);
-  Result<Bytes> result = future.Wait();
+                              const RequestContext& context, RpcCallInfo* info_out,
+                              std::source_location birth) {
+  AsyncChannelSpec channel = transport_->async_channel();
+  if (channel.kind != AsyncChannelKind::kUdpDatagram) {
+    RpcFuture future = CallAsync(binding, procedure, args, context, birth);
+    Result<Bytes> result = future.Wait();
+    if (info_out != nullptr) {
+      *info_out = future.info();
+    }
+    return result;
+  }
+#if HCS_LOOP_DEBUG_ENABLED
+  // The call blocks this thread for up to its budget: on an event loop
+  // that stalls every other callback, so abort as Wait() does there.
+  AbortIfWaitOnLoopThread("RpcClient::Call()", birth.file_name(), static_cast<int>(birth.line()));
+#else
+  (void)birth;
+#endif
+  AsyncCallSpec spec;
+  spec.context = EffectiveContext(context);
+  RpcCallInfo info;
+  info.trace_id = spec.context.trace_id;
+  Result<Bytes> result = UnavailableError("call not sent");
+  if (spec.context.expired()) {
+    result = ShedError(binding, spec.context);
+  } else {
+    ChargeControlCost(binding.control);
+    spec.binding = binding;
+    spec.procedure = procedure;
+    spec.args = args;
+    spec.channel = channel;
+    result = engine()->CallOnCaller(spec, &info);
+  }
   if (info_out != nullptr) {
-    *info_out = future.info();
+    *info_out = info;
   }
   return result;
 }
@@ -112,13 +166,7 @@ Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, co
 RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
                                const RequestContext& context, std::source_location birth) {
   const ControlProtocol& control = GetControlProtocol(binding.control);
-
-  // Explicit context wins; otherwise inherit whatever the serving runtime
-  // installed for the request this thread is handling.
-  RequestContext effective = context.empty() ? CurrentRequestContext() : context;
-  if (effective.has_deadline() && effective.trace_id == 0) {
-    effective.trace_id = NewTraceId();
-  }
+  RequestContext effective = EffectiveContext(context);
 
   auto state = std::make_shared<RpcFutureState>();
 #if HCS_LOOP_DEBUG_ENABLED
@@ -129,13 +177,8 @@ RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, c
   RpcCallInfo info;
   info.trace_id = effective.trace_id;
 
-  // Client-side shed: a spent budget never goes on the wire.
   if (effective.expired()) {
-    state->Complete(
-        TimeoutError(StrFormat("call to %s:%u shed before send: budget exhausted (trace %016llx)",
-                               binding.host.c_str(), binding.port,
-                               static_cast<unsigned long long>(effective.trace_id))),
-        info);
+    state->Complete(ShedError(binding, effective), info);
     return RpcFuture(state);
   }
 
@@ -148,18 +191,14 @@ RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, c
     return RpcFuture(state);
   }
 
-  if (world_ != nullptr) {
-    world_->ChargeMs(ControlCostMs(world_->costs(), binding.control));
-  }
+  ChargeControlCost(binding.control);
   AsyncCallSpec spec;
   spec.binding = binding;
   spec.procedure = procedure;
   spec.args = args;
   spec.context = effective;
   spec.channel = channel;
-  AsyncClientEngine* engine =
-      async_engine_ != nullptr ? async_engine_ : GlobalAsyncClientEngine();
-  engine->StartCall(std::move(spec), state);
+  engine()->StartCall(std::move(spec), state);
   return RpcFuture(state);
 }
 
@@ -189,10 +228,7 @@ Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const Hrpc
     call.context = effective;
     call.context.attempt = effective.attempt + attempt;  // re-marshalled per try
     control.EncodeCallTo(call, &message);
-
-    if (world_ != nullptr) {
-      world_->ChargeMs(ControlCostMs(world_->costs(), binding.control));
-    }
+    ChargeControlCost(binding.control);
 
     if (budgeted) {
       // Check the budget before charging the attempt: info.attempts counts

@@ -75,21 +75,31 @@ class RpcClient {
   // budget capped by the remaining overall budget, the attempt counter
   // re-marshalled per try. Otherwise exactly one attempt is made (the seed
   // behavior; sim runs stay deterministic).
+  //
+  // Where it runs depends on the transport's channel. Over UDP the whole
+  // call runs on the calling thread (AsyncClientEngine::CallOnCaller): no
+  // hand-off to the engine loop and back, the loop's xid matching and
+  // counters. Over a stream it is CallAsync(...).Wait(); a channel-less
+  // transport (sim, loopback, fault wrappers) runs the blocking path
+  // inline. A sync call blocks, so it must not run on an event-loop thread:
+  // debug builds abort there, naming `birth`, the caller's site
+  // (DESIGN.md §15).
   HCS_NODISCARD Result<Bytes> Call(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
                      const RequestContext& context = RequestContext{},
-                     RpcCallInfo* info_out = nullptr);
+                     RpcCallInfo* info_out = nullptr,
+                     std::source_location birth = std::source_location::current());
 
   // Starts `procedure` without blocking and returns a future for its
-  // result; Call(...) is exactly CallAsync(...).Wait(). When the transport
-  // advertises an async channel (real UDP / TCP), the call runs on the
-  // engine's reactor loop: N CallAsync calls are N requests in flight, with
-  // the same retry/backoff schedule, deadline budget, and ambient-context
-  // semantics as Call. A channel-less transport (sim, loopback, fault
-  // wrappers) completes the future inline via the blocking path, so
-  // existing behavior — virtual-clock charging, fault injection, wire
-  // bytes — is preserved exactly. The defaulted source_location captures
-  // the caller as the future's birth site: debug builds report it when the
-  // future is Wait()ed on an event-loop thread (DESIGN.md §15).
+  // result. When the transport advertises an async channel (real UDP /
+  // TCP), the call runs on the engine's reactor loop: N CallAsync calls are
+  // N requests in flight, with the same retry/backoff schedule, deadline
+  // budget, and ambient-context semantics as Call. A channel-less transport
+  // (sim, loopback, fault wrappers) completes the future inline via the
+  // blocking path, so existing behavior — virtual-clock charging, fault
+  // injection, wire bytes — is preserved exactly. The defaulted
+  // source_location captures the caller as the future's birth site: debug
+  // builds report it when the future is Wait()ed on an event-loop thread
+  // (DESIGN.md §15).
   HCS_NODISCARD RpcFuture CallAsync(
       const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
       const RequestContext& context = RequestContext{},
@@ -99,11 +109,19 @@ class RpcClient {
   World* world() const { return world_; }
   Transport* transport() const { return transport_; }
 
-  // Test hook: route async calls through `engine` instead of the process
-  // global (e.g. one with tiny pool bounds). Null restores the default.
+  // Test hook: route async calls, and the caller-run UDP calls that count
+  // into its stats, through `engine` instead of the process global (e.g.
+  // one with tiny pool bounds). Null restores the default.
   void set_async_engine(AsyncClientEngine* engine) { async_engine_ = engine; }
 
  private:
+  AsyncClientEngine* engine() const {
+    return async_engine_ != nullptr ? async_engine_ : GlobalAsyncClientEngine();
+  }
+  // Charges the control protocol's per-call processing to the simulation
+  // (a no-op without a World).
+  void ChargeControlCost(ControlKind control);
+
   // The seed's synchronous call path (one blocking exchange per attempt);
   // `effective` is the already-resolved context. CallAsync uses it as the
   // fallback for channel-less transports.

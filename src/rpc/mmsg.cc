@@ -1,5 +1,6 @@
 #include "src/rpc/mmsg.h"
 
+#include <sys/time.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -7,6 +8,8 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+
+#include "src/common/strings.h"
 
 namespace hcs {
 
@@ -326,6 +329,78 @@ size_t SendReplies(int fd, std::vector<UdpReply>& replies, UdpIoSide side) {
     ++done;
   }
   return done;
+}
+
+// Large enough for any message in this tree.
+constexpr size_t kClientSlotBytes = 64 * 1024;
+
+UdpClientSocket::UdpClientSocket()
+    : outbox_(1), inbox_(/*capacity=*/1, kClientSlotBytes, UdpIoSide::kClient) {}
+
+UdpClientSocket::~UdpClientSocket() { Close(); }
+
+UdpClientSocket& UdpClientSocket::ForThisThread() {
+  thread_local UdpClientSocket socket;
+  return socket;
+}
+
+Status UdpClientSocket::Open() {
+  if (fd_ >= 0) {
+    return Status::Ok();
+  }
+  fd_ = socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+  if (fd_ < 0) {
+    return UnavailableError(StrFormat("socket(): %s", std::strerror(errno)));
+  }
+  return Status::Ok();
+}
+
+void UdpClientSocket::Close() {
+  if (fd_ >= 0) {
+    close(fd_);
+    fd_ = -1;
+    timeout_ms_ = 0;
+  }
+}
+
+Result<bool> UdpClientSocket::Send(uint16_t port, Bytes& payload) {
+  HCS_RETURN_IF_ERROR(Open());
+  UdpReply& out = outbox_.front();
+  out.peer = sockaddr_in{};
+  out.peer.sin_family = AF_INET;
+  out.peer.sin_port = htons(port);
+  out.peer.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  out.peer_len = sizeof(out.peer);
+  out.payload.swap(payload);  // lend the bytes to the outbox, no copy
+  const size_t sent = SendReplies(fd_, outbox_, UdpIoSide::kClient);
+  out.payload.swap(payload);
+  return sent == 1;
+}
+
+Result<UdpFrame*> UdpClientSocket::Receive(int64_t timeout_ms) {
+  HCS_RETURN_IF_ERROR(Open());
+  timeout_ms = std::max<int64_t>(timeout_ms, 1);  // 0 would mean "block forever"
+  if (timeout_ms != timeout_ms_) {
+    timeval tv{};
+    tv.tv_sec = timeout_ms / 1000;
+    tv.tv_usec = (timeout_ms % 1000) * 1000;
+    if (setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) < 0) {
+      return UnavailableError(StrFormat("setsockopt(SO_RCVTIMEO): %s", std::strerror(errno)));
+    }
+    timeout_ms_ = timeout_ms;
+  }
+  const int count = inbox_.Recv(fd_, /*wait_for_one=*/true);
+  if (count < 0) {
+    return UnavailableError(StrFormat("recvmmsg(): %s", std::strerror(errno)));
+  }
+  return count == 0 ? nullptr : &inbox_.frame(0);
+}
+
+void UdpClientSocket::DiscardQueued() {
+  if (fd_ >= 0) {
+    while (inbox_.Recv(fd_, /*wait_for_one=*/false) > 0) {
+    }
+  }
 }
 
 }  // namespace hcs

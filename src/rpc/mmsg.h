@@ -1,8 +1,10 @@
 // Batched UDP I/O: recvmmsg/sendmmsg wrappers shared by UdpServerHost's
-// serve loops and the async client engine's UDP channel. One syscall moves
-// up to a batch of datagrams in either direction; each received frame is a
-// view into the batch's arena (src/common/arena.h), so decode and dispatch
-// run without a per-datagram copy.
+// serve loops, the async client engine's UDP channel, and each thread's
+// blocking client socket (UdpClientSocket, below), which carries the calls
+// that run on their caller. One syscall moves up to a batch of datagrams in
+// either direction; each received frame is a view into the batch's arena
+// (src/common/arena.h), so decode and dispatch run without a per-datagram
+// copy.
 //
 // Availability and fallback. The first recvmmsg/sendmmsg that fails with
 // ENOSYS (or EINVAL from an emulation layer that rejects the vectors) flips
@@ -37,6 +39,7 @@
 
 #include "src/common/arena.h"
 #include "src/common/bytes.h"
+#include "src/common/result.h"
 
 namespace hcs {
 
@@ -55,7 +58,7 @@ int ResolveUdpBatchSize(int requested);
 // the counters are complete; each call names the side it counts toward.
 enum class UdpIoSide {
   kServer,  // UdpServerHost's serve loops
-  kClient,  // the async client engine's UDP channel
+  kClient,  // the async client engine's UDP channel and UdpClientSocket
 };
 struct UdpIoCounts {
   uint64_t recv_syscalls = 0;
@@ -157,6 +160,48 @@ struct UdpReply {
 // mid-batch the remainder is abandoned — UDP semantics, the caller counts
 // the shortfall as drops and the peer retries. Counted toward `side`.
 size_t SendReplies(int fd, std::vector<UdpReply>& replies, UdpIoSide side);
+
+// The calling thread's blocking client datagram socket, opened on first use
+// and reused across calls. It carries every call that runs on its caller:
+// RpcClient::Call's UDP path (AsyncClientEngine::CallOnCaller) and
+// UdpTransport's blocking exchange. Sends and receives go through the
+// wrappers above, counted toward UdpIoSide::kClient. A datagram an earlier
+// call left queued (a duplicate reply, or one that outlived its attempt)
+// is what the next Receive returns first: the xid-matched path skips it,
+// and UdpTransport's exchange discards the queue before it sends.
+class UdpClientSocket {
+ public:
+  static UdpClientSocket& ForThisThread();
+
+  ~UdpClientSocket();
+  UdpClientSocket(const UdpClientSocket&) = delete;
+  UdpClientSocket& operator=(const UdpClientSocket&) = delete;
+
+  // Sends `payload` (left as it was) to 127.0.0.1:`port`, opening the
+  // socket when needed. False: the kernel refused the datagram, a drop.
+  HCS_NODISCARD Result<bool> Send(uint16_t port, Bytes& payload);
+
+  // Waits up to `timeout_ms` (at least 1 ms) for one datagram and returns
+  // its frame, valid until the next receive; nullptr when none arrived in
+  // time, kUnavailable on a socket error.
+  HCS_NODISCARD Result<UdpFrame*> Receive(int64_t timeout_ms);
+
+  // Reads and drops whatever is already queued, without waiting.
+  void DiscardQueued();
+
+  // Closes the socket. The next Send opens a new one on a new port, so a
+  // late reply to an abandoned exchange can never reach a later one.
+  void Close();
+
+ private:
+  UdpClientSocket();
+  HCS_NODISCARD Status Open();
+
+  int fd_ = -1;
+  int64_t timeout_ms_ = 0;        // the SO_RCVTIMEO in force; 0 = not set yet
+  std::vector<UdpReply> outbox_;  // one datagram
+  UdpRecvBatch inbox_;            // one slot, the size of any datagram
+};
 
 }  // namespace hcs
 

@@ -384,10 +384,11 @@ void AbortIfWaitOnLoopThread(const char* what, const char* birth_file, int birth
     return;
   }
   std::fprintf(stderr,
-               "hcs loop-affinity: %s on the event-loop thread of reactor %p "
-               "self-deadlocks: the loop is the only thread that can deliver the "
-               "completion it is waiting for (future born at %s:%d). Use "
-               "OnComplete, or move the wait off the loop thread.\n",
+               "hcs loop-affinity: %s on the event-loop thread of reactor %p: a "
+               "future's wait there self-deadlocks (the loop is the only thread that "
+               "can deliver the completion), and a synchronous call stalls the loop "
+               "for up to its budget (call born at %s:%d). Use CallAsync and "
+               "OnComplete, or move the call off the loop thread.\n",
                what, static_cast<const void*>(loop),
                birth_file != nullptr ? birth_file : "<unknown>", birth_line);
   std::abort();

@@ -253,10 +253,11 @@ HCS_NODISCARD Status SetNonBlocking(int fd);
 const Reactor* CurrentLoopReactor();
 
 // Debug: aborts with a diagnostic when the calling thread is a reactor
-// loop thread. A blocking wait there is a silent self-deadlock — the loop
+// loop thread. A future's wait there is a silent self-deadlock — the loop
 // is the only thread that could deliver the completion being waited on —
-// so the detector turns it into a loud abort naming the operation and the
-// waited-on future's birth site. No-op off the loop.
+// and a synchronous call (RpcClient::Call) stalls every other callback for
+// up to its budget, so the detector turns either into a loud abort naming
+// the operation and the call's birth site. No-op off the loop.
 void AbortIfWaitOnLoopThread(const char* what, const char* birth_file,
                              int birth_line);
 

@@ -17,15 +17,16 @@
 
 namespace hcs {
 
-// How (and whether) a transport exposes a nonblocking channel the async
-// client engine (src/rpc/async_client.h) can drive from the reactor loop.
-// kNone means CallAsync falls back to the blocking path and completes
-// inline — the behavior-preserving default for simulated and in-process
-// transports, and for wrappers (fault injection) that interpose on the
-// blocking exchange.
+// How (and whether) a transport exposes a channel the RPC client can drive
+// itself (src/rpc/async_client.h) instead of calling RoundTrip. kNone means
+// Call and CallAsync run the blocking path inline — the behavior-preserving
+// default for simulated and in-process transports, and for wrappers (fault
+// injection) that interpose on the blocking exchange.
 enum class AsyncChannelKind {
   kNone,
-  kUdpDatagram,  // one shared nonblocking UDP socket, xid-matched replies
+  // xid-matched datagrams: CallAsync on the engine loop's shared
+  // nonblocking socket, Call on the calling thread's own socket.
+  kUdpDatagram,
   kTcpStream,    // pooled pipelined connections, length-prefixed frames
 };
 
@@ -62,9 +63,9 @@ class Transport {
   // and deterministic.
   virtual bool SupportsBudget() const { return false; }
 
-  // The nonblocking channel this transport exposes to the async client
-  // engine. Default: none — CallAsync then completes via the blocking
-  // RoundTrip path, byte-identical to the synchronous client.
+  // The channel this transport exposes to the client runtime. Default:
+  // none — Call and CallAsync then complete via the blocking RoundTrip
+  // path, byte-identical to the seed's synchronous client.
   virtual AsyncChannelSpec async_channel() const { return {}; }
 };
 

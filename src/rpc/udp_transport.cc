@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -255,72 +254,31 @@ Result<Bytes> UdpTransport::RoundTripWithBudget(const std::string& from_host,
   return Exchange(port, message, timeout);
 }
 
-namespace {
-
-// Thread-local client socket, reused across exchanges: the socket()/close()
-// pair per call was two syscalls and a port allocation on the client hot
-// path. On ANY failed exchange (send error, timeout, recv error) the socket
-// is closed instead of reused — a reply that arrives after its exchange
-// gave up must never sit in the queue to be read as the answer to the next
-// call (the xid check upstream would reject it as kProtocolError, turning
-// an injected drop into the wrong failure kind).
-struct ClientSocket {
-  int fd = -1;
-  ~ClientSocket() {
-    if (fd >= 0) {
-      close(fd);
-    }
-  }
-  void Abandon() {
-    if (fd >= 0) {
-      close(fd);
-      fd = -1;
-    }
-  }
-};
-
-}  // namespace
-
+// One request, one datagram back: the first datagram to arrive is the
+// answer, so whatever an earlier call on this thread left queued is
+// discarded first, and a failed exchange closes the socket, so that its
+// late reply lands on a closed port instead of answering the next call.
 Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms) {
   if (message.size() > kMaxDatagram) {
     return ResourceExhaustedError("message exceeds one datagram");
   }
-
-  thread_local ClientSocket sock;
-  if (sock.fd < 0) {
-    sock.fd = socket(AF_INET, SOCK_DGRAM, 0);
-    if (sock.fd < 0) {
-      return UnavailableError(StrFormat("socket(): %s", std::strerror(errno)));
-    }
+  UdpClientSocket& socket = UdpClientSocket::ForThisThread();
+  socket.DiscardQueued();
+  Bytes payload = message;
+  Result<bool> sent = socket.Send(port, payload);
+  if (!sent.ok() || !*sent) {
+    socket.Close();
+    return sent.ok() ? UnavailableError(StrFormat("send to 127.0.0.1:%u refused", port))
+                     : sent.status();
   }
-  if (timeout_ms < 1) {
-    timeout_ms = 1;  // 0 would mean "block forever" to SO_RCVTIMEO
+  Result<UdpFrame*> frame = socket.Receive(timeout_ms);
+  if (!frame.ok() || *frame == nullptr) {
+    socket.Close();
+    return frame.ok() ? TimeoutError(StrFormat("no response from 127.0.0.1:%u within %lld ms", port,
+                                               static_cast<long long>(timeout_ms)))
+                      : frame.status();
   }
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  (void)setsockopt(sock.fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-
-  sockaddr_in addr = LoopbackAddress(port);
-  if (sendto(sock.fd, message.data(), message.size(), 0, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) < 0) {
-    int saved = errno;
-    sock.Abandon();
-    return UnavailableError(StrFormat("sendto(): %s", std::strerror(saved)));
-  }
-
-  thread_local std::vector<uint8_t> buffer(kMaxDatagram);
-  ssize_t n = recv(sock.fd, buffer.data(), buffer.size(), 0);
-  if (n < 0) {
-    int saved = errno;
-    sock.Abandon();
-    if (saved == EAGAIN || saved == EWOULDBLOCK) {
-      return TimeoutError(StrFormat("no response from 127.0.0.1:%u within %lld ms", port,
-                                    static_cast<long long>(timeout_ms)));
-    }
-    return UnavailableError(StrFormat("recv(): %s", std::strerror(saved)));
-  }
-  return Bytes(buffer.begin(), buffer.begin() + n);
+  return Bytes((*frame)->data, (*frame)->data + (*frame)->size);
 }
 
 }  // namespace hcs

@@ -113,8 +113,12 @@ class UdpServerHost {
   std::unique_ptr<Reactor> reactor_ HCS_GUARDED_BY(mutex_);
 };
 
-// Client-side transport: each RoundTrip sends one datagram to
-// 127.0.0.1:`port` and waits for the response (per-call timeout).
+// Client-side transport over 127.0.0.1. RpcClient drives it through the
+// kUdpDatagram channel it advertises: Call runs each call on the calling
+// thread, CallAsync on the async engine's loop, both matching replies by
+// xid. RoundTrip, one datagram out and the first datagram back on the
+// calling thread's UdpClientSocket (src/rpc/mmsg.h), serves the wrappers
+// that interpose on the blocking exchange (FaultInjectingTransport).
 class UdpTransport : public Transport {
  public:
   // `timeout_ms` bounds each exchange; expiry surfaces as kTimeout.

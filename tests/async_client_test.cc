@@ -20,6 +20,7 @@
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/bindns/protocol.h"
@@ -378,6 +379,54 @@ TEST(AsyncClientTest, AggressiveReapingNeverFailsInFlightCalls) {
   host.StopAll();
 }
 
+// Sync UDP calls run on their caller, but count into the engine's stats
+// and the client-side syscall counters as loop calls do: K calls are K
+// calls, K completions and K sends, and an unbudgeted call in the steady
+// state costs at most two counted datagram syscalls (one send, one
+// receive) and no loop hop.
+TEST(AsyncClientTest, SyncUdpCallsCountIntoEngineStatsAndClientSyscalls) {
+  UdpServerHost host;
+  RpcServer server(ControlKind::kSunRpc, "caller-run-echo");
+  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  Result<uint16_t> port = host.Serve(&server, 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  UdpTransport transport;
+  RpcClient client(/*world=*/nullptr, "localclient", &transport);
+  AsyncClientEngine engine;
+  client.set_async_engine(&engine);
+  const HrpcBinding binding = UdpBinding(*port, 7, ControlKind::kSunRpc);
+  // Opens this thread's client socket outside the counted window.
+  ASSERT_TRUE(client.Call(binding, 1, Bytes{0}).ok());
+
+  constexpr int kCalls = 200;
+  const AsyncEngineStats before = engine.stats();
+  const UdpIoCounts io_before = SnapshotUdpIoCounters().client;
+  for (int i = 0; i < kCalls; ++i) {
+    const Bytes payload{static_cast<uint8_t>(i), 0x33};
+    RpcCallInfo info;
+    Result<Bytes> reply = client.Call(binding, 1, payload, RequestContext{}, &info);
+    ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
+    EXPECT_EQ(*reply, payload);
+    EXPECT_EQ(info.attempts, 1u);
+  }
+  const AsyncEngineStats after = engine.stats();
+  const UdpIoCounts io_after = SnapshotUdpIoCounters().client;
+
+  EXPECT_EQ(after.calls - before.calls, uint64_t{kCalls});
+  EXPECT_EQ(after.completed - before.completed, uint64_t{kCalls});
+  EXPECT_EQ(after.retries - before.retries, 0u);
+  EXPECT_EQ(after.udp_unmatched - before.udp_unmatched, 0u);
+  EXPECT_EQ(after.udp_send_drops - before.udp_send_drops, 0u);
+  const uint64_t sends = io_after.send_syscalls - io_before.send_syscalls;
+  const uint64_t receives = io_after.recv_syscalls - io_before.recv_syscalls;
+  EXPECT_EQ(sends, uint64_t{kCalls});
+  EXPECT_EQ(io_after.recv_datagrams - io_before.recv_datagrams, uint64_t{kCalls});
+  EXPECT_LE(sends + receives, uint64_t{2 * kCalls})
+      << sends << " sends and " << receives << " receives for " << kCalls << " calls";
+  host.StopAll();
+}
+
 TEST(AsyncClientTest, ChannellessTransportCompletesInline) {
   LoopbackTransport loopback;
   RpcServer server(ControlKind::kSunRpc, "loopback-echo");
@@ -642,6 +691,74 @@ int BindBlackHole(uint16_t* port_out) {
   return fd;
 }
 
+// A reply to an earlier attempt still answers a caller-run call (every
+// attempt carries the call's xid), and the answer to the attempt the
+// server saw second, arriving after the call returned, is dropped as
+// unmatched by the thread's next call.
+TEST(AsyncClientTest, SyncUdpCallTakesALateReplyToAnEarlierAttempt) {
+  uint16_t port = 0;
+  int fd = BindBlackHole(&port);
+  ASSERT_GE(fd, 0);
+  std::thread server([fd] {
+    const ControlProtocol& control = GetControlProtocol(ControlKind::kSunRpc);
+    std::vector<std::pair<sockaddr_in, Bytes>> requests;
+    // Hold the first attempt past its budget, answer it once the retry
+    // has arrived, then answer the retry too; then echo one more call.
+    while (requests.size() < 3) {
+      uint8_t buf[2048];
+      sockaddr_in peer{};
+      socklen_t peer_len = sizeof(peer);
+      ssize_t n = recvfrom(fd, buf, sizeof(buf), 0, reinterpret_cast<sockaddr*>(&peer), &peer_len);
+      if (n <= 0) {
+        return;
+      }
+      Result<RpcCall> call = control.DecodeCall(Bytes(buf, buf + n));
+      if (!call.ok()) {
+        return;
+      }
+      RpcReplyMsg reply;
+      reply.xid = call->xid;
+      reply.results = call->args;
+      reply.results.push_back(static_cast<uint8_t>(call->context.attempt));
+      requests.emplace_back(peer, control.EncodeReply(reply));
+      if (requests.size() == 1) {
+        continue;  // the first attempt goes unanswered for now
+      }
+      for (size_t i = requests.size() == 2 ? 0 : 2; i < requests.size(); ++i) {
+        const auto& [to, datagram] = requests[i];
+        (void)sendto(fd, datagram.data(), datagram.size(), 0,
+                     reinterpret_cast<const sockaddr*>(&to),
+                     sizeof(to));  // hcs:ignore-status(test server; a lost reply fails the test)
+      }
+    }
+  });
+
+  UdpTransport transport;
+  RpcClient client(/*world=*/nullptr, "localclient", &transport);
+  AsyncClientEngine engine;
+  client.set_async_engine(&engine);
+  const HrpcBinding binding = UdpBinding(port, 7, ControlKind::kSunRpc);
+  RpcCallInfo info;
+  Result<Bytes> reply =
+      client.Call(binding, 1, Bytes{0x41}, RequestContext::WithTimeout(3000), &info);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, (Bytes{0x41, 0})) << "the first attempt's reply answers the call";
+  EXPECT_EQ(info.attempts, 2u);
+  EXPECT_EQ(info.retries, 1u);
+
+  Result<Bytes> next = client.Call(binding, 1, Bytes{0x42});
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(*next, (Bytes{0x42, 0}));
+  server.join();
+  close(fd);
+
+  AsyncEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.udp_unmatched, 1u) << "the retry's own reply reached the next call";
+  EXPECT_EQ(stats.calls, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+}
+
 // 1k futures across four contention classes — plain success, tight deadline
 // racing the reply, guaranteed timeout, and a final wave destroyed mid-
 // flight with the engine — each counting its OnComplete firings. Every
@@ -709,7 +826,8 @@ TEST(AsyncClientTest, OnCompleteFiresExactlyOnceUnderRaces) {
 // The static half of the threading rules is tools/lint_loop.py; these death
 // tests pin the runtime half: HCS_ASSERT_LOOP aborts on off-loop access to
 // loop-owned state, and the Wait-on-loop-thread detector turns a silent
-// self-deadlock into a diagnostic abort naming the future's birth site.
+// self-deadlock (or a sync call stalling the loop) into a diagnostic abort
+// naming the call's birth site.
 
 #if !HCS_LOOP_DEBUG_ENABLED
 
@@ -778,6 +896,44 @@ void TouchLoopOwnedStateOffLoop() {
   // hcs:on-loop(deliberate violation: this death test proves HCS_ASSERT_LOOP aborts)
   (void)reactor.ScheduleAfter(1000, [] {});
   reactor.Stop();
+}
+
+// A sync UDP call runs on its caller and blocks it for up to the call's
+// budget; made from the engine's loop thread (here: an OnComplete
+// callback), it would stall every other callback on the loop. The detector
+// must abort, naming the call and this file as its site.
+void SyncCallOnLoopThread() {
+  UdpServerHost host;
+  RpcServer server(ControlKind::kSunRpc, "sync-on-loop");
+  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  Result<uint16_t> port = host.Serve(&server, 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  UdpTransport transport;
+  RpcClient client(nullptr, "localclient", &transport);
+  AsyncClientEngine engine;
+  client.set_async_engine(&engine);
+  const HrpcBinding live = UdpBinding(*port, 7, ControlKind::kSunRpc);
+  // Prove the endpoint serves a sync call off the loop first.
+  ASSERT_TRUE(client.Call(live, 1, Bytes{1}).ok());
+
+  uint16_t hole_port = 0;
+  int hole_fd = BindBlackHole(&hole_port);
+  ASSERT_GE(hole_fd, 0);
+  RpcFuture doomed = client.CallAsync(UdpBinding(hole_port, 7, ControlKind::kSunRpc), 1, Bytes{2},
+                                      RequestContext::WithTimeout(50));
+  doomed.OnComplete([&client, live](const Result<Bytes>&, const RpcCallInfo&) {
+    // hcs:ignore-status(deliberate violation: the detector aborts inside this Call)
+    (void)client.Call(live, 1, Bytes{3});  // on the loop thread: the detector aborts here
+  });
+  // hcs:ignore-status(never returns — the child process aborts ~50 ms in)
+  (void)doomed.Wait();
+  close(hole_fd);
+}
+
+TEST(LoopAffinityDeathTest, SyncCallOnLoopThreadAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(SyncCallOnLoopThread(), "RpcClient::Call\\(\\) on the event-loop thread.*async_client_test");
 }
 
 TEST(LoopAffinityDeathTest, WaitOnLoopThreadAbortsWithBirthSite) {

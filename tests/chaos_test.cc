@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/bindns/protocol.h"
@@ -31,9 +33,11 @@
 #include "src/hns/cache.h"
 #include "src/hns/meta_store.h"
 #include "src/hns/name.h"
+#include "src/rpc/async_client.h"
 #include "src/rpc/client.h"
 #include "src/rpc/context.h"
 #include "src/rpc/fault.h"
+#include "src/rpc/mmsg.h"
 #include "src/rpc/ports.h"
 #include "src/rpc/server.h"
 #include "src/rpc/stream_transport.h"
@@ -711,6 +715,192 @@ TEST(ChaosTest, AsyncUdpDuplicateReorderStormMatchesEveryReply) {
   EXPECT_EQ(engine.stats().udp_unmatched, static_cast<uint64_t>(duplicates_sent.load()));
   std::cout << "[chaos] AsyncUdpDuplicateReorderStorm duplicates=" << duplicates_sent.load()
             << " unmatched=" << engine.stats().udp_unmatched << std::endl;
+}
+
+// Binds a raw UDP socket on an ephemeral loopback port for a hand-written
+// chaos server; returns the fd and the port ({-1, 0} on failure).
+std::pair<int, uint16_t> BindRawUdpServer() {
+  int fd = socket(AF_INET, SOCK_DGRAM, 0);
+  if (fd < 0) {
+    return {-1, 0};
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    close(fd);
+    return {-1, 0};
+  }
+  return {fd, ntohs(addr.sin_port)};
+}
+
+// The sync twin of the storm above. Sync calls run on their caller over one
+// socket per thread, so whatever the server sends beyond a call's answer
+// waits in that socket for the thread's next call: every request is
+// answered twice, some answers follow a stale reply to an earlier request,
+// and the last request is answered only after three stale re-sends. Each
+// call must skip all of those and return its own payload; a path that took
+// the first datagram as the answer fails here with a mismatched xid.
+TEST(ChaosTest, SyncUdpDuplicateAndStaleRepliesNeverAnswerALaterCall) {
+  uint64_t seed = AnnounceSeed("SyncUdpDuplicateAndStaleRepliesNeverAnswerALaterCall");
+  constexpr int kCalls = 16;  // plus one final call behind the stale re-sends
+
+  auto [server_fd, server_port] = BindRawUdpServer();
+  ASSERT_GE(server_fd, 0);
+  std::atomic<int> extras_sent{0};
+  std::thread server([server_fd, seed, &extras_sent] {
+    const ControlProtocol& control = GetControlProtocol(ControlKind::kRaw);
+    std::mt19937_64 rng(seed);
+    std::vector<Bytes> answered;
+    for (int i = 0; i <= kCalls; ++i) {
+      uint8_t buf[2048];
+      sockaddr_in peer{};
+      socklen_t peer_len = sizeof(peer);
+      ssize_t n = recvfrom(server_fd, buf, sizeof(buf), 0, reinterpret_cast<sockaddr*>(&peer),
+                           &peer_len);
+      if (n <= 0) {
+        return;
+      }
+      Result<RpcCall> call = control.DecodeCall(Bytes(buf, buf + n));
+      if (!call.ok()) {
+        return;
+      }
+      RpcReplyMsg reply;
+      reply.xid = call->xid;
+      reply.results = call->args;
+      Bytes fresh = control.EncodeReply(reply);
+      auto send_reply = [&](const Bytes& datagram) {
+        (void)sendto(server_fd, datagram.data(), datagram.size(), 0,
+                     reinterpret_cast<sockaddr*>(&peer),
+                     peer_len);  // hcs:ignore-status(chaos server; a lost reply is the fault under test)
+      };
+      const int stale = i == kCalls ? 3 : (!answered.empty() && rng() % 100 < 30 ? 1 : 0);
+      for (int k = 0; k < stale; ++k) {
+        send_reply(answered[rng() % answered.size()]);
+        ++extras_sent;
+      }
+      send_reply(fresh);
+      if (i < kCalls) {
+        send_reply(fresh);  // the duplicate waits for the next call
+        ++extras_sent;
+      }
+      answered.push_back(std::move(fresh));
+    }
+  });
+
+  UdpTransport transport;
+  RpcClient client(/*world=*/nullptr, "localclient", &transport);
+  AsyncClientEngine engine;
+  client.set_async_engine(&engine);
+  const HrpcBinding binding = UdpBinding(server_port, 7, ControlKind::kRaw);
+  for (int i = 0; i <= kCalls; ++i) {
+    const Bytes payload{static_cast<uint8_t>(i), 0x5b};
+    Result<Bytes> reply = client.Call(binding, 1, payload);
+    ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
+    EXPECT_EQ(*reply, payload) << "call " << i << " was answered by another call's reply";
+  }
+  server.join();
+  close(server_fd);
+
+  // Every extra datagram reached the socket ahead of a later call's answer,
+  // so the calls themselves read, dropped and counted all of them.
+  AsyncEngineStats stats = engine.stats();
+  EXPECT_GT(extras_sent.load(), kCalls);
+  EXPECT_EQ(stats.udp_unmatched, static_cast<uint64_t>(extras_sent.load()));
+  EXPECT_EQ(stats.calls, static_cast<uint64_t>(kCalls + 1));
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kCalls + 1));
+  std::cout << "[chaos] SyncUdpDuplicateAndStale extras=" << extras_sent.load()
+            << " unmatched=" << stats.udp_unmatched << std::endl;
+}
+
+// The chaos invariants on the caller-run path, against a server that loses
+// a quarter of the requests and answers some only after the attempt that
+// sent them has timed out: every call gets its own payload (no reply
+// cross-talk), attempts stay within what the budget admits, and the engine
+// counts every retry.
+TEST(ChaosTest, SyncUdpLossAndLateRepliesRetryWithinTheBudget) {
+  uint64_t seed = AnnounceSeed("SyncUdpLossAndLateRepliesRetryWithinTheBudget");
+  constexpr int kCalls = 24;
+  constexpr int64_t kBudgetMs = 4000;
+  // Longer than the first attempt's budget, shorter than the second's.
+  constexpr int kLateMs = RetryPolicy::kAttemptBaseMs + 30;
+
+  auto [server_fd, server_port] = BindRawUdpServer();
+  ASSERT_GE(server_fd, 0);
+  timeval poll_tv{0, 20 * 1000};
+  ASSERT_EQ(setsockopt(server_fd, SOL_SOCKET, SO_RCVTIMEO, &poll_tv, sizeof(poll_tv)), 0);
+  std::atomic<bool> stop{false};
+  std::atomic<int> lost{0};
+  std::atomic<int> late{0};
+  std::thread server([&, server_fd] {
+    const ControlProtocol& control = GetControlProtocol(ControlKind::kRaw);
+    std::mt19937_64 rng(seed);
+    while (!stop.load()) {
+      uint8_t buf[2048];
+      sockaddr_in peer{};
+      socklen_t peer_len = sizeof(peer);
+      ssize_t n = recvfrom(server_fd, buf, sizeof(buf), 0, reinterpret_cast<sockaddr*>(&peer),
+                           &peer_len);
+      if (n <= 0) {
+        continue;  // the poll timeout: look at the stop flag
+      }
+      Result<RpcCall> call = control.DecodeCall(Bytes(buf, buf + n));
+      if (!call.ok()) {
+        continue;
+      }
+      const uint64_t roll = rng() % 100;
+      if (roll < 25) {
+        ++lost;
+        continue;
+      }
+      if (roll < 40) {
+        ++late;
+        std::this_thread::sleep_for(std::chrono::milliseconds(kLateMs));
+      }
+      RpcReplyMsg reply;
+      reply.xid = call->xid;
+      reply.results = call->args;
+      Bytes datagram = control.EncodeReply(reply);
+      (void)sendto(server_fd, datagram.data(), datagram.size(), 0,
+                   reinterpret_cast<sockaddr*>(&peer),
+                   peer_len);  // hcs:ignore-status(chaos server; a lost reply is the fault under test)
+    }
+  });
+
+  UdpTransport transport;
+  RpcClient client(/*world=*/nullptr, "localclient", &transport);
+  AsyncClientEngine engine;
+  client.set_async_engine(&engine);
+  const HrpcBinding binding = UdpBinding(server_port, 7, ControlKind::kRaw);
+  uint64_t total_retries = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    const Bytes payload{static_cast<uint8_t>(i), 0x6c};
+    RpcCallInfo info;
+    Result<Bytes> reply =
+        client.Call(binding, 1, payload, RequestContext::WithTimeout(kBudgetMs), &info);
+    ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
+    EXPECT_EQ(*reply, payload) << "call " << i << " was answered by another call's reply";
+    EXPECT_LE(info.attempts, RetryPolicy::MaxAttempts(kBudgetMs)) << "call " << i;
+    EXPECT_EQ(info.retries + 1, info.attempts) << "call " << i;
+    total_retries += info.retries;
+  }
+  stop.store(true);
+  server.join();
+  close(server_fd);
+  // Replies to retries that came after the last call returned are still
+  // queued on this thread's socket; later tests on this thread start clean.
+  UdpClientSocket::ForThisThread().DiscardQueued();
+
+  AsyncEngineStats stats = engine.stats();
+  EXPECT_GT(lost.load() + late.load(), 0) << "a lossy server that never lost anything";
+  EXPECT_GT(total_retries, 0u);
+  EXPECT_EQ(stats.retries, total_retries);
+  EXPECT_EQ(stats.calls, static_cast<uint64_t>(kCalls));
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kCalls));
+  std::cout << "[chaos] SyncUdpLossAndLateReplies lost=" << lost.load() << " late=" << late.load()
+            << " retries=" << total_retries << " unmatched=" << stats.udp_unmatched << std::endl;
 }
 
 TEST(ChaosTest, AsyncStreamPipelineSurvivesDuplicateAndReorderedFrames) {

@@ -127,6 +127,25 @@ TEST(SyncTest, ConsistentLockOrderDoesNotTrip) {
   SetDeadlockDetectorEnabled(false);
 }
 
+// No detector state may outlive its Mutex: a short-lived mutex per call
+// (every RpcFuture holds one) must not grow the process. Each of these
+// mutexes also leaves an edge from a long-lived lock, so the graph's edge
+// records are covered as well as its per-mutex entries.
+TEST(SyncTest, DestroyedMutexesLeaveNoDetectorState) {
+  SetDeadlockDetectorEnabled(true);
+  Mutex outer("graph-probe-outer");
+  const size_t graph_before = LockOrderGraphEntriesForTest();
+  const size_t named_before = AllMutexStats().size();
+  for (int i = 0; i < 100000; ++i) {
+    Mutex inner("graph-probe-inner");
+    MutexLock lo(outer);
+    MutexLock li(inner);  // records outer -> inner
+  }
+  EXPECT_EQ(LockOrderGraphEntriesForTest(), graph_before);
+  EXPECT_EQ(AllMutexStats().size(), named_before);
+  SetDeadlockDetectorEnabled(false);
+}
+
 // The acceptance-criteria death test: seed the graph with A -> B, then
 // acquire in the inverted order. The detector must abort before the
 // processes could deadlock, naming both acquisition contexts.

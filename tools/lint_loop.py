@@ -26,11 +26,14 @@ half is HCS_ASSERT_LOOP / the Wait-on-loop-thread detector in src/rpc
 
   T2. NO BLOCKING ON THE LOOP. `Wait()`/`WaitFor()` (RpcFuture and
       CondVar), `sleep`/`usleep`/`nanosleep`/`sleep_for`/`sleep_until`,
-      and the blocking `SendAndReceive` are forbidden inside loop-only
-      bodies and inside loop-posted lambdas. A Wait on the loop thread is
-      a self-deadlock: the completion it waits for can only be delivered
-      by the thread that is blocked (the runtime detector aborts there
-      with birth-site diagnostics instead of hanging).
+      the blocking `SendAndReceive`, and a synchronous `Call()` (RpcClient
+      and the typed clients over it; `CallAsync()` is the loop's way to
+      call) are forbidden inside loop-only bodies and inside loop-posted
+      lambdas. A Wait on the loop thread is a self-deadlock: the
+      completion it waits for can only be delivered by the thread that is
+      blocked; a sync Call runs on its caller and stalls the loop for up
+      to its budget (the runtime detector aborts at either with birth-site
+      diagnostics).
 
   T3. NO COMPLETION UNDER ITERATION OR LOCK. Invoking a completion
       (`CompleteCall`, `CompleteFromReply`, `HandleAttemptError`,
@@ -85,14 +88,16 @@ EMPTY_TAG = re.compile(r"hcs:on-loop\(\s*\)")
 # callback lands on the loop).
 SINK_CALL = re.compile(r"\b(?:Post|ScheduleAfter|Submit)\s*\(")
 
-# Blocking operations forbidden in loop context (T2). Wait/WaitFor are
-# receiver-anchored so DrainWaiters / epoll_wait do not match.
+# Blocking operations forbidden in loop context (T2). Wait/WaitFor/Call are
+# receiver-anchored so DrainWaiters / epoll_wait / a free Call() do not
+# match, and `Call\s*\(` never matches CallAsync(.
 BLOCKING_OPS = [
     (re.compile(r"(?:\.|->)\s*Wait\s*\("), "Wait()"),
     (re.compile(r"(?:\.|->)\s*WaitFor\s*\("), "WaitFor()"),
     (re.compile(r"\b(?:sleep|usleep|nanosleep)\s*\("), "sleep()"),
     (re.compile(r"\bsleep_(?:for|until)\s*\("), "std::this_thread::sleep_*"),
     (re.compile(r"(?:\.|->)\s*SendAndReceive\s*\("), "SendAndReceive()"),
+    (re.compile(r"(?:\.|->)\s*Call\s*\("), "Call()"),
 ]
 
 # Completion invocations (T3): these run user callbacks / call teardown.
@@ -375,6 +380,7 @@ class Mutex {};
 class MutexLock { public: explicit MutexLock(Mutex& m); };
 class RpcFuture { public: int Wait(); int WaitFor(long ms); };
 class Transport { public: int SendAndReceive(int req); };
+class RpcClient { public: int Call(int req); RpcFuture CallAsync(int req); };
 struct Call {};
 struct Conn {};
 class Reactor {
@@ -403,6 +409,7 @@ class Engine {
   std::deque<long> waiters_;  // hcs:loop-only
   Reactor reactor_;
   Transport* transport_;
+  RpcClient* client_;
   Mutex mu_;
 };
 """
@@ -483,6 +490,21 @@ SELF_TEST_CASES = [
      "void Engine::StartOnLoop(int x) {\n"
      "  transport_->SendAndReceive(x);\n}\n",
      "SendAndReceive() blocks inside loop-only function"),
+    # A sync Call runs on its caller: on the loop it stalls every other
+    # callback for up to the call's budget.
+    ("t2-sync-call-in-loop-body",
+     "void Engine::DrainWaiters(int p) {\n"
+     "  client_->Call(p);\n}\n",
+     "Call() blocks inside loop-only function"),
+    ("t2-sync-call-in-posted-lambda",
+     "void Engine::Pump() {\n"
+     "  RpcClient client;\n"
+     "  reactor_.Post([&client]() { client.Call(1); });\n}\n",
+     "Call() blocks inside a loop-posted lambda"),
+    ("t2-call-async-in-loop-body-ok",
+     "void Engine::DrainWaiters(int p) {\n"
+     "  RpcFuture f = client_->CallAsync(p);\n  (void)f;\n}\n",
+     None),
     ("t2-wait-off-loop-ok",
      "void Engine::StartCall(int x) {\n"
      "  RpcFuture f;\n  f.Wait();\n}\n",
