@@ -16,12 +16,11 @@
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/rpc/client.h"
+#include "src/rpc/fault.h"
 
 namespace hcs {
 
 namespace {
-
-constexpr size_t kMaxDatagram = 64 * 1024;
 
 void AppendFrameHeader(Bytes& out, size_t payload_size) {
   uint32_t n = static_cast<uint32_t>(payload_size);
@@ -123,6 +122,41 @@ Result<int64_t> RetryBackoffMs(const AsyncCallSpec& spec, uint32_t attempt, int6
   *backoff_ms = RetryPolicy::NextBackoffMs(*backoff_ms);
   return sleep_ms;
 }
+
+// A call its channel cannot carry (more than one IPv4 UDP datagram, or one
+// stream frame) completes kResourceExhausted before it touches the wire:
+// no attempt could deliver it, so none is made.
+Status CheckCallFits(const AsyncCallSpec& spec, size_t wire_size) {
+  const size_t limit =
+      spec.channel.kind == AsyncChannelKind::kTcpStream ? kMaxStreamFrame : kMaxDatagram;
+  if (wire_size <= limit) {
+    return Status::Ok();
+  }
+  return ResourceExhaustedError(StrFormat("call to %s:%u is %zu bytes; its channel carries %zu",
+                                          spec.binding.host.c_str(), spec.binding.port,
+                                          wire_size, limit));
+}
+
+// The injector's decision for one attempt, drawn as it is sent. A blackhole
+// fails the attempt kUnavailable; a corruption flips bits in the encoded
+// call, before any stream framing. The channel applies the rest (SendCopies
+// and the hold).
+Result<FaultDecision> DrawAttemptFault(const AsyncCallSpec& spec, Bytes* wire) {
+  FaultDecision fault = spec.channel.faults->Decide(spec.binding.host, spec.binding.port);
+  if (fault.blackhole) {
+    return UnavailableError(StrFormat("injected blackhole: %s:%u (seq %llu)",
+                                      spec.binding.host.c_str(), spec.binding.port,
+                                      static_cast<unsigned long long>(fault.sequence)));
+  }
+  if (fault.corrupt) {
+    FaultInjector::CorruptFrame(wire, fault.corrupt_salt);
+  }
+  return fault;
+}
+
+// Copies of an attempt that go on the wire: none for a drop (the attempt
+// ends by its timer, like a lost datagram), two for a duplicate.
+int SendCopies(const FaultDecision& fault) { return fault.drop ? 0 : fault.duplicate ? 2 : 1; }
 
 #if HCS_LOOP_DEBUG_ENABLED
 // Aborts when a guarded region re-enters itself. Waiter drains and conn
@@ -347,6 +381,12 @@ void AsyncClientEngine::StartAttempt(PendingCall* call) {
     CompleteCall(call, attempt_timeout.status());
     return;
   }
+  EncodeAttempt(call);
+  Status fits = CheckCallFits(call->spec, call->wire.size());
+  if (!fits.ok()) {
+    CompleteCall(call, fits);
+    return;
+  }
   ++call->info.attempts;
   const uint64_t id = call->id;
   call->attempt_timer = reactor_.ScheduleAfter(*attempt_timeout, [this, id] {
@@ -490,6 +530,7 @@ void AsyncClientEngine::SendUdpAttempt(PendingCall* call) {
   }
   const uint16_t port = call->spec.binding.port;
   auto& bucket = udp_pending_[port];
+  const uint32_t encoded_xid = call->xid;
   // The masked xid must be unique among this port's pending calls, or a
   // reply would be ambiguous; redraw on collision (16-bit Courier space).
   for (int i = 0; bucket.count(MaskedXid(call)) != 0 && i < 1 << 17; ++i) {
@@ -505,22 +546,72 @@ void AsyncClientEngine::SendUdpAttempt(PendingCall* call) {
                                  bucket.size(), port)));
     return;
   }
-  EncodeAttempt(call);
+  if (call->xid != encoded_xid) {
+    EncodeAttempt(call);  // redrawn: StartAttempt encoded the old xid
+  }
+  bucket[MaskedXid(call)] = call;
+  call->udp_port = port;
+  Transmit(call);
+}
+
+void AsyncClientEngine::Transmit(PendingCall* call) {
+  if (call->spec.channel.faults == nullptr) {
+    TransmitCopies(call, 1);
+    return;
+  }
+  Result<FaultDecision> fault = DrawAttemptFault(call->spec, &call->wire);
+  if (!fault.ok()) {
+    HandleAttemptError(call, fault.status());
+    return;
+  }
+  const int copies = SendCopies(*fault);
+  if (fault->delay_ms == 0) {
+    TransmitCopies(call, copies);
+    return;
+  }
+  // A held send, on a timer rather than a sleep. It is discarded if its
+  // attempt ended first: the call completed, or the attempt counter moved.
+  const uint64_t id = call->id;
+  const uint32_t attempt = call->attempt;
+  (void)reactor_.ScheduleAfter(fault->delay_ms, [this, id, attempt, copies] {
+    PendingCall* held = FindCall(id);
+    if (held != nullptr && held->attempt == attempt) {
+      TransmitCopies(held, copies);
+    }
+  });
+}
+
+void AsyncClientEngine::TransmitCopies(PendingCall* call, int copies) {
+  if (copies == 0) {
+    return;
+  }
+  if (call->spec.channel.kind == AsyncChannelKind::kTcpStream) {
+    StreamConn* conn = call->conn;
+    for (int i = 0; i < copies; ++i) {
+      AppendFrameHeader(conn->outbuf, call->wire.size());
+      conn->outbuf.insert(conn->outbuf.end(), call->wire.begin(), call->wire.end());
+    }
+    if (!conn->connecting) {
+      (void)FlushStream(conn);
+    }
+    return;
+  }
   // Stage rather than sendto: every attempt issued during this reactor
   // iteration (a burst of StartCall posts, a wave of retry timers) leaves
-  // in one sendmmsg. The call registers before the flush — its attempt
+  // in one sendmmsg. The call registered before the flush — its attempt
   // timer is already armed, so a kernel-refused datagram simply retries.
-  UdpReply staged;
-  staged.peer = LoopbackAddr(port);
-  staged.peer_len = sizeof(sockaddr_in);
-  staged.payload = std::move(call->wire);  // EncodeAttempt rebuilds per try
-  udp_outbox_.push_back(std::move(staged));
+  for (int i = 0; i < copies; ++i) {
+    UdpReply staged;
+    staged.peer = LoopbackAddr(call->udp_port);
+    staged.peer_len = sizeof(sockaddr_in);
+    // The last copy takes the buffer; EncodeAttempt rebuilds it per try.
+    staged.payload = i + 1 < copies ? call->wire : std::move(call->wire);
+    udp_outbox_.push_back(std::move(staged));
+  }
   if (!udp_flush_scheduled_) {
     udp_flush_scheduled_ = true;
     (void)reactor_.Post([this] { FlushUdpOutbox(); });
   }
-  bucket[MaskedXid(call)] = call;
-  call->udp_port = port;
 }
 
 void AsyncClientEngine::FlushUdpOutbox() {
@@ -622,8 +713,13 @@ Result<Bytes> AsyncClientEngine::CallOnCaller(const AsyncCallSpec& spec, RpcCall
       result = timeout_ms.status();
       break;
     }
-    ++info->attempts;
     EncodeAttemptTo(control, spec, xid, attempt, &wire);
+    Status fits = CheckCallFits(spec, wire.size());
+    if (!fits.ok()) {
+      result = fits;
+      break;
+    }
+    ++info->attempts;
     Result<RpcReplyMsg> reply = UdpAttemptOnCaller(spec, control, wire, xid, *timeout_ms);
     if (reply.ok()) {
       result = ReplyResult(std::move(reply).value());
@@ -648,14 +744,29 @@ Result<RpcReplyMsg> AsyncClientEngine::UdpAttemptOnCaller(const AsyncCallSpec& s
                                                           int64_t timeout_ms) {
   UdpClientSocket& socket = UdpClientSocket::ForThisThread();
   const uint16_t port = spec.binding.port;
-  HCS_ASSIGN_OR_RETURN(bool sent, socket.Send(port, wire));
-  if (!sent) {
-    // A drop, as on the loop: the attempt still waits out its timeout,
-    // because a late reply to an earlier attempt answers the call too.
-    stat_udp_send_drops_.fetch_add(1, std::memory_order_relaxed);
+  const int64_t deadline_ms = SteadyNowMs() + timeout_ms;
+  int copies = 1;
+  if (spec.channel.faults != nullptr) {
+    HCS_ASSIGN_OR_RETURN(FaultDecision fault, DrawAttemptFault(spec, &wire));
+    copies = SendCopies(fault);
+    if (fault.delay_ms > 0) {
+      // A held send sleeps on the attempt's own clock; one held past the
+      // attempt's end is discarded.
+      std::this_thread::sleep_for(std::chrono::milliseconds(std::min(fault.delay_ms, timeout_ms)));
+      if (fault.delay_ms >= timeout_ms) {
+        copies = 0;
+      }
+    }
+  }
+  for (int i = 0; i < copies; ++i) {
+    HCS_ASSIGN_OR_RETURN(bool sent, socket.Send(port, wire));
+    if (!sent) {
+      // A drop, as on the loop: the attempt still waits out its timeout,
+      // because a late reply to an earlier attempt answers the call too.
+      stat_udp_send_drops_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   const uint32_t want = MaskXid(spec.binding.control, xid);
-  const int64_t deadline_ms = SteadyNowMs() + timeout_ms;
   thread_local Bytes datagram;  // the frame, copied out of the receive slot
   for (int64_t left = timeout_ms; left > 0; left = deadline_ms - SteadyNowMs()) {
     HCS_ASSIGN_OR_RETURN(UdpFrame* frame, socket.Receive(left));
@@ -752,6 +863,7 @@ Result<AsyncClientEngine::StreamConn*> AsyncClientEngine::DialStream(uint16_t po
 }
 
 void AsyncClientEngine::AssignToConn(PendingCall* call, StreamConn* conn) {
+  const uint32_t encoded_xid = call->xid;
   // Unique masked xid per connection (replies match within the conn).
   for (int i = 0; conn->inflight.count(MaskedXid(call)) != 0 && i < 1 << 17; ++i) {
     call->xid = next_xid_.fetch_add(1, std::memory_order_relaxed);
@@ -763,15 +875,13 @@ void AsyncClientEngine::AssignToConn(PendingCall* call, StreamConn* conn) {
                                  conn->inflight.size(), conn->port)));
     return;
   }
-  EncodeAttempt(call);
-  AppendFrameHeader(conn->outbuf, call->wire.size());
-  conn->outbuf.insert(conn->outbuf.end(), call->wire.begin(), call->wire.end());
+  if (call->xid != encoded_xid) {
+    EncodeAttempt(call);  // redrawn: StartAttempt encoded the old xid
+  }
   conn->inflight[MaskedXid(call)] = call;
   call->conn = conn;
   conn->last_active_ms = SteadyNowMs();
-  if (!conn->connecting) {
-    (void)FlushStream(conn);
-  }
+  Transmit(call);
 }
 
 void AsyncClientEngine::OnStreamEvent(StreamConn* conn, uint32_t events) {

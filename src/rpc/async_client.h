@@ -9,7 +9,20 @@
 // to CallOnCaller, which runs the whole call on the calling thread over
 // that thread's UdpClientSocket (src/rpc/mmsg.h), with the reply-matching
 // rule, retry schedule and counters of the loop's UDP channel. Sync stream
-// calls are still CallAsync(...).Wait().
+// calls are still CallAsync(...).Wait(). These three channels are the only
+// client path over real sockets.
+//
+// Before any send, a call larger than its channel carries (kMaxDatagram on
+// UDP, kMaxStreamFrame on a stream) completes kResourceExhausted with no
+// attempt made. Client-side fault injection happens here too: a channel
+// spec that carries a FaultInjector (FaultInjectingTransport's) has one
+// decision drawn per attempt, as the attempt is sent. A blackhole fails the
+// attempt kUnavailable at once; a drop registers the attempt but sends
+// nothing, so it ends by its timer; a delay or reorder holds the send (the
+// caller-run path sleeps, the loop sets a timer), and a held send whose
+// attempt has ended is discarded; a corruption flips bits in the encoded
+// call; a duplicate sends the call twice, and the extra reply is counted
+// unmatched.
 //
 // Threading model. All engine state is loop-thread-only: StartCall posts
 // the call onto the loop, and every subsequent transition — send, reply
@@ -24,7 +37,7 @@
 // tools/lint_loop.py (rules T1–T4, DESIGN.md §15), and debug builds add
 // HCS_ASSERT_LOOP affinity aborts plus a Wait-on-loop-thread detector.
 //
-// Retry semantics mirror RpcClient's synchronous loop (RetryPolicy): a call
+// Retry semantics (RetryPolicy, the one retry schedule in the tree): a call
 // whose effective context has a deadline runs budgeted attempts (per-attempt
 // budget doubling from kAttemptBaseMs, capped by the remaining budget and
 // the transport's default timeout) with jittered exponential backoff
@@ -273,8 +286,9 @@ class AsyncClientEngine {
   // masked xid; every other datagram is dropped and counted unmatched.
   // Attempts follow StartCall's schedule: one xid for all of them, the
   // attempt counter re-marshalled, budgeted attempt timeouts, jittered
-  // backoff. Fills `*info` and counts into stats(). Blocks for up to the
-  // call's budget, so never call it on an event-loop thread.
+  // backoff, the size check and fault hook above. Fills `*info` and counts
+  // into stats(). Blocks for up to the call's budget, so never call it on
+  // an event-loop thread.
   HCS_NODISCARD Result<Bytes> CallOnCaller(const AsyncCallSpec& spec, RpcCallInfo* info);
 
   AsyncEngineStats stats() const;
@@ -300,6 +314,10 @@ class AsyncClientEngine {
   PendingCall* FindCall(uint64_t call_id);                 // hcs:loop-only
   void EncodeAttempt(PendingCall* call);                   // hcs:loop-only
   uint32_t MaskedXid(const PendingCall* call) const;       // hcs:loop-only
+  // Sends a registered attempt's encoded call on its channel, through the
+  // fault hook when the channel carries an injector.
+  void Transmit(PendingCall* call);                        // hcs:loop-only
+  void TransmitCopies(PendingCall* call, int copies);      // hcs:loop-only
 
   // UDP channel. Sends are staged per reactor iteration and flushed with
   // one sendmmsg; receives drain through a recvmmsg batch — the client

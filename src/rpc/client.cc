@@ -1,9 +1,7 @@
 #include "src/rpc/client.h"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
-#include <thread>
 
 #include "src/common/rand.h"
 #include "src/common/strings.h"
@@ -184,8 +182,8 @@ RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, c
 
   AsyncChannelSpec channel = transport_->async_channel();
   if (channel.kind == AsyncChannelKind::kNone) {
-    // No nonblocking channel (sim, loopback, fault wrappers): run the
-    // blocking path inline and complete the future with its result — the
+    // No nonblocking channel (sim, loopback, a fault wrapper around
+    // either): run the blocking path inline and complete the future with its result — the
     // seed's exact semantics, wire bytes, and virtual-clock charges.
     state->Complete(CallBlocking(control, binding, procedure, args, effective, &info), info);
     return RpcFuture(state);
@@ -205,84 +203,22 @@ RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, c
 Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const HrpcBinding& binding,
                                       uint32_t procedure, const Bytes& args,
                                       const RequestContext& effective, RpcCallInfo* info_out) {
-  RpcCallInfo info;
-  info.trace_id = effective.trace_id;
-
   RpcCall call;
   call.xid = next_xid_.fetch_add(1, std::memory_order_relaxed);
   call.program = binding.program;
   call.version = binding.version;
   call.procedure = procedure;
   call.args = args;
-
-  // The retry loop needs a transport that can bound one exchange in real
-  // time; otherwise (sim, loopback, no deadline) keep the seed's single
-  // attempt so virtual-clock runs stay deterministic.
-  const bool budgeted = effective.has_deadline() && transport_->SupportsBudget();
-
-  Result<Bytes> response = UnavailableError("not attempted");
-  int64_t backoff_ms = RetryPolicy::kBackoffBaseMs;
+  call.context = effective;
   ScratchLease scratch;
   Bytes& message = *scratch.get();
-  for (uint32_t attempt = 0;; ++attempt) {
-    call.context = effective;
-    call.context.attempt = effective.attempt + attempt;  // re-marshalled per try
-    control.EncodeCallTo(call, &message);
-    ChargeControlCost(binding.control);
+  control.EncodeCallTo(call, &message);
+  ChargeControlCost(binding.control);
+  info_out->attempts = 1;
+  HCS_ASSIGN_OR_RETURN(Bytes response,
+                       transport_->RoundTrip(local_host_, binding.host, binding.port, message));
 
-    if (budgeted) {
-      // Check the budget before charging the attempt: info.attempts counts
-      // transport exchanges actually performed, never a shed one.
-      int64_t remaining = effective.remaining_ms();
-      if (remaining <= 0) {
-        if (info_out != nullptr) {
-          *info_out = info;
-        }
-        return TimeoutError(StrFormat("call to %s:%u: budget exhausted after %u attempts",
-                                      binding.host.c_str(), binding.port, info.attempts));
-      }
-      ++info.attempts;
-      int64_t attempt_budget = RetryPolicy::AttemptBudgetMs(attempt, remaining);
-      response = transport_->RoundTripWithBudget(local_host_, binding.host, binding.port,
-                                                 message, attempt_budget);
-    } else {
-      ++info.attempts;
-      response = transport_->RoundTrip(local_host_, binding.host, binding.port, message);
-    }
-    if (info_out != nullptr) {
-      *info_out = info;
-    }
-    if (response.ok()) {
-      break;
-    }
-    StatusCode code = response.status().code();
-    const bool retryable =
-        budgeted && (code == StatusCode::kTimeout || code == StatusCode::kUnavailable);
-    if (!retryable) {
-      return response.status();
-    }
-    int64_t remaining = effective.remaining_ms();
-    if (remaining <= 0) {
-      return TimeoutError(StrFormat("call to %s:%u: budget exhausted after %u attempts: %s",
-                                    binding.host.c_str(), binding.port, info.attempts,
-                                    response.status().message().c_str()));
-    }
-    // Exponential backoff with deterministic jitter (seeded from the trace
-    // id and attempt number, so a given call's schedule reproduces), capped
-    // by the remaining budget.
-    int64_t sleep_ms = RetryPolicy::JitteredBackoffMs(effective.trace_id, call.context.attempt,
-                                                      backoff_ms, remaining);
-    if (sleep_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-    }
-    backoff_ms = RetryPolicy::NextBackoffMs(backoff_ms);
-    ++info.retries;
-    if (info_out != nullptr) {
-      *info_out = info;
-    }
-  }
-
-  HCS_ASSIGN_OR_RETURN(RpcReplyMsg reply, control.DecodeReply(*response));
+  HCS_ASSIGN_OR_RETURN(RpcReplyMsg reply, control.DecodeReply(response));
   // Courier transaction ids are 16-bit; compare within the protocol's width.
   uint32_t want_xid =
       binding.control == ControlKind::kCourier ? (call.xid & 0xffff) : call.xid;

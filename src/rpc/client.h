@@ -24,7 +24,8 @@
 namespace hcs {
 
 // The budgeted-call retry policy: attempt budgets and the exponential
-// backoff/jitter schedule RpcClient::Call follows. Exposed as pure
+// backoff/jitter schedule the async engine's channels follow (the one retry
+// loop; src/rpc/async_client.cc). Exposed as pure
 // functions so tests assert the exact deterministic schedule instead of
 // re-deriving (and silently diverging from) the constants, and so chaos
 // scenarios can bound "retries never exceed the transport budget" from the
@@ -69,21 +70,21 @@ class RpcClient {
   // The effective request context is `context` when non-empty, else the
   // ambient CurrentRequestContext() (installed by the serving runtime —
   // this is how a deadline crosses server hops without every API carrying
-  // it). When the effective context has a deadline AND the transport can
-  // bound exchanges in real time, the call runs a per-attempt retry loop:
-  // exponential backoff with deterministic jitter, each attempt's transport
-  // budget capped by the remaining overall budget, the attempt counter
-  // re-marshalled per try. Otherwise exactly one attempt is made (the seed
-  // behavior; sim runs stay deterministic).
+  // it). When the effective context has a deadline AND the transport has a
+  // channel, the call runs the engine's per-attempt retry loop: exponential
+  // backoff with deterministic jitter, each attempt's timeout capped by the
+  // remaining overall budget, the attempt counter re-marshalled per try.
+  // Otherwise exactly one attempt is made (the seed behavior; sim runs stay
+  // deterministic).
   //
   // Where it runs depends on the transport's channel. Over UDP the whole
   // call runs on the calling thread (AsyncClientEngine::CallOnCaller): no
   // hand-off to the engine loop and back, the loop's xid matching and
   // counters. Over a stream it is CallAsync(...).Wait(); a channel-less
-  // transport (sim, loopback, fault wrappers) runs the blocking path
-  // inline. A sync call blocks, so it must not run on an event-loop thread:
-  // debug builds abort there, naming `birth`, the caller's site
-  // (DESIGN.md §15).
+  // transport (sim, loopback, a fault wrapper around either) runs the
+  // blocking path inline. A sync call blocks, so it must not run on an
+  // event-loop thread: debug builds abort there, naming `birth`, the
+  // caller's site (DESIGN.md §15).
   HCS_NODISCARD Result<Bytes> Call(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
                      const RequestContext& context = RequestContext{},
                      RpcCallInfo* info_out = nullptr,
@@ -94,9 +95,9 @@ class RpcClient {
   // TCP), the call runs on the engine's reactor loop: N CallAsync calls are
   // N requests in flight, with the same retry/backoff schedule, deadline
   // budget, and ambient-context semantics as Call. A channel-less transport
-  // (sim, loopback, fault wrappers) completes the future inline via the
-  // blocking path, so existing behavior — virtual-clock charging, fault
-  // injection, wire bytes — is preserved exactly. The defaulted
+  // (sim, loopback, a fault wrapper around either) completes the future
+  // inline via the blocking path, so existing behavior — virtual-clock
+  // charging, fault injection, wire bytes — is preserved exactly. The defaulted
   // source_location captures the caller as the future's birth site: debug
   // builds report it when the future is Wait()ed on an event-loop thread
   // (DESIGN.md §15).
@@ -122,9 +123,9 @@ class RpcClient {
   // (a no-op without a World).
   void ChargeControlCost(ControlKind control);
 
-  // The seed's synchronous call path (one blocking exchange per attempt);
-  // `effective` is the already-resolved context. CallAsync uses it as the
-  // fallback for channel-less transports.
+  // The seed's synchronous call path for channel-less transports: exactly
+  // one RoundTrip, on the virtual clock when there is one, never retried.
+  // `effective` is the already-resolved context.
   HCS_NODISCARD Result<Bytes> CallBlocking(const ControlProtocol& control,
                                            const HrpcBinding& binding, uint32_t procedure,
                                            const Bytes& args, const RequestContext& effective,

@@ -472,24 +472,7 @@ FaultStats CollectFaultStats(const FaultInjector* injector, const UdpServerHost*
 Result<Bytes> FaultInjectingTransport::RoundTrip(const std::string& from_host,
                                                  const std::string& to_host, uint16_t port,
                                                  const Bytes& message) {
-  return Apply(from_host, to_host, port, message, 0, /*budgeted=*/false);
-}
-
-Result<Bytes> FaultInjectingTransport::RoundTripWithBudget(const std::string& from_host,
-                                                           const std::string& to_host,
-                                                           uint16_t port, const Bytes& message,
-                                                           int64_t budget_ms) {
-  return Apply(from_host, to_host, port, message, budget_ms, /*budgeted=*/true);
-}
-
-Result<Bytes> FaultInjectingTransport::Apply(const std::string& from_host,
-                                             const std::string& to_host, uint16_t port,
-                                             const Bytes& message, int64_t budget_ms,
-                                             bool budgeted) {
   auto forward = [&](const Bytes& frame) -> Result<Bytes> {
-    if (budgeted) {
-      return inner_->RoundTripWithBudget(from_host, to_host, port, frame, budget_ms);
-    }
     return inner_->RoundTrip(from_host, to_host, port, frame);
   };
   if (injector_ == nullptr) {
@@ -506,9 +489,8 @@ Result<Bytes> FaultInjectingTransport::Apply(const std::string& from_host,
   }
   if (decision.delay_ms > 0) {
     // Injected latency (a delayed or reordered carry). On the sim world the
-    // charge advances the virtual clock deterministically; on real
-    // transports the wall clock pays, which also consumes retry budget —
-    // exactly what real queueing would do.
+    // charge advances the virtual clock deterministically; otherwise the
+    // wall clock pays.
     if (world_ != nullptr) {
       world_->ChargeMs(static_cast<double>(decision.delay_ms));
     } else {

@@ -17,7 +17,10 @@
 //     any client Transport (simulated or real), and the serving runtimes
 //     (UdpServerHost's UDP serve loops and the reactor's stream endpoints)
 //     filter inbound messages through the process-global injector
-//     installed from the HCS_FAULTS environment spec or by a test.
+//     installed from the HCS_FAULTS environment spec or by a test. Over a
+//     real transport the wrapper only hands its injector to the async
+//     client engine, whose channels draw one decision per attempt as they
+//     send (src/rpc/async_client.h); over the sim it wraps RoundTrip.
 //
 // Nothing here runs unless an injector is configured: with HCS_FAULTS unset
 // and no wrapper installed, every hot path costs one relaxed atomic load,
@@ -264,11 +267,13 @@ HCS_NODISCARD Status FilterInboundFrame(FaultInjector* injector, uint16_t local_
 FaultStats CollectFaultStats(const FaultInjector* injector, const UdpServerHost* host);
 
 // Client-side interposer: wraps any Transport and applies the injector's
-// decisions to each exchange. With a World attached, injected latency is
-// charged to the virtual clock (deterministic sim time); otherwise it is
-// slept for real. Drops surface as kTimeout — exactly what a lost datagram
-// looks like — and blackholes as kUnavailable, so the client runtime's
-// retry loop reacts as it would to the genuine article.
+// decisions to each attempt. Over a transport with a channel (real UDP or
+// TCP) it hands its injector to the async engine with that channel, and
+// the engine applies one decision per attempt as it sends, on the code
+// path production runs. Over a channel-less transport (the sim testbed) it
+// wraps RoundTrip: injected latency is charged to the virtual clock when a
+// World is attached and slept otherwise; drops surface as kTimeout, exactly
+// what a lost datagram looks like, and blackholes as kUnavailable.
 class FaultInjectingTransport : public Transport {
  public:
   FaultInjectingTransport(Transport* inner, FaultInjector* injector, World* world = nullptr)
@@ -276,19 +281,18 @@ class FaultInjectingTransport : public Transport {
 
   HCS_NODISCARD Result<Bytes> RoundTrip(const std::string& from_host, const std::string& to_host,
                           uint16_t port, const Bytes& message) override;
-  HCS_NODISCARD Result<Bytes> RoundTripWithBudget(const std::string& from_host,
-                                    const std::string& to_host, uint16_t port,
-                                    const Bytes& message, int64_t budget_ms) override;
-  bool SupportsBudget() const override { return inner_->SupportsBudget(); }
+
+  // The inner transport's channel, carrying this wrapper's injector.
+  AsyncChannelSpec async_channel() const override {
+    AsyncChannelSpec channel = inner_->async_channel();
+    channel.faults = injector_;
+    return channel;
+  }
 
   Transport* inner() const { return inner_; }
   FaultInjector* injector() const { return injector_; }
 
  private:
-  HCS_NODISCARD Result<Bytes> Apply(const std::string& from_host, const std::string& to_host,
-                      uint16_t port, const Bytes& message, int64_t budget_ms,
-                      bool budgeted);
-
   Transport* inner_;
   FaultInjector* injector_;
   World* world_;

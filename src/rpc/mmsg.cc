@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/common/strings.h"
@@ -109,25 +108,7 @@ void PoisonUnreceivedSpans(uint8_t* slots, size_t slot_bytes, const UdpFrame* fr
 }  // namespace
 
 int ResolveUdpBatchSize(int requested) {
-  int batch = requested;
-  if (batch <= 0) {
-    batch = kDefaultUdpBatch;
-    const char* env = std::getenv("HCS_UDP_BATCH");
-    if (env != nullptr && env[0] != '\0') {
-      char* end = nullptr;
-      long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 1) {
-        batch = static_cast<int>(v);
-      }
-    }
-  }
-  if (batch < 1) {
-    batch = 1;
-  }
-  if (batch > kMaxUdpBatch) {
-    batch = kMaxUdpBatch;
-  }
-  return batch;
+  return requested <= 0 ? kDefaultUdpBatch : std::min(requested, kMaxUdpBatch);
 }
 
 UdpIoSnapshot SnapshotUdpIoCounters() {
@@ -331,11 +312,8 @@ size_t SendReplies(int fd, std::vector<UdpReply>& replies, UdpIoSide side) {
   return done;
 }
 
-// Large enough for any message in this tree.
-constexpr size_t kClientSlotBytes = 64 * 1024;
-
 UdpClientSocket::UdpClientSocket()
-    : outbox_(1), inbox_(/*capacity=*/1, kClientSlotBytes, UdpIoSide::kClient) {}
+    : outbox_(1), inbox_(/*capacity=*/1, kMaxDatagram, UdpIoSide::kClient) {}
 
 UdpClientSocket::~UdpClientSocket() { Close(); }
 
@@ -394,13 +372,6 @@ Result<UdpFrame*> UdpClientSocket::Receive(int64_t timeout_ms) {
     return UnavailableError(StrFormat("recvmmsg(): %s", std::strerror(errno)));
   }
   return count == 0 ? nullptr : &inbox_.frame(0);
-}
-
-void UdpClientSocket::DiscardQueued() {
-  if (fd_ >= 0) {
-    while (inbox_.Recv(fd_, /*wait_for_one=*/false) > 0) {
-    }
-  }
 }
 
 }  // namespace hcs

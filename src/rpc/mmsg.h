@@ -4,7 +4,8 @@
 // that run on their caller. One syscall moves up to a batch of datagrams in
 // either direction; each received frame is a view into the batch's arena
 // (src/common/arena.h), so decode and dispatch run without a per-datagram
-// copy.
+// copy. Outside this file's .cc no code in src/ may call a datagram
+// syscall without a tagged reason (tools/lint_failpaths.py rule 8).
 //
 // Availability and fallback. The first recvmmsg/sendmmsg that fails with
 // ENOSYS (or EINVAL from an emulation layer that rejects the vectors) flips
@@ -45,12 +46,17 @@ namespace hcs {
 
 // Hard cap on one batch; ResolveUdpBatchSize clamps to it.
 constexpr int kMaxUdpBatch = 64;
-// Default batch when neither an explicit size nor HCS_UDP_BATCH is given.
+// The batch when no explicit size is given.
 constexpr int kDefaultUdpBatch = 16;
 
+// The largest UDP payload IPv4 can carry (65,535 less the IP and UDP
+// headers): every receive slot's size, and the largest call the engine's
+// datagram channels will send.
+constexpr size_t kMaxDatagram = 65507;
+
 // Resolves a requested batch size: > 0 wins (clamped to [1, kMaxUdpBatch]);
-// 0 consults the HCS_UDP_BATCH environment variable, else kDefaultUdpBatch.
-// A result of 1 is a batch of one: one datagram per receive call.
+// 0 is kDefaultUdpBatch. A result of 1 is a batch of one: one datagram per
+// receive call.
 int ResolveUdpBatchSize(int requested);
 
 // --- Syscall counters (relaxed; bench_runner derives syscalls/req) ---------
@@ -163,12 +169,11 @@ size_t SendReplies(int fd, std::vector<UdpReply>& replies, UdpIoSide side);
 
 // The calling thread's blocking client datagram socket, opened on first use
 // and reused across calls. It carries every call that runs on its caller:
-// RpcClient::Call's UDP path (AsyncClientEngine::CallOnCaller) and
-// UdpTransport's blocking exchange. Sends and receives go through the
-// wrappers above, counted toward UdpIoSide::kClient. A datagram an earlier
-// call left queued (a duplicate reply, or one that outlived its attempt)
-// is what the next Receive returns first: the xid-matched path skips it,
-// and UdpTransport's exchange discards the queue before it sends.
+// RpcClient::Call's UDP path (AsyncClientEngine::CallOnCaller). Sends and
+// receives go through the wrappers above, counted toward
+// UdpIoSide::kClient. A datagram an earlier call left queued (a duplicate
+// reply, or one that outlived its attempt) is what the next Receive
+// returns first; the xid-matched path skips it and counts it unmatched.
 class UdpClientSocket {
  public:
   static UdpClientSocket& ForThisThread();
@@ -186,11 +191,8 @@ class UdpClientSocket {
   // time, kUnavailable on a socket error.
   HCS_NODISCARD Result<UdpFrame*> Receive(int64_t timeout_ms);
 
-  // Reads and drops whatever is already queued, without waiting.
-  void DiscardQueued();
-
-  // Closes the socket. The next Send opens a new one on a new port, so a
-  // late reply to an abandoned exchange can never reach a later one.
+  // Closes the socket, dropping whatever is queued on it. The next Send
+  // opens a new one on a new port.
   void Close();
 
  private:

@@ -8,17 +8,16 @@
 // This is the fourth HRPC transport component; the cost difference between
 // datagram and stream transports is visible to the colocation experiments
 // exactly as it was to the 1987 prototype's 22-38 ms Sun-vs-Courier spread.
+// Its real-socket twin, TcpStreamTransport, is only a channel spec: the
+// async client engine's stream channel does all of its socket I/O.
 
 #ifndef HCS_SRC_RPC_STREAM_TRANSPORT_H_
 #define HCS_SRC_RPC_STREAM_TRANSPORT_H_
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
-#include <vector>
 
-#include "src/common/sync.h"
 #include "src/rpc/transport.h"
 #include "src/sim/world.h"
 
@@ -51,48 +50,21 @@ class StreamNetTransport : public Transport {
 };
 
 // Real TCP client transport over 127.0.0.1, framed as 4-byte big-endian
-// length + payload (the reactor's ServeStream framing). Connections are
-// cached per port and reused across calls; a timeout or IO error discards
-// the connection and the next call reconnects. All socket IO is
-// nonblocking with explicit poll-bounded loops — partial reads and short
-// writes (a dribbling or slow peer) are reassembled, never treated as
-// errors, and a frame length beyond the cap is rejected outright.
+// length + payload (the reactor's ServeStream framing): only a channel
+// spec. The async engine's stream channel carries every call, sync and
+// async, on a bounded pool of pipelined connections per port; it
+// reassembles partial reads and short writes and fails a connection whose
+// reply frame announces more than kMaxStreamFrame.
 class TcpStreamTransport : public Transport {
  public:
   explicit TcpStreamTransport(int timeout_ms = 2000) : timeout_ms_(timeout_ms) {}
-  ~TcpStreamTransport() override;
-
-  TcpStreamTransport(const TcpStreamTransport&) = delete;
-  TcpStreamTransport& operator=(const TcpStreamTransport&) = delete;
-
-  HCS_NODISCARD Result<Bytes> RoundTrip(const std::string& from_host, const std::string& to_host,
-                          uint16_t port, const Bytes& message) override;
-  HCS_NODISCARD Result<Bytes> RoundTripWithBudget(const std::string& from_host, const std::string& to_host,
-                                    uint16_t port, const Bytes& message,
-                                    int64_t budget_ms) override;
-  bool SupportsBudget() const override { return true; }
 
   AsyncChannelSpec async_channel() const override {
     return AsyncChannelSpec{AsyncChannelKind::kTcpStream, timeout_ms_};
   }
 
-  // Drops every cached connection (process restart).
-  void CloseAll();
-  // TCP connects performed (reuse means fewer connects than calls).
-  uint64_t connects() const;
-
  private:
-  // Takes a pooled connection to 127.0.0.1:`port`, or dials a new one.
-  HCS_NODISCARD Result<int> AcquireConnection(uint16_t port, int64_t deadline_ms);
-  void ReleaseConnection(uint16_t port, int fd);
-  HCS_NODISCARD Result<Bytes> Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms);
-
   int timeout_ms_;
-  mutable Mutex mutex_{"tcp-stream-transport"};
-  // Idle pooled connections per port; a connection in use by a call is
-  // checked out, so concurrent callers each get their own.
-  std::map<uint16_t, std::vector<int>> idle_ HCS_GUARDED_BY(mutex_);
-  uint64_t connects_ HCS_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace hcs

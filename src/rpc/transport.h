@@ -3,7 +3,9 @@
 //   - SimNetTransport: over the simulated internetwork (virtual-clock time),
 //   - LoopbackTransport: direct in-process dispatch (real time; used by the
 //     examples and the real-transport tests),
-//   - UdpTransport (udp_transport.h): real UDP sockets on 127.0.0.1.
+//   - UdpTransport (udp_transport.h) and TcpStreamTransport
+//     (stream_transport.h): real sockets on 127.0.0.1. These are a channel
+//     spec and nothing else; the async client engine does their socket I/O.
 
 #ifndef HCS_SRC_RPC_TRANSPORT_H_
 #define HCS_SRC_RPC_TRANSPORT_H_
@@ -17,11 +19,13 @@
 
 namespace hcs {
 
+class FaultInjector;
+
 // How (and whether) a transport exposes a channel the RPC client can drive
 // itself (src/rpc/async_client.h) instead of calling RoundTrip. kNone means
 // Call and CallAsync run the blocking path inline — the behavior-preserving
-// default for simulated and in-process transports, and for wrappers (fault
-// injection) that interpose on the blocking exchange.
+// default for simulated and in-process transports, and for a fault wrapper
+// around one.
 enum class AsyncChannelKind {
   kNone,
   // xid-matched datagrams: CallAsync on the engine loop's shared
@@ -35,6 +39,9 @@ struct AsyncChannelSpec {
   // Per-attempt timeout ceiling the engine applies (the transport's own
   // default timeout; the retry budget can only shorten it).
   int default_timeout_ms = 2000;
+  // Client-side faults the engine draws once per attempt, as it sends
+  // (FaultInjectingTransport sets it; null: none).
+  FaultInjector* faults = nullptr;
 };
 
 class Transport {
@@ -42,26 +49,17 @@ class Transport {
   virtual ~Transport() = default;
 
   // Sends `message` from a process on `from_host` to the server listening at
-  // (`to_host`, `port`) and returns its response.
-  HCS_NODISCARD virtual Result<Bytes> RoundTrip(const std::string& from_host, const std::string& to_host,
-                                  uint16_t port, const Bytes& message) = 0;
-
-  // Budget-aware variant: `budget_ms` bounds the whole exchange in real
-  // time (<= 0: the transport's own default applies). The base
-  // implementation ignores the budget — simulated and in-process transports
-  // complete synchronously on the virtual clock.
-  HCS_NODISCARD virtual Result<Bytes> RoundTripWithBudget(const std::string& from_host,
-                                            const std::string& to_host, uint16_t port,
-                                            const Bytes& message, int64_t budget_ms) {
-    (void)budget_ms;
-    return RoundTrip(from_host, to_host, port, message);
+  // (`to_host`, `port`) and returns its response, in one attempt. Only
+  // channel-less transports implement it: a transport with a channel is
+  // driven by the engine, never through this exchange.
+  HCS_NODISCARD virtual Result<Bytes> RoundTrip(const std::string& from_host,
+                                                const std::string& to_host, uint16_t port,
+                                                const Bytes& message) {
+    (void)from_host;
+    (void)message;
+    return InternalError("no blocking exchange to " + to_host + ":" + std::to_string(port) +
+                         ": this transport's calls run on its channel");
   }
-
-  // True when the transport can bound one exchange in real time — the
-  // signal for the client runtime to run its per-attempt retry loop.
-  // Simulated transports return false, which keeps sim runs single-attempt
-  // and deterministic.
-  virtual bool SupportsBudget() const { return false; }
 
   // The channel this transport exposes to the client runtime. Default:
   // none — Call and CallAsync then complete via the blocking RoundTrip

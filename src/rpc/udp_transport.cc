@@ -20,10 +20,6 @@ namespace hcs {
 
 namespace {
 
-// Large enough for any message in this tree; real 1987 UDP RPC had similar
-// single-datagram limits.
-constexpr size_t kMaxDatagram = 64 * 1024;
-
 sockaddr_in LoopbackAddress(uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -223,6 +219,7 @@ void UdpServerHost::StopAll() {
     for (int round = 0; state.running.load(std::memory_order_acquire) > 0; ++round) {
       if (round % 50 == 0) {
         for (int i = state.running.load(std::memory_order_acquire); i > 0; --i) {
+          // hcs:raw-datagram(the stop wake a loop sends its own socket; not RPC traffic)
           (void)sendto(endpoint.fd, nullptr, 0, 0, reinterpret_cast<const sockaddr*>(&self),
                        sizeof(self));
         }
@@ -235,50 +232,6 @@ void UdpServerHost::StopAll() {
     close(endpoint.fd);
   }
   endpoints_.clear();
-}
-
-Result<Bytes> UdpTransport::RoundTrip(const std::string& from_host,
-                                      const std::string& to_host, uint16_t port,
-                                      const Bytes& message) {
-  (void)from_host;
-  (void)to_host;  // everything lives on 127.0.0.1
-  return Exchange(port, message, timeout_ms_);
-}
-
-Result<Bytes> UdpTransport::RoundTripWithBudget(const std::string& from_host,
-                                                const std::string& to_host, uint16_t port,
-                                                const Bytes& message, int64_t budget_ms) {
-  (void)from_host;
-  (void)to_host;
-  int64_t timeout = budget_ms > 0 ? std::min<int64_t>(budget_ms, timeout_ms_) : timeout_ms_;
-  return Exchange(port, message, timeout);
-}
-
-// One request, one datagram back: the first datagram to arrive is the
-// answer, so whatever an earlier call on this thread left queued is
-// discarded first, and a failed exchange closes the socket, so that its
-// late reply lands on a closed port instead of answering the next call.
-Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms) {
-  if (message.size() > kMaxDatagram) {
-    return ResourceExhaustedError("message exceeds one datagram");
-  }
-  UdpClientSocket& socket = UdpClientSocket::ForThisThread();
-  socket.DiscardQueued();
-  Bytes payload = message;
-  Result<bool> sent = socket.Send(port, payload);
-  if (!sent.ok() || !*sent) {
-    socket.Close();
-    return sent.ok() ? UnavailableError(StrFormat("send to 127.0.0.1:%u refused", port))
-                     : sent.status();
-  }
-  Result<UdpFrame*> frame = socket.Receive(timeout_ms);
-  if (!frame.ok() || *frame == nullptr) {
-    socket.Close();
-    return frame.ok() ? TimeoutError(StrFormat("no response from 127.0.0.1:%u within %lld ms", port,
-                                               static_cast<long long>(timeout_ms)))
-                      : frame.status();
-  }
-  return Bytes((*frame)->data, (*frame)->data + (*frame)->size);
 }
 
 }  // namespace hcs

@@ -36,9 +36,9 @@ class UdpServerHost {
  public:
   // `workers` is the number of loops a ServeConcurrent endpoint runs and
   // the stream reactor's worker pool (0 = ResolveWorkerCount's default).
-  // `udp_batch` is the datagrams one Serve loop takes per receive (0 =
-  // HCS_UDP_BATCH or the default; 1 = a batch of one), and
-  // `udp_slot_bytes` the bytes per received datagram (0 = 64 KiB).
+  // `udp_batch` is the datagrams one Serve loop takes per receive (0 = the
+  // default; 1 = a batch of one), and `udp_slot_bytes` the bytes per
+  // received datagram (0 = kMaxDatagram, the largest one there is).
   explicit UdpServerHost(int workers = 0, int udp_batch = 0, size_t udp_slot_bytes = 0)
       : workers_(ResolveWorkerCount(workers)),
         udp_batch_(udp_batch),
@@ -113,35 +113,20 @@ class UdpServerHost {
   std::unique_ptr<Reactor> reactor_ HCS_GUARDED_BY(mutex_);
 };
 
-// Client-side transport over 127.0.0.1. RpcClient drives it through the
-// kUdpDatagram channel it advertises: Call runs each call on the calling
-// thread, CallAsync on the async engine's loop, both matching replies by
-// xid. RoundTrip, one datagram out and the first datagram back on the
-// calling thread's UdpClientSocket (src/rpc/mmsg.h), serves the wrappers
-// that interpose on the blocking exchange (FaultInjectingTransport).
+// Client-side transport over 127.0.0.1: only a channel spec. RpcClient
+// drives it through the kUdpDatagram channel: Call runs each call on the
+// calling thread, CallAsync on the async engine's loop, both matching
+// replies by xid (src/rpc/async_client.h).
 class UdpTransport : public Transport {
  public:
-  // `timeout_ms` bounds each exchange; expiry surfaces as kTimeout.
+  // `timeout_ms` bounds each attempt; expiry surfaces as kTimeout.
   explicit UdpTransport(int timeout_ms = 2000) : timeout_ms_(timeout_ms) {}
-
-  HCS_NODISCARD Result<Bytes> RoundTrip(const std::string& from_host, const std::string& to_host,
-                          uint16_t port, const Bytes& message) override;
-
-  // One exchange bounded by min(budget, default timeout); the client
-  // runtime's retry loop sizes `budget_ms` per attempt.
-  HCS_NODISCARD Result<Bytes> RoundTripWithBudget(const std::string& from_host, const std::string& to_host,
-                                    uint16_t port, const Bytes& message,
-                                    int64_t budget_ms) override;
-
-  bool SupportsBudget() const override { return true; }
 
   AsyncChannelSpec async_channel() const override {
     return AsyncChannelSpec{AsyncChannelKind::kUdpDatagram, timeout_ms_};
   }
 
  private:
-  HCS_NODISCARD Result<Bytes> Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms);
-
   int timeout_ms_;
 };
 

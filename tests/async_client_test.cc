@@ -1,8 +1,9 @@
 // The async RPC client core over real sockets: CallAsync fan-out on UDP,
 // stream pipelining on a single pooled connection, partial-frame
 // reassembly with pipelined requests behind it, pool exhaustion, idle
-// reaping racing in-flight calls, the sync-fallback channel, and the
-// ResolveMany / PrefetchRecords layers built on top.
+// reaping racing in-flight calls, calls too large for a datagram, the
+// sync-fallback channel, and the ResolveMany / PrefetchRecords layers built
+// on top.
 //
 // Delay-bearing servers are served concurrently with a fixed number of
 // loops (UDP) or workers (stream), so the wall-clock assertions do not
@@ -427,6 +428,56 @@ TEST(AsyncClientTest, SyncUdpCallsCountIntoEngineStatsAndClientSyscalls) {
   host.StopAll();
 }
 
+// A call no datagram can carry (70 KiB against kMaxDatagram) fails
+// kResourceExhausted before anything is sent, with or without a budget to
+// retry in: no attempt, no client send, and no wait for an attempt timer.
+void ExpectOversizedUdpCallFailsUpFront(bool async) {
+  UdpServerHost host;
+  RpcServer server(ControlKind::kRaw, "oversize-echo");
+  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  Result<uint16_t> port = host.Serve(&server, 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  UdpTransport transport;
+  RpcClient client(/*world=*/nullptr, "localclient", &transport);
+  AsyncClientEngine engine;
+  client.set_async_engine(&engine);
+  const HrpcBinding binding = UdpBinding(*port, 7, ControlKind::kRaw);
+  const Bytes huge(70 * 1024, 0xab);
+  for (const RequestContext& context : {RequestContext{}, RequestContext::WithTimeout(1500)}) {
+    const UdpIoCounts io_before = SnapshotUdpIoCounters().client;
+    const Clock::time_point start = Clock::now();
+    RpcCallInfo info;
+    Result<Bytes> reply = UnavailableError("not called");
+    if (async) {
+      RpcFuture future = client.CallAsync(binding, 1, huge, context);
+      reply = future.Wait();
+      info = future.info();
+    } else {
+      reply = client.Call(binding, 1, huge, context, &info);
+    }
+    const int64_t elapsed_ms = ElapsedMs(start);
+    const UdpIoCounts io_after = SnapshotUdpIoCounters().client;
+    EXPECT_EQ(reply.status().code(), StatusCode::kResourceExhausted) << reply.status();
+    EXPECT_EQ(info.attempts, 0u);
+    EXPECT_EQ(info.retries, 0u);
+    EXPECT_EQ(io_after.send_syscalls, io_before.send_syscalls) << "a datagram send was tried";
+    EXPECT_EQ(io_after.send_datagrams, io_before.send_datagrams);
+    EXPECT_LT(elapsed_ms, 50) << "the call waited instead of failing up front";
+  }
+  EXPECT_EQ(engine.stats().calls, 2u);
+  EXPECT_EQ(engine.stats().udp_send_drops, 0u);
+  host.StopAll();
+}
+
+TEST(AsyncClientTest, SyncUdpCallTooLargeForADatagramNeverSends) {
+  ExpectOversizedUdpCallFailsUpFront(/*async=*/false);
+}
+
+TEST(AsyncClientTest, AsyncUdpCallTooLargeForADatagramNeverSends) {
+  ExpectOversizedUdpCallFailsUpFront(/*async=*/true);
+}
+
 TEST(AsyncClientTest, ChannellessTransportCompletesInline) {
   LoopbackTransport loopback;
   RpcServer server(ControlKind::kSunRpc, "loopback-echo");
@@ -534,12 +585,14 @@ TEST(AsyncClientTest, ResolveManyReportsPartialFailurePerName) {
     GTEST_SKIP() << "cannot bind HNS port " << kHnsServerPort << ": " << port.status();
   }
 
-  // The fault wrapper exposes no async channel, so each unique pair's
-  // exchange runs inline in first-occurrence order — decision k belongs to
-  // unique pair k. Every Decide reads the phase clock exactly once; ticking
-  // it 100 "ms" per read puts decisions 0..2 in the healthy phase and every
-  // later decision (first attempts and retries alike) in the terminal
-  // drop-everything phase.
+  // The fault wrapper hands its injector to the engine's UDP channel.
+  // ResolveMany puts the unique pairs' calls in flight in first-occurrence
+  // order, the loop starts them in that (StartCall) order, and each draws
+  // its first attempt's decision as it sends, before any retry's timer can
+  // fire — decision k belongs to unique pair k. Every Decide reads the phase
+  // clock exactly once; ticking it 100 "ms" per read puts decisions 0..2 in
+  // the healthy phase and every later decision (first attempts and retries
+  // alike) in the terminal drop-everything phase.
   FaultInjector injector(FaultConfig{/*seed=*/7, {}});
   std::atomic<int64_t> ticks{0};
   injector.SetTimeFn([&ticks] { return 100 * ticks.fetch_add(1); });
@@ -568,8 +621,11 @@ TEST(AsyncClientTest, ResolveManyReportsPartialFailurePerName) {
     requests.push_back(request);
   }
 
+  const uint64_t engine_calls = GlobalAsyncClientEngine()->stats().calls;
   std::vector<Result<NsmHandle>> results =
       session.ResolveMany(requests, RequestContext::WithTimeout(1000));
+  EXPECT_EQ(GlobalAsyncClientEngine()->stats().calls - engine_calls, uint64_t{kUnique})
+      << "one engine call per unique pair";
 
   ASSERT_EQ(results.size(), requests.size());
   for (size_t i = 0; i < results.size(); ++i) {

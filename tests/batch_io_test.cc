@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -71,18 +70,12 @@ TEST(ArenaTest, ResetCoalescesToHighWaterBlock) {
 
 // --- Batch-size resolution --------------------------------------------------
 
-TEST(BatchSizeTest, ExplicitEnvAndClamp) {
+TEST(BatchSizeTest, ExplicitDefaultAndClamp) {
   EXPECT_EQ(ResolveUdpBatchSize(4), 4);
   EXPECT_EQ(ResolveUdpBatchSize(1), 1);
   EXPECT_EQ(ResolveUdpBatchSize(kMaxUdpBatch + 100), kMaxUdpBatch);
-
-  ASSERT_EQ(setenv("HCS_UDP_BATCH", "7", 1), 0);
-  EXPECT_EQ(ResolveUdpBatchSize(0), 7);
-  EXPECT_EQ(ResolveUdpBatchSize(3), 3);  // explicit beats env
-  ASSERT_EQ(setenv("HCS_UDP_BATCH", "not-a-number", 1), 0);
   EXPECT_EQ(ResolveUdpBatchSize(0), kDefaultUdpBatch);
-  ASSERT_EQ(unsetenv("HCS_UDP_BATCH"), 0);
-  EXPECT_EQ(ResolveUdpBatchSize(0), kDefaultUdpBatch);
+  EXPECT_EQ(ResolveUdpBatchSize(-3), kDefaultUdpBatch);
 }
 
 // --- Socket helpers ---------------------------------------------------------

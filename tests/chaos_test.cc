@@ -19,7 +19,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -316,150 +318,352 @@ TEST(ChaosTest, FilterInboundAppliesDecisionsAndCountsDrops) {
   EXPECT_EQ(corrupter.stats().corruptions, 1u);
 }
 
-// --- Client-path chaos over real sockets -----------------------------------
+// --- Client-path chaos on every engine channel -----------------------------
+//
+// FaultInjectingTransport over a real transport hands its injector to the
+// async engine, which draws one decision per attempt as it sends. So these
+// scenarios run on each channel production uses: sync UDP calls (run on
+// their caller), CallAsync over UDP (the engine loop), and stream calls.
+
+enum class EngineChannel { kSyncUdp, kAsyncUdp, kStream };
+constexpr EngineChannel kEngineChannels[] = {EngineChannel::kSyncUdp, EngineChannel::kAsyncUdp,
+                                             EngineChannel::kStream};
+
+std::string ChannelName(EngineChannel channel) {
+  switch (channel) {
+    case EngineChannel::kSyncUdp:
+      return "sync-udp";
+    case EngineChannel::kAsyncUdp:
+      return "async-udp";
+    case EngineChannel::kStream:
+      return "stream";
+  }
+  return "?";
+}
+
+// Serves `server` where `channel` reaches it: a UDP serve loop, or a stream
+// endpoint on the reactor.
+Result<uint16_t> ServeFor(EngineChannel channel, UdpServerHost& host, RpcServer* server) {
+  return channel == EngineChannel::kStream ? host.ServeStream(server, 0) : host.Serve(server, 0);
+}
+
+// `timeout_ms` caps every attempt. A dropped attempt waits out its timer,
+// so the lossy scenarios cap attempts at kLossyAttemptMs: a 4 s budget then
+// holds about a dozen attempts, where the default cap (attempts doubling to
+// 1.6 s) holds six, and six drops in a row at 30% loss happen to about one
+// call in 1,400.
+std::unique_ptr<Transport> RealTransport(EngineChannel channel, int timeout_ms = 2000) {
+  if (channel == EngineChannel::kStream) {
+    return std::make_unique<TcpStreamTransport>(timeout_ms);
+  }
+  return std::make_unique<UdpTransport>(timeout_ms);
+}
+constexpr int kLossyAttemptMs = 200;
+
+HrpcBinding ChannelBinding(EngineChannel channel, uint16_t port) {
+  HrpcBinding binding = UdpBinding(port, 7, ControlKind::kRaw);
+  if (channel == EngineChannel::kStream) {
+    binding.transport = TransportKind::kTcp;
+  }
+  return binding;
+}
+
+struct CallOutcome {
+  Result<Bytes> reply = UnavailableError("not called");
+  RpcCallInfo info;
+};
+
+// Makes `count` calls of procedure 1 over `channel`; call i carries
+// `payload(i)` under `context()`. Sync UDP calls run one at a time on this
+// thread. The other channels put every call in flight before waiting on
+// any, unless `one_at_a_time`.
+std::vector<CallOutcome> RunCalls(EngineChannel channel, RpcClient& client,
+                                  const HrpcBinding& binding, int count,
+                                  const std::function<Bytes(int)>& payload,
+                                  const std::function<RequestContext()>& context,
+                                  bool one_at_a_time = false) {
+  std::vector<CallOutcome> out(static_cast<size_t>(count));
+  std::vector<RpcFuture> futures(static_cast<size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    if (channel == EngineChannel::kSyncUdp) {
+      out[i].reply = client.Call(binding, 1, payload(i), context(), &out[i].info);
+      continue;
+    }
+    futures[i] = client.CallAsync(binding, 1, payload(i), context());
+    if (one_at_a_time) {
+      out[i].reply = futures[i].Wait();
+    }
+  }
+  for (int i = 0; i < count; ++i) {
+    if (channel != EngineChannel::kSyncUdp) {
+      out[i].reply = futures[i].Wait();
+      out[i].info = futures[i].info();
+    }
+  }
+  return out;
+}
+
+// Polls `done` every millisecond until it holds or `limit_ms` passes; the
+// caller asserts on the state itself.
+void WaitUntil(const std::function<bool()>& done, int64_t limit_ms = 2000) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(limit_ms);
+  while (!done() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+uint64_t UnmatchedReplies(const AsyncEngineStats& stats) {
+  return stats.udp_unmatched + stats.stream_unmatched;
+}
 
 TEST(ChaosTest, EchoSurvivesThirtyPercentLoss) {
   uint64_t seed = AnnounceSeed("EchoSurvivesThirtyPercentLoss");
-  UdpServerHost host;
-  RpcServer server(ControlKind::kRaw, "chaos-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
-  Result<uint16_t> port = host.Serve(&server, 0);
-  ASSERT_TRUE(port.ok()) << port.status();
+  for (EngineChannel channel : kEngineChannels) {
+    SCOPED_TRACE(ChannelName(channel));
+    UdpServerHost host;
+    RpcServer server(ControlKind::kRaw, "chaos-echo");
+    server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+    Result<uint16_t> port = ServeFor(channel, host, &server);
+    ASSERT_TRUE(port.ok()) << port.status();
 
-  FaultSpec lossy;
-  lossy.drop = 0.3;
-  FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", lossy)}});
-  UdpTransport udp;
-  FaultInjectingTransport faulty(&udp, &injector);
-  RpcClient client(/*world=*/nullptr, "localclient", &faulty);
+    FaultSpec lossy;
+    lossy.drop = 0.3;
+    FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", lossy)}});
+    std::unique_ptr<Transport> real = RealTransport(channel, kLossyAttemptMs);
+    FaultInjectingTransport faulty(real.get(), &injector);
+    RpcClient client(/*world=*/nullptr, "localclient", &faulty);
+    AsyncClientEngine engine;
+    client.set_async_engine(&engine);
 
-  constexpr int kCalls = 25;
-  constexpr int64_t kBudgetMs = 4000;
-  int total_retries = 0;
-  for (int i = 0; i < kCalls; ++i) {
-    Bytes payload{static_cast<uint8_t>(i), 0x5a};
-    RpcCallInfo info;
-    Result<Bytes> reply = client.Call(UdpBinding(*port, 7, ControlKind::kRaw), 1, payload,
-                                      RequestContext::WithTimeout(kBudgetMs), &info);
-    ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
-    EXPECT_EQ(*reply, payload);
-    // Invariant: the retry loop never exceeds what the budget admits.
-    EXPECT_LE(info.attempts, RetryPolicy::MaxAttempts(kBudgetMs)) << "call " << i;
-    EXPECT_EQ(info.retries + 1, info.attempts) << "call " << i;
-    total_retries += static_cast<int>(info.retries);
+    constexpr int kCalls = 25;
+    constexpr int64_t kBudgetMs = 4000;
+    std::vector<CallOutcome> outcomes = RunCalls(
+        channel, client, ChannelBinding(channel, *port), kCalls,
+        [](int i) { return Bytes{static_cast<uint8_t>(i), 0x5a}; },
+        [] { return RequestContext::WithTimeout(kBudgetMs); });
+    uint64_t total_attempts = 0;
+    int total_retries = 0;
+    for (int i = 0; i < kCalls; ++i) {
+      const CallOutcome& outcome = outcomes[i];
+      ASSERT_TRUE(outcome.reply.ok()) << "call " << i << ": " << outcome.reply.status();
+      EXPECT_EQ(*outcome.reply, (Bytes{static_cast<uint8_t>(i), 0x5a})) << "call " << i;
+      // Invariant: the retry loop never exceeds what the budget admits.
+      EXPECT_LE(outcome.info.attempts, RetryPolicy::MaxAttempts(kBudgetMs)) << "call " << i;
+      EXPECT_EQ(outcome.info.retries + 1, outcome.info.attempts) << "call " << i;
+      total_attempts += outcome.info.attempts;
+      total_retries += static_cast<int>(outcome.info.retries);
+    }
+
+    FaultStats stats = injector.stats();
+    ReportStats(("EchoSurvivesThirtyPercentLoss/" + ChannelName(channel)).c_str(), stats,
+                total_retries, /*shed=*/0);
+    EXPECT_EQ(engine.stats().calls, static_cast<uint64_t>(kCalls)) << "the calls ran on the engine";
+    EXPECT_EQ(stats.decisions, total_attempts) << "one decision per attempt";
+    EXPECT_GT(stats.drops, 0u) << "a 30% plan that never dropped is not running";
+    host.StopAll();
   }
-
-  FaultStats stats = injector.stats();
-  ReportStats("EchoSurvivesThirtyPercentLoss", stats, total_retries, /*shed=*/0);
-  EXPECT_GE(stats.decisions, static_cast<uint64_t>(kCalls));
-  EXPECT_GT(stats.drops, 0u) << "a 30% plan that never dropped is not running";
-  host.StopAll();
+  UdpClientSocket::ForThisThread().Close();
 }
 
 TEST(ChaosTest, DuplicateStormDeliversEveryReplyToItsCall) {
   uint64_t seed = AnnounceSeed("DuplicateStormDeliversEveryReplyToItsCall");
-  UdpServerHost host;
-  std::atomic<int> handled{0};
-  RpcServer server(ControlKind::kRaw, "chaos-dup");
-  server.RegisterProcedure(7, 1, [&handled](const Bytes& args) -> Result<Bytes> {
-    ++handled;
-    return args;
-  });
-  Result<uint16_t> port = host.Serve(&server, 0);
-  ASSERT_TRUE(port.ok()) << port.status();
+  for (EngineChannel channel : kEngineChannels) {
+    SCOPED_TRACE(ChannelName(channel));
+    UdpServerHost host;
+    std::atomic<int> handled{0};
+    RpcServer server(ControlKind::kRaw, "chaos-dup");
+    server.RegisterProcedure(7, 1, [&handled](const Bytes& args) -> Result<Bytes> {
+      ++handled;
+      return args;
+    });
+    Result<uint16_t> port = ServeFor(channel, host, &server);
+    ASSERT_TRUE(port.ok()) << port.status();
 
-  FaultSpec dupy;
-  dupy.duplicate = 0.6;
-  FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", dupy)}});
-  UdpTransport udp;
-  FaultInjectingTransport faulty(&udp, &injector);
-  RpcClient client(/*world=*/nullptr, "localclient", &faulty);
+    FaultSpec dupy;
+    dupy.duplicate = 0.6;
+    FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", dupy)}});
+    std::unique_ptr<Transport> real = RealTransport(channel);
+    FaultInjectingTransport faulty(real.get(), &injector);
+    RpcClient client(/*world=*/nullptr, "localclient", &faulty);
+    AsyncClientEngine engine;
+    client.set_async_engine(&engine);
 
-  constexpr int kCalls = 40;
-  for (int i = 0; i < kCalls; ++i) {
-    Bytes payload{static_cast<uint8_t>(i)};
-    Result<Bytes> reply = client.Call(UdpBinding(*port, 7, ControlKind::kRaw), 1, payload);
-    ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
-    EXPECT_EQ(*reply, payload) << "call " << i << ": a duplicate's reply leaked into this call";
+    constexpr int kCalls = 40;
+    std::vector<CallOutcome> outcomes = RunCalls(
+        channel, client, ChannelBinding(channel, *port), kCalls,
+        [](int i) { return Bytes{static_cast<uint8_t>(i)}; }, [] { return RequestContext{}; });
+    for (int i = 0; i < kCalls; ++i) {
+      ASSERT_TRUE(outcomes[i].reply.ok()) << "call " << i << ": " << outcomes[i].reply.status();
+      EXPECT_EQ(*outcomes[i].reply, Bytes{static_cast<uint8_t>(i)})
+          << "call " << i << ": a duplicate's reply leaked into this call";
+      EXPECT_EQ(outcomes[i].info.attempts, 1u) << "no deadline: the seed's single attempt";
+    }
+
+    FaultStats stats = injector.stats();
+    ReportStats(("DuplicateStormDeliversEveryReplyToItsCall/" + ChannelName(channel)).c_str(),
+                stats);
+    EXPECT_GT(stats.duplicates, 0u);
+    EXPECT_EQ(engine.stats().calls, static_cast<uint64_t>(kCalls));
+    // Exactly one extra handler invocation per injected duplicate:
+    // duplicated traffic is delivered and handled, but never crosses replies
+    // between calls. A call returns on its first reply, so wait for the
+    // server to finish with the copies.
+    const int want = kCalls + static_cast<int>(stats.duplicates);
+    WaitUntil([&] { return handled.load() >= want; });
+    // Each extra reply is counted unmatched: on the loop as it lands, on the
+    // caller when the thread's next call reads it, so the last one may wait.
+    if (channel == EngineChannel::kSyncUdp) {
+      EXPECT_GE(UnmatchedReplies(engine.stats()) + 1, stats.duplicates);
+      EXPECT_LE(UnmatchedReplies(engine.stats()), stats.duplicates);
+    } else {
+      WaitUntil([&] { return UnmatchedReplies(engine.stats()) >= stats.duplicates; });
+      EXPECT_EQ(UnmatchedReplies(engine.stats()), stats.duplicates);
+    }
+    host.StopAll();
+    EXPECT_EQ(handled.load(), want);
   }
-  host.StopAll();
-
-  FaultStats stats = injector.stats();
-  ReportStats("DuplicateStormDeliversEveryReplyToItsCall", stats);
-  EXPECT_GT(stats.duplicates, 0u);
-  // Exactly one extra handler invocation per injected duplicate: duplicated
-  // traffic is delivered and handled, but never crosses replies between calls.
-  EXPECT_EQ(handled.load(), kCalls + static_cast<int>(stats.duplicates));
+  UdpClientSocket::ForThisThread().Close();
 }
 
 TEST(ChaosTest, ReorderAndDelayKeepRepliesMatchedToRequests) {
   uint64_t seed = AnnounceSeed("ReorderAndDelayKeepRepliesMatchedToRequests");
-  UdpServerHost host;
-  RpcServer server(ControlKind::kRaw, "chaos-trace");
-  // The handler answers with the trace id the request traveled under: the
-  // client can then check that every reply belongs to its own request even
-  // while the injector shuffles and delays traffic.
-  server.RegisterProcedure(7, 1, [](const Bytes&) -> Result<Bytes> {
-    uint64_t trace = CurrentRequestContext().trace_id;
-    Bytes out(8);
-    for (int i = 0; i < 8; ++i) {
-      out[i] = static_cast<uint8_t>((trace >> (56 - 8 * i)) & 0xff);
-    }
-    return out;
-  });
-  Result<uint16_t> port = host.Serve(&server, 0);
-  ASSERT_TRUE(port.ok()) << port.status();
-
-  FaultSpec wobble;
-  wobble.reorder = 0.3;
-  wobble.delay = 0.3;
-  wobble.delay_min_ms = 1;
-  wobble.delay_max_ms = 5;
-  FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", wobble)}});
-
-  constexpr int kThreads = 4;
-  constexpr int kCallsPerThread = 20;
-  std::atomic<int> mismatches{0};
-  std::atomic<int> failures{0};
-  std::atomic<int> total_retries{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      UdpTransport udp;
-      FaultInjectingTransport faulty(&udp, &injector);
-      RpcClient client(/*world=*/nullptr, "localclient", &faulty);
-      for (int i = 0; i < kCallsPerThread; ++i) {
-        RpcCallInfo info;
-        Result<Bytes> reply = client.Call(UdpBinding(*port, 7, ControlKind::kRaw), 1, Bytes{1},
-                                          RequestContext::WithTimeout(3000), &info);
-        total_retries += static_cast<int>(info.retries);
-        if (!reply.ok() || reply->size() != 8) {
-          ++failures;
-          continue;
-        }
-        uint64_t echoed = 0;
-        for (int b = 0; b < 8; ++b) {
-          echoed = (echoed << 8) | (*reply)[b];
-        }
-        if (echoed != info.trace_id) {
-          ++mismatches;
-        }
+  for (EngineChannel channel : kEngineChannels) {
+    SCOPED_TRACE(ChannelName(channel));
+    UdpServerHost host;
+    RpcServer server(ControlKind::kRaw, "chaos-trace");
+    // The handler answers with the trace id the request traveled under: the
+    // client can then check that every reply belongs to its own request
+    // even while the injector shuffles and delays traffic.
+    server.RegisterProcedure(7, 1, [](const Bytes&) -> Result<Bytes> {
+      uint64_t trace = CurrentRequestContext().trace_id;
+      Bytes out(8);
+      for (int i = 0; i < 8; ++i) {
+        out[i] = static_cast<uint8_t>((trace >> (56 - 8 * i)) & 0xff);
       }
+      return out;
     });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  host.StopAll();
+    Result<uint16_t> port = ServeFor(channel, host, &server);
+    ASSERT_TRUE(port.ok()) << port.status();
 
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(mismatches.load(), 0) << "a reply crossed onto the wrong request";
-  FaultStats stats = injector.stats();
-  ReportStats("ReorderAndDelayKeepRepliesMatchedToRequests", stats, total_retries.load(),
-              failures.load());
-  EXPECT_GT(stats.reorders + stats.delays, 0u);
-  EXPECT_EQ(stats.delay_ms_total >= stats.delays, true)
-      << "every delayed decision injects at least delay_min_ms";
+    FaultSpec wobble;
+    wobble.reorder = 0.3;
+    wobble.delay = 0.3;
+    wobble.delay_min_ms = 1;
+    wobble.delay_max_ms = 5;
+    FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", wobble)}});
+    AsyncClientEngine engine;
+
+    constexpr int kThreads = 4;
+    constexpr int kCallsPerThread = 20;
+    constexpr int64_t kBudgetMs = 3000;
+    std::atomic<int> mismatches{0};
+    std::atomic<int> failures{0};
+    std::atomic<int> over_budget{0};
+    std::atomic<int> total_retries{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        std::unique_ptr<Transport> real = RealTransport(channel);
+        FaultInjectingTransport faulty(real.get(), &injector);
+        RpcClient client(/*world=*/nullptr, "localclient", &faulty);
+        client.set_async_engine(&engine);
+        std::vector<CallOutcome> outcomes = RunCalls(
+            channel, client, ChannelBinding(channel, *port), kCallsPerThread,
+            [](int) { return Bytes{1}; }, [] { return RequestContext::WithTimeout(kBudgetMs); });
+        for (const CallOutcome& outcome : outcomes) {
+          total_retries += static_cast<int>(outcome.info.retries);
+          if (outcome.info.attempts > RetryPolicy::MaxAttempts(kBudgetMs) ||
+              outcome.info.retries + 1 != outcome.info.attempts) {
+            ++over_budget;
+          }
+          if (!outcome.reply.ok() || outcome.reply->size() != 8) {
+            ++failures;
+            continue;
+          }
+          uint64_t echoed = 0;
+          for (int b = 0; b < 8; ++b) {
+            echoed = (echoed << 8) | (*outcome.reply)[b];
+          }
+          if (echoed != outcome.info.trace_id) {
+            ++mismatches;
+          }
+        }
+        UdpClientSocket::ForThisThread().Close();
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    host.StopAll();
+
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(mismatches.load(), 0) << "a reply crossed onto the wrong request";
+    EXPECT_EQ(over_budget.load(), 0) << "attempts beyond MaxAttempts, or uncounted retries";
+    EXPECT_EQ(engine.stats().calls, static_cast<uint64_t>(kThreads * kCallsPerThread));
+    FaultStats stats = injector.stats();
+    ReportStats(("ReorderAndDelayKeepRepliesMatchedToRequests/" + ChannelName(channel)).c_str(),
+                stats, total_retries.load(), failures.load());
+    EXPECT_GT(stats.reorders + stats.delays, 0u);
+    EXPECT_EQ(stats.delay_ms_total >= stats.delays, true)
+        << "every delayed decision injects at least delay_min_ms";
+  }
+}
+
+// Replay: two identical sequential drop-only runs under one seed draw the
+// same decisions in the same order, so each call takes as many attempts in
+// the second run as in the first.
+TEST(ChaosTest, SameSeedDropRunsReplayDecisionsAndAttempts) {
+  uint64_t seed = AnnounceSeed("SameSeedDropRunsReplayDecisionsAndAttempts");
+  constexpr int kCalls = 10;
+  uint64_t retries_seen = 0;
+  for (EngineChannel channel : kEngineChannels) {
+    SCOPED_TRACE(ChannelName(channel));
+    UdpServerHost host;
+    RpcServer server(ControlKind::kRaw, "chaos-replay");
+    server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+    Result<uint16_t> port = ServeFor(channel, host, &server);
+    ASSERT_TRUE(port.ok()) << port.status();
+
+    auto run = [&](std::vector<uint32_t>* attempts) {
+      FaultSpec lossy;
+      lossy.drop = 0.3;
+      FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", lossy)}});
+      injector.set_trace_enabled(true);
+      std::unique_ptr<Transport> real = RealTransport(channel, kLossyAttemptMs);
+      FaultInjectingTransport faulty(real.get(), &injector);
+      RpcClient client(/*world=*/nullptr, "localclient", &faulty);
+      AsyncClientEngine engine;
+      client.set_async_engine(&engine);
+      std::vector<CallOutcome> outcomes = RunCalls(
+          channel, client, ChannelBinding(channel, *port), kCalls,
+          [](int i) { return Bytes{static_cast<uint8_t>(i)}; },
+          [] { return RequestContext::WithTimeout(4000); }, /*one_at_a_time=*/true);
+      for (const CallOutcome& outcome : outcomes) {
+        EXPECT_TRUE(outcome.reply.ok()) << outcome.reply.status();
+        attempts->push_back(outcome.info.attempts);
+      }
+      EXPECT_EQ(engine.stats().calls, static_cast<uint64_t>(kCalls));
+      return injector.TakeTrace();
+    };
+    std::vector<uint32_t> first_attempts;
+    std::vector<uint32_t> second_attempts;
+    const std::vector<std::string> first = run(&first_attempts);
+    const std::vector<std::string> second = run(&second_attempts);
+    host.StopAll();
+
+    EXPECT_EQ(first, second) << "the same seed drew a different decision sequence";
+    EXPECT_EQ(first_attempts, second_attempts) << "a call's attempts did not replay";
+    uint64_t total_attempts = 0;
+    for (uint32_t attempts : first_attempts) {
+      total_attempts += attempts;
+    }
+    EXPECT_EQ(first.size(), total_attempts) << "one decision per attempt";
+    retries_seen += total_attempts - kCalls;
+  }
+  // A channel's ten calls escape a 30% plan about one time in 35, and then
+  // replay trivially; all three channels do so about once in 40,000 runs.
+  EXPECT_GT(retries_seen, 0u) << "a drop plan that never dropped replays trivially";
+  UdpClientSocket::ForThisThread().Close();
 }
 
 // --- Serve-side chaos through the global injector --------------------------
@@ -555,10 +759,10 @@ TEST(ChaosTest, CorruptFrameStormOverStreamStaysLive) {
 
 // --- Async pipeline scenarios ----------------------------------------------
 //
-// The async engine does its own socket I/O, so FaultInjectingTransport (a
-// RoundTrip wrapper) cannot touch its traffic. These scenarios instead run
-// seeded chaotic *servers*: every shuffle, duplication, and crash point is
-// drawn from an mt19937_64 keyed by the scenario seed, so a failing run
+// FaultInjectingTransport's faults are drawn as the engine sends, so they
+// shape requests only. These scenarios fault the reply direction instead
+// with seeded chaotic *servers*: every shuffle, duplication, and crash point
+// is drawn from an mt19937_64 keyed by the scenario seed, so a failing run
 // replays byte-identically with HCS_CHAOS_SEED=<seed>.
 
 // Reads length-prefixed frames off `fd` until `want` complete request
@@ -891,7 +1095,7 @@ TEST(ChaosTest, SyncUdpLossAndLateRepliesRetryWithinTheBudget) {
   close(server_fd);
   // Replies to retries that came after the last call returned are still
   // queued on this thread's socket; later tests on this thread start clean.
-  UdpClientSocket::ForThisThread().DiscardQueued();
+  UdpClientSocket::ForThisThread().Close();
 
   AsyncEngineStats stats = engine.stats();
   EXPECT_GT(lost.load() + late.load(), 0) << "a lossy server that never lost anything";
@@ -1089,9 +1293,14 @@ TEST(ChaosTest, MetaResolutionSurvivesLossAndDuplication) {
   lossy.drop = 0.5;
   lossy.duplicate = 0.25;
   FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", lossy)}});
-  UdpTransport udp;
+  // A dropped attempt waits out its timer. Capped at 100 ms, about 16
+  // attempts fit a 4 s budget; at the default cap six do, and at 50% loss
+  // six drops in a row happen to one resolution in 64.
+  UdpTransport udp(/*timeout_ms=*/100);
   FaultInjectingTransport faulty(&udp, &injector);
   RpcClient rpc(/*world=*/nullptr, "localclient", &faulty);
+  AsyncClientEngine engine;
+  rpc.set_async_engine(&engine);
   HnsCache cache(/*world=*/nullptr, CacheMode::kDemarshalled);
   MetaStore meta(&rpc, "localhost", "", &cache);
   meta.set_meta_port(*port);
@@ -1109,6 +1318,8 @@ TEST(ChaosTest, MetaResolutionSurvivesLossAndDuplication) {
   FaultStats stats = injector.stats();
   ReportStats("MetaResolutionSurvivesLossAndDuplication", stats);
   EXPECT_GT(stats.drops, 0u);
+  EXPECT_EQ(engine.stats().calls, static_cast<uint64_t>(kContexts))
+      << "one meta-store query per context, each on the engine";
   // Invariant: the record cache stayed structurally consistent through the
   // retry/duplication storm.
   Status invariants = cache.CheckInvariants();

@@ -4,9 +4,10 @@
 // HNS server fed truncated and garbage frames over 127.0.0.1 must answer
 // with a protocol-level error reply or drop the frame cleanly — never crash,
 // desynchronize, or wedge the serve loop/reactor. Liveness is asserted
-// after every storm by a well-formed call on the same endpoint.
+// after every storm by a well-formed RpcClient::Call on the same endpoint.
 //
 // UDP endpoints run on their serve loops; stream endpoints on the reactor.
+// Attack datagrams go out raw on the thread's UdpClientSocket.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +26,9 @@
 #include "src/hns/hns.h"
 #include "src/hns/servers.h"
 #include "src/hns/wire_protocol.h"
+#include "src/rpc/client.h"
 #include "src/rpc/control.h"
+#include "src/rpc/mmsg.h"
 #include "src/rpc/portmapper.h"
 #include "src/rpc/ports.h"
 #include "src/rpc/server.h"
@@ -61,6 +64,27 @@ Bytes ValidCall(const Target& target) {
   call.version = 2;
   call.procedure = target.procedure;
   return GetControlProtocol(target.rpc->control_kind()).EncodeCall(call);
+}
+
+// A binding that reaches `target`'s program at `port` over `transport`.
+HrpcBinding TargetBinding(const Target& target, uint16_t port, TransportKind transport) {
+  HrpcBinding b;
+  b.host = "localhost";
+  b.port = port;
+  b.program = target.program;
+  b.version = 2;
+  b.control = target.rpc->control_kind();
+  b.transport = transport;
+  return b;
+}
+
+// The liveness probe: a well-formed call with empty args. The handler fails
+// to decode them and answers with an in-protocol error, which is fine; only
+// a transport failure (no well-formed reply matched the call) is not.
+void ExpectAnswered(const Target& target, const Result<Bytes>& reply) {
+  const StatusCode code = reply.status().code();
+  EXPECT_TRUE(reply.ok() || (code != StatusCode::kTimeout && code != StatusCode::kUnavailable))
+      << target.label << " wedged after garbage: " << reply.status();
 }
 
 std::vector<Bytes> AttackFrames(const Target& target) {
@@ -114,6 +138,8 @@ class MalformedPacketTest : public ::testing::Test {
 TEST_F(MalformedPacketTest, UdpServersSurviveGarbageAndStayLive) {
   UdpServerHost host;
   UdpTransport transport;
+  RpcClient client(/*world=*/nullptr, "client", &transport);
+  UdpClientSocket& socket = UdpClientSocket::ForThisThread();
 
   for (Target& target : targets_) {
     SCOPED_TRACE(target.label);
@@ -121,33 +147,30 @@ TEST_F(MalformedPacketTest, UdpServersSurviveGarbageAndStayLive) {
     ASSERT_TRUE(port.ok()) << port.status();
     const ControlProtocol& control = GetControlProtocol(target.rpc->control_kind());
 
-    for (const Bytes& frame : AttackFrames(target)) {
+    for (Bytes frame : AttackFrames(target)) {
       SCOPED_TRACE("frame size " + std::to_string(frame.size()));
-      // Short budget: the common outcome for garbage is a silent drop, and
+      Result<bool> sent = socket.Send(*port, frame);
+      ASSERT_TRUE(sent.ok()) << sent.status();
+      // Short wait: the common outcome for garbage is a silent drop, and
       // each drop costs the client its full wait.
-      Result<Bytes> reply =
-          transport.RoundTripWithBudget("client", "localhost", *port, frame,
-                                        /*budget_ms=*/150);
-      if (reply.ok()) {
+      Result<UdpFrame*> reply = socket.Receive(/*timeout_ms=*/150);
+      if (reply.ok() && *reply != nullptr) {
         // Whatever came back must be a well-formed reply (an in-protocol
         // error is the expected answer to structurally valid junk).
-        EXPECT_TRUE(control.DecodeReply(*reply).ok())
+        Bytes datagram((*reply)->data, (*reply)->data + (*reply)->size);
+        EXPECT_TRUE(control.DecodeReply(datagram).ok())
             << target.label << " answered garbage with garbage";
       } else {
         // Clean drop: silence, not a crashed endpoint (liveness below).
-        EXPECT_TRUE(reply.status().code() == StatusCode::kTimeout ||
-                    reply.status().code() == StatusCode::kUnavailable)
+        EXPECT_TRUE(reply.ok() || reply.status().code() == StatusCode::kUnavailable)
             << reply.status().ToString();
       }
     }
 
     // The storm must leave the endpoint serving: a well-formed call gets a
-    // well-formed reply (app-level error is fine — the args were empty).
-    Result<Bytes> reply =
-        transport.RoundTrip("client", "localhost", *port, ValidCall(target));
-    ASSERT_TRUE(reply.ok())
-        << target.label << " wedged after garbage: " << reply.status();
-    EXPECT_TRUE(control.DecodeReply(*reply).ok());
+    // well-formed reply that matches it.
+    ExpectAnswered(target, client.Call(TargetBinding(target, *port, TransportKind::kUdp),
+                                       target.procedure, Bytes{}));
   }
   host.StopAll();
 }
@@ -198,14 +221,11 @@ TEST_F(MalformedPacketTest, StreamServersSurviveGarbageAndStayLive) {
     BlindTcpSend(*port, Bytes{0xff, 0x00});
 
     // The reactor must still serve this endpoint: a well-formed framed call
-    // over a fresh connection gets a well-formed reply.
+    // over a fresh connection gets a well-formed reply that matches it.
     TcpStreamTransport transport(/*timeout_ms=*/4000);
-    Result<Bytes> reply =
-        transport.RoundTrip("client", "localhost", *port, ValidCall(target));
-    ASSERT_TRUE(reply.ok())
-        << target.label << " stream endpoint wedged: " << reply.status();
-    const ControlProtocol& control = GetControlProtocol(target.rpc->control_kind());
-    EXPECT_TRUE(control.DecodeReply(*reply).ok());
+    RpcClient client(/*world=*/nullptr, "client", &transport);
+    ExpectAnswered(target, client.Call(TargetBinding(target, *port, TransportKind::kTcp),
+                                       target.procedure, Bytes{}));
   }
   host.StopAll();
 }

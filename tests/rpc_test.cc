@@ -1,9 +1,17 @@
 // Unit tests for src/rpc: control protocols, client/server runtime,
 // bindings, portmapper, transports.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "src/rpc/binding.h"
@@ -13,6 +21,7 @@
 #include "src/rpc/ports.h"
 #include "src/rpc/server.h"
 #include "src/rpc/transport.h"
+#include "src/rpc/udp_transport.h"
 #include "src/wire/xdr.h"
 
 namespace hcs {
@@ -366,99 +375,172 @@ TEST(RetryPolicyTest, MaxAttemptsMatchesTheMinimumSleepSchedule) {
   }
 }
 
-// A budget-capable transport that fails the first `fail_first` exchanges
-// with kTimeout and then answers properly, recording every per-attempt
-// budget the client granted.
-class FlakyBudgetTransport : public Transport {
+// A raw UDP echo server for the retry schedule: it ignores the first
+// `ignore` requests and echoes the rest, recording when each request
+// arrived and the attempt counter it carried on the wire.
+class ForgetfulUdpServer {
  public:
-  explicit FlakyBudgetTransport(int fail_first) : fail_first_(fail_first) {}
+  struct Arrival {
+    std::chrono::steady_clock::time_point at;
+    uint32_t attempt = 0;
+  };
 
-  Result<Bytes> RoundTrip(const std::string& from_host, const std::string& to_host,
-                          uint16_t port, const Bytes& message) override {
-    return RoundTripWithBudget(from_host, to_host, port, message, -1);
+  explicit ForgetfulUdpServer(int ignore) : ignore_(ignore) {
+    fd_ = socket(AF_INET, SOCK_DGRAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    EXPECT_EQ(getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    port_ = ntohs(addr.sin_port);
+    timeval poll_tv{0, 20 * 1000};  // how often the loop looks at stop_
+    EXPECT_EQ(setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &poll_tv, sizeof(poll_tv)), 0);
+    thread_ = std::thread([this] { Serve(); });
   }
 
-  Result<Bytes> RoundTripWithBudget(const std::string&, const std::string&, uint16_t,
-                                    const Bytes& message, int64_t budget_ms) override {
-    budgets_.push_back(budget_ms);
-    if (static_cast<int>(budgets_.size()) <= fail_first_) {
-      return TimeoutError("injected exchange timeout");
+  ~ForgetfulUdpServer() {
+    (void)Stop();
+    close(fd_);
+  }
+
+  uint16_t port() const { return port_; }
+
+  // Stops the server once its queue is drained; returns every arrival.
+  std::vector<Arrival> Stop() {
+    if (thread_.joinable()) {
+      stop_.store(true);
+      thread_.join();
     }
-    const ControlProtocol& control = GetControlProtocol(ControlKind::kRaw);
-    HCS_ASSIGN_OR_RETURN(RpcCall call, control.DecodeCall(message));
-    RpcReplyMsg reply;
-    reply.xid = call.xid;
-    reply.results = call.args;
-    return control.EncodeReply(reply);
+    return arrivals_;
   }
-
-  bool SupportsBudget() const override { return true; }
-
-  const std::vector<int64_t>& budgets() const { return budgets_; }
 
  private:
-  int fail_first_;
-  std::vector<int64_t> budgets_;
+  void Serve() {
+    const ControlProtocol& control = GetControlProtocol(ControlKind::kRaw);
+    while (true) {
+      uint8_t buf[2048];
+      sockaddr_in peer{};
+      socklen_t peer_len = sizeof(peer);
+      ssize_t n = recvfrom(fd_, buf, sizeof(buf), 0, reinterpret_cast<sockaddr*>(&peer),
+                           &peer_len);
+      if (n <= 0) {
+        if (stop_.load()) {
+          return;  // stopping, and nothing is queued
+        }
+        continue;
+      }
+      const auto at = std::chrono::steady_clock::now();
+      Result<RpcCall> call = control.DecodeCall(Bytes(buf, buf + n));
+      if (!call.ok()) {
+        continue;
+      }
+      arrivals_.push_back(Arrival{at, call->context.attempt});
+      if (static_cast<int>(arrivals_.size()) <= ignore_) {
+        continue;
+      }
+      RpcReplyMsg reply;
+      reply.xid = call->xid;
+      reply.results = call->args;
+      Bytes datagram = control.EncodeReply(reply);
+      (void)sendto(fd_, datagram.data(), datagram.size(), 0, reinterpret_cast<sockaddr*>(&peer),
+                   peer_len);  // hcs:ignore-status(test server; a lost reply shows as a retry)
+    }
+  }
+
+  const int ignore_;
+  int fd_ = -1;
+  uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::vector<Arrival> arrivals_;  // the server thread's until Stop joins it
+  std::thread thread_;
 };
 
-HrpcBinding RawLoopbackBinding() {
+HrpcBinding RawUdpBinding(uint16_t port) {
   HrpcBinding b;
-  b.host = "flaky";
-  b.port = 99;
+  b.host = "localhost";
+  b.port = port;
   b.program = 7;
   b.version = 1;
   b.control = ControlKind::kRaw;
+  b.transport = TransportKind::kUdp;
   return b;
 }
 
 TEST(RetryPolicyTest, CallRetriesOnTheExactScheduleAndSucceeds) {
-  FlakyBudgetTransport transport(/*fail_first=*/2);
+  ForgetfulUdpServer server(/*ignore=*/2);
+  UdpTransport transport;
   RpcClient client(/*world=*/nullptr, "client", &transport);
+  constexpr int64_t kBudgetMs = 5000;
   RpcCallInfo info;
-  Result<Bytes> reply = client.Call(RawLoopbackBinding(), 1, Bytes{5, 6},
-                                    RequestContext::WithTimeout(5000), &info);
+  Result<Bytes> reply = client.Call(RawUdpBinding(server.port()), 1, Bytes{5, 6},
+                                    RequestContext::WithTimeout(kBudgetMs), &info);
+  std::vector<ForgetfulUdpServer::Arrival> arrivals = server.Stop();
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(*reply, (Bytes{5, 6}));
   EXPECT_EQ(info.attempts, 3u);
   EXPECT_EQ(info.retries, 2u);
-  ASSERT_EQ(transport.budgets().size(), 3u);
-  // The first attempts see an almost-untouched budget, so their transport
-  // budgets are the policy's doubling sequence exactly.
-  EXPECT_EQ(transport.budgets()[0], 100);
-  EXPECT_EQ(transport.budgets()[1], 200);
-  EXPECT_LE(transport.budgets()[2], 400);
-  EXPECT_GT(transport.budgets()[2], 0);
+  ASSERT_EQ(arrivals.size(), 3u) << "one datagram per attempt";
+  int64_t backoff_ms = RetryPolicy::kBackoffBaseMs;
+  for (uint32_t k = 0; k < arrivals.size(); ++k) {
+    EXPECT_EQ(arrivals[k].attempt, k) << "the attempt counter is re-marshalled per try";
+    if (k + 1 == arrivals.size()) {
+      break;
+    }
+    // Attempt k+1 leaves after attempt k's whole budget (the doubling
+    // sequence: the budget is almost untouched) plus its jittered backoff,
+    // which is at least 5 ms. Attempts time out on a millisecond clock, so
+    // allow 1.5 ms for its rounding and the server's wake-up.
+    const double gap_ms =
+        std::chrono::duration<double, std::milli>(arrivals[k + 1].at - arrivals[k].at).count();
+    const int64_t backoff =
+        RetryPolicy::JitteredBackoffMs(info.trace_id, k, backoff_ms, kBudgetMs);
+    EXPECT_GE(backoff, 5);
+    EXPECT_GE(gap_ms, RetryPolicy::AttemptBudgetMs(k, kBudgetMs) + backoff - 1.5)
+        << "attempt " << k << " budget " << RetryPolicy::AttemptBudgetMs(k, kBudgetMs)
+        << " ms, backoff " << backoff << " ms";
+    backoff_ms = RetryPolicy::NextBackoffMs(backoff_ms);
+  }
 }
 
 TEST(RetryPolicyTest, CallStopsAtTheDeadlineWithinMaxAttempts) {
-  FlakyBudgetTransport transport(/*fail_first=*/1 << 20);  // never succeeds
+  ForgetfulUdpServer server(/*ignore=*/1 << 20);  // never answers
+  UdpTransport transport;
   RpcClient client(/*world=*/nullptr, "client", &transport);
   constexpr int64_t kBudgetMs = 300;
   RpcCallInfo info;
-  Result<Bytes> reply = client.Call(RawLoopbackBinding(), 1, Bytes{1},
+  const auto start = std::chrono::steady_clock::now();
+  Result<Bytes> reply = client.Call(RawUdpBinding(server.port()), 1, Bytes{1},
                                     RequestContext::WithTimeout(kBudgetMs), &info);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  std::vector<ForgetfulUdpServer::Arrival> arrivals = server.Stop();
   EXPECT_EQ(reply.status().code(), StatusCode::kTimeout);
   EXPECT_GE(info.attempts, 2u) << "the budget admits retries";
   EXPECT_LE(info.attempts, RetryPolicy::MaxAttempts(kBudgetMs))
       << "attempts beyond the budget's admission are forbidden";
-  EXPECT_EQ(info.attempts, static_cast<uint32_t>(transport.budgets().size()));
-  for (size_t i = 0; i < transport.budgets().size(); ++i) {
-    EXPECT_LE(transport.budgets()[i],
-              RetryPolicy::AttemptBudgetMs(static_cast<uint32_t>(i), kBudgetMs))
-        << "attempt " << i;
+  EXPECT_EQ(info.retries + 1, info.attempts);
+  ASSERT_EQ(arrivals.size(), info.attempts) << "every attempt, and only those, hit the wire";
+  for (uint32_t k = 0; k < arrivals.size(); ++k) {
+    EXPECT_EQ(arrivals[k].attempt, k);
   }
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
+            kBudgetMs + 250)
+      << "the call outlived its deadline";
 }
 
 TEST(RetryPolicyTest, NoDeadlineMeansTheSeedsSingleAttempt) {
-  FlakyBudgetTransport transport(/*fail_first=*/1 << 20);
+  ForgetfulUdpServer server(/*ignore=*/1 << 20);
+  UdpTransport transport(/*timeout_ms=*/200);
   RpcClient client(/*world=*/nullptr, "client", &transport);
   RpcCallInfo info;
-  Result<Bytes> reply = client.Call(RawLoopbackBinding(), 1, Bytes{1},
-                                    RequestContext{}, &info);
+  Result<Bytes> reply =
+      client.Call(RawUdpBinding(server.port()), 1, Bytes{1}, RequestContext{}, &info);
+  std::vector<ForgetfulUdpServer::Arrival> arrivals = server.Stop();
   EXPECT_EQ(reply.status().code(), StatusCode::kTimeout);
   EXPECT_EQ(info.attempts, 1u);
   EXPECT_EQ(info.retries, 0u);
-  EXPECT_EQ(transport.budgets().size(), 1u);
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_EQ(arrivals[0].attempt, 0u);
 }
 
 }  // namespace

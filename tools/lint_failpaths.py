@@ -61,6 +61,14 @@ the patterns a compiler cannot judge, and this lint closes them tree-wide:
      all require an ignore tag (Wait(), WaitFor(), ready(), or OnComplete()
      are the intended consumers).
 
+  8. Datagram syscalls go through the mmsg wrappers. In src/, sendto,
+     recvfrom, sendmsg, recvmsg, sendmmsg and recvmmsg may be called only
+     in src/rpc/mmsg.cc, whose wrappers count every datagram toward its
+     side (UdpIoSnapshot). A call anywhere else is a datagram path those
+     counters never see, and the start of a second client or server path:
+     it needs an `// hcs:raw-datagram(reason)` tag on its line or the line
+     above, and the reason may not be empty.
+
 Exit status 0 = clean; 1 = violations (one per line); 2 = usage.
 
 Usage: lint_failpaths.py [repo_root]
@@ -73,6 +81,7 @@ shared by every lint in tools/.
 import os
 import re
 import sys
+import tempfile
 
 import lintlib
 from lintlib import (call_is_bare_statement, iter_files, line_of,
@@ -103,6 +112,15 @@ SR_DECL = re.compile(
 # Callee names whose Result must visibly pass an ok()/status() check before
 # the value is touched (rule 2).
 DECODE_NAME = re.compile(r"^(Decode|Get|Parse|FromWire$|Demarshal)")
+
+# Rule 8: the datagram syscalls, called by name (a member call such as
+# `socket.Send(` or a qualified `ns::sendto(` is not the libc function), and
+# the one file allowed to make them.
+DATAGRAM_CALL = re.compile(
+    r"(?<![\w.>:])(?:::)?(sendto|recvfrom|sendmsg|recvmsg|sendmmsg|recvmmsg)\s*\(")
+RAW_DATAGRAM_TAG = re.compile(r"hcs:raw-datagram\(\s*[^)\s][^)]*\)")
+EMPTY_RAW_DATAGRAM_TAG = re.compile(r"hcs:raw-datagram\(\s*\)")
+MMSG_HOME = "src/rpc/mmsg.cc"
 
 VOID_CALL = re.compile(r"\(void\)\s*([\w.\->:()\[\]]*?)(\w+)\s*\(")
 VOID_IDENT = re.compile(r"\(void\)\s*(\w+)\s*;")
@@ -372,6 +390,33 @@ def check_async_futures(root, errors):
                     f"// hcs:ignore-status(reason) tag)")
 
 
+def check_datagram_syscalls(root, errors):
+    """Rule 8: datagram syscalls only in the mmsg wrappers (see docstring)."""
+    for path in iter_files(root, SRC_DIRS):
+        rel = os.path.relpath(path, root).replace(os.sep, "/")
+        if rel == MMSG_HOME:
+            continue
+        with open(path, encoding="utf-8") as f:
+            raw = f.read()
+        raw_lines = raw.splitlines()
+        text = strip_comments_and_strings(raw)
+        for m in DATAGRAM_CALL.finditer(text):
+            name = m.group(1)
+            lineno = line_of(text, m.start(1))
+            if lintlib.has_tag(raw_lines, lineno, RAW_DATAGRAM_TAG):
+                continue
+            if lintlib.has_tag(raw_lines, lineno, EMPTY_RAW_DATAGRAM_TAG):
+                errors.append(
+                    f"{rel}:{lineno}: hcs:raw-datagram() on {name}() has an "
+                    f"empty reason — say why this datagram bypasses the "
+                    f"counted wrappers")
+                continue
+            errors.append(
+                f"{rel}:{lineno}: raw {name}() outside {MMSG_HOME} — the "
+                f"UdpIoSnapshot counters never see it (use the mmsg "
+                f"wrappers, or add an // hcs:raw-datagram(reason) tag)")
+
+
 def check_empty_tags(root, errors):
     for path in iter_files(root, VOID_DIRS, exts=(".h", ".cc", ".py", ".sh")):
         if os.path.basename(path) == "lint_failpaths.py":
@@ -397,6 +442,7 @@ def run(root):
     check_fault_decisions(root, errors)
     check_mmsg_completions(root, errors)
     check_async_futures(root, errors)
+    check_datagram_syscalls(root, errors)
     check_empty_tags(root, errors)
 
     if errors:
@@ -476,10 +522,12 @@ SELF_TEST_CASES = [
      "void f() {\n  (void)sendmmsg(fd, msgs, 8, 0);\n}\n",
      "discards the sendmmsg() completion count"),
     ("sendmmsg-count-bound-ok",
-     "void f() {\n  int n = sendmmsg(fd, msgs, 8, 0);\n  use(n);\n}\n",
+     "void f() {\n  // hcs:raw-datagram(seeded rule-6 case)\n"
+     "  int n = sendmmsg(fd, msgs, 8, 0);\n  use(n);\n}\n",
      None),
     ("sendmmsg-in-expression-ok",
-     "int f() {\n  return sendmmsg(fd, msgs, 8, 0);\n}\n",
+     "int f() {\n  // hcs:raw-datagram(seeded rule-6 case)\n"
+     "  return sendmmsg(fd, msgs, 8, 0);\n}\n",
      None),
     ("sendreplies-tagged-ok",
      "void f() {\n  // hcs:ignore-status(fire-and-forget wake datagram)\n"
@@ -506,6 +554,26 @@ SELF_TEST_CASES = [
      "void f() {\n  // hcs:ignore-status(probe call; outcome measured by the drop counter)\n"
      "  client.CallAsync(binding, 1, args);\n}\n",
      None),
+    ("raw-sendto-outside-mmsg",
+     "void f() {\n  ssize_t n = sendto(fd, p, size, 0, addr, len);\n  use(n);\n}\n",
+     "raw sendto() outside src/rpc/mmsg.cc"),
+    ("raw-global-recvfrom-outside-mmsg",
+     "void f() {\n  ssize_t n = ::recvfrom(fd, p, size, 0, addr, &len);\n  use(n);\n}\n",
+     "raw recvfrom() outside src/rpc/mmsg.cc"),
+    ("raw-recvmsg-outside-mmsg",
+     "void f() {\n  if (recvmsg(fd, &msg, 0) < 0) return;\n}\n",
+     "raw recvmsg() outside src/rpc/mmsg.cc"),
+    ("raw-datagram-empty-tag",
+     "void f() {\n  (void)sendmsg(fd, &msg, 0);  // hcs:raw-datagram()\n}\n",
+     "hcs:raw-datagram() on sendmsg() has an empty reason"),
+    ("raw-datagram-tagged-ok",
+     "void f() {\n  // hcs:raw-datagram(the stop wake a loop sends its own socket)\n"
+     "  (void)sendto(fd, nullptr, 0, 0, addr, len);\n}\n",
+     None),
+    ("datagram-member-and-comment-ok",
+     "void f() {\n  // sendto(fd, ...) in prose is not a call\n"
+     "  Result<bool> sent = socket.sendto(port, bytes);\n  use(sent);\n}\n",
+     None),
 ]
 
 
@@ -518,14 +586,27 @@ def run_checks_for_self_test(root):
     check_fault_decisions(root, errors)
     check_mmsg_completions(root, errors)
     check_async_futures(root, errors)
+    check_datagram_syscalls(root, errors)
     check_empty_tags(root, errors)
     return errors
 
 
 def self_test():
-    return lintlib.run_self_test_cases(
+    status = lintlib.run_self_test_cases(
         "lint_failpaths", SELF_TEST_HEADER, SELF_TEST_CASES,
         run_checks_for_self_test)
+    # Rule 8's one exemption: the wrappers' own file makes the syscalls.
+    with tempfile.TemporaryDirectory() as root:
+        os.makedirs(os.path.join(root, "src", "rpc"))
+        with open(os.path.join(root, MMSG_HOME), "w") as f:
+            f.write("int f() {\n  return sendmmsg(fd, msgs, 8, 0);\n}\n")
+        errors = []
+        check_datagram_syscalls(root, errors)
+        if errors:
+            print(f"lint_failpaths --self-test: {MMSG_HOME} must be exempt "
+                  f"from rule 8, got {errors}")
+            status = 1
+    return status
 
 
 def main():
