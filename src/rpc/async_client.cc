@@ -7,8 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sys/epoll.h>
 #include <thread>
@@ -22,31 +20,12 @@ namespace hcs {
 
 namespace {
 
-void AppendFrameHeader(Bytes& out, size_t payload_size) {
-  uint32_t n = static_cast<uint32_t>(payload_size);
-  out.push_back(static_cast<uint8_t>(n >> 24));
-  out.push_back(static_cast<uint8_t>(n >> 16));
-  out.push_back(static_cast<uint8_t>(n >> 8));
-  out.push_back(static_cast<uint8_t>(n));
-}
-
-uint32_t ReadFrameLength(const Bytes& in) {
-  return (static_cast<uint32_t>(in[0]) << 24) | (static_cast<uint32_t>(in[1]) << 16) |
-         (static_cast<uint32_t>(in[2]) << 8) | static_cast<uint32_t>(in[3]);
-}
-
 sockaddr_in LoopbackAddr(uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   return addr;
-}
-
-ReactorOptions ClientReactorOptions() {
-  ReactorOptions options;
-  options.workers = -1;  // client-only: every callback on the loop thread
-  return options;
 }
 
 // --- Rules every channel shares, on the loop and on the caller --------------
@@ -123,24 +102,20 @@ Result<int64_t> RetryBackoffMs(const AsyncCallSpec& spec, uint32_t attempt, int6
   return sleep_ms;
 }
 
-// A call its channel cannot carry (more than one IPv4 UDP datagram, or one
-// stream frame) completes kResourceExhausted before it touches the wire:
-// no attempt could deliver it, so none is made.
+// A call larger than one IPv4 UDP datagram completes kResourceExhausted
+// before it touches the wire: no attempt could deliver it, so none is made.
 Status CheckCallFits(const AsyncCallSpec& spec, size_t wire_size) {
-  const size_t limit =
-      spec.channel.kind == AsyncChannelKind::kTcpStream ? kMaxStreamFrame : kMaxDatagram;
-  if (wire_size <= limit) {
+  if (wire_size <= kMaxDatagram) {
     return Status::Ok();
   }
   return ResourceExhaustedError(StrFormat("call to %s:%u is %zu bytes; its channel carries %zu",
                                           spec.binding.host.c_str(), spec.binding.port,
-                                          wire_size, limit));
+                                          wire_size, kMaxDatagram));
 }
 
 // The injector's decision for one attempt, drawn as it is sent. A blackhole
 // fails the attempt kUnavailable; a corruption flips bits in the encoded
-// call, before any stream framing. The channel applies the rest (SendCopies
-// and the hold).
+// call. The channel applies the rest (SendCopies and the hold).
 Result<FaultDecision> DrawAttemptFault(const AsyncCallSpec& spec, Bytes* wire) {
   FaultDecision fault = spec.channel.faults->Decide(spec.binding.host, spec.binding.port);
   if (fault.blackhole) {
@@ -157,27 +132,6 @@ Result<FaultDecision> DrawAttemptFault(const AsyncCallSpec& spec, Bytes* wire) {
 // Copies of an attempt that go on the wire: none for a drop (the attempt
 // ends by its timer, like a lost datagram), two for a duplicate.
 int SendCopies(const FaultDecision& fault) { return fault.drop ? 0 : fault.duplicate ? 2 : 1; }
-
-#if HCS_LOOP_DEBUG_ENABLED
-// Aborts when a guarded region re-enters itself. Waiter drains and conn
-// teardown are written to run with nothing of their own on the stack —
-// the PR 8 review bugs were exactly these paths nesting (inline drain
-// tearing down the connection its caller was reading). DESIGN.md §15.
-struct ReentryGuard {
-  int& depth;
-  const char* what;
-  ReentryGuard(int& d, const char* w) : depth(d), what(w) {
-    if (++depth > 1) {
-      std::fprintf(stderr,
-                   "hcs loop-affinity: %s re-entered (depth %d) — this nesting "
-                   "is the use-after-free shape the threading rules forbid\n",
-                   what, depth);
-      std::abort();
-    }
-  }
-  ~ReentryGuard() { --depth; }
-};
-#endif
 
 }  // namespace
 
@@ -199,34 +153,9 @@ struct AsyncClientEngine::PendingCall {
   uint64_t attempt_timer = 0;  // nonzero while an attempt timer is armed
   Bytes wire;                  // per-attempt encode buffer (reused)
 
-  // Residence: where a reply or a slot for this call is currently awaited.
-  uint16_t udp_port = 0;        // nonzero → registered in udp_pending_[port]
-  StreamConn* conn = nullptr;   // non-null → in conn->inflight
-  bool waiting = false;         // queued in the pool's waiter deque
+  // Residence: where a reply to this call is currently awaited.
+  uint16_t udp_port = 0;  // nonzero → registered in udp_pending_[port]
 };
-
-// One pooled stream connection. The engine pipelines up to
-// max_inflight_per_conn calls on it; replies match by xid, so completion
-// order is free to differ from send order.
-struct AsyncClientEngine::StreamConn {
-  int fd = -1;  // owned by the reactor's client-fd registration
-  uint16_t port = 0;
-  bool connecting = false;
-  uint32_t events = 0;  // current epoll interest set
-  Bytes outbuf;
-  size_t out_off = 0;
-  Bytes inbuf;
-  std::map<uint32_t, PendingCall*> inflight;  // hcs:loop-only; masked xid → call
-  int64_t last_active_ms = 0;
-};
-
-struct AsyncClientEngine::Pool {
-  std::vector<StreamConn*> conns;  // hcs:loop-only
-  std::deque<uint64_t> waiters;    // hcs:loop-only; call ids awaiting a connection slot
-};
-
-AsyncClientEngine::AsyncClientEngine(AsyncEngineOptions options)
-    : options_(options), reactor_(ClientReactorOptions()), read_buffer_(kMaxDatagram) {}
 
 AsyncClientEngine::~AsyncClientEngine() {
   // Fail every outstanding future on the loop (single-threaded with the
@@ -335,16 +264,8 @@ AsyncEngineStats AsyncClientEngine::stats() const {
   out.completed = stat_completed_.load(std::memory_order_relaxed);
   out.retries = stat_retries_.load(std::memory_order_relaxed);
   out.udp_unmatched = stat_udp_unmatched_.load(std::memory_order_relaxed);
-  out.stream_unmatched = stat_stream_unmatched_.load(std::memory_order_relaxed);
-  out.stream_connects = stat_stream_connects_.load(std::memory_order_relaxed);
-  out.stream_reaped = stat_stream_reaped_.load(std::memory_order_relaxed);
-  out.pool_waits = stat_pool_waits_.load(std::memory_order_relaxed);
   out.udp_send_drops = stat_udp_send_drops_.load(std::memory_order_relaxed);
   return out;
-}
-
-void AsyncClientEngine::ReapIdleNow() {
-  (void)reactor_.Post([this] { ReapIdle(); });
 }
 
 // --- Call lifecycle ---------------------------------------------------------
@@ -395,9 +316,6 @@ void AsyncClientEngine::StartAttempt(PendingCall* call) {
   switch (call->spec.channel.kind) {
     case AsyncChannelKind::kUdpDatagram:
       SendUdpAttempt(call);
-      break;
-    case AsyncChannelKind::kTcpStream:
-      StartStreamAttempt(call);
       break;
     case AsyncChannelKind::kNone:
       HandleAttemptError(call, InternalError("async call on a channel-less transport"));
@@ -471,24 +389,6 @@ void AsyncClientEngine::UnregisterResidences(PendingCall* call) {
       }
     }
     call->udp_port = 0;
-  }
-  if (call->conn != nullptr) {
-    StreamConn* conn = call->conn;
-    call->conn = nullptr;
-    conn->inflight.erase(MaskedXid(call));
-    conn->last_active_ms = SteadyNowMs();
-    // Deferred, not inline: a drain here can re-enter the very connection a
-    // caller (ReadStream's frame loop, OnStreamEvent) is still touching and
-    // destroy it under them. The posted task runs with nothing on the stack.
-    ScheduleDrainWaiters(conn->port);
-  }
-  if (call->waiting) {
-    call->waiting = false;
-    auto pool = pools_.find(call->spec.binding.port);
-    if (pool != pools_.end()) {
-      auto& waiters = pool->second.waiters;
-      waiters.erase(std::remove(waiters.begin(), waiters.end(), call->id), waiters.end());
-    }
   }
 }
 
@@ -583,17 +483,6 @@ void AsyncClientEngine::Transmit(PendingCall* call) {
 
 void AsyncClientEngine::TransmitCopies(PendingCall* call, int copies) {
   if (copies == 0) {
-    return;
-  }
-  if (call->spec.channel.kind == AsyncChannelKind::kTcpStream) {
-    StreamConn* conn = call->conn;
-    for (int i = 0; i < copies; ++i) {
-      AppendFrameHeader(conn->outbuf, call->wire.size());
-      conn->outbuf.insert(conn->outbuf.end(), call->wire.begin(), call->wire.end());
-    }
-    if (!conn->connecting) {
-      (void)FlushStream(conn);
-    }
     return;
   }
   // Stage rather than sendto: every attempt issued during this reactor
@@ -768,7 +657,9 @@ Result<RpcReplyMsg> AsyncClientEngine::UdpAttemptOnCaller(const AsyncCallSpec& s
   }
   const uint32_t want = MaskXid(spec.binding.control, xid);
   thread_local Bytes datagram;  // the frame, copied out of the receive slot
-  for (int64_t left = timeout_ms; left > 0; left = deadline_ms - SteadyNowMs()) {
+  // The wait starts from the attempt's deadline, not its timeout: a held
+  // send has already spent part of the attempt.
+  for (int64_t left = deadline_ms - SteadyNowMs(); left > 0; left = deadline_ms - SteadyNowMs()) {
     HCS_ASSIGN_OR_RETURN(UdpFrame* frame, socket.Receive(left));
     if (frame == nullptr) {
       break;  // nothing more within the attempt's timeout
@@ -791,356 +682,6 @@ Result<RpcReplyMsg> AsyncClientEngine::UdpAttemptOnCaller(const AsyncCallSpec& s
   }
   return TimeoutError(StrFormat("no response from %s:%u within the attempt budget",
                                 spec.binding.host.c_str(), port));
-}
-
-// --- Stream pool ------------------------------------------------------------
-
-void AsyncClientEngine::StartStreamAttempt(PendingCall* call) { TryAssignStream(call); }
-
-void AsyncClientEngine::TryAssignStream(PendingCall* call) {
-  const uint16_t port = call->spec.binding.port;
-  Pool& pool = pools_[port];
-  StreamConn* best = nullptr;
-  for (StreamConn* conn : pool.conns) {
-    if (static_cast<int>(conn->inflight.size()) >= options_.max_inflight_per_conn) {
-      continue;
-    }
-    if (best == nullptr || conn->inflight.size() < best->inflight.size()) {
-      best = conn;
-    }
-  }
-  if (best == nullptr && static_cast<int>(pool.conns.size()) < options_.max_conns_per_remote) {
-    Result<StreamConn*> dialed = DialStream(port);
-    if (!dialed.ok()) {
-      HandleAttemptError(call, dialed.status());
-      return;
-    }
-    best = *dialed;
-  }
-  if (best == nullptr) {
-    // Pool exhausted: a bounded wait — the armed attempt timer (capped by
-    // the remaining budget) is what bounds it.
-    stat_pool_waits_.fetch_add(1, std::memory_order_relaxed);
-    call->waiting = true;
-    pool.waiters.push_back(call->id);
-    return;
-  }
-  AssignToConn(call, best);
-}
-
-Result<AsyncClientEngine::StreamConn*> AsyncClientEngine::DialStream(uint16_t port) {
-  int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return UnavailableError(StrFormat("socket(tcp): %s", std::strerror(errno)));
-  }
-  sockaddr_in addr = LoopbackAddr(port);
-  int rc = connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  const bool connecting = rc < 0 && errno == EINPROGRESS;
-  if (rc < 0 && !connecting) {
-    int saved = errno;
-    close(fd);
-    return UnavailableError(StrFormat("connect(127.0.0.1:%u): %s", port,
-                                      std::strerror(saved)));
-  }
-  auto conn = std::make_unique<StreamConn>();
-  conn->fd = fd;
-  conn->port = port;
-  conn->connecting = connecting;
-  conn->events = EPOLLIN | EPOLLOUT;
-  conn->last_active_ms = SteadyNowMs();
-  StreamConn* raw = conn.get();
-  Status added =
-      reactor_.AddClientFd(fd, conn->events, [this, raw](uint32_t ev) { OnStreamEvent(raw, ev); });
-  if (!added.ok()) {
-    close(fd);
-    return added;
-  }
-  stat_stream_connects_.fetch_add(1, std::memory_order_relaxed);
-  pools_[port].conns.push_back(raw);
-  stream_conns_[raw] = std::move(conn);
-  ScheduleReap();
-  return raw;
-}
-
-void AsyncClientEngine::AssignToConn(PendingCall* call, StreamConn* conn) {
-  const uint32_t encoded_xid = call->xid;
-  // Unique masked xid per connection (replies match within the conn).
-  for (int i = 0; conn->inflight.count(MaskedXid(call)) != 0 && i < 1 << 17; ++i) {
-    call->xid = next_xid_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (conn->inflight.count(MaskedXid(call)) != 0) {
-    // Same rule as the UDP registry: never overwrite a registered xid.
-    HandleAttemptError(call, UnavailableError(StrFormat(
-                                 "xid space exhausted: %zu calls in flight on 127.0.0.1:%u",
-                                 conn->inflight.size(), conn->port)));
-    return;
-  }
-  if (call->xid != encoded_xid) {
-    EncodeAttempt(call);  // redrawn: StartAttempt encoded the old xid
-  }
-  conn->inflight[MaskedXid(call)] = call;
-  call->conn = conn;
-  conn->last_active_ms = SteadyNowMs();
-  Transmit(call);
-}
-
-void AsyncClientEngine::OnStreamEvent(StreamConn* conn, uint32_t events) {
-  HCS_ASSERT_LOOP(&reactor_);
-  if (conn->connecting) {
-    if ((events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) == 0) {
-      return;
-    }
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (getsockopt(conn->fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0) {
-      err = errno;
-    }
-    if (err != 0) {
-      FailStreamConn(conn, UnavailableError(StrFormat("connect(127.0.0.1:%u): %s", conn->port,
-                                                      std::strerror(err))));
-      return;
-    }
-    conn->connecting = false;
-    if (!FlushStream(conn)) {
-      return;
-    }
-    events &= ~static_cast<uint32_t>(EPOLLOUT);
-  }
-  if ((events & EPOLLIN) != 0) {
-    if (!ReadStream(conn)) {
-      return;
-    }
-  } else if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-    FailStreamConn(conn, UnavailableError(StrFormat(
-                             "stream connection to 127.0.0.1:%u failed", conn->port)));
-    return;
-  }
-  if ((events & EPOLLOUT) != 0) {
-    (void)FlushStream(conn);
-  }
-}
-
-bool AsyncClientEngine::FlushStream(StreamConn* conn) {
-  while (conn->out_off < conn->outbuf.size()) {
-    ssize_t n = send(conn->fd, conn->outbuf.data() + conn->out_off,
-                     conn->outbuf.size() - conn->out_off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
-      }
-      FailStreamConn(conn, UnavailableError(StrFormat("send(127.0.0.1:%u): %s", conn->port,
-                                                      std::strerror(errno))));
-      return false;
-    }
-    conn->out_off += static_cast<size_t>(n);
-  }
-  uint32_t want = EPOLLIN;
-  if (conn->out_off < conn->outbuf.size()) {
-    want |= EPOLLOUT;
-  } else {
-    conn->outbuf.clear();
-    conn->out_off = 0;
-  }
-  if (want != conn->events) {
-    conn->events = want;
-    (void)reactor_.ModClientFd(conn->fd, want);  // hcs:ignore-status(best effort; a dead fd surfaces as EPOLLERR and fails the conn)
-  }
-  return true;
-}
-
-bool AsyncClientEngine::ReadStream(StreamConn* conn) {
-  bool peer_closed = false;
-  while (true) {
-    ssize_t n = recv(conn->fd, read_buffer_.data(), read_buffer_.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
-      }
-      FailStreamConn(conn, UnavailableError(StrFormat("recv(127.0.0.1:%u): %s", conn->port,
-                                                      std::strerror(errno))));
-      return false;
-    }
-    if (n == 0) {
-      // Peer closed (server crash / restart). Complete frames that landed
-      // ahead of the EOF still answer their calls — only then does every
-      // call left pipelined on this connection fail kUnavailable (budgeted
-      // calls retry on a fresh one).
-      peer_closed = true;
-      break;
-    }
-    conn->inbuf.insert(conn->inbuf.end(), read_buffer_.begin(), read_buffer_.begin() + n);
-  }
-  // Frames may arrive torn across reads; reassemble, bound by the cap.
-  while (conn->inbuf.size() >= 4) {
-    uint32_t frame_len = ReadFrameLength(conn->inbuf);
-    if (frame_len > kMaxStreamFrame) {
-      FailStreamConn(conn, ProtocolError(StrFormat(
-                               "stream frame length %u from 127.0.0.1:%u exceeds cap",
-                               frame_len, conn->port)));
-      return false;
-    }
-    if (conn->inbuf.size() < 4 + static_cast<size_t>(frame_len)) {
-      break;  // partial frame; more bytes coming
-    }
-    Bytes frame(conn->inbuf.begin() + 4, conn->inbuf.begin() + 4 + frame_len);
-    conn->inbuf.erase(conn->inbuf.begin(), conn->inbuf.begin() + 4 + frame_len);
-    DispatchStreamFrame(conn, frame);
-  }
-  if (peer_closed) {
-    FailStreamConn(conn, UnavailableError(StrFormat(
-                             "stream peer 127.0.0.1:%u closed with %zu calls in flight",
-                             conn->port, conn->inflight.size())));
-    return false;
-  }
-  conn->last_active_ms = SteadyNowMs();
-  return true;
-}
-
-void AsyncClientEngine::DispatchStreamFrame(StreamConn* conn, const Bytes& frame) {
-  uint32_t kinds_tried = 0;
-  for (const auto& [key, pending] : conn->inflight) {
-    const uint32_t kind_bit = 1u << static_cast<uint32_t>(pending->spec.binding.control);
-    if ((kinds_tried & kind_bit) != 0) {
-      continue;
-    }
-    kinds_tried |= kind_bit;
-    Result<RpcReplyMsg> reply = pending->control->DecodeReply(frame);
-    if (!reply.ok()) {
-      continue;
-    }
-    const uint32_t masked = MaskXid(pending->spec.binding.control, reply->xid);
-    auto hit = conn->inflight.find(masked);
-    if (hit != conn->inflight.end() && hit->second->control == pending->control) {
-      // The iteration never resumes after the erase inside CompleteCall:
-      // hcs:on-loop(completes exactly one call and returns immediately)
-      CompleteFromReply(hit->second, std::move(*reply));
-      return;
-    }
-  }
-  // No in-flight xid wants this frame: a reply to an attempt we abandoned
-  // (timeout/retry). Dropping it here is what keeps the pipeline correct.
-  stat_stream_unmatched_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void AsyncClientEngine::FailStreamConn(StreamConn* conn, const Status& error) {
-  HCS_ASSERT_LOOP(&reactor_);
-#if HCS_LOOP_DEBUG_ENABLED
-  ReentryGuard reentry(teardown_depth_, "FailStreamConn");
-#endif
-  std::vector<PendingCall*> victims;
-  victims.reserve(conn->inflight.size());
-  for (const auto& [xid, call] : conn->inflight) {
-    call->conn = nullptr;  // detach before the conn disappears
-    victims.push_back(call);
-  }
-  conn->inflight.clear();
-  const uint16_t port = conn->port;
-  RemoveStreamConn(conn);
-  for (PendingCall* call : victims) {
-    HandleAttemptError(call, error);
-  }
-  ScheduleDrainWaiters(port);
-}
-
-void AsyncClientEngine::RemoveStreamConn(StreamConn* conn) {
-  auto pool = pools_.find(conn->port);
-  if (pool != pools_.end()) {
-    auto& conns = pool->second.conns;
-    conns.erase(std::remove(conns.begin(), conns.end(), conn), conns.end());
-  }
-  reactor_.RemoveClientFd(conn->fd);  // closes the fd
-  stream_conns_.erase(conn);
-}
-
-void AsyncClientEngine::ScheduleDrainWaiters(uint16_t port) {
-  if (stopping_) {
-    return;  // the destructor's fail-all completes any queued waiters
-  }
-  if (std::find(drain_ports_.begin(), drain_ports_.end(), port) == drain_ports_.end()) {
-    drain_ports_.push_back(port);
-  }
-  if (!drain_scheduled_) {
-    drain_scheduled_ = true;
-    (void)reactor_.Post([this] { RunScheduledDrains(); });
-  }
-}
-
-void AsyncClientEngine::RunScheduledDrains() {
-  HCS_ASSERT_LOOP(&reactor_);
-  drain_scheduled_ = false;
-  std::vector<uint16_t> ports;
-  ports.swap(drain_ports_);
-  for (uint16_t port : ports) {
-    DrainWaiters(port);
-  }
-}
-
-void AsyncClientEngine::DrainWaiters(uint16_t port) {
-  HCS_ASSERT_LOOP(&reactor_);
-#if HCS_LOOP_DEBUG_ENABLED
-  ReentryGuard reentry(drain_depth_, "DrainWaiters");
-#endif
-  if (stopping_) {
-    return;
-  }
-  auto pool_it = pools_.find(port);
-  if (pool_it == pools_.end()) {
-    return;
-  }
-  Pool& pool = pool_it->second;
-  while (!pool.waiters.empty()) {
-    uint64_t id = pool.waiters.front();
-    pool.waiters.pop_front();
-    PendingCall* call = FindCall(id);
-    if (call == nullptr || !call->waiting) {
-      continue;
-    }
-    call->waiting = false;
-    TryAssignStream(call);
-    // TryAssignStream can fail the attempt synchronously (dial or send
-    // error) and complete a non-retryable call, freeing it — re-look the
-    // call up by id instead of dereferencing the possibly-dead pointer.
-    PendingCall* again = FindCall(id);
-    if (again != nullptr && again->waiting) {
-      return;  // no capacity after all: it re-queued, stop draining
-    }
-  }
-}
-
-void AsyncClientEngine::ScheduleReap() {
-  if (reap_scheduled_ || stopping_) {
-    return;
-  }
-  reap_scheduled_ = true;
-  (void)reactor_.ScheduleAfter(options_.reap_interval_ms, [this] {
-    reap_scheduled_ = false;
-    ReapIdle();
-    if (!stream_conns_.empty()) {
-      ScheduleReap();
-    }
-  });
-}
-
-void AsyncClientEngine::ReapIdle() {
-  HCS_ASSERT_LOOP(&reactor_);
-  const int64_t now = SteadyNowMs();
-  std::vector<StreamConn*> idle;
-  for (const auto& [conn, owned] : stream_conns_) {
-    if (!conn->connecting && conn->inflight.empty() && conn->outbuf.empty() &&
-        now - conn->last_active_ms >= options_.idle_reap_ms) {
-      idle.push_back(conn);
-    }
-  }
-  for (StreamConn* conn : idle) {
-    stat_stream_reaped_.fetch_add(1, std::memory_order_relaxed);
-    RemoveStreamConn(conn);
-  }
 }
 
 AsyncClientEngine* GlobalAsyncClientEngine() {

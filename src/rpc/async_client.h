@@ -1,37 +1,33 @@
-// The async RPC client core: CallAsync returns an RpcFuture, and a
-// dedicated client-only reactor (zero workers — every callback on the loop
-// thread) drives nonblocking endpoints, xid-based reply matching, request
-// pipelining on length-prefixed stream connections, and a bounded
-// per-remote connection pool with idle reaping. The loop thread starts with
-// the first StartCall.
+// The async RPC client core: CallAsync returns an RpcFuture, and the
+// engine's own reactor (src/rpc/reactor.h; every callback on its one loop
+// thread) drives a shared nonblocking UDP socket with xid-based reply
+// matching. The loop thread starts with the first StartCall.
 //
-// Synchronous UDP calls do not cross the loop. RpcClient::Call hands them
-// to CallOnCaller, which runs the whole call on the calling thread over
-// that thread's UdpClientSocket (src/rpc/mmsg.h), with the reply-matching
-// rule, retry schedule and counters of the loop's UDP channel. Sync stream
-// calls are still CallAsync(...).Wait(). These three channels are the only
-// client path over real sockets.
+// Synchronous calls do not cross the loop. RpcClient::Call hands them to
+// CallOnCaller, which runs the whole call on the calling thread over that
+// thread's UdpClientSocket (src/rpc/mmsg.h), with the reply-matching rule,
+// retry schedule and counters of the loop's channel. These two UDP
+// channels are the only client path over real sockets.
 //
-// Before any send, a call larger than its channel carries (kMaxDatagram on
-// UDP, kMaxStreamFrame on a stream) completes kResourceExhausted with no
-// attempt made. Client-side fault injection happens here too: a channel
-// spec that carries a FaultInjector (FaultInjectingTransport's) has one
-// decision drawn per attempt, as the attempt is sent. A blackhole fails the
-// attempt kUnavailable at once; a drop registers the attempt but sends
-// nothing, so it ends by its timer; a delay or reorder holds the send (the
-// caller-run path sleeps, the loop sets a timer), and a held send whose
-// attempt has ended is discarded; a corruption flips bits in the encoded
-// call; a duplicate sends the call twice, and the extra reply is counted
-// unmatched.
+// Before any send, a call larger than one datagram (kMaxDatagram)
+// completes kResourceExhausted with no attempt made. Client-side fault
+// injection happens here too: a channel spec that carries a FaultInjector
+// (FaultInjectingTransport's) has one decision drawn per attempt, as the
+// attempt is sent. A blackhole fails the attempt kUnavailable at once; a
+// drop registers the attempt but sends nothing, so it ends by its timer; a
+// delay or reorder holds the send (the caller-run path sleeps, the loop
+// sets a timer), and a held send whose attempt has ended is discarded; a
+// corruption flips bits in the encoded call; a duplicate sends the call
+// twice, and the extra reply is counted unmatched.
 //
 // Threading model. All engine state is loop-thread-only: StartCall posts
 // the call onto the loop, and every subsequent transition — send, reply
-// match, attempt timeout, retry backoff, pool wait, connection failure —
-// runs as a loop callback. The only cross-thread surface is the future
-// (mutex + condvar) and the stats counters (relaxed atomics). That is the
-// sresolv/event-loop resolver shape: no locks on the per-call state because
-// exactly one thread ever touches it. CallOnCaller's state lives on its
-// caller's stack and that thread's socket; it shares only the counters.
+// match, attempt timeout, retry backoff — runs as a loop callback. The
+// only cross-thread surface is the future (mutex + condvar) and the stats
+// counters (relaxed atomics). That is the sresolv/event-loop resolver
+// shape: no locks on the per-call state because exactly one thread ever
+// touches it. CallOnCaller's state lives on its caller's stack and that
+// thread's socket; it shares only the counters.
 //
 // The model is machine-checked: the loop-only tags below feed
 // tools/lint_loop.py (rules T1–T4, DESIGN.md §15), and debug builds add
@@ -52,9 +48,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -238,30 +232,14 @@ struct AsyncCallSpec {
   AsyncChannelSpec channel;
 };
 
-struct AsyncEngineOptions {
-  // Stream pool bounds, per remote port: at most `max_conns_per_remote`
-  // connections, each pipelining up to `max_inflight_per_conn` requests.
-  // Beyond that, attempts queue (bounded by their attempt timer).
-  int max_conns_per_remote = 4;
-  int max_inflight_per_conn = 16;
-  // A connection idle (no in-flight calls, nothing buffered) for this long
-  // is reaped; the reaper sweeps every `reap_interval_ms`.
-  int64_t idle_reap_ms = 2000;
-  int64_t reap_interval_ms = 500;
-};
-
-// Engine counters (relaxed; readable from any thread). The UDP counters
-// cover calls on the loop and on their caller alike.
+// Engine counters (relaxed; readable from any thread). They cover calls on
+// the loop and on their caller alike.
 struct AsyncEngineStats {
-  uint64_t calls = 0;             // calls started, on the loop or by CallOnCaller
+  uint64_t calls = 0;           // calls started, on the loop or by CallOnCaller
   uint64_t completed = 0;
   uint64_t retries = 0;
-  uint64_t udp_unmatched = 0;     // datagrams matching no pending xid (dups, late replies)
-  uint64_t stream_unmatched = 0;  // frames matching no in-flight xid (abandoned attempts)
-  uint64_t stream_connects = 0;
-  uint64_t stream_reaped = 0;
-  uint64_t pool_waits = 0;        // attempts that queued for a pooled connection
-  uint64_t udp_send_drops = 0;    // staged datagrams the kernel refused (retry re-sends)
+  uint64_t udp_unmatched = 0;   // datagrams matching no pending xid (dups, late replies)
+  uint64_t udp_send_drops = 0;  // staged datagrams the kernel refused (retry re-sends)
 };
 
 // The reactor-driven engine behind RpcClient::CallAsync. One instance
@@ -270,7 +248,7 @@ struct AsyncEngineStats {
 // with kUnavailable, then stops the loop.
 class AsyncClientEngine {
  public:
-  explicit AsyncClientEngine(AsyncEngineOptions options = {});
+  AsyncClientEngine() = default;
   ~AsyncClientEngine();
 
   AsyncClientEngine(const AsyncClientEngine&) = delete;
@@ -292,13 +270,9 @@ class AsyncClientEngine {
   HCS_NODISCARD Result<Bytes> CallOnCaller(const AsyncCallSpec& spec, RpcCallInfo* info);
 
   AsyncEngineStats stats() const;
-  // Posts an immediate idle-reap pass (tests; normally the periodic timer).
-  void ReapIdleNow();
 
  private:
   struct PendingCall;
-  struct StreamConn;
-  struct Pool;
 
   // --- Loop-thread-only machinery (every decl carries hcs:loop-only; the
   // tag feeds tools/lint_loop.py's producer DB and rule T1 rejects calls
@@ -314,14 +288,14 @@ class AsyncClientEngine {
   PendingCall* FindCall(uint64_t call_id);                 // hcs:loop-only
   void EncodeAttempt(PendingCall* call);                   // hcs:loop-only
   uint32_t MaskedXid(const PendingCall* call) const;       // hcs:loop-only
-  // Sends a registered attempt's encoded call on its channel, through the
-  // fault hook when the channel carries an injector.
+  // Sends a registered attempt's encoded call, through the fault hook when
+  // the channel carries an injector.
   void Transmit(PendingCall* call);                        // hcs:loop-only
   void TransmitCopies(PendingCall* call, int copies);      // hcs:loop-only
 
   // UDP channel. Sends are staged per reactor iteration and flushed with
   // one sendmmsg; receives drain through a recvmmsg batch — the client
-  // mirrors the serving runtime's batched-syscall hot path (DESIGN.md §12).
+  // mirrors the serving runtime's batched-syscall hot path (DESIGN.md §13).
   // CallOnCaller's attempt: send, then receive until the reply or the
   // attempt's deadline. Not loop-only: it touches only its arguments and
   // the atomic counters.
@@ -335,27 +309,6 @@ class AsyncClientEngine {
   void OnUdpReadable();                                    // hcs:loop-only
   void DispatchUdpDatagram(uint16_t port, const Bytes& datagram);  // hcs:loop-only
 
-  // Stream pool.
-  void StartStreamAttempt(PendingCall* call);              // hcs:loop-only
-  void TryAssignStream(PendingCall* call);                 // hcs:loop-only
-  HCS_NODISCARD Result<StreamConn*> DialStream(uint16_t port);     // hcs:loop-only
-  void AssignToConn(PendingCall* call, StreamConn* conn);  // hcs:loop-only
-  void OnStreamEvent(StreamConn* conn, uint32_t events);   // hcs:loop-only
-  bool FlushStream(StreamConn* conn);  // hcs:loop-only; false: conn failed and was removed
-  bool ReadStream(StreamConn* conn);   // hcs:loop-only; false: conn failed and was removed
-  void DispatchStreamFrame(StreamConn* conn, const Bytes& frame);  // hcs:loop-only
-  void FailStreamConn(StreamConn* conn, const Status& error);      // hcs:loop-only
-  void RemoveStreamConn(StreamConn* conn);                 // hcs:loop-only
-  // Waiter drains run only as posted tasks, never inline from a completion:
-  // an inline drain can assign a waiter to — and then tear down — the very
-  // connection the caller is still reading (use-after-free).
-  void ScheduleDrainWaiters(uint16_t port);                // hcs:loop-only
-  void RunScheduledDrains();                               // hcs:loop-only
-  void DrainWaiters(uint16_t port);                        // hcs:loop-only
-  void ScheduleReap();                                     // hcs:loop-only
-  void ReapIdle();                                         // hcs:loop-only
-
-  AsyncEngineOptions options_;
   Reactor reactor_;
   // The loop starts with the first StartCall: a process that makes only
   // caller-run calls never spawns it.
@@ -369,34 +322,18 @@ class AsyncClientEngine {
 
   // Everything below is loop-thread-only (see the threading model above).
   bool stopping_ = false;       // hcs:loop-only
-  bool reap_scheduled_ = false; // hcs:loop-only
   std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> calls_;  // hcs:loop-only
   int udp_fd_ = -1;             // hcs:loop-only
   // port → masked xid → pending call awaiting a datagram from that port.
   std::unordered_map<uint16_t, std::unordered_map<uint32_t, PendingCall*>> udp_pending_;  // hcs:loop-only
-  std::map<uint16_t, Pool> pools_;                          // hcs:loop-only
-  std::map<StreamConn*, std::unique_ptr<StreamConn>> stream_conns_;  // hcs:loop-only
-  std::vector<uint8_t> read_buffer_;  // hcs:loop-only; stream recv() scratch
   // Batched UDP I/O: datagrams staged here drain with one sendmmsg per
   // reactor iteration; the receive batch lands a recvmmsg burst per call.
   std::unique_ptr<UdpRecvBatch> udp_rx_;                    // hcs:loop-only
   std::vector<UdpReply> udp_outbox_;                        // hcs:loop-only
   bool udp_flush_scheduled_ = false;                        // hcs:loop-only
-  // Ports with pool waiters to drain; one posted task sweeps them all.
-  std::vector<uint16_t> drain_ports_;                       // hcs:loop-only
-  bool drain_scheduled_ = false;                            // hcs:loop-only
   // Flushed datagram buffers come back here; EncodeAttempt reuses them so
   // the steady-state hot path allocates nothing per call for wire bytes.
   std::vector<Bytes> wire_pool_;                            // hcs:loop-only
-
-#if HCS_LOOP_DEBUG_ENABLED
-  // Reentrancy depth guards: waiter drains and conn teardown must never
-  // nest — the PR 8 review bugs were exactly inline-drain and
-  // complete-under-iteration reentrancy (DESIGN.md §15). Checked by
-  // ReentryGuard in async_client.cc; aborts on depth > 1.
-  int drain_depth_ = 0;     // hcs:loop-only
-  int teardown_depth_ = 0;  // hcs:loop-only
-#endif
 
   std::atomic<uint64_t> next_call_id_{1};
   std::atomic<uint32_t> next_xid_{1};
@@ -405,10 +342,6 @@ class AsyncClientEngine {
   std::atomic<uint64_t> stat_completed_{0};
   std::atomic<uint64_t> stat_retries_{0};
   std::atomic<uint64_t> stat_udp_unmatched_{0};
-  std::atomic<uint64_t> stat_stream_unmatched_{0};
-  std::atomic<uint64_t> stat_stream_connects_{0};
-  std::atomic<uint64_t> stat_stream_reaped_{0};
-  std::atomic<uint64_t> stat_pool_waits_{0};
   std::atomic<uint64_t> stat_udp_send_drops_{0};
 };
 

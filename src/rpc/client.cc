@@ -125,7 +125,8 @@ Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, co
                               const RequestContext& context, RpcCallInfo* info_out,
                               std::source_location birth) {
   AsyncChannelSpec channel = transport_->async_channel();
-  if (channel.kind != AsyncChannelKind::kUdpDatagram) {
+  if (channel.kind == AsyncChannelKind::kNone) {
+    // CallAsync completes a channel-less call inline, on this thread.
     RpcFuture future = CallAsync(binding, procedure, args, context, birth);
     Result<Bytes> result = future.Wait();
     if (info_out != nullptr) {

@@ -80,19 +80,18 @@ class RpcClient {
   // Where it runs depends on the transport's channel. Over UDP the whole
   // call runs on the calling thread (AsyncClientEngine::CallOnCaller): no
   // hand-off to the engine loop and back, the loop's xid matching and
-  // counters. Over a stream it is CallAsync(...).Wait(); a channel-less
-  // transport (sim, loopback, a fault wrapper around either) runs the
-  // blocking path inline. A sync call blocks, so it must not run on an
-  // event-loop thread: debug builds abort there, naming `birth`, the
-  // caller's site (DESIGN.md §15).
+  // counters. A channel-less transport (sim, loopback, a fault wrapper
+  // around either) runs the blocking path inline. A sync call blocks, so it
+  // must not run on an event-loop thread: debug builds abort there, naming
+  // `birth`, the caller's site (DESIGN.md §15).
   HCS_NODISCARD Result<Bytes> Call(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
                      const RequestContext& context = RequestContext{},
                      RpcCallInfo* info_out = nullptr,
                      std::source_location birth = std::source_location::current());
 
   // Starts `procedure` without blocking and returns a future for its
-  // result. When the transport advertises an async channel (real UDP /
-  // TCP), the call runs on the engine's reactor loop: N CallAsync calls are
+  // result. When the transport advertises an async channel (real UDP), the
+  // call runs on the engine's reactor loop: N CallAsync calls are
   // N requests in flight, with the same retry/backoff schedule, deadline
   // budget, and ambient-context semantics as Call. A channel-less transport
   // (sim, loopback, a fault wrapper around either) completes the future
@@ -112,7 +111,7 @@ class RpcClient {
 
   // Test hook: route async calls, and the caller-run UDP calls that count
   // into its stats, through `engine` instead of the process global (e.g.
-  // one with tiny pool bounds). Null restores the default.
+  // one a test destroys mid-flight). Null restores the default.
   void set_async_engine(AsyncClientEngine* engine) { async_engine_ = engine; }
 
  private:

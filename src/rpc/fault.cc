@@ -423,12 +423,6 @@ void InstallGlobalFaultInjector(FaultInjector* injector) {
   g_installed_injector.store(injector, std::memory_order_release);
 }
 
-Status FilterInbound(FaultInjector* injector, uint16_t local_port, Bytes* message) {
-  return FilterInboundFrame(injector, local_port,
-                            message != nullptr ? message->data() : nullptr,
-                            message != nullptr ? message->size() : 0);
-}
-
 Status FilterInboundFrame(FaultInjector* injector, uint16_t local_port, uint8_t* data,
                           size_t size) {
   if (injector == nullptr) {

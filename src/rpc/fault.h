@@ -14,9 +14,8 @@
 //     FaultPlan: a phased schedule of FaultSpecs, e.g. "healthy for 500 ms,
 //     blackhole for 2 s, then healed forever";
 //   - the injector interposes at two points: FaultInjectingTransport wraps
-//     any client Transport (simulated or real), and the serving runtimes
-//     (UdpServerHost's UDP serve loops and the reactor's stream endpoints)
-//     filter inbound messages through the process-global injector
+//     any client Transport (simulated or real), and UdpServerHost's serve
+//     loops filter inbound datagrams through the process-global injector
 //     installed from the HCS_FAULTS environment spec or by a test. Over a
 //     real transport the wrapper only hands its injector to the async
 //     client engine, whose channels draw one decision per attempt as they
@@ -245,20 +244,15 @@ FaultInjector* GlobalFaultInjector();
 // this with uninstall in their teardown.
 void InstallGlobalFaultInjector(FaultInjector* injector);
 
-// Serve-side inbound hook. Draws a decision for ("local", local_port) and
-// applies it to `message` in place (corruption, injected latency). Returns
-// Ok when the message must be dispatched; a non-OK Status means the
-// injector discarded it and the caller must drop the message *and account
+// Serve-side inbound hook for the UDP serve loop. Draws one decision for
+// ("local", local_port) per frame (never per batch) and applies it to the
+// frame in place in the arrival buffer (corruption, injected latency).
+// Returns Ok when the frame must be dispatched; a non-OK Status means the
+// injector discarded it and the caller must drop the frame *and account
 // for it* — discarding the returned Status unexamined is a lint error
 // (tools/lint_failpaths.py), because a dropped-but-dispatched message
-// desynchronizes every replay. Passing a null `injector` is a no-op.
-HCS_NODISCARD Status FilterInbound(FaultInjector* injector, uint16_t local_port,
-                                   Bytes* message);
-
-// Span variant for the UDP serve loop: one decision per frame (never per
-// batch), corruption applied in place in the arrival buffer. Same contract
-// as FilterInbound — a non-OK Status means drop-and-account. The loop
-// skips zero-byte datagrams before this call: they draw no decision.
+// desynchronizes every replay. The loop skips zero-byte datagrams before
+// this call: they draw no decision. Passing a null `injector` is a no-op.
 HCS_NODISCARD Status FilterInboundFrame(FaultInjector* injector, uint16_t local_port,
                                         uint8_t* data, size_t size);
 
@@ -267,10 +261,10 @@ HCS_NODISCARD Status FilterInboundFrame(FaultInjector* injector, uint16_t local_
 FaultStats CollectFaultStats(const FaultInjector* injector, const UdpServerHost* host);
 
 // Client-side interposer: wraps any Transport and applies the injector's
-// decisions to each attempt. Over a transport with a channel (real UDP or
-// TCP) it hands its injector to the async engine with that channel, and
-// the engine applies one decision per attempt as it sends, on the code
-// path production runs. Over a channel-less transport (the sim testbed) it
+// decisions to each attempt. Over a transport with a channel (real UDP) it
+// hands its injector to the async engine with that channel, and the engine
+// applies one decision per attempt as it sends, on the code path
+// production runs. Over a channel-less transport (the sim testbed) it
 // wraps RoundTrip: injected latency is charged to the virtual clock when a
 // World is attached and slept otherwise; drops surface as kTimeout, exactly
 // what a lost datagram looks like, and blackholes as kUnavailable.

@@ -8,8 +8,8 @@
 // This is the fourth HRPC transport component; the cost difference between
 // datagram and stream transports is visible to the colocation experiments
 // exactly as it was to the 1987 prototype's 22-38 ms Sun-vs-Courier spread.
-// Its real-socket twin, TcpStreamTransport, is only a channel spec: the
-// async client engine's stream channel does all of its socket I/O.
+// It has no real-socket twin: real sockets carry UDP only
+// (src/rpc/udp_transport.h).
 
 #ifndef HCS_SRC_RPC_STREAM_TRANSPORT_H_
 #define HCS_SRC_RPC_STREAM_TRANSPORT_H_
@@ -47,24 +47,6 @@ class StreamNetTransport : public Transport {
   World* world_;
   std::set<std::string> established_;
   uint64_t connects_ = 0;
-};
-
-// Real TCP client transport over 127.0.0.1, framed as 4-byte big-endian
-// length + payload (the reactor's ServeStream framing): only a channel
-// spec. The async engine's stream channel carries every call, sync and
-// async, on a bounded pool of pipelined connections per port; it
-// reassembles partial reads and short writes and fails a connection whose
-// reply frame announces more than kMaxStreamFrame.
-class TcpStreamTransport : public Transport {
- public:
-  explicit TcpStreamTransport(int timeout_ms = 2000) : timeout_ms_(timeout_ms) {}
-
-  AsyncChannelSpec async_channel() const override {
-    return AsyncChannelSpec{AsyncChannelKind::kTcpStream, timeout_ms_};
-  }
-
- private:
-  int timeout_ms_;
 };
 
 }  // namespace hcs

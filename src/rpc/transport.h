@@ -3,9 +3,10 @@
 //   - SimNetTransport: over the simulated internetwork (virtual-clock time),
 //   - LoopbackTransport: direct in-process dispatch (real time; used by the
 //     examples and the real-transport tests),
-//   - UdpTransport (udp_transport.h) and TcpStreamTransport
-//     (stream_transport.h): real sockets on 127.0.0.1. These are a channel
-//     spec and nothing else; the async client engine does their socket I/O.
+//   - StreamNetTransport (stream_transport.h): the simulated network with
+//     a connection set-up charge,
+//   - UdpTransport (udp_transport.h): real UDP on 127.0.0.1. It is a channel
+//     spec and nothing else; the async client engine does its socket I/O.
 
 #ifndef HCS_SRC_RPC_TRANSPORT_H_
 #define HCS_SRC_RPC_TRANSPORT_H_
@@ -31,7 +32,6 @@ enum class AsyncChannelKind {
   // xid-matched datagrams: CallAsync on the engine loop's shared
   // nonblocking socket, Call on the calling thread's own socket.
   kUdpDatagram,
-  kTcpStream,    // pooled pipelined connections, length-prefixed frames
 };
 
 struct AsyncChannelSpec {

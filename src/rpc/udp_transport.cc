@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -28,9 +29,9 @@ sockaddr_in LoopbackAddress(uint16_t port) {
   return addr;
 }
 
-// Creates, binds, and reports a loopback socket of the given type.
-Result<int> BindLoopback(int type, uint16_t port, uint16_t* bound_port_out) {
-  int fd = socket(AF_INET, type, 0);
+// Creates, binds, and reports a loopback UDP socket.
+Result<int> BindLoopback(uint16_t port, uint16_t* bound_port_out) {
+  int fd = socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) {
     return UnavailableError(StrFormat("socket(): %s", std::strerror(errno)));
   }
@@ -50,7 +51,21 @@ Result<int> BindLoopback(int type, uint16_t port, uint16_t* bound_port_out) {
   return fd;
 }
 
+// A requested loop count: > 0 wins; 0 = min(8, max(2, hardware threads)).
+int ResolveWorkerCount(int requested) {
+  if (requested > 0) {
+    return requested;
+  }
+  unsigned hw = std::thread::hardware_concurrency();
+  return static_cast<int>(std::min(8u, std::max(2u, hw)));
+}
+
 }  // namespace
+
+UdpServerHost::UdpServerHost(int workers, int udp_batch, size_t udp_slot_bytes)
+    : workers_(ResolveWorkerCount(workers)),
+      udp_batch_(udp_batch),
+      udp_slot_bytes_(udp_slot_bytes) {}
 
 // One serve loop, run to completion: a blocking recvmmsg takes up to
 // `batch` datagrams, each frame is filtered and dispatched on this thread,
@@ -114,16 +129,6 @@ void UdpServerHost::ServeLoop(int fd, uint16_t port, SimService* service, int ba
   state->running.fetch_sub(1, std::memory_order_release);
 }
 
-Result<Reactor*> UdpServerHost::EnsureReactor() {
-  if (reactor_ == nullptr) {
-    ReactorOptions options;
-    options.workers = workers_;
-    reactor_ = std::make_unique<Reactor>(options);
-  }
-  HCS_RETURN_IF_ERROR(reactor_->Start());
-  return reactor_.get();
-}
-
 // A serial endpoint batches its receives; concurrent loops each take one
 // datagram, so a queued request never waits behind another loop's batch.
 int UdpServerHost::receive_batch(bool concurrent) const {
@@ -140,7 +145,7 @@ Result<uint16_t> UdpServerHost::ServeConcurrent(SimService* service, uint16_t po
 
 Result<uint16_t> UdpServerHost::ServeUdp(SimService* service, uint16_t port, bool concurrent) {
   uint16_t bound_port = 0;
-  HCS_ASSIGN_OR_RETURN(int fd, BindLoopback(SOCK_DGRAM, port, &bound_port));
+  HCS_ASSIGN_OR_RETURN(int fd, BindLoopback(port, &bound_port));
   EnableArrivalStamps(fd);
 
   const int loops = concurrent ? workers_ : 1;
@@ -161,51 +166,17 @@ Result<uint16_t> UdpServerHost::ServeUdp(SimService* service, uint16_t port, boo
   return bound_port;
 }
 
-Result<uint16_t> UdpServerHost::ServeStream(SimService* service, uint16_t port) {
-  return ServeStreamInternal(service, port, /*concurrent=*/false);
-}
-
-Result<uint16_t> UdpServerHost::ServeStreamConcurrent(SimService* service, uint16_t port) {
-  return ServeStreamInternal(service, port, /*concurrent=*/true);
-}
-
-Result<uint16_t> UdpServerHost::ServeStreamInternal(SimService* service, uint16_t port,
-                                                    bool concurrent) {
-  uint16_t bound_port = 0;
-  HCS_ASSIGN_OR_RETURN(int fd, BindLoopback(SOCK_STREAM, port, &bound_port));
-  if (listen(fd, 64) < 0) {
-    int saved = errno;
-    close(fd);
-    return UnavailableError(StrFormat("listen(): %s", std::strerror(saved)));
-  }
-  MutexLock lock(mutex_);
-  HCS_ASSIGN_OR_RETURN(Reactor * reactor, EnsureReactor());
-  ReactorEndpointOptions options;
-  options.concurrent = concurrent;
-  options.port = bound_port;
-  HCS_RETURN_IF_ERROR(reactor->AddStreamListener(fd, service, options));
-  return bound_port;
-}
-
 std::map<uint16_t, uint64_t> UdpServerHost::dropped_by_endpoint() const {
   MutexLock lock(mutex_);
   std::map<uint16_t, uint64_t> out;
   for (const Endpoint& endpoint : endpoints_) {
     out[endpoint.port] += endpoint.state->dropped.load(std::memory_order_relaxed);
   }
-  if (reactor_ != nullptr) {
-    for (const ReactorEndpointStats& stats : reactor_->endpoint_stats()) {
-      out[stats.port] += stats.dropped;
-    }
-  }
   return out;
 }
 
 void UdpServerHost::StopAll() {
   MutexLock lock(mutex_);
-  if (reactor_ != nullptr) {
-    reactor_->Stop();  // graceful drain; closes the stream fds it owns
-  }
   for (Endpoint& endpoint : endpoints_) {
     // Raise the stop flag, then wake every loop with a zero-byte datagram
     // the endpoint sends itself. A wake can go unused (a loop that exits on

@@ -8,8 +8,7 @@
 // completion on its own thread: receive a batch (recvmmsg), filter and
 // dispatch each frame, answer the batch (sendmmsg). Serve runs one loop per
 // endpoint, so its handlers never overlap; ServeConcurrent runs several
-// loops on the same socket, each taking one datagram per receive. Stream
-// endpoints run on a shared epoll reactor (src/rpc/reactor.h). Services
+// loops on the same socket, each taking one datagram per receive. Services
 // must stay alive until StopAll()/destruction. Simulated-time charging is a
 // no-op on this path (pass a null World to RpcClient).
 
@@ -26,23 +25,19 @@
 
 #include "src/common/result.h"
 #include "src/common/sync.h"
-#include "src/rpc/reactor.h"
 #include "src/rpc/transport.h"
 
 namespace hcs {
 
-// Serves SimService instances on real sockets bound to 127.0.0.1.
+// Serves SimService instances on real UDP sockets bound to 127.0.0.1.
 class UdpServerHost {
  public:
-  // `workers` is the number of loops a ServeConcurrent endpoint runs and
-  // the stream reactor's worker pool (0 = ResolveWorkerCount's default).
-  // `udp_batch` is the datagrams one Serve loop takes per receive (0 = the
-  // default; 1 = a batch of one), and `udp_slot_bytes` the bytes per
-  // received datagram (0 = kMaxDatagram, the largest one there is).
-  explicit UdpServerHost(int workers = 0, int udp_batch = 0, size_t udp_slot_bytes = 0)
-      : workers_(ResolveWorkerCount(workers)),
-        udp_batch_(udp_batch),
-        udp_slot_bytes_(udp_slot_bytes) {}
+  // `workers` is the number of loops a ServeConcurrent endpoint runs (0 =
+  // min(8, max(2, hardware threads))). `udp_batch` is the datagrams one
+  // Serve loop takes per receive (0 = the default; 1 = a batch of one), and
+  // `udp_slot_bytes` the bytes per received datagram (0 = kMaxDatagram, the
+  // largest one there is).
+  explicit UdpServerHost(int workers = 0, int udp_batch = 0, size_t udp_slot_bytes = 0);
   ~UdpServerHost() { StopAll(); }
 
   UdpServerHost(const UdpServerHost&) = delete;
@@ -59,25 +54,16 @@ class UdpServerHost {
   // handlers run at once.
   HCS_NODISCARD Result<uint16_t> ServeConcurrent(SimService* service, uint16_t port = 0);
 
-  // Serves `service` on a TCP listener speaking 4-byte big-endian
-  // length-prefixed frames (one HandleMessage per frame), on the shared
-  // reactor.
-  HCS_NODISCARD Result<uint16_t> ServeStream(SimService* service, uint16_t port = 0);
-  HCS_NODISCARD Result<uint16_t> ServeStreamConcurrent(SimService* service, uint16_t port = 0);
-
-  // Stops every serve loop and the reactor and closes the sockets.
-  // Idempotent; Serve may be called again afterwards.
+  // Stops every serve loop and closes the sockets. Idempotent; Serve may be
+  // called again afterwards.
   void StopAll();
-
-  // The shared reactor (null until the first stream endpoint).
-  Reactor* reactor() { return reactor_.get(); }
 
   // Datagrams one loop of a ServeConcurrent (`concurrent`) or Serve
   // endpoint takes per receive.
   int receive_batch(bool concurrent) const;
 
-  // Per-endpoint drop counters (port → dropped messages), UDP and stream.
-  // Drops cover garbled requests, undeliverable replies, and messages the
+  // Per-endpoint drop counters (port → dropped datagrams). Drops cover
+  // garbled or truncated requests, undeliverable replies, and datagrams the
   // fault injector discarded inbound. Snapshot before StopAll() — stopping
   // releases the endpoints. Chaos tests assert on these counts instead of
   // sleeping.
@@ -101,16 +87,12 @@ class UdpServerHost {
   static void ServeLoop(int fd, uint16_t port, SimService* service, int batch,
                         size_t slot_bytes, LoopState* state);
   HCS_NODISCARD Result<uint16_t> ServeUdp(SimService* service, uint16_t port, bool concurrent);
-  HCS_NODISCARD Result<uint16_t> ServeStreamInternal(SimService* service, uint16_t port, bool concurrent);
-  // Lazily creates and starts the shared reactor.
-  HCS_NODISCARD Result<Reactor*> EnsureReactor() HCS_REQUIRES(mutex_);
 
   const int workers_;
   const int udp_batch_;
   const size_t udp_slot_bytes_;
   mutable Mutex mutex_{"udp-server-host"};
   std::vector<Endpoint> endpoints_ HCS_GUARDED_BY(mutex_);
-  std::unique_ptr<Reactor> reactor_ HCS_GUARDED_BY(mutex_);
 };
 
 // Client-side transport over 127.0.0.1: only a channel spec. RpcClient

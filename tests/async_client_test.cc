@@ -1,14 +1,12 @@
-// The async RPC client core over real sockets: CallAsync fan-out on UDP,
-// stream pipelining on a single pooled connection, partial-frame
-// reassembly with pipelined requests behind it, pool exhaustion, idle
-// reaping racing in-flight calls, calls too large for a datagram, the
-// sync-fallback channel, and the ResolveMany / PrefetchRecords layers built
-// on top.
+// The async RPC client core over real UDP sockets: CallAsync fan-out,
+// caller-run sync calls and their counters, calls too large for a
+// datagram, the channel-less inline path, the ResolveMany /
+// PrefetchRecords layers built on top, completion exactly once under
+// races and engine teardown, and the loop-affinity death tests.
 //
 // Delay-bearing servers are served concurrently with a fixed number of
-// loops (UDP) or workers (stream), so the wall-clock assertions do not
-// depend on the core count; a serial endpoint would re-serialize the very
-// concurrency under test.
+// loops, so the wall-clock assertions do not depend on the core count; a
+// serial endpoint would re-serialize the very concurrency under test.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -19,7 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -33,8 +30,8 @@
 #include "src/rpc/client.h"
 #include "src/rpc/fault.h"
 #include "src/rpc/ports.h"
+#include "src/rpc/reactor.h"
 #include "src/rpc/server.h"
-#include "src/rpc/stream_transport.h"
 #include "src/rpc/udp_transport.h"
 #include "src/wire/xdr.h"
 
@@ -56,12 +53,6 @@ HrpcBinding UdpBinding(uint16_t port, uint32_t program, ControlKind control) {
   b.version = 2;
   b.control = control;
   b.transport = TransportKind::kUdp;
-  return b;
-}
-
-HrpcBinding TcpBinding(uint16_t port, uint32_t program, ControlKind control) {
-  HrpcBinding b = UdpBinding(port, program, control);
-  b.transport = TransportKind::kTcp;
   return b;
 }
 
@@ -129,254 +120,6 @@ TEST(AsyncClientTest, UdpInFlightCallsShareTheWallClock) {
   // while still being unreachable by a serialized client.
   EXPECT_LT(elapsed, kCalls * kDelayMs / 2)
       << "async fan-out did not overlap server-side delays";
-  host.StopAll();
-}
-
-TEST(AsyncClientTest, StreamPipeliningCompletesOutOfOrderOnOneConnection) {
-  UdpServerHost host(/*workers=*/8);
-  RpcServer server(ControlKind::kSunRpc, "pipeline");
-  server.RegisterProcedure(9, 1, [](const Bytes& args) -> Result<Bytes> {
-    // First byte selects the handler latency: the slow call goes out first
-    // and must come back last without stalling the fast ones behind it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(args.empty() || args[0] != 1 ? 5 : 80));
-    return args;
-  });
-  Result<uint16_t> port = host.ServeStreamConcurrent(&server, 0);
-  ASSERT_TRUE(port.ok()) << port.status();
-
-  AsyncEngineOptions options;
-  options.max_conns_per_remote = 1;  // force every call onto one pipe
-  AsyncClientEngine engine(options);
-  TcpStreamTransport transport;
-  RpcClient client(nullptr, "localclient", &transport);
-  client.set_async_engine(&engine);
-
-  constexpr int kCalls = 8;
-  std::mutex order_mu;
-  std::vector<int> completion_order;
-  std::vector<RpcFuture> futures;
-  for (int i = 0; i < kCalls; ++i) {
-    Bytes payload{static_cast<uint8_t>(i == 0 ? 1 : 2), static_cast<uint8_t>(i)};
-    futures.push_back(
-        client.CallAsync(TcpBinding(*port, 9, ControlKind::kSunRpc), 1, payload));
-    futures.back().OnComplete([&order_mu, &completion_order, i](const Result<Bytes>&,
-                                                               const RpcCallInfo&) {
-      std::lock_guard<std::mutex> lock(order_mu);
-      completion_order.push_back(i);
-    });
-  }
-  for (int i = 0; i < kCalls; ++i) {
-    Result<Bytes> reply = futures[i].Wait();
-    ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
-    ASSERT_EQ(reply->size(), 2u);
-    EXPECT_EQ((*reply)[1], static_cast<uint8_t>(i)) << "pipelined reply misrouted";
-  }
-  EXPECT_EQ(engine.stats().stream_connects, 1u)
-      << "pipelined calls must share one connection";
-  {
-    std::lock_guard<std::mutex> lock(order_mu);
-    ASSERT_EQ(completion_order.size(), static_cast<size_t>(kCalls));
-    // The slow call was issued first; replies are matched by xid, so the
-    // fast calls pipelined behind it complete before it does.
-    EXPECT_EQ(completion_order.back(), 0) << "slow head-of-line call should finish last";
-  }
-  host.StopAll();
-}
-
-// A hand-rolled stream server: accepts one connection, reads two pipelined
-// requests, then answers with the FIRST reply frame split across two
-// writes (the straddle) and the SECOND reply packed into the same final
-// write. The client must reassemble the partial frame and still match the
-// pipelined reply sitting behind it in the same read.
-TEST(AsyncClientTest, PartialFrameStraddlesTwoReadsWithPipelinedReplyBehind) {
-  int listen_fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(listen(listen_fd, 1), 0);
-  socklen_t addr_len = sizeof(addr);
-  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
-  uint16_t port = ntohs(addr.sin_port);
-
-  std::thread server([listen_fd] {
-    const ControlProtocol& control = GetControlProtocol(ControlKind::kRaw);
-    int conn = accept(listen_fd, nullptr, nullptr);
-    ASSERT_GE(conn, 0);
-
-    // Read until two complete length-prefixed frames arrive.
-    std::vector<uint8_t> buf;
-    std::vector<Bytes> requests;
-    while (requests.size() < 2) {
-      uint8_t chunk[4096];
-      ssize_t n = recv(conn, chunk, sizeof(chunk), 0);
-      ASSERT_GT(n, 0);
-      buf.insert(buf.end(), chunk, chunk + n);
-      while (buf.size() >= 4) {
-        uint32_t len = (static_cast<uint32_t>(buf[0]) << 24) |
-                       (static_cast<uint32_t>(buf[1]) << 16) |
-                       (static_cast<uint32_t>(buf[2]) << 8) | buf[3];
-        if (buf.size() < 4 + len) {
-          break;
-        }
-        requests.emplace_back(buf.begin() + 4, buf.begin() + 4 + len);
-        buf.erase(buf.begin(), buf.begin() + 4 + len);
-      }
-    }
-
-    auto frame = [&control](const Bytes& request) {
-      Result<RpcCall> call = control.DecodeCall(request);
-      EXPECT_TRUE(call.ok()) << call.status();
-      RpcReplyMsg reply;
-      reply.xid = call->xid;
-      reply.results = call->args;  // echo
-      Bytes body = control.EncodeReply(reply);
-      Bytes framed;
-      framed.push_back(static_cast<uint8_t>(body.size() >> 24));
-      framed.push_back(static_cast<uint8_t>(body.size() >> 16));
-      framed.push_back(static_cast<uint8_t>(body.size() >> 8));
-      framed.push_back(static_cast<uint8_t>(body.size()));
-      framed.insert(framed.end(), body.begin(), body.end());
-      return framed;
-    };
-    Bytes first = frame(requests[0]);
-    Bytes second = frame(requests[1]);
-
-    // The straddle: header plus half of the first reply's payload, a pause
-    // long enough for the client to drain its socket, then the remainder
-    // with the whole second reply glued on.
-    size_t split = 4 + (first.size() - 4) / 2;
-    ASSERT_EQ(send(conn, first.data(), split, 0), static_cast<ssize_t>(split));
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    Bytes rest(first.begin() + split, first.end());
-    rest.insert(rest.end(), second.begin(), second.end());
-    ASSERT_EQ(send(conn, rest.data(), rest.size(), 0), static_cast<ssize_t>(rest.size()));
-    // Hold the connection open until the client is done reading.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    close(conn);
-  });
-
-  AsyncEngineOptions options;
-  options.max_conns_per_remote = 1;
-  AsyncClientEngine engine(options);
-  TcpStreamTransport transport;
-  RpcClient client(nullptr, "localclient", &transport);
-  client.set_async_engine(&engine);
-
-  RpcFuture f1 = client.CallAsync(TcpBinding(port, 3, ControlKind::kRaw), 1, Bytes{10, 11, 12});
-  RpcFuture f2 = client.CallAsync(TcpBinding(port, 3, ControlKind::kRaw), 1, Bytes{20, 21});
-  Result<Bytes> r1 = f1.Wait();
-  Result<Bytes> r2 = f2.Wait();
-  ASSERT_TRUE(r1.ok()) << r1.status();
-  ASSERT_TRUE(r2.ok()) << r2.status();
-  EXPECT_EQ(*r1, (Bytes{10, 11, 12}));
-  EXPECT_EQ(*r2, (Bytes{20, 21}));
-
-  server.join();
-  close(listen_fd);
-}
-
-TEST(AsyncClientTest, PoolExhaustionQueuesAttemptsAndStillCompletes) {
-  UdpServerHost host(/*workers=*/8);
-  RpcServer server(ControlKind::kSunRpc, "pool");
-  server.RegisterProcedure(9, 1, [](const Bytes& args) -> Result<Bytes> {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return args;
-  });
-  Result<uint16_t> port = host.ServeStreamConcurrent(&server, 0);
-  ASSERT_TRUE(port.ok()) << port.status();
-
-  AsyncEngineOptions options;
-  options.max_conns_per_remote = 1;
-  options.max_inflight_per_conn = 2;  // window of 2 → calls 3..6 must queue
-  AsyncClientEngine engine(options);
-  TcpStreamTransport transport;
-  RpcClient client(nullptr, "localclient", &transport);
-  client.set_async_engine(&engine);
-
-  constexpr int kCalls = 6;
-  std::vector<RpcFuture> futures;
-  for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(client.CallAsync(TcpBinding(*port, 9, ControlKind::kSunRpc), 1,
-                                       Bytes{static_cast<uint8_t>(i)}));
-  }
-  for (int i = 0; i < kCalls; ++i) {
-    Result<Bytes> reply = futures[i].Wait();
-    ASSERT_TRUE(reply.ok()) << reply.status();
-    EXPECT_EQ(*reply, Bytes{static_cast<uint8_t>(i)});
-  }
-  AsyncEngineStats stats = engine.stats();
-  EXPECT_EQ(stats.stream_connects, 1u);
-  EXPECT_GE(stats.pool_waits, 1u) << "6 calls through a window of 2 must queue";
-  host.StopAll();
-}
-
-TEST(AsyncClientTest, IdleConnectionIsReapedAndNextCallRedials) {
-  UdpServerHost host;
-  RpcServer server(ControlKind::kSunRpc, "reap");
-  server.RegisterProcedure(9, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
-  Result<uint16_t> port = host.ServeStream(&server, 0);
-  ASSERT_TRUE(port.ok()) << port.status();
-
-  AsyncEngineOptions options;
-  options.idle_reap_ms = 50;
-  options.reap_interval_ms = 20;
-  AsyncClientEngine engine(options);
-  TcpStreamTransport transport;
-  RpcClient client(nullptr, "localclient", &transport);
-  client.set_async_engine(&engine);
-
-  ASSERT_TRUE(client.CallAsync(TcpBinding(*port, 9, ControlKind::kSunRpc), 1, Bytes{1})
-                  .Wait()
-                  .ok());
-  EXPECT_EQ(engine.stats().stream_connects, 1u);
-
-  Clock::time_point start = Clock::now();
-  while (engine.stats().stream_reaped == 0 && ElapsedMs(start) < 2000) {
-    engine.ReapIdleNow();
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GE(engine.stats().stream_reaped, 1u) << "idle connection was never reaped";
-
-  ASSERT_TRUE(client.CallAsync(TcpBinding(*port, 9, ControlKind::kSunRpc), 1, Bytes{2})
-                  .Wait()
-                  .ok());
-  EXPECT_EQ(engine.stats().stream_connects, 2u) << "post-reap call should redial";
-  host.StopAll();
-}
-
-TEST(AsyncClientTest, AggressiveReapingNeverFailsInFlightCalls) {
-  UdpServerHost host;
-  RpcServer server(ControlKind::kSunRpc, "reap-race");
-  server.RegisterProcedure(9, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
-  Result<uint16_t> port = host.ServeStream(&server, 0);
-  ASSERT_TRUE(port.ok()) << port.status();
-
-  AsyncEngineOptions options;
-  options.idle_reap_ms = 1;
-  options.reap_interval_ms = 1;
-  AsyncClientEngine engine(options);
-  TcpStreamTransport transport;
-  RpcClient client(nullptr, "localclient", &transport);
-  client.set_async_engine(&engine);
-
-  // A connection goes idle (and is eligible for reaping) between every
-  // pair of calls; reaping must only ever hit idle connections, never a
-  // call mid-flight.
-  for (int i = 0; i < 40; ++i) {
-    RpcFuture future = client.CallAsync(TcpBinding(*port, 9, ControlKind::kSunRpc), 1,
-                                        Bytes{static_cast<uint8_t>(i)});
-    engine.ReapIdleNow();
-    Result<Bytes> reply = future.Wait();
-    ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
-    EXPECT_EQ(*reply, Bytes{static_cast<uint8_t>(i)});
-    if (i % 8 == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    }
-  }
-  EXPECT_GE(engine.stats().stream_reaped, 1u);
   host.StopAll();
 }
 
@@ -815,11 +558,17 @@ TEST(AsyncClientTest, SyncUdpCallTakesALateReplyToAnEarlierAttempt) {
   EXPECT_EQ(stats.completed, 2u);
 }
 
-// 1k futures across four contention classes — plain success, tight deadline
-// racing the reply, guaranteed timeout, and a final wave destroyed mid-
-// flight with the engine — each counting its OnComplete firings. Every
+// 1,050 futures across four contention classes — plain success, tight
+// deadline racing the reply, guaranteed timeout, and a final wave destroyed
+// mid-flight with the engine — each counting its OnComplete firings. Every
 // future must complete, and every callback must fire exactly once, no
 // matter which of completion/timeout/engine-stop wins the race.
+//
+// Engine teardown fails every outstanding future kUnavailable: the final
+// wave's calls to the black hole, budgeted or not, can only end that way,
+// after the one attempt they made — a budgeted call must not retry into a
+// stopping engine. The wave's live calls end with their echo or the same
+// kUnavailable.
 TEST(AsyncClientTest, OnCompleteFiresExactlyOnceUnderRaces) {
   UdpServerHost host;
   RpcServer server(ControlKind::kSunRpc, "stress-echo");
@@ -830,7 +579,8 @@ TEST(AsyncClientTest, OnCompleteFiresExactlyOnceUnderRaces) {
   int hole_fd = BindBlackHole(&hole_port);
   ASSERT_GE(hole_fd, 0);
 
-  constexpr int kFutures = 1000;
+  constexpr int kHoleWave = 1000;  // the final wave's black-hole calls start here
+  constexpr int kFutures = 1050;
   std::vector<std::atomic<int>> fired(kFutures);
   std::vector<RpcFuture> futures(kFutures);
   UdpTransport transport;
@@ -863,14 +613,33 @@ TEST(AsyncClientTest, OnCompleteFiresExactlyOnceUnderRaces) {
     }
     // The final wave is still in flight when the engine is destroyed: its
     // fail-all races any replies that beat the shutdown to the loop.
-    for (int i = 750; i < kFutures; ++i) {
+    for (int i = 750; i < kHoleWave; ++i) {
       issue(i, live, RequestContext{});
+    }
+    for (int i = kHoleWave; i < kFutures; ++i) {
+      issue(i, hole, i % 2 == 0 ? RequestContext::WithTimeout(5000) : RequestContext{});
     }
   }
   for (int i = 0; i < kFutures; ++i) {
     ASSERT_TRUE(futures[i].ready()) << "future " << i << " never completed";
     EXPECT_EQ(fired[i].load(), 1)
         << "OnComplete fired " << fired[i].load() << " times for future " << i;
+  }
+  for (int i = 750; i < kHoleWave; ++i) {
+    Result<Bytes> reply = futures[i].Wait();
+    if (reply.ok()) {
+      EXPECT_EQ(*reply, Bytes{static_cast<uint8_t>(i & 0xff)}) << "future " << i;
+    } else {
+      EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
+          << "future " << i << ": " << reply.status();
+    }
+  }
+  for (int i = kHoleWave; i < kFutures; ++i) {
+    Result<Bytes> reply = futures[i].Wait();
+    EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
+        << "future " << i << ": " << reply.status();
+    EXPECT_EQ(futures[i].info().attempts, 1u) << "future " << i;
+    EXPECT_EQ(futures[i].info().retries, 0u) << "future " << i;
   }
   close(hole_fd);
   host.StopAll();
@@ -937,9 +706,7 @@ void TouchLoopOwnedStateOffLoop() {
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
   ASSERT_TRUE(host.Serve(&server, 0).ok());
 
-  ReactorOptions options;
-  options.workers = -1;  // client-only: the loop owns everything
-  Reactor reactor(options);
+  Reactor reactor;
   ASSERT_TRUE(reactor.Start().ok());
   // Wait until the loop thread has marked itself live: Start() returns as
   // soon as the thread is spawned, and HCS_ASSERT_LOOP deliberately passes

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -88,9 +89,10 @@ sockaddr_in Loopback(uint16_t port) {
   return addr;
 }
 
-// Binds an ephemeral loopback UDP socket; aborts the test on failure.
-int BindUdp(uint16_t* port_out) {
-  int fd = socket(AF_INET, SOCK_DGRAM, 0);
+// Binds an ephemeral loopback UDP socket of `type` (SOCK_DGRAM, possibly
+// | SOCK_NONBLOCK); aborts the test on failure.
+int BindUdp(uint16_t* port_out, int type = SOCK_DGRAM) {
+  int fd = socket(AF_INET, type, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr = Loopback(0);
   EXPECT_EQ(bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
@@ -107,11 +109,18 @@ void SendTo(int fd, uint16_t port, const Bytes& payload) {
             static_cast<ssize_t>(payload.size()));
 }
 
+// Waits up to a second for a datagram to be queued on `fd`.
+bool WaitReadable(int fd) {
+  pollfd readable{fd, POLLIN, 0};
+  return poll(&readable, 1, 1000) == 1;
+}
+
 // --- UdpRecvBatch over real sockets -----------------------------------------
 
 TEST(BatchIoTest, PartialBatchLandsQueuedDatagrams) {
   uint16_t port = 0;
-  int fd = BindUdp(&port);
+  // Nonblocking: the last read must find the queue empty, not wait on it.
+  int fd = BindUdp(&port, SOCK_DGRAM | SOCK_NONBLOCK);
   int sender = socket(AF_INET, SOCK_DGRAM, 0);
   ASSERT_GE(sender, 0);
   SendTo(sender, port, Bytes{1});
@@ -119,13 +128,14 @@ TEST(BatchIoTest, PartialBatchLandsQueuedDatagrams) {
   SendTo(sender, port, Bytes{3, 3, 3});
 
   UdpRecvBatch batch(16, 512, UdpIoSide::kServer);
-  // wait_for_one on the blocking socket: returns as soon as something is
-  // queued — here all three, well short of capacity.
+  // wait_for_one once something is queued: returns what is there — here
+  // all three, well short of capacity.
+  ASSERT_TRUE(WaitReadable(fd));
   int n = batch.Recv(fd, /*wait_for_one=*/true);
   int total = n;
   // The kernel may deliver the burst across polls; sweep until all three.
   while (total < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(WaitReadable(fd));
     UdpRecvBatch more(16, 512, UdpIoSide::kServer);
     int m = more.Recv(fd, /*wait_for_one=*/true);
     ASSERT_GT(m, 0);
@@ -138,7 +148,6 @@ TEST(BatchIoTest, PartialBatchLandsQueuedDatagrams) {
   EXPECT_FALSE(batch.frame(0).truncated);
 
   // Nothing left: a nonblocking batch read reports zero frames.
-  ASSERT_EQ(SetNonBlocking(fd).code(), StatusCode::kOk);
   UdpRecvBatch empty(16, 512, UdpIoSide::kServer);
   EXPECT_EQ(empty.Recv(fd, /*wait_for_one=*/false), 0);
   close(sender);

@@ -42,7 +42,6 @@
 #include "src/rpc/mmsg.h"
 #include "src/rpc/ports.h"
 #include "src/rpc/server.h"
-#include "src/rpc/stream_transport.h"
 #include "src/rpc/udp_transport.h"
 #include "src/testbed/testbed.h"
 #include "src/wire/value.h"
@@ -292,27 +291,29 @@ TEST(ChaosTest, PhasedPlanFollowsItsScheduleOnTheInjectedClock) {
 TEST(ChaosTest, FilterInboundAppliesDecisionsAndCountsDrops) {
   uint64_t seed = AnnounceSeed("FilterInboundAppliesDecisionsAndCountsDrops");
   Bytes message{1, 2, 3, 4};
-  ASSERT_TRUE(FilterInbound(nullptr, 80, &message).ok()) << "null injector is a no-op";
+  ASSERT_TRUE(FilterInboundFrame(nullptr, 80, message.data(), message.size()).ok())
+      << "null injector is a no-op";
   EXPECT_EQ(message, (Bytes{1, 2, 3, 4}));
 
   FaultSpec drop_all;
   drop_all.drop = 1.0;
   FaultInjector dropper(FaultConfig{seed, {OnePhasePlan("local", drop_all)}});
-  Status dropped = FilterInbound(&dropper, 9999, &message);
+  Status dropped = FilterInboundFrame(&dropper, 9999, message.data(), message.size());
   EXPECT_EQ(dropped.code(), StatusCode::kTimeout);
   EXPECT_EQ(dropper.stats().server_drops, 1u);
 
   FaultSpec hole;
   hole.blackhole = true;
   FaultInjector blackholer(FaultConfig{seed, {OnePhasePlan("local", hole)}});
-  EXPECT_EQ(FilterInbound(&blackholer, 9999, &message).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(FilterInboundFrame(&blackholer, 9999, message.data(), message.size()).code(),
+            StatusCode::kUnavailable);
   EXPECT_EQ(blackholer.stats().blackholed, 1u);
 
   FaultSpec garble;
   garble.corrupt = 1.0;
   FaultInjector corrupter(FaultConfig{seed, {OnePhasePlan("local", garble)}});
   Bytes corrupted = message;
-  ASSERT_TRUE(FilterInbound(&corrupter, 9999, &corrupted).ok())
+  ASSERT_TRUE(FilterInboundFrame(&corrupter, 9999, corrupted.data(), corrupted.size()).ok())
       << "corrupted messages are still delivered";
   EXPECT_NE(corrupted, message);
   EXPECT_EQ(corrupter.stats().corruptions, 1u);
@@ -323,50 +324,23 @@ TEST(ChaosTest, FilterInboundAppliesDecisionsAndCountsDrops) {
 // FaultInjectingTransport over a real transport hands its injector to the
 // async engine, which draws one decision per attempt as it sends. So these
 // scenarios run on each channel production uses: sync UDP calls (run on
-// their caller), CallAsync over UDP (the engine loop), and stream calls.
+// their caller) and CallAsync over UDP (the engine loop).
 
-enum class EngineChannel { kSyncUdp, kAsyncUdp, kStream };
-constexpr EngineChannel kEngineChannels[] = {EngineChannel::kSyncUdp, EngineChannel::kAsyncUdp,
-                                             EngineChannel::kStream};
+enum class EngineChannel { kSyncUdp, kAsyncUdp };
+constexpr EngineChannel kEngineChannels[] = {EngineChannel::kSyncUdp, EngineChannel::kAsyncUdp};
 
 std::string ChannelName(EngineChannel channel) {
-  switch (channel) {
-    case EngineChannel::kSyncUdp:
-      return "sync-udp";
-    case EngineChannel::kAsyncUdp:
-      return "async-udp";
-    case EngineChannel::kStream:
-      return "stream";
-  }
-  return "?";
+  return channel == EngineChannel::kSyncUdp ? "sync-udp" : "async-udp";
 }
 
-// Serves `server` where `channel` reaches it: a UDP serve loop, or a stream
-// endpoint on the reactor.
-Result<uint16_t> ServeFor(EngineChannel channel, UdpServerHost& host, RpcServer* server) {
-  return channel == EngineChannel::kStream ? host.ServeStream(server, 0) : host.Serve(server, 0);
-}
-
-// `timeout_ms` caps every attempt. A dropped attempt waits out its timer,
-// so the lossy scenarios cap attempts at kLossyAttemptMs: a 4 s budget then
+// A dropped attempt waits out its timer, so the lossy scenarios cap every
+// attempt at kLossyAttemptMs (UdpTransport's timeout): a 4 s budget then
 // holds about a dozen attempts, where the default cap (attempts doubling to
 // 1.6 s) holds six, and six drops in a row at 30% loss happen to about one
 // call in 1,400.
-std::unique_ptr<Transport> RealTransport(EngineChannel channel, int timeout_ms = 2000) {
-  if (channel == EngineChannel::kStream) {
-    return std::make_unique<TcpStreamTransport>(timeout_ms);
-  }
-  return std::make_unique<UdpTransport>(timeout_ms);
-}
 constexpr int kLossyAttemptMs = 200;
 
-HrpcBinding ChannelBinding(EngineChannel channel, uint16_t port) {
-  HrpcBinding binding = UdpBinding(port, 7, ControlKind::kRaw);
-  if (channel == EngineChannel::kStream) {
-    binding.transport = TransportKind::kTcp;
-  }
-  return binding;
-}
+HrpcBinding ChannelBinding(uint16_t port) { return UdpBinding(port, 7, ControlKind::kRaw); }
 
 struct CallOutcome {
   Result<Bytes> reply = UnavailableError("not called");
@@ -412,10 +386,6 @@ void WaitUntil(const std::function<bool()>& done, int64_t limit_ms = 2000) {
   }
 }
 
-uint64_t UnmatchedReplies(const AsyncEngineStats& stats) {
-  return stats.udp_unmatched + stats.stream_unmatched;
-}
-
 TEST(ChaosTest, EchoSurvivesThirtyPercentLoss) {
   uint64_t seed = AnnounceSeed("EchoSurvivesThirtyPercentLoss");
   for (EngineChannel channel : kEngineChannels) {
@@ -423,14 +393,14 @@ TEST(ChaosTest, EchoSurvivesThirtyPercentLoss) {
     UdpServerHost host;
     RpcServer server(ControlKind::kRaw, "chaos-echo");
     server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
-    Result<uint16_t> port = ServeFor(channel, host, &server);
+    Result<uint16_t> port = host.Serve(&server, 0);
     ASSERT_TRUE(port.ok()) << port.status();
 
     FaultSpec lossy;
     lossy.drop = 0.3;
     FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", lossy)}});
-    std::unique_ptr<Transport> real = RealTransport(channel, kLossyAttemptMs);
-    FaultInjectingTransport faulty(real.get(), &injector);
+    UdpTransport real(kLossyAttemptMs);
+    FaultInjectingTransport faulty(&real, &injector);
     RpcClient client(/*world=*/nullptr, "localclient", &faulty);
     AsyncClientEngine engine;
     client.set_async_engine(&engine);
@@ -438,7 +408,7 @@ TEST(ChaosTest, EchoSurvivesThirtyPercentLoss) {
     constexpr int kCalls = 25;
     constexpr int64_t kBudgetMs = 4000;
     std::vector<CallOutcome> outcomes = RunCalls(
-        channel, client, ChannelBinding(channel, *port), kCalls,
+        channel, client, ChannelBinding(*port), kCalls,
         [](int i) { return Bytes{static_cast<uint8_t>(i), 0x5a}; },
         [] { return RequestContext::WithTimeout(kBudgetMs); });
     uint64_t total_attempts = 0;
@@ -476,21 +446,21 @@ TEST(ChaosTest, DuplicateStormDeliversEveryReplyToItsCall) {
       ++handled;
       return args;
     });
-    Result<uint16_t> port = ServeFor(channel, host, &server);
+    Result<uint16_t> port = host.Serve(&server, 0);
     ASSERT_TRUE(port.ok()) << port.status();
 
     FaultSpec dupy;
     dupy.duplicate = 0.6;
     FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", dupy)}});
-    std::unique_ptr<Transport> real = RealTransport(channel);
-    FaultInjectingTransport faulty(real.get(), &injector);
+    UdpTransport real;
+    FaultInjectingTransport faulty(&real, &injector);
     RpcClient client(/*world=*/nullptr, "localclient", &faulty);
     AsyncClientEngine engine;
     client.set_async_engine(&engine);
 
     constexpr int kCalls = 40;
     std::vector<CallOutcome> outcomes = RunCalls(
-        channel, client, ChannelBinding(channel, *port), kCalls,
+        channel, client, ChannelBinding(*port), kCalls,
         [](int i) { return Bytes{static_cast<uint8_t>(i)}; }, [] { return RequestContext{}; });
     for (int i = 0; i < kCalls; ++i) {
       ASSERT_TRUE(outcomes[i].reply.ok()) << "call " << i << ": " << outcomes[i].reply.status();
@@ -513,11 +483,11 @@ TEST(ChaosTest, DuplicateStormDeliversEveryReplyToItsCall) {
     // Each extra reply is counted unmatched: on the loop as it lands, on the
     // caller when the thread's next call reads it, so the last one may wait.
     if (channel == EngineChannel::kSyncUdp) {
-      EXPECT_GE(UnmatchedReplies(engine.stats()) + 1, stats.duplicates);
-      EXPECT_LE(UnmatchedReplies(engine.stats()), stats.duplicates);
+      EXPECT_GE(engine.stats().udp_unmatched + 1, stats.duplicates);
+      EXPECT_LE(engine.stats().udp_unmatched, stats.duplicates);
     } else {
-      WaitUntil([&] { return UnmatchedReplies(engine.stats()) >= stats.duplicates; });
-      EXPECT_EQ(UnmatchedReplies(engine.stats()), stats.duplicates);
+      WaitUntil([&] { return engine.stats().udp_unmatched >= stats.duplicates; });
+      EXPECT_EQ(engine.stats().udp_unmatched, stats.duplicates);
     }
     host.StopAll();
     EXPECT_EQ(handled.load(), want);
@@ -542,7 +512,7 @@ TEST(ChaosTest, ReorderAndDelayKeepRepliesMatchedToRequests) {
       }
       return out;
     });
-    Result<uint16_t> port = ServeFor(channel, host, &server);
+    Result<uint16_t> port = host.Serve(&server, 0);
     ASSERT_TRUE(port.ok()) << port.status();
 
     FaultSpec wobble;
@@ -563,12 +533,12 @@ TEST(ChaosTest, ReorderAndDelayKeepRepliesMatchedToRequests) {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&] {
-        std::unique_ptr<Transport> real = RealTransport(channel);
-        FaultInjectingTransport faulty(real.get(), &injector);
+        UdpTransport real;
+        FaultInjectingTransport faulty(&real, &injector);
         RpcClient client(/*world=*/nullptr, "localclient", &faulty);
         client.set_async_engine(&engine);
         std::vector<CallOutcome> outcomes = RunCalls(
-            channel, client, ChannelBinding(channel, *port), kCallsPerThread,
+            channel, client, ChannelBinding(*port), kCallsPerThread,
             [](int) { return Bytes{1}; }, [] { return RequestContext::WithTimeout(kBudgetMs); });
         for (const CallOutcome& outcome : outcomes) {
           total_retries += static_cast<int>(outcome.info.retries);
@@ -614,14 +584,14 @@ TEST(ChaosTest, ReorderAndDelayKeepRepliesMatchedToRequests) {
 // the second run as in the first.
 TEST(ChaosTest, SameSeedDropRunsReplayDecisionsAndAttempts) {
   uint64_t seed = AnnounceSeed("SameSeedDropRunsReplayDecisionsAndAttempts");
-  constexpr int kCalls = 10;
+  constexpr int kCalls = 15;
   uint64_t retries_seen = 0;
   for (EngineChannel channel : kEngineChannels) {
     SCOPED_TRACE(ChannelName(channel));
     UdpServerHost host;
     RpcServer server(ControlKind::kRaw, "chaos-replay");
     server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
-    Result<uint16_t> port = ServeFor(channel, host, &server);
+    Result<uint16_t> port = host.Serve(&server, 0);
     ASSERT_TRUE(port.ok()) << port.status();
 
     auto run = [&](std::vector<uint32_t>* attempts) {
@@ -629,13 +599,13 @@ TEST(ChaosTest, SameSeedDropRunsReplayDecisionsAndAttempts) {
       lossy.drop = 0.3;
       FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", lossy)}});
       injector.set_trace_enabled(true);
-      std::unique_ptr<Transport> real = RealTransport(channel, kLossyAttemptMs);
-      FaultInjectingTransport faulty(real.get(), &injector);
+      UdpTransport real(kLossyAttemptMs);
+      FaultInjectingTransport faulty(&real, &injector);
       RpcClient client(/*world=*/nullptr, "localclient", &faulty);
       AsyncClientEngine engine;
       client.set_async_engine(&engine);
       std::vector<CallOutcome> outcomes = RunCalls(
-          channel, client, ChannelBinding(channel, *port), kCalls,
+          channel, client, ChannelBinding(*port), kCalls,
           [](int i) { return Bytes{static_cast<uint8_t>(i)}; },
           [] { return RequestContext::WithTimeout(4000); }, /*one_at_a_time=*/true);
       for (const CallOutcome& outcome : outcomes) {
@@ -660,8 +630,8 @@ TEST(ChaosTest, SameSeedDropRunsReplayDecisionsAndAttempts) {
     EXPECT_EQ(first.size(), total_attempts) << "one decision per attempt";
     retries_seen += total_attempts - kCalls;
   }
-  // A channel's ten calls escape a 30% plan about one time in 35, and then
-  // replay trivially; all three channels do so about once in 40,000 runs.
+  // A channel's fifteen calls escape a 30% plan about one time in 210, and
+  // then replay trivially; both channels do so about once in 44,000 runs.
   EXPECT_GT(retries_seen, 0u) << "a drop plan that never dropped replays trivially";
   UdpClientSocket::ForThisThread().Close();
 }
@@ -716,117 +686,13 @@ TEST(ChaosTest, CorruptAndDropInboundStormStaysLive) {
   EXPECT_GT(collected.endpoint_drops.count(*port), 0u);
 }
 
-TEST(ChaosTest, CorruptFrameStormOverStreamStaysLive) {
-  uint64_t seed = AnnounceSeed("CorruptFrameStormOverStreamStaysLive");
-  FaultSpec garble;
-  garble.corrupt = 0.4;
-  FaultInjector injector(FaultConfig{seed, {OnePhasePlan("local", garble)}});
-  ScopedGlobalInjector installed(&injector);
-
-  UdpServerHost host;
-  RpcServer server(ControlKind::kRaw, "chaos-stream");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
-  Result<uint16_t> port = host.ServeStream(&server, 0);
-  ASSERT_TRUE(port.ok()) << port.status();
-
-  TcpStreamTransport transport(/*timeout_ms=*/400);
-  RpcClient client(/*world=*/nullptr, "localclient", &transport);
-  HrpcBinding binding = UdpBinding(*port, 7, ControlKind::kRaw);
-  binding.transport = TransportKind::kTcp;
-
-  constexpr int kCalls = 20;
-  constexpr int64_t kBudgetMs = 2500;
-  int successes = 0;
-  int total_retries = 0;
-  for (int i = 0; i < kCalls; ++i) {
-    RpcCallInfo info;
-    Result<Bytes> reply = client.Call(binding, 1, Bytes{0x11, 0x22},
-                                      RequestContext::WithTimeout(kBudgetMs), &info);
-    if (reply.ok()) {
-      ++successes;
-    }
-    EXPECT_LE(info.attempts, RetryPolicy::MaxAttempts(kBudgetMs)) << "call " << i;
-    total_retries += static_cast<int>(info.retries);
-  }
-  FaultStats collected = CollectFaultStats(&injector, &host);
-  host.StopAll();
-
-  ReportStats("CorruptFrameStormOverStreamStaysLive", collected, total_retries,
-              kCalls - successes);
-  EXPECT_GT(successes, 0);
-  EXPECT_GT(collected.corruptions, 0u) << "a 40% corruption plan that never fired is not running";
-}
-
-// --- Async pipeline scenarios ----------------------------------------------
+// --- Reply-side scenarios --------------------------------------------------
 //
 // FaultInjectingTransport's faults are drawn as the engine sends, so they
 // shape requests only. These scenarios fault the reply direction instead
-// with seeded chaotic *servers*: every shuffle, duplication, and crash point
-// is drawn from an mt19937_64 keyed by the scenario seed, so a failing run
-// replays byte-identically with HCS_CHAOS_SEED=<seed>.
-
-// Reads length-prefixed frames off `fd` until `want` complete request
-// bodies arrive (or the peer hangs up). Returns the raw bodies.
-std::vector<Bytes> ReadFramedRequests(int fd, size_t want) {
-  std::vector<uint8_t> buf;
-  std::vector<Bytes> requests;
-  while (requests.size() < want) {
-    uint8_t chunk[4096];
-    ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      break;
-    }
-    buf.insert(buf.end(), chunk, chunk + n);
-    while (buf.size() >= 4) {
-      uint32_t len = (static_cast<uint32_t>(buf[0]) << 24) |
-                     (static_cast<uint32_t>(buf[1]) << 16) |
-                     (static_cast<uint32_t>(buf[2]) << 8) | buf[3];
-      if (buf.size() < 4 + len) {
-        break;
-      }
-      requests.emplace_back(buf.begin() + 4, buf.begin() + 4 + len);
-      buf.erase(buf.begin(), buf.begin() + 4 + len);
-    }
-  }
-  return requests;
-}
-
-// Frames an echo reply (same xid, args echoed back) for one raw request.
-Bytes FramedEchoReply(const Bytes& request) {
-  const ControlProtocol& control = GetControlProtocol(ControlKind::kRaw);
-  Result<RpcCall> call = control.DecodeCall(request);
-  if (!call.ok()) {
-    return Bytes{};
-  }
-  RpcReplyMsg reply;
-  reply.xid = call->xid;
-  reply.results = call->args;
-  Bytes body = control.EncodeReply(reply);
-  Bytes framed;
-  framed.push_back(static_cast<uint8_t>(body.size() >> 24));
-  framed.push_back(static_cast<uint8_t>(body.size() >> 16));
-  framed.push_back(static_cast<uint8_t>(body.size() >> 8));
-  framed.push_back(static_cast<uint8_t>(body.size()));
-  framed.insert(framed.end(), body.begin(), body.end());
-  return framed;
-}
-
-// Opens a loopback TCP listener on an ephemeral port. Returns {fd, port}.
-std::pair<int, uint16_t> ListenLoopback() {
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (fd < 0 || bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      listen(fd, 1) != 0) {
-    return {-1, 0};
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0) {
-    return {-1, 0};
-  }
-  return {fd, ntohs(addr.sin_port)};
-}
+// with seeded chaotic *servers*: every shuffle, duplication, loss and late
+// reply is drawn from an mt19937_64 keyed by the scenario seed, so a failing
+// run replays byte-identically with HCS_CHAOS_SEED=<seed>.
 
 TEST(ChaosTest, AsyncUdpDuplicateReorderStormMatchesEveryReply) {
   uint64_t seed = AnnounceSeed("AsyncUdpDuplicateReorderStormMatchesEveryReply");
@@ -1107,143 +973,61 @@ TEST(ChaosTest, SyncUdpLossAndLateRepliesRetryWithinTheBudget) {
             << " retries=" << total_retries << " unmatched=" << stats.udp_unmatched << std::endl;
 }
 
-TEST(ChaosTest, AsyncStreamPipelineSurvivesDuplicateAndReorderedFrames) {
-  uint64_t seed = AnnounceSeed("AsyncStreamPipelineSurvivesDuplicateAndReorderedFrames");
-  constexpr int kCalls = 8;
+// An injected hold spends part of its attempt, not extra time on top of it:
+// against a peer that never answers, with every send held 150 or 300 ms
+// and a 200 ms attempt timeout, an unbudgeted call ends kTimeout after its
+// one attempt at about 200 ms, and a call with a 500 ms budget ends at
+// about its deadline, on both channels. A receive that starts a full
+// timeout after the hold overruns both.
+TEST(ChaosTest, HeldSendsEndWithTheirAttemptAndTheCallWithItsBudget) {
+  uint64_t seed = AnnounceSeed("HeldSendsEndWithTheirAttemptAndTheCallWithItsBudget");
+  constexpr int kAttemptMs = 200;
+  constexpr int64_t kBudgetMs = 500;
+  auto [hole_fd, hole_port] = BindRawUdpServer();  // bound, never read
+  ASSERT_GE(hole_fd, 0);
+  for (EngineChannel channel : kEngineChannels) {
+    for (int64_t hold_ms : {150, 300}) {
+      SCOPED_TRACE(ChannelName(channel) + " hold " + std::to_string(hold_ms) + " ms");
+      FaultSpec held;
+      held.delay = 1.0;
+      held.delay_min_ms = hold_ms;
+      held.delay_max_ms = hold_ms;
+      FaultInjector injector(FaultConfig{seed, {OnePhasePlan("localhost", held)}});
+      UdpTransport real(kAttemptMs);
+      FaultInjectingTransport faulty(&real, &injector);
+      RpcClient client(/*world=*/nullptr, "localclient", &faulty);
+      AsyncClientEngine engine;
+      client.set_async_engine(&engine);
 
-  auto [listen_fd, port] = ListenLoopback();
-  ASSERT_GE(listen_fd, 0);
-
-  std::atomic<int> duplicates_sent{0};
-  std::atomic<bool> server_ok{true};
-  std::thread server([listen_fd, seed, &duplicates_sent, &server_ok] {
-    int conn = accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) {
-      server_ok = false;
-      return;
-    }
-    std::vector<Bytes> requests = ReadFramedRequests(conn, kCalls);
-    if (requests.size() != kCalls) {
-      server_ok = false;
-      close(conn);
-      return;
-    }
-    std::mt19937_64 rng(seed);
-    std::shuffle(requests.begin(), requests.end(), rng);
-    for (const Bytes& request : requests) {
-      Bytes framed = FramedEchoReply(request);
-      (void)send(conn, framed.data(), framed.size(),
-                 0);  // hcs:ignore-status(chaos server; a lost frame is the fault under test)
-      if (rng() % 100 < 40) {  // duplicate the frame, same xid
-        (void)send(conn, framed.data(), framed.size(),
-                   0);  // hcs:ignore-status(chaos server; duplicate frame is the fault under test)
-        ++duplicates_sent;
+      for (bool budgeted : {false, true}) {
+        const auto start = std::chrono::steady_clock::now();
+        std::vector<CallOutcome> outcomes = RunCalls(
+            channel, client, ChannelBinding(hole_port), 1, [](int) { return Bytes{0x48}; },
+            [budgeted] {
+              return budgeted ? RequestContext::WithTimeout(kBudgetMs) : RequestContext{};
+            });
+        const int64_t elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                                       std::chrono::steady_clock::now() - start)
+                                       .count();
+        const CallOutcome& outcome = outcomes[0];
+        EXPECT_EQ(outcome.reply.status().code(), StatusCode::kTimeout) << outcome.reply.status();
+        EXPECT_EQ(outcome.info.retries + 1, outcome.info.attempts);
+        if (budgeted) {
+          EXPECT_LE(outcome.info.attempts, RetryPolicy::MaxAttempts(kBudgetMs));
+          EXPECT_LT(elapsed_ms, kBudgetMs + 40) << "the call outlived its budget";
+        } else {
+          EXPECT_EQ(outcome.info.attempts, 1u);
+          EXPECT_LT(elapsed_ms, kAttemptMs + 60) << "the attempt outlived its timeout";
+        }
+        std::cout << "[chaos] HeldSends " << ChannelName(channel) << " hold=" << hold_ms
+                  << " budgeted=" << budgeted << " elapsed_ms=" << elapsed_ms
+                  << " attempts=" << outcome.info.attempts << std::endl;
       }
-    }
-    // Keep the pipe open until the client has drained everything.
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    close(conn);
-  });
-
-  AsyncEngineOptions options;
-  options.max_conns_per_remote = 1;  // every call pipelined on one pipe
-  AsyncClientEngine engine(options);
-  TcpStreamTransport transport;
-  RpcClient client(/*world=*/nullptr, "localclient", &transport);
-  client.set_async_engine(&engine);
-
-  HrpcBinding binding = UdpBinding(port, 7, ControlKind::kRaw);
-  binding.transport = TransportKind::kTcp;
-  std::vector<RpcFuture> futures;
-  for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(client.CallAsync(binding, 1, Bytes{static_cast<uint8_t>(i), 0x77}));
-  }
-  for (int i = 0; i < kCalls; ++i) {
-    Result<Bytes> reply = futures[i].Wait();
-    ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
-    EXPECT_EQ(*reply, (Bytes{static_cast<uint8_t>(i), 0x77}))
-        << "a reordered or duplicated frame crossed pipelined calls";
-  }
-  server.join();
-  close(listen_fd);
-  ASSERT_TRUE(server_ok.load());
-
-  EXPECT_EQ(engine.stats().stream_connects, 1u);
-  EXPECT_EQ(engine.stats().stream_unmatched, static_cast<uint64_t>(duplicates_sent.load()))
-      << "every duplicated frame must be counted, never crossed onto a call";
-  std::cout << "[chaos] AsyncStreamPipelineDupReorder duplicates=" << duplicates_sent.load()
-            << std::endl;
-}
-
-TEST(ChaosTest, AsyncServerCrashMidPipelineFailsAllOutstandingFutures) {
-  uint64_t seed = AnnounceSeed("AsyncServerCrashMidPipelineFailsAllOutstandingFutures");
-  constexpr int kCalls = 8;
-
-  auto [listen_fd, port] = ListenLoopback();
-  ASSERT_GE(listen_fd, 0);
-
-  // The seed picks how deep into the pipeline the crash lands and which
-  // calls got answered first.
-  std::mt19937_64 rng(seed);
-  const size_t answered = 2 + rng() % 4;  // 2..5 of 8
-  std::atomic<bool> server_ok{true};
-  std::thread server([listen_fd, answered, &rng, &server_ok] {
-    int conn = accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) {
-      server_ok = false;
-      return;
-    }
-    std::vector<Bytes> requests = ReadFramedRequests(conn, kCalls);
-    if (requests.size() != kCalls) {
-      server_ok = false;
-      close(conn);
-      return;
-    }
-    std::shuffle(requests.begin(), requests.end(), rng);
-    for (size_t i = 0; i < answered; ++i) {
-      Bytes framed = FramedEchoReply(requests[i]);
-      (void)send(conn, framed.data(), framed.size(),
-                 0);  // hcs:ignore-status(chaos server; the crash below is the fault under test)
-    }
-    // Crash mid-pipeline: hard close with the rest still outstanding.
-    close(conn);
-  });
-
-  AsyncEngineOptions options;
-  options.max_conns_per_remote = 1;
-  AsyncClientEngine engine(options);
-  TcpStreamTransport transport;
-  RpcClient client(/*world=*/nullptr, "localclient", &transport);
-  client.set_async_engine(&engine);
-
-  HrpcBinding binding = UdpBinding(port, 7, ControlKind::kRaw);
-  binding.transport = TransportKind::kTcp;
-  std::vector<RpcFuture> futures;
-  for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(client.CallAsync(binding, 1, Bytes{static_cast<uint8_t>(i)}));
-  }
-
-  size_t ok_count = 0;
-  size_t unavailable = 0;
-  for (int i = 0; i < kCalls; ++i) {
-    Result<Bytes> reply = futures[i].Wait();
-    if (reply.ok()) {
-      EXPECT_EQ(*reply, Bytes{static_cast<uint8_t>(i)}) << "answered call " << i;
-      ++ok_count;
-    } else {
-      EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
-          << "outstanding call " << i << " must fail kUnavailable, got " << reply.status();
-      ++unavailable;
+      EXPECT_EQ(engine.stats().calls, 2u);
+      EXPECT_EQ(injector.stats().delays, injector.stats().decisions) << "every send was held";
     }
   }
-  server.join();
-  close(listen_fd);
-  ASSERT_TRUE(server_ok.load());
-
-  EXPECT_EQ(ok_count, answered);
-  EXPECT_EQ(unavailable, static_cast<size_t>(kCalls) - answered);
-  std::cout << "[chaos] AsyncServerCrashMidPipeline answered=" << answered
-            << " failed_unavailable=" << unavailable << std::endl;
+  close(hole_fd);
 }
 
 // --- Name-service scenarios over real sockets ------------------------------

@@ -3,20 +3,14 @@
 // tests prove the property end to end: a BIND, Clearinghouse, portmapper, or
 // HNS server fed truncated and garbage frames over 127.0.0.1 must answer
 // with a protocol-level error reply or drop the frame cleanly — never crash,
-// desynchronize, or wedge the serve loop/reactor. Liveness is asserted
-// after every storm by a well-formed RpcClient::Call on the same endpoint.
+// desynchronize, or wedge the serve loop. Liveness is asserted after every
+// storm by a well-formed RpcClient::Call on the same endpoint.
 //
-// UDP endpoints run on their serve loops; stream endpoints on the reactor.
-// Attack datagrams go out raw on the thread's UdpClientSocket.
+// Endpoints run on UdpServerHost's serve loops. Attack datagrams go out raw
+// on the thread's UdpClientSocket.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,7 +26,6 @@
 #include "src/rpc/portmapper.h"
 #include "src/rpc/ports.h"
 #include "src/rpc/server.h"
-#include "src/rpc/stream_transport.h"
 #include "src/rpc/udp_transport.h"
 #include "src/sim/world.h"
 
@@ -66,15 +59,15 @@ Bytes ValidCall(const Target& target) {
   return GetControlProtocol(target.rpc->control_kind()).EncodeCall(call);
 }
 
-// A binding that reaches `target`'s program at `port` over `transport`.
-HrpcBinding TargetBinding(const Target& target, uint16_t port, TransportKind transport) {
+// A binding that reaches `target`'s program at UDP `port`.
+HrpcBinding TargetBinding(const Target& target, uint16_t port) {
   HrpcBinding b;
   b.host = "localhost";
   b.port = port;
   b.program = target.program;
   b.version = 2;
   b.control = target.rpc->control_kind();
-  b.transport = transport;
+  b.transport = TransportKind::kUdp;
   return b;
 }
 
@@ -169,63 +162,8 @@ TEST_F(MalformedPacketTest, UdpServersSurviveGarbageAndStayLive) {
 
     // The storm must leave the endpoint serving: a well-formed call gets a
     // well-formed reply that matches it.
-    ExpectAnswered(target, client.Call(TargetBinding(target, *port, TransportKind::kUdp),
-                                       target.procedure, Bytes{}));
-  }
-  host.StopAll();
-}
-
-// Sends raw bytes to a TCP port and closes without reading; used to poison
-// stream connections mid-frame.
-void BlindTcpSend(uint16_t port, const Bytes& data) {
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  if (!data.empty()) {
-    (void)send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-  }
-  close(fd);
-}
-
-Bytes FramedStream(const Bytes& payload, uint32_t announced_size) {
-  Bytes out;
-  out.push_back(static_cast<uint8_t>(announced_size >> 24));
-  out.push_back(static_cast<uint8_t>(announced_size >> 16));
-  out.push_back(static_cast<uint8_t>(announced_size >> 8));
-  out.push_back(static_cast<uint8_t>(announced_size));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-TEST_F(MalformedPacketTest, StreamServersSurviveGarbageAndStayLive) {
-  // Stream serving always rides the shared reactor: one poisoned connection
-  // must never stall the loop that every other endpoint depends on.
-  UdpServerHost host;
-
-  for (Target& target : targets_) {
-    SCOPED_TRACE(target.label);
-    Result<uint16_t> port = host.ServeStream(target.rpc, 0);
-    ASSERT_TRUE(port.ok()) << port.status();
-
-    // An absurd frame-length announcement, then silence.
-    BlindTcpSend(*port, FramedStream(Bytes{}, 0xffffffffu));
-    // A frame that promises 64 bytes and delivers 3, then closes mid-frame.
-    BlindTcpSend(*port, FramedStream(Bytes{1, 2, 3}, 64));
-    // Garbage with a plausible header: 60 bytes of junk, correctly framed.
-    BlindTcpSend(*port, FramedStream(PatternBytes(60), 60));
-    // No header at all: the connection dies after two bytes.
-    BlindTcpSend(*port, Bytes{0xff, 0x00});
-
-    // The reactor must still serve this endpoint: a well-formed framed call
-    // over a fresh connection gets a well-formed reply that matches it.
-    TcpStreamTransport transport(/*timeout_ms=*/4000);
-    RpcClient client(/*world=*/nullptr, "client", &transport);
-    ExpectAnswered(target, client.Call(TargetBinding(target, *port, TransportKind::kTcp),
-                                       target.procedure, Bytes{}));
+    ExpectAnswered(target,
+                   client.Call(TargetBinding(target, *port), target.procedure, Bytes{}));
   }
   host.StopAll();
 }

@@ -24,8 +24,8 @@
 #                memory errors made fatal
 #   chaos-tsan   `ctest -L chaos` under the tsan build
 #   async-tsan   async_client_test under the tsan build: the reactor-driven
-#                client engine's loop thread, future completion,
-#                pipelining, and reap races
+#                client engine's loop thread, future completion, and
+#                engine-teardown races
 #   bench-smoke  tools/bench_snapshot.py --check over every checked-in
 #                BENCH_*.json: schema + embedded trajectory floors (no
 #                re-measurement; also runs as the bench_smoke ctest)
@@ -255,8 +255,8 @@ else
 fi
 
 # 10. The same scenarios under TSan: the injector's serve-side hooks run on
-# serve loops and reactor workers, and the decision/trace state is shared
-# across every calling thread.
+# the serve loops, and the decision/trace state is shared across every
+# calling thread.
 if [[ -x "${BUILD_ROOT}/tsan/tests/chaos_test" ]]; then
   note "chaos-tsan: ctest -L chaos under thread"
   if (cd "${BUILD_ROOT}/tsan" && ctest --output-on-failure -L chaos); then
@@ -270,8 +270,8 @@ else
 fi
 
 # 11. The async client core under TSan: the engine's loop thread completes
-# futures that calling threads wait on, the chaos scenarios pipeline ≥8
-# calls through it, and the reap timer races new assignments. Reuses the
+# futures that calling threads wait on, windows of calls share its UDP
+# socket, and engine teardown races replies still in flight. Reuses the
 # tsan build from step 3 when it exists.
 if [[ -x "${BUILD_ROOT}/tsan/tests/async_client_test" ]]; then
   note "async-tsan: async_client_test under thread"
