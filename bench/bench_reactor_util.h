@@ -3,7 +3,7 @@
 // (one serve loop, the seed's one-at-a-time contract) and once on a
 // concurrent endpoint (several serve loops on one socket), then driven by
 // N client threads with one request in flight each. The client drivers
-// themselves (thread-per-call and the async burst-refill window driver)
+// themselves (thread-per-call and the single-thread CallMany wave driver)
 // live in src/workload/driver.h, shared with the workload scenario suite;
 // this header keeps only the bench-specific hosting and table-printing
 // wrappers.

@@ -79,9 +79,9 @@ ScenarioResult RunScenario(const std::string& name, RpcServer* server, bool conc
   return result;
 }
 
-// The async-client counterpart, hosted on one serial loop: the sweep is
-// ONE client process-thread holding `window` CallAsync requests in flight
-// (bench_reactor_util's DriveClientsAsync) instead of `window` blocking
+// The batched-client counterpart, hosted on one serial loop: the sweep is
+// ONE client thread issuing CallMany waves of `window` calls
+// (src/workload/driver.h's DriveClientsMany) instead of `window` blocking
 // threads with one call each.
 ScenarioResult RunScenarioAsync(const std::string& name, RpcServer* server, int udp_batch,
                                 int window, int requests_per_slot, Baseline baseline) {
@@ -90,7 +90,7 @@ ScenarioResult RunScenarioAsync(const std::string& name, RpcServer* server, int 
   result.name = name;
   result.concurrent = false;
   result.udp_batch = host.receive_batch(/*concurrent=*/false);
-  std::fprintf(stderr, "  running %-27s batch=%-2d window=%-2d reqs=%d (async client)\n",
+  std::fprintf(stderr, "  running %-27s batch=%-2d window=%-2d reqs=%d (CallMany waves)\n",
                name.c_str(), result.udp_batch, window, window * requests_per_slot);
   result.clients = window;
   result.requests = window * requests_per_slot;
@@ -102,10 +102,10 @@ ScenarioResult RunScenarioAsync(const std::string& name, RpcServer* server, int 
     std::abort();
   }
   // hcs:ignore-status(warmup sweep; the measured run below is what counts)
-  (void)DriveClientsAsync(*port, window, window * 20);
+  (void)DriveClientsMany(*port, window, window * 20);
 
   result.before = SnapshotUdpIoCounters();
-  result.point = DriveClientsAsync(*port, window, result.requests);
+  result.point = DriveClientsMany(*port, window, result.requests);
   result.after = SnapshotUdpIoCounters();
   host.StopAll();
   return result;
@@ -193,7 +193,7 @@ int Main(int argc, char** argv) {
   // (same handlers and client counts, now one serve loop per client) with a
   // 0.5 floor rather than 0.85 — absolute wall-clock throughput swings
   // 30-50% between container instances, so the floor is a tripwire for
-  // order-of-magnitude regressions, not a precision claim. The async leg's
+  // order-of-magnitude regressions, not a precision claim. The CallMany leg's
   // 2x floor is immune to that: it compares against the thread-per-call
   // baseline measured in the SAME run on the SAME box. The serial echo pair
   // measures the serial loop's receive batch against a batch of one under
@@ -213,11 +213,11 @@ int Main(int argc, char** argv) {
       "e5r_concurrent", &e5r, /*concurrent=*/true, kDefaultUdpBatch, 64, 600 / scale,
       {"BENCH_6 e5r_reactor_batched (PR 6)", 54785.9, 0.5}));
 
-  // The async client core: 64 blocking threads with one call each vs one
-  // thread keeping 64 CallAsync requests in flight, same echo service. Both
-  // rows host the echo on one serial loop taking up to 64 datagrams per
-  // receive, so the comparison isolates the CLIENT runtimes: the server is
-  // fixed, only the client stack differs.
+  // The two shapes of the one UDP client: 64 blocking threads with one call
+  // each vs one thread issuing CallMany waves of 64 calls, same echo
+  // service. Both rows host the echo on one serial loop taking up to 64
+  // datagrams per receive, so the comparison isolates the client side: the
+  // server is fixed, only how the calls are issued differs.
   // Longer rows than the floor scenarios (3000 requests per slot): the 2x
   // claim is the PR's headline and per-run scheduler noise on a 1-CPU box
   // is large, so both sides get enough wall-clock to average it out.

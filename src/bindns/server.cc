@@ -75,7 +75,6 @@ Result<size_t> BindServer::RefreshSecondaryZones() {
 }
 
 void BindServer::SchedulePeriodicRefresh(double interval_seconds) {
-  // hcs:on-loop(sim EventQueue::ScheduleAfter, not the reactor's loop-only timer API)
   world_->events().ScheduleAfter(MsToSim(interval_seconds * 1000.0), [this,
                                                                       interval_seconds] {
     Result<size_t> refreshed = RefreshSecondaryZones();

@@ -165,7 +165,6 @@ void MetaStore::PrefetchRecords(const std::vector<std::string>& record_names,
   struct Launch {
     std::string name;
     std::shared_ptr<InFlight> flight;
-    RpcFuture future;
   };
   std::vector<Launch> launches;
   for (const std::string& record_name : record_names) {
@@ -180,13 +179,16 @@ void MetaStore::PrefetchRecords(const std::vector<std::string>& record_names,
       auto flight = std::make_shared<InFlight>();
       flight->leader_deadline_ms = effective.has_deadline() ? effective.deadline_ms : 0;
       in_flight_[record_name] = flight;
-      launches.push_back(Launch{record_name, std::move(flight), RpcFuture{}});
+      launches.push_back(Launch{record_name, std::move(flight)});
     }
   }
 
-  // Fan out: every BIND query goes on the wire before any reply is awaited.
+  // Fan out: every BIND query goes on the wire, in one CallMany batch,
+  // before any reply is awaited.
   World* world = client_->world();
-  for (Launch& launch : launches) {
+  std::vector<RpcClient::Request> calls;
+  calls.reserve(launches.size());
+  for (const Launch& launch : launches) {
     remote_lookups_.fetch_add(1, std::memory_order_relaxed);
     BindQueryRequest request;
     request.name = launch.name;
@@ -194,13 +196,14 @@ void MetaStore::PrefetchRecords(const std::vector<std::string>& record_names,
     if (world != nullptr) {
       ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
     }
-    launch.future = client_->CallAsync(MetaServerBinding(/*authority=*/false), kBindProcQuery,
-                                       request.Encode(), effective);
+    calls.push_back(RpcClient::Request{MetaServerBinding(/*authority=*/false), kBindProcQuery,
+                                       request.Encode(), effective});
   }
-  for (Launch& launch : launches) {
-    Result<Bytes> reply = launch.future.Wait();
-    Result<WireValue> fetched =
-        reply.ok() ? DecodeMetaReply(launch.name, *reply) : Result<WireValue>(reply.status());
+  std::vector<Result<Bytes>> replies = client_->CallMany(calls);
+  for (size_t i = 0; i < launches.size(); ++i) {
+    const Launch& launch = launches[i];
+    Result<WireValue> fetched = replies[i].ok() ? DecodeMetaReply(launch.name, *replies[i])
+                                                : Result<WireValue>(replies[i].status());
     (void)FinishFlight(launch.name, launch.flight, fetched);
   }
 }

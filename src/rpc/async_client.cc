@@ -1,24 +1,26 @@
 #include "src/rpc/async_client.h"
 
 #include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <sys/epoll.h>
+#include <limits>
 #include <thread>
+#include <vector>
 
-#include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/rpc/client.h"
+#include "src/rpc/control.h"
 #include "src/rpc/fault.h"
+#include "src/rpc/mmsg.h"
 
 namespace hcs {
 
 namespace {
+
+// Courier's masked xids repeat every 65,536 calls, so a larger batch runs
+// as consecutive chunks: within one, a masked xid names one call.
+constexpr size_t kMaxChunkCalls = 0xffff;
 
 sockaddr_in LoopbackAddr(uint16_t port) {
   sockaddr_in addr{};
@@ -28,10 +30,8 @@ sockaddr_in LoopbackAddr(uint16_t port) {
   return addr;
 }
 
-// --- Rules every channel shares, on the loop and on the caller --------------
-
-// Courier transaction ids are 16-bit: xids register and match within the
-// protocol's width (the sync client's masked-compare rule).
+// Courier transaction ids are 16-bit: xids match within the protocol's
+// width (the sync client's masked-compare rule).
 uint32_t MaskXid(ControlKind control, uint32_t xid) {
   return control == ControlKind::kCourier ? (xid & 0xffff) : xid;
 }
@@ -78,10 +78,10 @@ Result<int64_t> AttemptTimeoutMs(const AsyncCallSpec& spec, uint32_t attempt) {
 }
 
 // After 0-based `attempt` failed with `error`: the backoff before the next
-// attempt (advancing `*backoff_ms`), or the status the call completes with.
+// attempt (advancing `*backoff_ms`), or the status the call ends with.
 // Only calls with a deadline retry, and only on kTimeout/kUnavailable; the
-// backoff is the sync client's schedule exactly, jittered from (trace id,
-// wire attempt) and capped by the remaining budget.
+// backoff is jittered from (trace id, wire attempt) and capped by the
+// remaining budget.
 Result<int64_t> RetryBackoffMs(const AsyncCallSpec& spec, uint32_t attempt, int64_t* backoff_ms,
                                const Status& error) {
   const StatusCode code = error.code();
@@ -102,8 +102,8 @@ Result<int64_t> RetryBackoffMs(const AsyncCallSpec& spec, uint32_t attempt, int6
   return sleep_ms;
 }
 
-// A call larger than one IPv4 UDP datagram completes kResourceExhausted
-// before it touches the wire: no attempt could deliver it, so none is made.
+// A call larger than one IPv4 UDP datagram fails kResourceExhausted before
+// it touches the wire: no attempt could deliver it, so none is made.
 Status CheckCallFits(const AsyncCallSpec& spec, size_t wire_size) {
   if (wire_size <= kMaxDatagram) {
     return Status::Ok();
@@ -113,9 +113,9 @@ Status CheckCallFits(const AsyncCallSpec& spec, size_t wire_size) {
                                           wire_size, kMaxDatagram));
 }
 
-// The injector's decision for one attempt, drawn as it is sent. A blackhole
+// The injector's decision for one attempt, drawn as it starts. A blackhole
 // fails the attempt kUnavailable; a corruption flips bits in the encoded
-// call. The channel applies the rest (SendCopies and the hold).
+// call. The batch applies the rest (SendCopies and the hold).
 Result<FaultDecision> DrawAttemptFault(const AsyncCallSpec& spec, Bytes* wire) {
   FaultDecision fault = spec.channel.faults->Decide(spec.binding.host, spec.binding.port);
   if (fault.blackhole) {
@@ -130,131 +130,322 @@ Result<FaultDecision> DrawAttemptFault(const AsyncCallSpec& spec, Bytes* wire) {
 }
 
 // Copies of an attempt that go on the wire: none for a drop (the attempt
-// ends by its timer, like a lost datagram), two for a duplicate.
+// ends by its deadline, like a lost datagram), two for a duplicate.
 int SendCopies(const FaultDecision& fault) { return fault.drop ? 0 : fault.duplicate ? 2 : 1; }
+
+// One call of a batch as the send/receive loop tracks it.
+struct CallSlot {
+  uint32_t attempt = 0;  // 0-based: the attempt in flight, or the next one
+  int64_t backoff_ms = RetryPolicy::kBackoffBaseMs;
+  int64_t due_ms = 0;         // the next attempt starts no earlier
+  int64_t deadline_ms = 0;    // the attempt in flight times out here
+  int64_t hold_until_ms = 0;  // held copies go out here
+  int held_copies = 0;        // copies of the attempt in flight still held
+  bool in_flight = false;
+  bool done = false;
+};
+
+// Buffers each thread's batches reuse from call to call.
+struct BatchScratch {
+  std::vector<CallSlot> slots;
+  std::vector<Bytes> wires;      // slot i's encoded attempt
+  std::vector<UdpReply> outbox;  // datagrams staged for the next sendmmsg
+  // The slot whose wire each outbox entry borrows, or kNoLender for a copy.
+  std::vector<size_t> lenders;
+  Bytes datagram;  // a received frame, copied out of the receive slot
+};
+constexpr size_t kNoLender = std::numeric_limits<size_t>::max();
+
+BatchScratch& ThisThreadScratch() {
+  thread_local BatchScratch scratch;
+  return scratch;
+}
 
 }  // namespace
 
-// One in-flight CallAsync. Loop-thread-only after StartOnLoop; the future
-// state is the only piece other threads see.
-struct AsyncClientEngine::PendingCall {
-  uint64_t id = 0;
-  AsyncCallSpec spec;
-  const ControlProtocol* control = nullptr;
-  std::shared_ptr<RpcFutureState> state;
-  RpcCallInfo info;
+class AsyncClientEngine::CallerBatch {
+ public:
+  CallerBatch(AsyncClientEngine* engine, std::span<const AsyncCallSpec> specs,
+              std::span<Result<Bytes>> results, std::span<RpcCallInfo> infos);
 
-  // The xid travels unchanged across retries (like the sync client): a
-  // retry is the same call, and a late reply to an earlier attempt still
-  // answers it.
-  uint32_t xid = 0;
-  uint32_t attempt = 0;
-  int64_t backoff_ms = RetryPolicy::kBackoffBaseMs;
-  uint64_t attempt_timer = 0;  // nonzero while an attempt timer is armed
-  Bytes wire;                  // per-attempt encode buffer (reused)
+  // Sends, receives and retries until every call of the batch has ended.
+  void Run();
 
-  // Residence: where a reply to this call is currently awaited.
-  uint16_t udp_port = 0;  // nonzero → registered in udp_pending_[port]
+ private:
+  // Ends attempts past their deadline, releases due holds, and starts the
+  // attempts that are due while fewer than kMaxUdpBatch are in flight.
+  void Advance(int64_t now);
+  void StartAttempt(size_t i, int64_t now);
+  void EndAttempt(size_t i, const Status& error, int64_t now);
+  void Complete(size_t i, Result<Bytes> result);
+  void FailInFlight(const Status& error);
+  // Stages `copies` datagrams of slot i's attempt; the last borrows its wire.
+  void Stage(size_t i, int copies);
+  // Sends every staged datagram in one sendmmsg.
+  void Flush(UdpClientSocket& socket);
+  // The nearest attempt deadline, held-send time or startable backoff end.
+  int64_t NextWakeMs() const;
+  void Dispatch(const UdpFrame& frame);
+
+  AsyncClientEngine* engine_;
+  std::span<const AsyncCallSpec> specs_;
+  std::span<Result<Bytes>> results_;
+  std::span<RpcCallInfo> infos_;
+  BatchScratch& scratch_;
+  uint32_t base_xid_ = 0;  // call i's xid is base_xid_ + i
+  uint32_t kinds_ = 0;     // bit k: a call uses ControlKind k
+  size_t open_ = 0;
+  int in_flight_ = 0;
 };
 
-AsyncClientEngine::~AsyncClientEngine() {
-  // Fail every outstanding future on the loop (single-threaded with the
-  // rest of the call state), then stop the reactor.
-  struct Latch {
-    Mutex mu{"async-engine-shutdown"};
-    CondVar cv;
-    bool done = false;
-  };
-  auto latch = std::make_shared<Latch>();
-  bool posted = reactor_.Post([this, latch] {
-    stopping_ = true;
-    std::vector<uint64_t> ids;
-    ids.reserve(calls_.size());
-    for (const auto& [id, call] : calls_) {
-      ids.push_back(id);
+AsyncClientEngine::CallerBatch::CallerBatch(AsyncClientEngine* engine,
+                                            std::span<const AsyncCallSpec> specs,
+                                            std::span<Result<Bytes>> results,
+                                            std::span<RpcCallInfo> infos)
+    : engine_(engine),
+      specs_(specs),
+      results_(results),
+      infos_(infos),
+      scratch_(ThisThreadScratch()),
+      open_(specs.size()) {
+  // Xids come from this thread's own sequence, from a random start: the
+  // socket is per-thread too, so a datagram left queued by an earlier call
+  // carries an earlier xid of this sequence and cannot match.
+  thread_local uint32_t next_xid = static_cast<uint32_t>(NewTraceId());
+  base_xid_ = next_xid;
+  next_xid += static_cast<uint32_t>(specs.size());
+  scratch_.slots.assign(specs.size(), CallSlot{});
+  if (scratch_.wires.size() < specs.size()) {
+    scratch_.wires.resize(specs.size());
+  }
+  for (size_t i = 0; i < specs.size(); ++i) {
+    kinds_ |= 1u << static_cast<uint32_t>(specs[i].binding.control);
+    infos[i].trace_id = specs[i].context.trace_id;
+  }
+}
+
+void AsyncClientEngine::CallerBatch::Run() {
+  UdpClientSocket& socket = UdpClientSocket::ForThisThread();
+  for (;;) {
+    Advance(SteadyNowMs());
+    Flush(socket);
+    if (open_ == 0) {
+      return;
     }
-    for (uint64_t id : ids) {
-      PendingCall* call = FindCall(id);
-      if (call != nullptr) {
-        CompleteCall(call, UnavailableError("async client engine shutting down"));
+    const int64_t wait_ms = NextWakeMs() - SteadyNowMs();
+    if (wait_ms <= 0) {
+      continue;
+    }
+    Result<UdpFrame*> frame = socket.Receive(wait_ms);
+    if (frame.ok()) {
+      if (*frame != nullptr) {
+        Dispatch(**frame);
       }
+      continue;
     }
-    {
-      MutexLock lock(latch->mu);
-      latch->done = true;
-    }
-    latch->cv.NotifyAll();
-  });
-  if (posted) {
-    MutexLock lock(latch->mu);
-    latch->cv.Wait(latch->mu, [&] { return latch->done; });
-  }
-  reactor_.Stop();
-  // Calls staged after the fail-all task was posted never reached the loop;
-  // with it stopped, nothing else will complete them.
-  std::vector<std::shared_ptr<PendingCall>> stranded;
-  {
-    MutexLock lock(incoming_mu_);
-    stranded.swap(incoming_);
-  }
-  for (const std::shared_ptr<PendingCall>& call : stranded) {
-    call->state->Complete(UnavailableError("async client engine shutting down"), call->info);
-  }
-}
-
-void AsyncClientEngine::StartCall(AsyncCallSpec spec, std::shared_ptr<RpcFutureState> state) {
-  std::call_once(start_once_, [this] {
-    Status started = reactor_.Start();
-    if (!started.ok()) {
-      // Post() will fail and every StartCall completes kUnavailable inline.
-      HCS_LOG(Warning) << "async client engine failed to start: " << started;
-    }
-  });
-  auto call = std::make_shared<PendingCall>();
-  call->id = next_call_id_.fetch_add(1, std::memory_order_relaxed);
-  call->spec = std::move(spec);
-  call->control = &GetControlProtocol(call->spec.binding.control);
-  call->state = std::move(state);
-  call->info.trace_id = call->spec.context.trace_id;
-
-  // Stage-and-drain hand-off: a burst of StartCalls shares ONE posted drain
-  // task (captureless-sized lambda, no per-call allocation) instead of one
-  // closure per call through the reactor's posted queue.
-  bool need_post = false;
-  {
-    MutexLock lock(incoming_mu_);
-    incoming_.push_back(std::move(call));
-    if (!incoming_drain_scheduled_) {
-      incoming_drain_scheduled_ = true;
-      need_post = true;
-    }
-  }
-  if (need_post && !reactor_.Post([this] { DrainIncoming(); })) {
-    // Engine not running: fail everything staged (ours and any piggybacked
-    // on the drain we could not schedule).
-    std::vector<std::shared_ptr<PendingCall>> orphans;
-    {
-      MutexLock lock(incoming_mu_);
-      orphans.swap(incoming_);
-      incoming_drain_scheduled_ = false;
-    }
-    for (const std::shared_ptr<PendingCall>& orphan : orphans) {
-      orphan->state->Complete(UnavailableError("async client engine not running"),
-                              orphan->info);
+    // A broken socket delivers nothing: end the attempts in flight, then
+    // sleep out the backoffs instead of spinning on the error.
+    FailInFlight(frame.status());
+    if (open_ > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(std::max<int64_t>(0, NextWakeMs() - SteadyNowMs())));
     }
   }
 }
 
-void AsyncClientEngine::DrainIncoming() {
-  HCS_ASSERT_LOOP(&reactor_);
-  std::vector<std::shared_ptr<PendingCall>> batch;
-  {
-    MutexLock lock(incoming_mu_);
-    batch.swap(incoming_);
-    incoming_drain_scheduled_ = false;
+void AsyncClientEngine::CallerBatch::Advance(int64_t now) {
+  for (size_t i = 0; i < scratch_.slots.size(); ++i) {
+    CallSlot& slot = scratch_.slots[i];
+    if (slot.done) {
+      continue;
+    }
+    if (slot.in_flight) {
+      if (now >= slot.deadline_ms) {
+        EndAttempt(i,
+                   TimeoutError(StrFormat("no response from %s:%u within the attempt budget",
+                                          specs_[i].binding.host.c_str(),
+                                          specs_[i].binding.port)),
+                   now);
+      } else if (slot.held_copies > 0 && now >= slot.hold_until_ms) {
+        Stage(i, slot.held_copies);
+        slot.held_copies = 0;
+      }
+    } else if (now >= slot.due_ms && in_flight_ < kMaxUdpBatch) {
+      StartAttempt(i, now);
+    }
   }
-  for (std::shared_ptr<PendingCall>& call : batch) {
-    StartOnLoop(std::move(call));
+}
+
+void AsyncClientEngine::CallerBatch::StartAttempt(size_t i, int64_t now) {
+  const AsyncCallSpec& spec = specs_[i];
+  CallSlot& slot = scratch_.slots[i];
+  Result<int64_t> timeout_ms = AttemptTimeoutMs(spec, slot.attempt);
+  if (!timeout_ms.ok()) {
+    Complete(i, timeout_ms.status());
+    return;
+  }
+  Bytes& wire = scratch_.wires[i];
+  EncodeAttemptTo(GetControlProtocol(spec.binding.control), spec,
+                  base_xid_ + static_cast<uint32_t>(i), slot.attempt, &wire);
+  Status fits = CheckCallFits(spec, wire.size());
+  if (!fits.ok()) {
+    Complete(i, fits);
+    return;
+  }
+  if (slot.attempt > 0) {
+    ++infos_[i].retries;
+    engine_->stat_retries_.fetch_add(1, std::memory_order_relaxed);
+  }
+  ++infos_[i].attempts;
+  slot.in_flight = true;
+  ++in_flight_;
+  slot.deadline_ms = now + *timeout_ms;
+  int copies = 1;
+  if (spec.channel.faults != nullptr) {
+    Result<FaultDecision> fault = DrawAttemptFault(spec, &wire);
+    if (!fault.ok()) {
+      EndAttempt(i, fault.status(), now);
+      return;
+    }
+    copies = SendCopies(*fault);
+    if (fault->delay_ms > 0) {
+      // Held on the attempt's own clock: Advance releases the copies when
+      // the hold ends, or discards them with the attempt.
+      slot.hold_until_ms = now + fault->delay_ms;
+      slot.held_copies = copies;
+      return;
+    }
+  }
+  Stage(i, copies);
+}
+
+void AsyncClientEngine::CallerBatch::EndAttempt(size_t i, const Status& error, int64_t now) {
+  CallSlot& slot = scratch_.slots[i];
+  slot.in_flight = false;
+  slot.held_copies = 0;
+  --in_flight_;
+  Result<int64_t> sleep_ms = RetryBackoffMs(specs_[i], slot.attempt, &slot.backoff_ms, error);
+  if (!sleep_ms.ok()) {
+    Complete(i, sleep_ms.status());
+    return;
+  }
+  ++slot.attempt;
+  slot.due_ms = now + *sleep_ms;
+}
+
+void AsyncClientEngine::CallerBatch::Complete(size_t i, Result<Bytes> result) {
+  CallSlot& slot = scratch_.slots[i];
+  if (slot.in_flight) {
+    slot.in_flight = false;
+    --in_flight_;
+  }
+  slot.done = true;
+  --open_;
+  results_[i] = std::move(result);
+  engine_->stat_completed_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void AsyncClientEngine::CallerBatch::FailInFlight(const Status& error) {
+  const int64_t now = SteadyNowMs();
+  for (size_t i = 0; i < scratch_.slots.size(); ++i) {
+    if (scratch_.slots[i].in_flight) {
+      EndAttempt(i, error, now);
+    }
+  }
+}
+
+void AsyncClientEngine::CallerBatch::Stage(size_t i, int copies) {
+  for (int c = 0; c < copies; ++c) {
+    UdpReply& out = scratch_.outbox.emplace_back();
+    out.peer = LoopbackAddr(specs_[i].binding.port);
+    out.peer_len = sizeof(out.peer);
+    if (c + 1 < copies) {
+      out.payload = scratch_.wires[i];
+      scratch_.lenders.push_back(kNoLender);
+    } else {
+      out.payload.swap(scratch_.wires[i]);  // lent to the send, no copy
+      scratch_.lenders.push_back(i);
+    }
+  }
+}
+
+void AsyncClientEngine::CallerBatch::Flush(UdpClientSocket& socket) {
+  std::vector<UdpReply>& outbox = scratch_.outbox;
+  if (outbox.empty()) {
+    return;
+  }
+  Result<size_t> sent = socket.Send(outbox);
+  for (size_t k = 0; k < outbox.size(); ++k) {
+    if (scratch_.lenders[k] != kNoLender) {
+      outbox[k].payload.swap(scratch_.wires[scratch_.lenders[k]]);
+    }
+  }
+  const size_t staged = outbox.size();
+  outbox.clear();
+  scratch_.lenders.clear();
+  if (!sent.ok()) {
+    FailInFlight(sent.status());
+  } else if (*sent < staged) {
+    // A drop, as UDP allows: each attempt still waits out its deadline,
+    // because a late reply to an earlier attempt answers the call too.
+    engine_->stat_udp_send_drops_.fetch_add(staged - *sent, std::memory_order_relaxed);
+  }
+}
+
+int64_t AsyncClientEngine::CallerBatch::NextWakeMs() const {
+  int64_t wake = std::numeric_limits<int64_t>::max();
+  const bool can_start = in_flight_ < kMaxUdpBatch;
+  for (const CallSlot& slot : scratch_.slots) {
+    if (slot.done) {
+      continue;
+    }
+    if (slot.in_flight) {
+      wake = std::min(wake, slot.held_copies > 0 ? std::min(slot.deadline_ms, slot.hold_until_ms)
+                                                 : slot.deadline_ms);
+    } else if (can_start) {
+      wake = std::min(wake, slot.due_ms);
+    }
+  }
+  return wake;
+}
+
+void AsyncClientEngine::CallerBatch::Dispatch(const UdpFrame& frame) {
+  if (frame.truncated || frame.size == 0) {
+    return;
+  }
+  const uint16_t port = ntohs(frame.peer.sin_port);
+  scratch_.datagram.assign(frame.data, frame.data + frame.size);
+  // Each control kind in the batch decodes the datagram at most once.
+  for (ControlKind kind : {ControlKind::kSunRpc, ControlKind::kCourier, ControlKind::kRaw}) {
+    if ((kinds_ & (1u << static_cast<uint32_t>(kind))) == 0) {
+      continue;
+    }
+    Result<RpcReplyMsg> reply = GetControlProtocol(kind).DecodeReply(scratch_.datagram);
+    if (!reply.ok()) {
+      continue;
+    }
+    // Consecutive xids: the masked distance from the batch's first xid is
+    // the call's index. The call must have started an attempt and still be
+    // open, a call waiting out its backoff included.
+    const size_t i = MaskXid(kind, reply->xid - base_xid_);
+    if (i < specs_.size() && infos_[i].attempts > 0 && !scratch_.slots[i].done &&
+        specs_[i].binding.port == port && specs_[i].binding.control == kind) {
+      Complete(i, ReplyResult(std::move(reply).value()));
+      return;
+    }
+  }
+  engine_->stat_udp_unmatched_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void AsyncClientEngine::CallManyOnCaller(std::span<const AsyncCallSpec> specs,
+                                         std::span<Result<Bytes>> results,
+                                         std::span<RpcCallInfo> infos) {
+  stat_calls_.fetch_add(specs.size(), std::memory_order_relaxed);
+  for (size_t first = 0; first < specs.size(); first += kMaxChunkCalls) {
+    const size_t count = std::min(kMaxChunkCalls, specs.size() - first);
+    CallerBatch(this, specs.subspan(first, count), results.subspan(first, count),
+                infos.subspan(first, count))
+        .Run();
   }
 }
 
@@ -268,425 +459,7 @@ AsyncEngineStats AsyncClientEngine::stats() const {
   return out;
 }
 
-// --- Call lifecycle ---------------------------------------------------------
-
-AsyncClientEngine::PendingCall* AsyncClientEngine::FindCall(uint64_t call_id) {
-  auto it = calls_.find(call_id);
-  return it != calls_.end() ? it->second.get() : nullptr;
-}
-
-uint32_t AsyncClientEngine::MaskedXid(const PendingCall* call) const {
-  return MaskXid(call->spec.binding.control, call->xid);
-}
-
-void AsyncClientEngine::StartOnLoop(std::shared_ptr<PendingCall> call) {
-  if (stopping_) {
-    call->state->Complete(UnavailableError("async client engine shutting down"), call->info);
-    return;
-  }
-  stat_calls_.fetch_add(1, std::memory_order_relaxed);
-  call->xid = next_xid_.fetch_add(1, std::memory_order_relaxed);
-  PendingCall* raw = call.get();
-  calls_[call->id] = std::move(call);
-  StartAttempt(raw);
-}
-
-void AsyncClientEngine::StartAttempt(PendingCall* call) {
-  HCS_ASSERT_LOOP(&reactor_);
-  if (stopping_) {
-    CompleteCall(call, UnavailableError("async client engine shutting down"));
-    return;
-  }
-  Result<int64_t> attempt_timeout = AttemptTimeoutMs(call->spec, call->attempt);
-  if (!attempt_timeout.ok()) {
-    CompleteCall(call, attempt_timeout.status());
-    return;
-  }
-  EncodeAttempt(call);
-  Status fits = CheckCallFits(call->spec, call->wire.size());
-  if (!fits.ok()) {
-    CompleteCall(call, fits);
-    return;
-  }
-  ++call->info.attempts;
-  const uint64_t id = call->id;
-  call->attempt_timer = reactor_.ScheduleAfter(*attempt_timeout, [this, id] {
-    OnAttemptTimeout(id);
-  });
-  switch (call->spec.channel.kind) {
-    case AsyncChannelKind::kUdpDatagram:
-      SendUdpAttempt(call);
-      break;
-    case AsyncChannelKind::kNone:
-      HandleAttemptError(call, InternalError("async call on a channel-less transport"));
-      break;
-  }
-}
-
-void AsyncClientEngine::OnAttemptTimeout(uint64_t call_id) {
-  HCS_ASSERT_LOOP(&reactor_);
-  PendingCall* call = FindCall(call_id);
-  if (call == nullptr) {
-    return;
-  }
-  call->attempt_timer = 0;  // it just fired
-  HandleAttemptError(
-      call, TimeoutError(StrFormat("no response from %s:%u within the attempt budget",
-                                   call->spec.binding.host.c_str(), call->spec.binding.port)));
-}
-
-void AsyncClientEngine::HandleAttemptError(PendingCall* call, const Status& error) {
-  if (call->attempt_timer != 0) {
-    reactor_.CancelTimer(call->attempt_timer);
-    call->attempt_timer = 0;
-  }
-  UnregisterResidences(call);
-  Result<int64_t> backoff_ms =
-      stopping_ ? Result<int64_t>(error)
-                : RetryBackoffMs(call->spec, call->attempt, &call->backoff_ms, error);
-  if (!backoff_ms.ok()) {
-    CompleteCall(call, backoff_ms.status());
-    return;
-  }
-  ++call->info.retries;
-  stat_retries_.fetch_add(1, std::memory_order_relaxed);
-  ++call->attempt;
-  const uint64_t id = call->id;
-  (void)reactor_.ScheduleAfter(*backoff_ms, [this, id] {
-    PendingCall* retry = FindCall(id);
-    if (retry != nullptr) {
-      StartAttempt(retry);
-    }
-  });
-}
-
-void AsyncClientEngine::CompleteCall(PendingCall* call, Result<Bytes> result) {
-  HCS_ASSERT_LOOP(&reactor_);
-  if (call->attempt_timer != 0) {
-    reactor_.CancelTimer(call->attempt_timer);
-    call->attempt_timer = 0;
-  }
-  UnregisterResidences(call);
-  stat_completed_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<RpcFutureState> state = std::move(call->state);
-  RpcCallInfo info = call->info;
-  calls_.erase(call->id);  // invalidates `call`
-  state->Complete(std::move(result), info);
-}
-
-void AsyncClientEngine::CompleteFromReply(PendingCall* call, RpcReplyMsg reply) {
-  // The xid already matched (that is how we found the call).
-  CompleteCall(call, ReplyResult(std::move(reply)));
-}
-
-void AsyncClientEngine::UnregisterResidences(PendingCall* call) {
-  if (call->udp_port != 0) {
-    auto bucket = udp_pending_.find(call->udp_port);
-    if (bucket != udp_pending_.end()) {
-      bucket->second.erase(MaskedXid(call));
-      if (bucket->second.empty()) {
-        udp_pending_.erase(bucket);
-      }
-    }
-    call->udp_port = 0;
-  }
-}
-
-void AsyncClientEngine::EncodeAttempt(PendingCall* call) {
-  if (call->wire.capacity() == 0 && !wire_pool_.empty()) {
-    call->wire = std::move(wire_pool_.back());  // encoder clears before use
-    wire_pool_.pop_back();
-  }
-  EncodeAttemptTo(*call->control, call->spec, call->xid, call->attempt, &call->wire);
-}
-
-// --- UDP channel ------------------------------------------------------------
-
-Status AsyncClientEngine::EnsureUdpChannel() {
-  if (udp_fd_ >= 0) {
-    return Status::Ok();
-  }
-  int fd = socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return UnavailableError(StrFormat("socket(udp): %s", std::strerror(errno)));
-  }
-  Status added = reactor_.AddClientFd(fd, EPOLLIN, [this](uint32_t) { OnUdpReadable(); });
-  if (!added.ok()) {
-    close(fd);
-    return added;
-  }
-  udp_fd_ = fd;
-  // Full-width receive batch: a pipelining client drains a window of
-  // replies per wake, so the deepest batch the wrappers allow pays off.
-  udp_rx_ = std::make_unique<UdpRecvBatch>(kMaxUdpBatch, kMaxDatagram, UdpIoSide::kClient);
-  return Status::Ok();
-}
-
-void AsyncClientEngine::SendUdpAttempt(PendingCall* call) {
-  Status channel = EnsureUdpChannel();
-  if (!channel.ok()) {
-    HandleAttemptError(call, channel);
-    return;
-  }
-  const uint16_t port = call->spec.binding.port;
-  auto& bucket = udp_pending_[port];
-  const uint32_t encoded_xid = call->xid;
-  // The masked xid must be unique among this port's pending calls, or a
-  // reply would be ambiguous; redraw on collision (16-bit Courier space).
-  for (int i = 0; bucket.count(MaskedXid(call)) != 0 && i < 1 << 17; ++i) {
-    call->xid = next_xid_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (bucket.count(MaskedXid(call)) != 0) {
-    // Redraw exhausted: the whole masked space is pending to this port
-    // (~64k Courier calls). Registering anyway would orphan the incumbent
-    // and cross-complete its reply; fail the attempt instead — budgeted
-    // calls back off and retry into whatever space frees up.
-    HandleAttemptError(call, UnavailableError(StrFormat(
-                                 "xid space exhausted: %zu calls pending to port %u",
-                                 bucket.size(), port)));
-    return;
-  }
-  if (call->xid != encoded_xid) {
-    EncodeAttempt(call);  // redrawn: StartAttempt encoded the old xid
-  }
-  bucket[MaskedXid(call)] = call;
-  call->udp_port = port;
-  Transmit(call);
-}
-
-void AsyncClientEngine::Transmit(PendingCall* call) {
-  if (call->spec.channel.faults == nullptr) {
-    TransmitCopies(call, 1);
-    return;
-  }
-  Result<FaultDecision> fault = DrawAttemptFault(call->spec, &call->wire);
-  if (!fault.ok()) {
-    HandleAttemptError(call, fault.status());
-    return;
-  }
-  const int copies = SendCopies(*fault);
-  if (fault->delay_ms == 0) {
-    TransmitCopies(call, copies);
-    return;
-  }
-  // A held send, on a timer rather than a sleep. It is discarded if its
-  // attempt ended first: the call completed, or the attempt counter moved.
-  const uint64_t id = call->id;
-  const uint32_t attempt = call->attempt;
-  (void)reactor_.ScheduleAfter(fault->delay_ms, [this, id, attempt, copies] {
-    PendingCall* held = FindCall(id);
-    if (held != nullptr && held->attempt == attempt) {
-      TransmitCopies(held, copies);
-    }
-  });
-}
-
-void AsyncClientEngine::TransmitCopies(PendingCall* call, int copies) {
-  if (copies == 0) {
-    return;
-  }
-  // Stage rather than sendto: every attempt issued during this reactor
-  // iteration (a burst of StartCall posts, a wave of retry timers) leaves
-  // in one sendmmsg. The call registered before the flush — its attempt
-  // timer is already armed, so a kernel-refused datagram simply retries.
-  for (int i = 0; i < copies; ++i) {
-    UdpReply staged;
-    staged.peer = LoopbackAddr(call->udp_port);
-    staged.peer_len = sizeof(sockaddr_in);
-    // The last copy takes the buffer; EncodeAttempt rebuilds it per try.
-    staged.payload = i + 1 < copies ? call->wire : std::move(call->wire);
-    udp_outbox_.push_back(std::move(staged));
-  }
-  if (!udp_flush_scheduled_) {
-    udp_flush_scheduled_ = true;
-    (void)reactor_.Post([this] { FlushUdpOutbox(); });
-  }
-}
-
-void AsyncClientEngine::FlushUdpOutbox() {
-  HCS_ASSERT_LOOP(&reactor_);
-  udp_flush_scheduled_ = false;
-  if (udp_outbox_.empty() || udp_fd_ < 0) {
-    udp_outbox_.clear();
-    return;
-  }
-  std::vector<UdpReply> batch;
-  batch.swap(udp_outbox_);
-  size_t sent = SendReplies(udp_fd_, batch, UdpIoSide::kClient);
-  if (sent < batch.size()) {
-    // UDP semantics: the shortfall is a drop; each affected call's attempt
-    // timer fires and the retry loop re-sends.
-    stat_udp_send_drops_.fetch_add(batch.size() - sent, std::memory_order_relaxed);
-  }
-  constexpr size_t kWirePoolCap = 256;
-  for (UdpReply& reply : batch) {
-    if (wire_pool_.size() >= kWirePoolCap) {
-      break;
-    }
-    wire_pool_.push_back(std::move(reply.payload));
-  }
-}
-
-void AsyncClientEngine::OnUdpReadable() {
-  HCS_ASSERT_LOOP(&reactor_);
-  while (true) {
-    int count = udp_rx_->Recv(udp_fd_, /*wait_for_one=*/false);
-    if (count <= 0) {
-      // 0: drained (EAGAIN). -1: transient socket error (ICMP-induced) —
-      // either way level-triggered epoll re-reports genuine readiness.
-      return;
-    }
-    for (int i = 0; i < count; ++i) {
-      UdpFrame& frame = udp_rx_->frame(i);
-      if (frame.truncated || frame.size == 0) {
-        continue;
-      }
-      // Copy out of the batch arena before dispatch: the decoded reply (and
-      // anything a completion callback captures) must outlive the batch's
-      // next Recv, so no arena view crosses DispatchUdpDatagram.
-      Bytes datagram(frame.data, frame.data + frame.size);
-      DispatchUdpDatagram(ntohs(frame.peer.sin_port), datagram);
-    }
-  }
-}
-
-void AsyncClientEngine::DispatchUdpDatagram(uint16_t port, const Bytes& datagram) {
-  auto bucket_it = udp_pending_.find(port);
-  if (bucket_it == udp_pending_.end()) {
-    stat_udp_unmatched_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // The port's pending calls may span control protocols; try each distinct
-  // kind's decoder once, then match the decoded xid against pending calls
-  // of that same kind. A duplicate (already-completed xid) or a late reply
-  // to an abandoned attempt matches nothing and is dropped — exactly the
-  // dedup the xid registry is for.
-  uint32_t kinds_tried = 0;
-  for (const auto& [key, pending] : bucket_it->second) {
-    const uint32_t kind_bit = 1u << static_cast<uint32_t>(pending->spec.binding.control);
-    if ((kinds_tried & kind_bit) != 0) {
-      continue;
-    }
-    kinds_tried |= kind_bit;
-    Result<RpcReplyMsg> reply = pending->control->DecodeReply(datagram);
-    if (!reply.ok()) {
-      continue;
-    }
-    const uint32_t masked = MaskXid(pending->spec.binding.control, reply->xid);
-    auto hit = bucket_it->second.find(masked);
-    if (hit != bucket_it->second.end() && hit->second->control == pending->control) {
-      CompleteFromReply(hit->second, std::move(*reply));
-      return;
-    }
-  }
-  stat_udp_unmatched_.fetch_add(1, std::memory_order_relaxed);
-}
-
-// --- Caller-run UDP calls ---------------------------------------------------
-
-Result<Bytes> AsyncClientEngine::CallOnCaller(const AsyncCallSpec& spec, RpcCallInfo* info) {
-  stat_calls_.fetch_add(1, std::memory_order_relaxed);
-  // Xids come from this thread's own sequence, from a random start: the
-  // socket is per-thread too, so a datagram left queued by an earlier call
-  // carries an earlier xid of this sequence and cannot match, whatever the
-  // protocol's xid width.
-  thread_local uint32_t next_xid = static_cast<uint32_t>(NewTraceId());
-  const uint32_t xid = next_xid++;
-  const ControlProtocol& control = GetControlProtocol(spec.binding.control);
-  thread_local Bytes wire;  // encode buffer, reused by this thread's calls
-  int64_t backoff_ms = RetryPolicy::kBackoffBaseMs;
-  Result<Bytes> result = UnavailableError("not attempted");
-  for (uint32_t attempt = 0;; ++attempt) {
-    Result<int64_t> timeout_ms = AttemptTimeoutMs(spec, attempt);
-    if (!timeout_ms.ok()) {
-      result = timeout_ms.status();
-      break;
-    }
-    EncodeAttemptTo(control, spec, xid, attempt, &wire);
-    Status fits = CheckCallFits(spec, wire.size());
-    if (!fits.ok()) {
-      result = fits;
-      break;
-    }
-    ++info->attempts;
-    Result<RpcReplyMsg> reply = UdpAttemptOnCaller(spec, control, wire, xid, *timeout_ms);
-    if (reply.ok()) {
-      result = ReplyResult(std::move(reply).value());
-      break;
-    }
-    Result<int64_t> sleep_ms = RetryBackoffMs(spec, attempt, &backoff_ms, reply.status());
-    if (!sleep_ms.ok()) {
-      result = sleep_ms.status();
-      break;
-    }
-    ++info->retries;
-    stat_retries_.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(*sleep_ms));
-  }
-  stat_completed_.fetch_add(1, std::memory_order_relaxed);
-  return result;
-}
-
-Result<RpcReplyMsg> AsyncClientEngine::UdpAttemptOnCaller(const AsyncCallSpec& spec,
-                                                          const ControlProtocol& control,
-                                                          Bytes& wire, uint32_t xid,
-                                                          int64_t timeout_ms) {
-  UdpClientSocket& socket = UdpClientSocket::ForThisThread();
-  const uint16_t port = spec.binding.port;
-  const int64_t deadline_ms = SteadyNowMs() + timeout_ms;
-  int copies = 1;
-  if (spec.channel.faults != nullptr) {
-    HCS_ASSIGN_OR_RETURN(FaultDecision fault, DrawAttemptFault(spec, &wire));
-    copies = SendCopies(fault);
-    if (fault.delay_ms > 0) {
-      // A held send sleeps on the attempt's own clock; one held past the
-      // attempt's end is discarded.
-      std::this_thread::sleep_for(std::chrono::milliseconds(std::min(fault.delay_ms, timeout_ms)));
-      if (fault.delay_ms >= timeout_ms) {
-        copies = 0;
-      }
-    }
-  }
-  for (int i = 0; i < copies; ++i) {
-    HCS_ASSIGN_OR_RETURN(bool sent, socket.Send(port, wire));
-    if (!sent) {
-      // A drop, as on the loop: the attempt still waits out its timeout,
-      // because a late reply to an earlier attempt answers the call too.
-      stat_udp_send_drops_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  const uint32_t want = MaskXid(spec.binding.control, xid);
-  thread_local Bytes datagram;  // the frame, copied out of the receive slot
-  // The wait starts from the attempt's deadline, not its timeout: a held
-  // send has already spent part of the attempt.
-  for (int64_t left = deadline_ms - SteadyNowMs(); left > 0; left = deadline_ms - SteadyNowMs()) {
-    HCS_ASSIGN_OR_RETURN(UdpFrame* frame, socket.Receive(left));
-    if (frame == nullptr) {
-      break;  // nothing more within the attempt's timeout
-    }
-    if (frame->truncated || frame->size == 0) {
-      continue;
-    }
-    // The loop's matching rule with one pending call: the datagram must
-    // come from the call's port and decode, under the call's protocol, to
-    // the call's masked xid. A duplicate or a late reply to an earlier call
-    // does not, and is dropped.
-    if (ntohs(frame->peer.sin_port) == port) {
-      datagram.assign(frame->data, frame->data + frame->size);
-      Result<RpcReplyMsg> reply = control.DecodeReply(datagram);
-      if (reply.ok() && MaskXid(spec.binding.control, reply->xid) == want) {
-        return reply;
-      }
-    }
-    stat_udp_unmatched_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return TimeoutError(StrFormat("no response from %s:%u within the attempt budget",
-                                spec.binding.host.c_str(), port));
-}
-
 AsyncClientEngine* GlobalAsyncClientEngine() {
-  // Function-local static: constructed on first async call, destroyed at
-  // exit (which drains outstanding futures and joins the loop thread).
   static AsyncClientEngine engine;
   return &engine;
 }

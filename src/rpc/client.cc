@@ -121,40 +121,37 @@ void RpcClient::ChargeControlCost(ControlKind control) {
   }
 }
 
-Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
-                              const RequestContext& context, RpcCallInfo* info_out,
-                              std::source_location birth) {
-  AsyncChannelSpec channel = transport_->async_channel();
-  if (channel.kind == AsyncChannelKind::kNone) {
-    // CallAsync completes a channel-less call inline, on this thread.
-    RpcFuture future = CallAsync(binding, procedure, args, context, birth);
-    Result<Bytes> result = future.Wait();
-    if (info_out != nullptr) {
-      *info_out = future.info();
-    }
-    return result;
+std::optional<Result<Bytes>> RpcClient::PrepareCall(const HrpcBinding& binding,
+                                                    uint32_t procedure, const Bytes& args,
+                                                    const RequestContext& context,
+                                                    AsyncCallSpec* spec, RpcCallInfo* info) {
+  spec->context = EffectiveContext(context);
+  info->trace_id = spec->context.trace_id;
+  if (spec->context.expired()) {
+    return ShedError(binding, spec->context);
   }
-#if HCS_LOOP_DEBUG_ENABLED
-  // The call blocks this thread for up to its budget: on an event loop
-  // that stalls every other callback, so abort as Wait() does there.
-  AbortIfWaitOnLoopThread("RpcClient::Call()", birth.file_name(), static_cast<int>(birth.line()));
-#else
-  (void)birth;
-#endif
+  if (spec->channel.kind == AsyncChannelKind::kNone) {
+    // No channel (sim, loopback, a fault wrapper around either): the seed's
+    // exact semantics, wire bytes, and virtual-clock charges.
+    return CallBlocking(GetControlProtocol(binding.control), binding, procedure, args,
+                        spec->context, info);
+  }
+  ChargeControlCost(binding.control);
+  spec->binding = binding;
+  spec->procedure = procedure;
+  spec->args = args;
+  return std::nullopt;
+}
+
+Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
+                              const RequestContext& context, RpcCallInfo* info_out) {
   AsyncCallSpec spec;
-  spec.context = EffectiveContext(context);
+  spec.channel = transport_->async_channel();
   RpcCallInfo info;
-  info.trace_id = spec.context.trace_id;
-  Result<Bytes> result = UnavailableError("call not sent");
-  if (spec.context.expired()) {
-    result = ShedError(binding, spec.context);
-  } else {
-    ChargeControlCost(binding.control);
-    spec.binding = binding;
-    spec.procedure = procedure;
-    spec.args = args;
-    spec.channel = channel;
-    result = engine()->CallOnCaller(spec, &info);
+  std::optional<Result<Bytes>> local = PrepareCall(binding, procedure, args, context, &spec, &info);
+  Result<Bytes> result = local.has_value() ? std::move(*local) : UnavailableError("call not sent");
+  if (!local.has_value()) {
+    engine()->CallManyOnCaller({&spec, 1}, {&result, 1}, {&info, 1});
   }
   if (info_out != nullptr) {
     *info_out = info;
@@ -162,43 +159,41 @@ Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, co
   return result;
 }
 
-RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
-                               const RequestContext& context, std::source_location birth) {
-  const ControlProtocol& control = GetControlProtocol(binding.control);
-  RequestContext effective = EffectiveContext(context);
-
-  auto state = std::make_shared<RpcFutureState>();
-#if HCS_LOOP_DEBUG_ENABLED
-  state->set_birth_site(birth.file_name(), static_cast<int>(birth.line()));
-#else
-  (void)birth;
-#endif
-  RpcCallInfo info;
-  info.trace_id = effective.trace_id;
-
-  if (effective.expired()) {
-    state->Complete(ShedError(binding, effective), info);
-    return RpcFuture(state);
+std::vector<Result<Bytes>> RpcClient::CallMany(const std::vector<Request>& requests,
+                                               std::vector<RpcCallInfo>* infos_out) {
+  const AsyncChannelSpec channel = transport_->async_channel();
+  std::vector<Result<Bytes>> results(requests.size(), UnavailableError("call not sent"));
+  std::vector<RpcCallInfo> infos(requests.size());
+  // The calls that go to the engine, and the request each one answers.
+  std::vector<AsyncCallSpec> specs;
+  std::vector<size_t> sent;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const Request& request = requests[i];
+    AsyncCallSpec spec;
+    spec.channel = channel;
+    std::optional<Result<Bytes>> local = PrepareCall(request.binding, request.procedure,
+                                                     request.args, request.context, &spec,
+                                                     &infos[i]);
+    if (local.has_value()) {
+      results[i] = std::move(*local);
+    } else {
+      specs.push_back(std::move(spec));
+      sent.push_back(i);
+    }
   }
-
-  AsyncChannelSpec channel = transport_->async_channel();
-  if (channel.kind == AsyncChannelKind::kNone) {
-    // No nonblocking channel (sim, loopback, a fault wrapper around
-    // either): run the blocking path inline and complete the future with its result — the
-    // seed's exact semantics, wire bytes, and virtual-clock charges.
-    state->Complete(CallBlocking(control, binding, procedure, args, effective, &info), info);
-    return RpcFuture(state);
+  if (!specs.empty()) {
+    std::vector<Result<Bytes>> replies(specs.size(), UnavailableError("call not sent"));
+    std::vector<RpcCallInfo> sent_infos(specs.size());
+    engine()->CallManyOnCaller(specs, replies, sent_infos);
+    for (size_t k = 0; k < sent.size(); ++k) {
+      results[sent[k]] = std::move(replies[k]);
+      infos[sent[k]] = sent_infos[k];
+    }
   }
-
-  ChargeControlCost(binding.control);
-  AsyncCallSpec spec;
-  spec.binding = binding;
-  spec.procedure = procedure;
-  spec.args = args;
-  spec.context = effective;
-  spec.channel = channel;
-  engine()->StartCall(std::move(spec), state);
-  return RpcFuture(state);
+  if (infos_out != nullptr) {
+    *infos_out = std::move(infos);
+  }
+  return results;
 }
 
 Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const HrpcBinding& binding,

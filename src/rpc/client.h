@@ -9,12 +9,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <source_location>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/result.h"
-#include "src/rpc/async_client.h"  // RpcCallInfo, RpcFuture, AsyncClientEngine
+#include "src/rpc/async_client.h"  // RpcCallInfo, AsyncCallSpec, AsyncClientEngine
 #include "src/rpc/binding.h"
 #include "src/rpc/context.h"
 #include "src/rpc/control.h"
@@ -24,8 +25,8 @@
 namespace hcs {
 
 // The budgeted-call retry policy: attempt budgets and the exponential
-// backoff/jitter schedule the async engine's channels follow (the one retry
-// loop; src/rpc/async_client.cc). Exposed as pure
+// backoff/jitter schedule every UDP call follows (the one retry loop;
+// src/rpc/async_client.cc). Exposed as pure
 // functions so tests assert the exact deterministic schedule instead of
 // re-deriving (and silently diverging from) the constants, and so chaos
 // scenarios can bound "retries never exceed the transport budget" from the
@@ -70,48 +71,46 @@ class RpcClient {
   // The effective request context is `context` when non-empty, else the
   // ambient CurrentRequestContext() (installed by the serving runtime —
   // this is how a deadline crosses server hops without every API carrying
-  // it). When the effective context has a deadline AND the transport has a
-  // channel, the call runs the engine's per-attempt retry loop: exponential
-  // backoff with deterministic jitter, each attempt's timeout capped by the
-  // remaining overall budget, the attempt counter re-marshalled per try.
-  // Otherwise exactly one attempt is made (the seed behavior; sim runs stay
-  // deterministic).
+  // it). A spent budget is shed before any send. When the effective context
+  // has a deadline AND the transport has a channel, the call runs the
+  // per-attempt retry loop: exponential backoff with deterministic jitter,
+  // each attempt's timeout capped by the remaining overall budget, the
+  // attempt counter re-marshalled per try. Otherwise exactly one attempt is
+  // made (the seed behavior; sim runs stay deterministic).
   //
-  // Where it runs depends on the transport's channel. Over UDP the whole
-  // call runs on the calling thread (AsyncClientEngine::CallOnCaller): no
-  // hand-off to the engine loop and back, the loop's xid matching and
-  // counters. A channel-less transport (sim, loopback, a fault wrapper
-  // around either) runs the blocking path inline. A sync call blocks, so it
-  // must not run on an event-loop thread: debug builds abort there, naming
-  // `birth`, the caller's site (DESIGN.md §15).
+  // Where it runs depends on the transport's channel. Over UDP the call is
+  // a batch of one on the calling thread's socket
+  // (AsyncClientEngine::CallManyOnCaller). A channel-less transport (sim,
+  // loopback, a fault wrapper around either) runs the blocking path inline.
   HCS_NODISCARD Result<Bytes> Call(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
                      const RequestContext& context = RequestContext{},
-                     RpcCallInfo* info_out = nullptr,
-                     std::source_location birth = std::source_location::current());
+                     RpcCallInfo* info_out = nullptr);
 
-  // Starts `procedure` without blocking and returns a future for its
-  // result. When the transport advertises an async channel (real UDP), the
-  // call runs on the engine's reactor loop: N CallAsync calls are
-  // N requests in flight, with the same retry/backoff schedule, deadline
-  // budget, and ambient-context semantics as Call. A channel-less transport
-  // (sim, loopback, a fault wrapper around either) completes the future
-  // inline via the blocking path, so existing behavior — virtual-clock
-  // charging, fault injection, wire bytes — is preserved exactly. The defaulted
-  // source_location captures the caller as the future's birth site: debug
-  // builds report it when the future is Wait()ed on an event-loop thread
-  // (DESIGN.md §15).
-  HCS_NODISCARD RpcFuture CallAsync(
-      const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
-      const RequestContext& context = RequestContext{},
-      std::source_location birth = std::source_location::current());
+  // One call of a CallMany batch, with Call's arguments.
+  struct Request {
+    HrpcBinding binding;
+    uint32_t procedure = 0;
+    Bytes args;
+    RequestContext context;  // empty: the ambient context, as in Call
+  };
+
+  // Makes every call of `requests` and returns their results in request
+  // order, with each call's telemetry in `*infos_out` when given. Each
+  // request resolves its own context as Call does, so a budgeted one
+  // travels under its own trace id. Over UDP the calls run as one batch on
+  // the calling thread, all in flight together (up to kMaxUdpBatch
+  // attempts), so N calls cost about one round trip. A channel-less
+  // transport runs them inline through the blocking path, one at a time, in
+  // request order: virtual-clock charges and wire bytes stay the seed's.
+  HCS_NODISCARD std::vector<Result<Bytes>> CallMany(const std::vector<Request>& requests,
+                                                    std::vector<RpcCallInfo>* infos_out = nullptr);
 
   const std::string& local_host() const { return local_host_; }
   World* world() const { return world_; }
   Transport* transport() const { return transport_; }
 
-  // Test hook: route async calls, and the caller-run UDP calls that count
-  // into its stats, through `engine` instead of the process global (e.g.
-  // one a test destroys mid-flight). Null restores the default.
+  // Test hook: count this client's UDP calls into `engine`'s stats instead
+  // of the process global's. Null restores the default.
   void set_async_engine(AsyncClientEngine* engine) { async_engine_ = engine; }
 
  private:
@@ -121,6 +120,15 @@ class RpcClient {
   // Charges the control protocol's per-call processing to the simulation
   // (a no-op without a World).
   void ChargeControlCost(ControlKind control);
+
+  // The part of a call that never reaches the engine: resolves the
+  // effective context into `*spec` and `info->trace_id`, sheds a spent
+  // budget, and runs a call on a channel-less transport (`spec->channel`)
+  // inline. Returns the call's result when it ended here; nullopt when
+  // `*spec` is complete and ready for the engine.
+  std::optional<Result<Bytes>> PrepareCall(const HrpcBinding& binding, uint32_t procedure,
+                                           const Bytes& args, const RequestContext& context,
+                                           AsyncCallSpec* spec, RpcCallInfo* info);
 
   // The seed's synchronous call path for channel-less transports: exactly
   // one RoundTrip, on the virtual clock when there is one, never retried.

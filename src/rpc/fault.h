@@ -17,9 +17,9 @@
 //     any client Transport (simulated or real), and UdpServerHost's serve
 //     loops filter inbound datagrams through the process-global injector
 //     installed from the HCS_FAULTS environment spec or by a test. Over a
-//     real transport the wrapper only hands its injector to the async
-//     client engine, whose channels draw one decision per attempt as they
-//     send (src/rpc/async_client.h); over the sim it wraps RoundTrip.
+//     real transport the wrapper only hands its injector to the UDP client
+//     core, which draws one decision per attempt as the attempt starts
+//     (src/rpc/async_client.h); over the sim it wraps RoundTrip.
 //
 // Nothing here runs unless an injector is configured: with HCS_FAULTS unset
 // and no wrapper installed, every hot path costs one relaxed atomic load,
@@ -262,8 +262,8 @@ FaultStats CollectFaultStats(const FaultInjector* injector, const UdpServerHost*
 
 // Client-side interposer: wraps any Transport and applies the injector's
 // decisions to each attempt. Over a transport with a channel (real UDP) it
-// hands its injector to the async engine with that channel, and the engine
-// applies one decision per attempt as it sends, on the code path
+// hands its injector to the UDP client core with that channel, which
+// applies one decision per attempt as the attempt starts, on the code path
 // production runs. Over a channel-less transport (the sim testbed) it
 // wraps RoundTrip: injected latency is charged to the virtual clock when a
 // World is attached and slept otherwise; drops surface as kTimeout, exactly

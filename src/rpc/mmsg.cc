@@ -142,7 +142,7 @@ UdpRecvBatch::UdpRecvBatch(int capacity, size_t slot_bytes, UdpIoSide side)
       iovs_(static_cast<size_t>(capacity_)),
       control_(static_cast<size_t>(capacity_) * kControlWords) {}
 
-int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
+int UdpRecvBatch::Recv(int fd) {
   arena_.Reset();
   uint8_t* slots = arena_.Allocate(static_cast<size_t>(capacity_) * slot_bytes_);
   for (int i = 0; i < capacity_; ++i) {
@@ -165,11 +165,10 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
   }
 
   if (MmsgAvailable()) {
-    int flags = wait_for_one ? MSG_WAITFORONE : MSG_DONTWAIT;
     RecvmmsgFn recv_fn = g_recvmmsg.load(std::memory_order_acquire);
     int n;
     do {
-      n = recv_fn(fd, msgs_.data(), static_cast<unsigned int>(capacity_), flags);
+      n = recv_fn(fd, msgs_.data(), static_cast<unsigned int>(capacity_), MSG_WAITFORONE);
     } while (n < 0 && errno == EINTR);
     if (n >= 0) {
       Counters(side_).CountRecv(static_cast<uint64_t>(n));
@@ -190,11 +189,11 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
   }
 
   // Single-shot fallback: the same frames, one recvmsg per datagram. The
-  // first read may block (wait_for_one on a blocking socket); the rest
-  // never do, so a drained queue ends the batch instead of stalling it.
+  // first read may block (on a blocking socket); the rest never do, so a
+  // drained queue ends the batch instead of stalling it.
   int count = 0;
   while (count < capacity_) {
-    int flags = (count == 0 && wait_for_one) ? MSG_TRUNC : (MSG_DONTWAIT | MSG_TRUNC);
+    int flags = count == 0 ? MSG_TRUNC : (MSG_DONTWAIT | MSG_TRUNC);
     ssize_t n = recvmsg(fd, &msgs_[static_cast<size_t>(count)].msg_hdr, flags);
     if (n < 0) {
       if (errno == EINTR) {
@@ -312,8 +311,7 @@ size_t SendReplies(int fd, std::vector<UdpReply>& replies, UdpIoSide side) {
   return done;
 }
 
-UdpClientSocket::UdpClientSocket()
-    : outbox_(1), inbox_(/*capacity=*/1, kMaxDatagram, UdpIoSide::kClient) {}
+UdpClientSocket::UdpClientSocket() : inbox_(/*capacity=*/1, kMaxDatagram, UdpIoSide::kClient) {}
 
 UdpClientSocket::~UdpClientSocket() { Close(); }
 
@@ -341,18 +339,9 @@ void UdpClientSocket::Close() {
   }
 }
 
-Result<bool> UdpClientSocket::Send(uint16_t port, Bytes& payload) {
+Result<size_t> UdpClientSocket::Send(std::vector<UdpReply>& datagrams) {
   HCS_RETURN_IF_ERROR(Open());
-  UdpReply& out = outbox_.front();
-  out.peer = sockaddr_in{};
-  out.peer.sin_family = AF_INET;
-  out.peer.sin_port = htons(port);
-  out.peer.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  out.peer_len = sizeof(out.peer);
-  out.payload.swap(payload);  // lend the bytes to the outbox, no copy
-  const size_t sent = SendReplies(fd_, outbox_, UdpIoSide::kClient);
-  out.payload.swap(payload);
-  return sent == 1;
+  return SendReplies(fd_, datagrams, UdpIoSide::kClient);
 }
 
 Result<UdpFrame*> UdpClientSocket::Receive(int64_t timeout_ms) {
@@ -367,7 +356,7 @@ Result<UdpFrame*> UdpClientSocket::Receive(int64_t timeout_ms) {
     }
     timeout_ms_ = timeout_ms;
   }
-  const int count = inbox_.Recv(fd_, /*wait_for_one=*/true);
+  const int count = inbox_.Recv(fd_);
   if (count < 0) {
     return UnavailableError(StrFormat("recvmmsg(): %s", std::strerror(errno)));
   }

@@ -1,7 +1,7 @@
 // Batched UDP I/O: recvmmsg/sendmmsg wrappers shared by UdpServerHost's
-// serve loops, the async client engine's UDP channel, and each thread's
-// blocking client socket (UdpClientSocket, below), which carries the calls
-// that run on their caller. One syscall moves up to a batch of datagrams in
+// serve loops and each thread's blocking client socket (UdpClientSocket,
+// below), which carries every UDP call: they all run on their caller. One
+// syscall moves up to a batch of datagrams in
 // either direction; each received frame is a view into the batch's arena
 // (src/common/arena.h), so decode and dispatch run without a per-datagram
 // copy. Outside this file's .cc no code in src/ may call a datagram
@@ -50,8 +50,8 @@ constexpr int kMaxUdpBatch = 64;
 constexpr int kDefaultUdpBatch = 16;
 
 // The largest UDP payload IPv4 can carry (65,535 less the IP and UDP
-// headers): every receive slot's size, and the largest call the engine's
-// datagram channels will send.
+// headers): every receive slot's size, and the largest call the UDP client
+// will send.
 constexpr size_t kMaxDatagram = 65507;
 
 // Resolves a requested batch size: > 0 wins (clamped to [1, kMaxUdpBatch]);
@@ -64,7 +64,7 @@ int ResolveUdpBatchSize(int requested);
 // the counters are complete; each call names the side it counts toward.
 enum class UdpIoSide {
   kServer,  // UdpServerHost's serve loops
-  kClient,  // the async client engine's UDP channel and UdpClientSocket
+  kClient,  // UdpClientSocket, which carries every client call
 };
 struct UdpIoCounts {
   uint64_t recv_syscalls = 0;
@@ -121,12 +121,13 @@ class UdpRecvBatch {
   UdpRecvBatch(const UdpRecvBatch&) = delete;
   UdpRecvBatch& operator=(const UdpRecvBatch&) = delete;
 
-  // Receives up to capacity() datagrams. `wait_for_one` blocks for the
-  // first datagram (serve loops; the socket is blocking); otherwise the
-  // call never blocks (the client engine; nonblocking socket). Returns the
-  // number of frames landed (0 = nothing ready), or -1 on a hard socket
-  // error (errno preserved). Invalidates the previous Recv's frames.
-  int Recv(int fd, bool wait_for_one = false);
+  // Receives up to capacity() datagrams. The first read waits for a
+  // datagram as the socket allows: a blocking socket blocks (until its
+  // SO_RCVTIMEO, when set), a nonblocking one does not. Later reads never
+  // wait, so a drained queue ends the batch. Returns the number of frames
+  // landed (0 = nothing ready), or -1 on a hard socket error (errno
+  // preserved). Invalidates the previous Recv's frames.
+  int Recv(int fd);
 
   int capacity() const { return capacity_; }
   size_t slot_bytes() const { return slot_bytes_; }
@@ -168,9 +169,9 @@ struct UdpReply {
 size_t SendReplies(int fd, std::vector<UdpReply>& replies, UdpIoSide side);
 
 // The calling thread's blocking client datagram socket, opened on first use
-// and reused across calls. It carries every call that runs on its caller:
-// RpcClient::Call's UDP path (AsyncClientEngine::CallOnCaller). Sends and
-// receives go through the wrappers above, counted toward
+// and reused across calls. It carries every UDP call, each on its caller:
+// RpcClient::Call and CallMany (AsyncClientEngine::CallManyOnCaller). Sends
+// and receives go through the wrappers above, counted toward
 // UdpIoSide::kClient. A datagram an earlier call left queued (a duplicate
 // reply, or one that outlived its attempt) is what the next Receive
 // returns first; the xid-matched path skips it and counts it unmatched.
@@ -182,9 +183,10 @@ class UdpClientSocket {
   UdpClientSocket(const UdpClientSocket&) = delete;
   UdpClientSocket& operator=(const UdpClientSocket&) = delete;
 
-  // Sends `payload` (left as it was) to 127.0.0.1:`port`, opening the
-  // socket when needed. False: the kernel refused the datagram, a drop.
-  HCS_NODISCARD Result<bool> Send(uint16_t port, Bytes& payload);
+  // Sends the staged `datagrams` with one SendReplies, opening the socket
+  // when needed, and returns how many the kernel accepted; the shortfall
+  // is a drop.
+  HCS_NODISCARD Result<size_t> Send(std::vector<UdpReply>& datagrams);
 
   // Waits up to `timeout_ms` (at least 1 ms) for one datagram and returns
   // its frame, valid until the next receive; nullptr when none arrived in
@@ -200,9 +202,8 @@ class UdpClientSocket {
   HCS_NODISCARD Status Open();
 
   int fd_ = -1;
-  int64_t timeout_ms_ = 0;        // the SO_RCVTIMEO in force; 0 = not set yet
-  std::vector<UdpReply> outbox_;  // one datagram
-  UdpRecvBatch inbox_;            // one slot, the size of any datagram
+  int64_t timeout_ms_ = 0;  // the SO_RCVTIMEO in force; 0 = not set yet
+  UdpRecvBatch inbox_;      // one slot, the size of any datagram
 };
 
 }  // namespace hcs

@@ -6,7 +6,8 @@
 //   - StreamNetTransport (stream_transport.h): the simulated network with
 //     a connection set-up charge,
 //   - UdpTransport (udp_transport.h): real UDP on 127.0.0.1. It is a channel
-//     spec and nothing else; the async client engine does its socket I/O.
+//     spec and nothing else; each call's own thread does its socket I/O
+//     (src/rpc/async_client.h).
 
 #ifndef HCS_SRC_RPC_TRANSPORT_H_
 #define HCS_SRC_RPC_TRANSPORT_H_
@@ -24,22 +25,22 @@ class FaultInjector;
 
 // How (and whether) a transport exposes a channel the RPC client can drive
 // itself (src/rpc/async_client.h) instead of calling RoundTrip. kNone means
-// Call and CallAsync run the blocking path inline — the behavior-preserving
+// Call and CallMany run the blocking path inline — the behavior-preserving
 // default for simulated and in-process transports, and for a fault wrapper
 // around one.
 enum class AsyncChannelKind {
   kNone,
-  // xid-matched datagrams: CallAsync on the engine loop's shared
-  // nonblocking socket, Call on the calling thread's own socket.
+  // xid-matched datagrams on the calling thread's own socket, for Call and
+  // CallMany alike.
   kUdpDatagram,
 };
 
 struct AsyncChannelSpec {
   AsyncChannelKind kind = AsyncChannelKind::kNone;
-  // Per-attempt timeout ceiling the engine applies (the transport's own
+  // Per-attempt timeout ceiling the client applies (the transport's own
   // default timeout; the retry budget can only shorten it).
   int default_timeout_ms = 2000;
-  // Client-side faults the engine draws once per attempt, as it sends
+  // Client-side faults drawn once per attempt, as it starts
   // (FaultInjectingTransport sets it; null: none).
   FaultInjector* faults = nullptr;
 };
@@ -51,7 +52,7 @@ class Transport {
   // Sends `message` from a process on `from_host` to the server listening at
   // (`to_host`, `port`) and returns its response, in one attempt. Only
   // channel-less transports implement it: a transport with a channel is
-  // driven by the engine, never through this exchange.
+  // driven through the channel, never through this exchange.
   HCS_NODISCARD virtual Result<Bytes> RoundTrip(const std::string& from_host,
                                                 const std::string& to_host, uint16_t port,
                                                 const Bytes& message) {
@@ -62,7 +63,7 @@ class Transport {
   }
 
   // The channel this transport exposes to the client runtime. Default:
-  // none — Call and CallAsync then complete via the blocking RoundTrip
+  // none — Call and CallMany then complete via the blocking RoundTrip
   // path, byte-identical to the seed's synchronous client.
   virtual AsyncChannelSpec async_channel() const { return {}; }
 };

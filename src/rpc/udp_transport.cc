@@ -83,7 +83,7 @@ void UdpServerHost::ServeLoop(int fd, uint16_t port, SimService* service, int ba
   ScopedArenaViewBinding view_binding(recv_batch.debug_arena());
   std::vector<UdpReply> replies;
   while (!state->stop.load(std::memory_order_acquire)) {
-    int count = recv_batch.Recv(fd, /*wait_for_one=*/true);
+    int count = recv_batch.Recv(fd);
     if (count < 0 || state->stop.load(std::memory_order_acquire)) {
       break;  // stopping, or a hard socket error
     }

@@ -96,9 +96,9 @@ class UdpServerHost {
 };
 
 // Client-side transport over 127.0.0.1: only a channel spec. RpcClient
-// drives it through the kUdpDatagram channel: Call runs each call on the
-// calling thread, CallAsync on the async engine's loop, both matching
-// replies by xid (src/rpc/async_client.h).
+// drives it through the kUdpDatagram channel: Call and CallMany run their
+// calls on the calling thread's socket, matching replies by xid
+// (src/rpc/async_client.h).
 class UdpTransport : public Transport {
  public:
   // `timeout_ms` bounds each attempt; expiry surfaces as kTimeout.

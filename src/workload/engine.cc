@@ -135,7 +135,6 @@ void WorkloadEngine::ScheduleArrival() {
     return;
   }
   SimDuration gap = SampleInterArrival(arrival_rng_, options_.arrivals_per_second);
-  // hcs:on-loop(sim EventQueue::ScheduleAfter, not the reactor's loop-only timer API)
   world_->events().ScheduleAfter(gap, [this] { ClientArrive(); });
 }
 
@@ -174,7 +173,6 @@ void WorkloadEngine::ClientOp(uint32_t client) {
   }
   double think_rate = 1000.0 / std::max(1e-3, options_.mean_think_ms);
   SimDuration think = SampleInterArrival(state.rng, think_rate);
-  // hcs:on-loop(sim EventQueue::ScheduleAfter, not the reactor's loop-only timer API)
   world_->events().ScheduleAfter(think, [this, client] { ClientOp(client); });
 }
 
@@ -183,7 +181,6 @@ void WorkloadEngine::ScheduleStorm() {
     return;
   }
   SimDuration gap = SampleInterArrival(storm_rng_, options_.storm_rate_per_second);
-  // hcs:on-loop(sim EventQueue::ScheduleAfter, not the reactor's loop-only timer API)
   world_->events().ScheduleAfter(gap, [this] { StormToggle(); });
 }
 

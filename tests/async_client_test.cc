@@ -1,8 +1,8 @@
-// The async RPC client core over real UDP sockets: CallAsync fan-out,
-// caller-run sync calls and their counters, calls too large for a
-// datagram, the channel-less inline path, the ResolveMany /
-// PrefetchRecords layers built on top, completion exactly once under
-// races and engine teardown, and the loop-affinity death tests.
+// The UDP client core over real UDP sockets: CallMany fan-out, caller-run
+// sync calls and their counters, calls too large for a datagram, the
+// channel-less inline path, the ResolveMany / PrefetchRecords layers built
+// on top, late replies to earlier attempts, and a mixed-outcome batch run
+// from several threads at once.
 //
 // Delay-bearing servers are served concurrently with a fixed number of
 // loops, so the wall-clock assertions do not depend on the core count; a
@@ -29,8 +29,8 @@
 #include "src/rpc/async_client.h"
 #include "src/rpc/client.h"
 #include "src/rpc/fault.h"
+#include "src/rpc/mmsg.h"
 #include "src/rpc/ports.h"
-#include "src/rpc/reactor.h"
 #include "src/rpc/server.h"
 #include "src/rpc/udp_transport.h"
 #include "src/wire/xdr.h"
@@ -69,21 +69,23 @@ TEST(AsyncClientTest, UdpFanOutCompletesEveryFuture) {
   client.set_async_engine(&engine);
 
   constexpr int kCalls = 32;
-  std::vector<RpcFuture> futures;
+  std::vector<RpcClient::Request> requests;
   std::vector<Bytes> payloads;
-  futures.reserve(kCalls);
   for (int i = 0; i < kCalls; ++i) {
     XdrEncoder enc;
     enc.PutUint32(static_cast<uint32_t>(i));
     payloads.push_back(enc.Take());
-    futures.push_back(
-        client.CallAsync(UdpBinding(*port, 7, ControlKind::kSunRpc), 1, payloads.back()));
+    requests.push_back(
+        RpcClient::Request{UdpBinding(*port, 7, ControlKind::kSunRpc), 1, payloads.back(), {}});
   }
+  std::vector<RpcCallInfo> infos;
+  std::vector<Result<Bytes>> replies = client.CallMany(requests, &infos);
+  ASSERT_EQ(replies.size(), size_t{kCalls});
+  ASSERT_EQ(infos.size(), size_t{kCalls});
   for (int i = 0; i < kCalls; ++i) {
-    Result<Bytes> reply = futures[i].Wait();
-    ASSERT_TRUE(reply.ok()) << reply.status();
-    EXPECT_EQ(*reply, payloads[i]) << "reply " << i << " matched to the wrong call";
-    EXPECT_GE(futures[i].info().attempts, 1u);
+    ASSERT_TRUE(replies[i].ok()) << replies[i].status();
+    EXPECT_EQ(*replies[i], payloads[i]) << "reply " << i << " matched to the wrong call";
+    EXPECT_GE(infos[i].attempts, 1u);
   }
   EXPECT_EQ(engine.stats().completed, static_cast<uint64_t>(kCalls));
   host.StopAll();
@@ -107,12 +109,10 @@ TEST(AsyncClientTest, UdpInFlightCallsShareTheWallClock) {
   client.set_async_engine(&engine);
 
   Clock::time_point start = Clock::now();
-  std::vector<RpcFuture> futures;
-  for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(client.CallAsync(UdpBinding(*port, 7, ControlKind::kRaw), 1, Bytes{1}));
-  }
-  for (RpcFuture& future : futures) {
-    ASSERT_TRUE(future.Wait().ok());
+  std::vector<RpcClient::Request> requests(
+      kCalls, RpcClient::Request{UdpBinding(*port, 7, ControlKind::kRaw), 1, Bytes{1}, {}});
+  for (const Result<Bytes>& reply : client.CallMany(requests)) {
+    ASSERT_TRUE(reply.ok());
   }
   int64_t elapsed = ElapsedMs(start);
   // Sequential would cost kCalls * kDelayMs = 400 ms; 16 in flight across 8
@@ -123,11 +123,10 @@ TEST(AsyncClientTest, UdpInFlightCallsShareTheWallClock) {
   host.StopAll();
 }
 
-// Sync UDP calls run on their caller, but count into the engine's stats
-// and the client-side syscall counters as loop calls do: K calls are K
-// calls, K completions and K sends, and an unbudgeted call in the steady
-// state costs at most two counted datagram syscalls (one send, one
-// receive) and no loop hop.
+// Sync UDP calls count into the engine's stats and the client-side syscall
+// counters: K calls are K calls, K completions and K sends, and an
+// unbudgeted call in the steady state costs at most two counted datagram
+// syscalls (one send, one receive).
 TEST(AsyncClientTest, SyncUdpCallsCountIntoEngineStatsAndClientSyscalls) {
   UdpServerHost host;
   RpcServer server(ControlKind::kSunRpc, "caller-run-echo");
@@ -174,7 +173,7 @@ TEST(AsyncClientTest, SyncUdpCallsCountIntoEngineStatsAndClientSyscalls) {
 // A call no datagram can carry (70 KiB against kMaxDatagram) fails
 // kResourceExhausted before anything is sent, with or without a budget to
 // retry in: no attempt, no client send, and no wait for an attempt timer.
-void ExpectOversizedUdpCallFailsUpFront(bool async) {
+void ExpectOversizedUdpCallFailsUpFront(bool batched) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "oversize-echo");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
@@ -192,10 +191,10 @@ void ExpectOversizedUdpCallFailsUpFront(bool async) {
     const Clock::time_point start = Clock::now();
     RpcCallInfo info;
     Result<Bytes> reply = UnavailableError("not called");
-    if (async) {
-      RpcFuture future = client.CallAsync(binding, 1, huge, context);
-      reply = future.Wait();
-      info = future.info();
+    if (batched) {
+      std::vector<RpcCallInfo> infos;
+      reply = client.CallMany({RpcClient::Request{binding, 1, huge, context}}, &infos).at(0);
+      info = infos.at(0);
     } else {
       reply = client.Call(binding, 1, huge, context, &info);
     }
@@ -214,29 +213,44 @@ void ExpectOversizedUdpCallFailsUpFront(bool async) {
 }
 
 TEST(AsyncClientTest, SyncUdpCallTooLargeForADatagramNeverSends) {
-  ExpectOversizedUdpCallFailsUpFront(/*async=*/false);
+  ExpectOversizedUdpCallFailsUpFront(/*batched=*/false);
 }
 
 TEST(AsyncClientTest, AsyncUdpCallTooLargeForADatagramNeverSends) {
-  ExpectOversizedUdpCallFailsUpFront(/*async=*/true);
+  ExpectOversizedUdpCallFailsUpFront(/*batched=*/true);
 }
 
 TEST(AsyncClientTest, ChannellessTransportCompletesInline) {
   LoopbackTransport loopback;
   RpcServer server(ControlKind::kSunRpc, "loopback-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  std::vector<Bytes> handled;  // the order the calls reached the server
+  server.RegisterProcedure(7, 1, [&handled](const Bytes& args) -> Result<Bytes> {
+    handled.push_back(args);
+    return args;
+  });
   ASSERT_TRUE(loopback.Register(9000, &server).ok());
 
   RpcClient client(nullptr, "localclient", &loopback);
   HrpcBinding binding = UdpBinding(9000, 7, ControlKind::kSunRpc);
-  RpcFuture future = client.CallAsync(binding, 1, Bytes{5, 6});
-  // No async channel → the call ran to completion inside CallAsync.
-  EXPECT_TRUE(future.ready());
-  Result<Bytes> async_reply = future.Wait();
+  AsyncClientEngine engine;
+  client.set_async_engine(&engine);
+  // No channel → every call of the batch ran inline, one at a time, in
+  // request order, without the engine.
+  std::vector<RpcCallInfo> infos;
+  std::vector<Result<Bytes>> batch = client.CallMany(
+      {RpcClient::Request{binding, 1, Bytes{5, 6}, {}}, RpcClient::Request{binding, 1, Bytes{7}, {}}},
+      &infos);
+  EXPECT_EQ(handled, (std::vector<Bytes>{Bytes{5, 6}, Bytes{7}}));
+  EXPECT_EQ(engine.stats().calls, 0u);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(infos[0].attempts, 1u);
+  EXPECT_EQ(infos[1].attempts, 1u);
   Result<Bytes> sync_reply = client.Call(binding, 1, Bytes{5, 6});
-  ASSERT_TRUE(async_reply.ok());
+  ASSERT_TRUE(batch[0].ok());
+  ASSERT_TRUE(batch[1].ok());
   ASSERT_TRUE(sync_reply.ok());
-  EXPECT_EQ(*async_reply, *sync_reply);
+  EXPECT_EQ(*batch[0], *sync_reply);
+  EXPECT_EQ(*batch[1], Bytes{7});
 }
 
 TEST(AsyncClientTest, ResolveManyIssuesRemoteFindNsmConcurrently) {
@@ -328,11 +342,11 @@ TEST(AsyncClientTest, ResolveManyReportsPartialFailurePerName) {
     GTEST_SKIP() << "cannot bind HNS port " << kHnsServerPort << ": " << port.status();
   }
 
-  // The fault wrapper hands its injector to the engine's UDP channel.
-  // ResolveMany puts the unique pairs' calls in flight in first-occurrence
-  // order, the loop starts them in that (StartCall) order, and each draws
-  // its first attempt's decision as it sends, before any retry's timer can
-  // fire — decision k belongs to unique pair k. Every Decide reads the phase
+  // The fault wrapper hands its injector to the UDP client core.
+  // ResolveMany puts the unique pairs' calls in one CallMany batch in
+  // first-occurrence order, the batch starts their first attempts in that
+  // order, and each draws its decision as it starts, before any retry can
+  // start — decision k belongs to unique pair k. Every Decide reads the phase
   // clock exactly once; ticking it 100 "ms" per read puts decisions 0..2 in
   // the healthy phase and every later decision (first attempts and retries
   // alike) in the terminal drop-everything phase.
@@ -467,10 +481,8 @@ TEST(AsyncClientTest, PrefetchRecordsFetchesAWaveConcurrently) {
   upstream.Stop();
 }
 
-// --- Completion-exactly-once under contention (DESIGN.md §15) ---------------
-
 // Binds a UDP socket nobody ever reads: calls to it spend their full
-// deadline budget and complete (kTimeout) on the engine's loop thread.
+// deadline budget and end kTimeout.
 int BindBlackHole(uint16_t* port_out) {
   int fd = socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) {
@@ -558,218 +570,101 @@ TEST(AsyncClientTest, SyncUdpCallTakesALateReplyToAnEarlierAttempt) {
   EXPECT_EQ(stats.completed, 2u);
 }
 
-// 1,050 futures across four contention classes — plain success, tight
-// deadline racing the reply, guaranteed timeout, and a final wave destroyed
-// mid-flight with the engine — each counting its OnComplete firings. Every
-// future must complete, and every callback must fire exactly once, no
-// matter which of completion/timeout/engine-stop wins the race.
-//
-// Engine teardown fails every outstanding future kUnavailable: the final
-// wave's calls to the black hole, budgeted or not, can only end that way,
-// after the one attempt they made — a budgeted call must not retry into a
-// stopping engine. The wave's live calls end with their echo or the same
-// kUnavailable.
-TEST(AsyncClientTest, OnCompleteFiresExactlyOnceUnderRaces) {
-  UdpServerHost host;
-  RpcServer server(ControlKind::kSunRpc, "stress-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
-  Result<uint16_t> port = host.Serve(&server, 0);
-  ASSERT_TRUE(port.ok()) << port.status();
+// One batch of mixed outcomes, run from several threads at once through one
+// engine: live echoes, live calls whose tight deadlines race their delayed
+// replies, and calls to a black hole. Every call ends with its own echo or
+// kTimeout, within what its budget admits and with every retry counted, and
+// the batch returns soon after its longest budget. A tight call whose budget
+// ran out before its first attempt could start ends kTimeout with no
+// attempt.
+TEST(AsyncClientTest, MixedOutcomeBatchEndsEveryCallWithinItsBudget) {
+  UdpServerHost host(/*workers=*/32);
+  RpcServer echo(ControlKind::kSunRpc, "mixed-echo");
+  echo.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  // Answers after args[1] ms: the same band as the tight deadlines below.
+  RpcServer delayed(ControlKind::kSunRpc, "mixed-delayed");
+  delayed.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> {
+    std::this_thread::sleep_for(std::chrono::milliseconds(args.at(1)));
+    return args;
+  });
+  Result<uint16_t> echo_port = host.Serve(&echo, 0);
+  ASSERT_TRUE(echo_port.ok()) << echo_port.status();
+  Result<uint16_t> delayed_port = host.ServeConcurrent(&delayed, 0);
+  ASSERT_TRUE(delayed_port.ok()) << delayed_port.status();
   uint16_t hole_port = 0;
   int hole_fd = BindBlackHole(&hole_port);
   ASSERT_GE(hole_fd, 0);
 
-  constexpr int kHoleWave = 1000;  // the final wave's black-hole calls start here
-  constexpr int kFutures = 1050;
-  std::vector<std::atomic<int>> fired(kFutures);
-  std::vector<RpcFuture> futures(kFutures);
+  // More calls than kMaxUdpBatch, so some wait for an attempt to end.
+  constexpr int kBatch = 96;
+  constexpr int kThreads = 3;
+  // Budgets run to tens of milliseconds, so a scheduling stall between
+  // building a request and CallMany cannot shed it before the engine counts
+  // it.
+  constexpr int64_t kHoleBudgetMs = 50;  // the batch's longest budget
   UdpTransport transport;
-  RpcClient client(nullptr, "localclient", &transport);
-  HrpcBinding live = UdpBinding(*port, 7, ControlKind::kSunRpc);
-  HrpcBinding hole = UdpBinding(hole_port, 7, ControlKind::kSunRpc);
-  {
-    AsyncClientEngine engine;
-    client.set_async_engine(&engine);
-    auto issue = [&](int i, const HrpcBinding& binding, const RequestContext& context) {
-      futures[i] = client.CallAsync(binding, 1, Bytes{static_cast<uint8_t>(i & 0xff)}, context);
-      futures[i].OnComplete([&fired, i](const Result<Bytes>&, const RpcCallInfo&) {
-        fired[i].fetch_add(1, std::memory_order_relaxed);
-      });
-    };
-    for (int i = 0; i < 250; ++i) {
-      issue(i, live, RequestContext{});  // completes with the echo reply
-    }
-    for (int i = 250; i < 500; ++i) {
-      // Deadline in the same band as the loopback RTT: the reply and the
-      // attempt-timeout timer race for the one completion.
-      issue(i, live, RequestContext::WithTimeout(1 + i % 3));
-    }
-    for (int i = 500; i < 750; ++i) {
-      issue(i, hole, RequestContext::WithTimeout(20));  // guaranteed timeout
-    }
-    for (int i = 0; i < 750; ++i) {
-      // hcs:ignore-status(outcome is class-dependent by design; the firing count is the assertion)
-      (void)futures[i].Wait();
-    }
-    // The final wave is still in flight when the engine is destroyed: its
-    // fail-all races any replies that beat the shutdown to the loop.
-    for (int i = 750; i < kHoleWave; ++i) {
-      issue(i, live, RequestContext{});
-    }
-    for (int i = kHoleWave; i < kFutures; ++i) {
-      issue(i, hole, i % 2 == 0 ? RequestContext::WithTimeout(5000) : RequestContext{});
-    }
+  AsyncClientEngine engine;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      RpcClient client(nullptr, "localclient", &transport);
+      client.set_async_engine(&engine);
+      std::vector<RpcClient::Request> requests;
+      std::vector<int64_t> budgets;
+      for (int i = 0; i < kBatch; ++i) {
+        const uint8_t delay_ms = static_cast<uint8_t>(10 * ((i / 3) % 4));
+        const Bytes payload{static_cast<uint8_t>(i), delay_ms};
+        if (i % 3 == 0) {  // live, unbudgeted: its echo
+          requests.push_back({UdpBinding(*echo_port, 7, ControlKind::kSunRpc), 1, payload, {}});
+          budgets.push_back(0);
+        } else if (i % 3 == 1) {  // live, 20-30 ms against a 0-30 ms reply
+          budgets.push_back(20 + 5 * ((i / 3) % 3));
+          requests.push_back({UdpBinding(*delayed_port, 7, ControlKind::kSunRpc), 1, payload,
+                              RequestContext::WithTimeout(budgets.back())});
+        } else {  // the black hole: kTimeout
+          budgets.push_back(kHoleBudgetMs);
+          requests.push_back({UdpBinding(hole_port, 7, ControlKind::kSunRpc), 1, payload,
+                              RequestContext::WithTimeout(kHoleBudgetMs)});
+        }
+      }
+      std::vector<RpcCallInfo> infos;
+      const Clock::time_point start = Clock::now();
+      std::vector<Result<Bytes>> replies = client.CallMany(requests, &infos);
+      const int64_t elapsed_ms = ElapsedMs(start);
+      EXPECT_LT(elapsed_ms, kHoleBudgetMs + 100) << "the batch outlived its longest budget";
+      ASSERT_EQ(replies.size(), size_t{kBatch});
+      for (int i = 0; i < kBatch; ++i) {
+        SCOPED_TRACE("call " + std::to_string(i));
+        if (replies[i].ok()) {
+          EXPECT_EQ(*replies[i], requests[i].args) << "answered by another call's reply";
+        } else {
+          EXPECT_EQ(replies[i].status().code(), StatusCode::kTimeout) << replies[i].status();
+        }
+        if (i % 3 == 0) {
+          EXPECT_TRUE(replies[i].ok()) << "a live unbudgeted echo failed";
+          EXPECT_EQ(infos[i].attempts, 1u);
+        } else if (i % 3 == 2) {
+          EXPECT_FALSE(replies[i].ok()) << "the black hole answered";
+        }
+        if (budgets[i] > 0) {
+          EXPECT_LE(infos[i].attempts, RetryPolicy::MaxAttempts(budgets[i]));
+        }
+        if (infos[i].attempts == 0) {
+          EXPECT_EQ(replies[i].status().code(), StatusCode::kTimeout) << replies[i].status();
+        } else {
+          EXPECT_EQ(infos[i].retries + 1, infos[i].attempts);
+        }
+      }
+    });
   }
-  for (int i = 0; i < kFutures; ++i) {
-    ASSERT_TRUE(futures[i].ready()) << "future " << i << " never completed";
-    EXPECT_EQ(fired[i].load(), 1)
-        << "OnComplete fired " << fired[i].load() << " times for future " << i;
+  for (std::thread& thread : threads) {
+    thread.join();
   }
-  for (int i = 750; i < kHoleWave; ++i) {
-    Result<Bytes> reply = futures[i].Wait();
-    if (reply.ok()) {
-      EXPECT_EQ(*reply, Bytes{static_cast<uint8_t>(i & 0xff)}) << "future " << i;
-    } else {
-      EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
-          << "future " << i << ": " << reply.status();
-    }
-  }
-  for (int i = kHoleWave; i < kFutures; ++i) {
-    Result<Bytes> reply = futures[i].Wait();
-    EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
-        << "future " << i << ": " << reply.status();
-    EXPECT_EQ(futures[i].info().attempts, 1u) << "future " << i;
-    EXPECT_EQ(futures[i].info().retries, 0u) << "future " << i;
-  }
+  EXPECT_EQ(engine.stats().calls, uint64_t{kThreads * kBatch});
+  EXPECT_EQ(engine.stats().completed, uint64_t{kThreads * kBatch});
   close(hole_fd);
   host.StopAll();
-  client.set_async_engine(nullptr);
 }
-
-// --- Loop-affinity runtime enforcement (DESIGN.md §15) ----------------------
-//
-// The static half of the threading rules is tools/lint_loop.py; these death
-// tests pin the runtime half: HCS_ASSERT_LOOP aborts on off-loop access to
-// loop-owned state, and the Wait-on-loop-thread detector turns a silent
-// self-deadlock (or a sync call stalling the loop) into a diagnostic abort
-// naming the call's birth site.
-
-#if !HCS_LOOP_DEBUG_ENABLED
-
-TEST(LoopAffinityDeathTest, DebugModeCompiledOut) {
-  GTEST_SKIP() << "HCS_LOOP_DEBUG_ENABLED is 0 (NDEBUG without HCS_DEBUG_LOOP): "
-                  "the loop-affinity aborts are compiled out of this build";
-}
-
-#else
-
-// Waiting on a future from the engine's own loop thread (here: inside an
-// OnComplete callback, which runs on the loop) would self-deadlock — the
-// loop is the only thread that can complete the awaited future. The
-// detector must abort instead, naming this file as the birth site.
-void WaitOnLoopThread() {
-  UdpServerHost host;
-  RpcServer server(ControlKind::kSunRpc, "wait-on-loop");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
-  Result<uint16_t> port = host.Serve(&server, 0);
-  ASSERT_TRUE(port.ok()) << port.status();
-
-  UdpTransport transport;
-  RpcClient client(nullptr, "localclient", &transport);
-  AsyncClientEngine engine;
-  client.set_async_engine(&engine);
-  // Prove the endpoint serves before committing the violation.
-  ASSERT_TRUE(client.CallAsync(UdpBinding(*port, 7, ControlKind::kSunRpc), 1, Bytes{1})
-                  .Wait()
-                  .ok());
-
-  uint16_t hole_port = 0;
-  int hole_fd = BindBlackHole(&hole_port);
-  ASSERT_GE(hole_fd, 0);
-  HrpcBinding hole = UdpBinding(hole_port, 7, ControlKind::kSunRpc);
-  RpcFuture pending = client.CallAsync(hole, 1, Bytes{2}, RequestContext::WithTimeout(2000));
-  RpcFuture doomed = client.CallAsync(hole, 1, Bytes{3}, RequestContext::WithTimeout(50));
-  doomed.OnComplete([&pending](const Result<Bytes>&, const RpcCallInfo&) {
-    // hcs:ignore-status(deliberate violation: the detector aborts inside this Wait)
-    (void)pending.Wait();  // on the loop thread: the detector aborts here
-  });
-  // hcs:ignore-status(never returns — the child process aborts ~50 ms in)
-  (void)pending.Wait();
-  close(hole_fd);
-}
-
-// Touching a running reactor's loop-owned state (the timer wheel) from off
-// the loop thread must abort, naming the violating entry point.
-void TouchLoopOwnedStateOffLoop() {
-  UdpServerHost host;
-  RpcServer server(ControlKind::kSunRpc, "assert-loop");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
-  ASSERT_TRUE(host.Serve(&server, 0).ok());
-
-  Reactor reactor;
-  ASSERT_TRUE(reactor.Start().ok());
-  // Wait until the loop thread has marked itself live: Start() returns as
-  // soon as the thread is spawned, and HCS_ASSERT_LOOP deliberately passes
-  // while the loop is not yet running (single-threaded setup is sanctioned).
-  std::atomic<bool> loop_live{false};
-  ASSERT_TRUE(reactor.Post([&loop_live] { loop_live.store(true); }));
-  while (!loop_live.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // hcs:on-loop(deliberate violation: this death test proves HCS_ASSERT_LOOP aborts)
-  (void)reactor.ScheduleAfter(1000, [] {});
-  reactor.Stop();
-}
-
-// A sync UDP call runs on its caller and blocks it for up to the call's
-// budget; made from the engine's loop thread (here: an OnComplete
-// callback), it would stall every other callback on the loop. The detector
-// must abort, naming the call and this file as its site.
-void SyncCallOnLoopThread() {
-  UdpServerHost host;
-  RpcServer server(ControlKind::kSunRpc, "sync-on-loop");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
-  Result<uint16_t> port = host.Serve(&server, 0);
-  ASSERT_TRUE(port.ok()) << port.status();
-
-  UdpTransport transport;
-  RpcClient client(nullptr, "localclient", &transport);
-  AsyncClientEngine engine;
-  client.set_async_engine(&engine);
-  const HrpcBinding live = UdpBinding(*port, 7, ControlKind::kSunRpc);
-  // Prove the endpoint serves a sync call off the loop first.
-  ASSERT_TRUE(client.Call(live, 1, Bytes{1}).ok());
-
-  uint16_t hole_port = 0;
-  int hole_fd = BindBlackHole(&hole_port);
-  ASSERT_GE(hole_fd, 0);
-  RpcFuture doomed = client.CallAsync(UdpBinding(hole_port, 7, ControlKind::kSunRpc), 1, Bytes{2},
-                                      RequestContext::WithTimeout(50));
-  doomed.OnComplete([&client, live](const Result<Bytes>&, const RpcCallInfo&) {
-    // hcs:ignore-status(deliberate violation: the detector aborts inside this Call)
-    (void)client.Call(live, 1, Bytes{3});  // on the loop thread: the detector aborts here
-  });
-  // hcs:ignore-status(never returns — the child process aborts ~50 ms in)
-  (void)doomed.Wait();
-  close(hole_fd);
-}
-
-TEST(LoopAffinityDeathTest, SyncCallOnLoopThreadAborts) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(SyncCallOnLoopThread(), "RpcClient::Call\\(\\) on the event-loop thread.*async_client_test");
-}
-
-TEST(LoopAffinityDeathTest, WaitOnLoopThreadAbortsWithBirthSite) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(WaitOnLoopThread(), "self-deadlocks.*async_client_test");
-}
-
-TEST(LoopAffinityDeathTest, OffLoopTimerAccessAborts) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(TouchLoopOwnedStateOffLoop(), "HCS_ASSERT_LOOP: ScheduleAfter");
-}
-
-#endif  // HCS_LOOP_DEBUG_ENABLED
 
 }  // namespace
 }  // namespace hcs

@@ -128,16 +128,16 @@ TEST(BatchIoTest, PartialBatchLandsQueuedDatagrams) {
   SendTo(sender, port, Bytes{3, 3, 3});
 
   UdpRecvBatch batch(16, 512, UdpIoSide::kServer);
-  // wait_for_one once something is queued: returns what is there — here
-  // all three, well short of capacity.
+  // Once something is queued, a receive returns what is there — here all
+  // three, well short of capacity.
   ASSERT_TRUE(WaitReadable(fd));
-  int n = batch.Recv(fd, /*wait_for_one=*/true);
+  int n = batch.Recv(fd);
   int total = n;
   // The kernel may deliver the burst across polls; sweep until all three.
   while (total < 3) {
     ASSERT_TRUE(WaitReadable(fd));
     UdpRecvBatch more(16, 512, UdpIoSide::kServer);
-    int m = more.Recv(fd, /*wait_for_one=*/true);
+    int m = more.Recv(fd);
     ASSERT_GT(m, 0);
     total += m;
   }
@@ -147,9 +147,10 @@ TEST(BatchIoTest, PartialBatchLandsQueuedDatagrams) {
   EXPECT_EQ(batch.frame(0).data[0], 1);
   EXPECT_FALSE(batch.frame(0).truncated);
 
-  // Nothing left: a nonblocking batch read reports zero frames.
+  // Nothing left: a batch read on the nonblocking socket reports zero
+  // frames instead of waiting.
   UdpRecvBatch empty(16, 512, UdpIoSide::kServer);
-  EXPECT_EQ(empty.Recv(fd, /*wait_for_one=*/false), 0);
+  EXPECT_EQ(empty.Recv(fd), 0);
   close(sender);
   close(fd);
 }
@@ -166,7 +167,7 @@ TEST(BatchIoTest, OversizedDatagramIsFlaggedTruncatedOthersSurvive) {
   int total = 0;
   bool saw_truncated = false, saw_small = false;
   while (total < 2) {
-    int n = batch.Recv(fd, /*wait_for_one=*/true);
+    int n = batch.Recv(fd);
     ASSERT_GT(n, 0);
     for (int i = 0; i < n; ++i) {
       if (batch.frame(i).truncated) {
@@ -237,7 +238,7 @@ TEST(BatchIoTest, EnosysRecvFlipsToSingleShotFallbackPermanently) {
 
   ASSERT_TRUE(MmsgAvailable());
   UdpRecvBatch batch(8, 512, UdpIoSide::kServer);
-  int n = batch.Recv(fd, /*wait_for_one=*/true);
+  int n = batch.Recv(fd);
   // The ENOSYS recvmmsg flipped availability and the same Recv call
   // finished the job over recvfrom — identical frames, no caller retry.
   ASSERT_EQ(n, 1);
@@ -611,6 +612,17 @@ TEST(ServeLoopTest, FrameWithoutKernelStampIsStampedWhenReceived) {
   host.StopAll();
 }
 
+// A serve loop counts its replies once sendmmsg returns, so a caller-run
+// client can hold a reply before the server side has counted it. Waits (up
+// to 2 s) until the server has counted `want` sent datagrams since `base`.
+void WaitForServerSends(const UdpIoSnapshot& base, uint64_t want) {
+  for (int i = 0; i < 2000 && SnapshotUdpIoCounters().server.send_datagrams -
+                                      base.server.send_datagrams < want;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(ServeLoopTest, SyscallCountersSplitServerAndClientSides) {
   constexpr int kCalls = 20;
   EchoServerFixture fixture(/*batch=*/8);
@@ -626,22 +638,27 @@ TEST(ServeLoopTest, SyscallCountersSplitServerAndClientSides) {
   RpcClient client(/*world=*/nullptr, "localclient", &transport);
   AsyncClientEngine engine;
   client.set_async_engine(&engine);
-  // Opens the engine's UDP channel outside the counted window.
-  ASSERT_TRUE(client.CallAsync(binding, 1, Bytes{0}).Wait().ok());
+  // Opens this thread's client socket outside the counted window.
+  const UdpIoSnapshot warm = SnapshotUdpIoCounters();
+  ASSERT_TRUE(client.Call(binding, 1, Bytes{0}).ok());
+  WaitForServerSends(warm, 1);
 
   UdpIoSnapshot before = SnapshotUdpIoCounters();
-  std::vector<RpcFuture> futures;
+  std::vector<RpcClient::Request> requests;
   for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(client.CallAsync(binding, 1, Bytes{static_cast<uint8_t>(i)}));
+    requests.push_back(RpcClient::Request{binding, 1, Bytes{static_cast<uint8_t>(i)}, {}});
   }
-  for (RpcFuture& future : futures) {
-    ASSERT_TRUE(future.Wait().ok());
+  for (const Result<Bytes>& reply : client.CallMany(requests)) {
+    ASSERT_TRUE(reply.ok());
   }
+  WaitForServerSends(before, kCalls);
   UdpIoSnapshot after = SnapshotUdpIoCounters();
   EXPECT_EQ(after.server.recv_datagrams - before.server.recv_datagrams, uint64_t{kCalls});
   EXPECT_EQ(after.server.send_datagrams - before.server.send_datagrams, uint64_t{kCalls});
   EXPECT_EQ(after.client.send_datagrams - before.client.send_datagrams, uint64_t{kCalls});
   EXPECT_EQ(after.client.recv_datagrams - before.client.recv_datagrams, uint64_t{kCalls});
+  // The batch left in one sendmmsg.
+  EXPECT_EQ(after.client.send_syscalls - before.client.send_syscalls, 1u);
   fixture.host().StopAll();
   client.set_async_engine(nullptr);
 }

@@ -322,15 +322,15 @@ TEST(ChaosTest, FilterInboundAppliesDecisionsAndCountsDrops) {
 // --- Client-path chaos on every engine channel -----------------------------
 //
 // FaultInjectingTransport over a real transport hands its injector to the
-// async engine, which draws one decision per attempt as it sends. So these
-// scenarios run on each channel production uses: sync UDP calls (run on
-// their caller) and CallAsync over UDP (the engine loop).
+// UDP client core, which draws one decision per attempt as it starts. So
+// these scenarios run on both ways production issues UDP calls: sync calls
+// one at a time, and CallMany batches, both on their caller.
 
-enum class EngineChannel { kSyncUdp, kAsyncUdp };
-constexpr EngineChannel kEngineChannels[] = {EngineChannel::kSyncUdp, EngineChannel::kAsyncUdp};
+enum class EngineChannel { kSyncUdp, kCallMany };
+constexpr EngineChannel kEngineChannels[] = {EngineChannel::kSyncUdp, EngineChannel::kCallMany};
 
 std::string ChannelName(EngineChannel channel) {
-  return channel == EngineChannel::kSyncUdp ? "sync-udp" : "async-udp";
+  return channel == EngineChannel::kSyncUdp ? "sync-udp" : "call-many";
 }
 
 // A dropped attempt waits out its timer, so the lossy scenarios cap every
@@ -349,32 +349,52 @@ struct CallOutcome {
 
 // Makes `count` calls of procedure 1 over `channel`; call i carries
 // `payload(i)` under `context()`. Sync UDP calls run one at a time on this
-// thread. The other channels put every call in flight before waiting on
-// any, unless `one_at_a_time`.
+// thread. CallMany puts every call in one batch, unless `one_at_a_time`
+// makes each call a batch of one.
 std::vector<CallOutcome> RunCalls(EngineChannel channel, RpcClient& client,
                                   const HrpcBinding& binding, int count,
                                   const std::function<Bytes(int)>& payload,
                                   const std::function<RequestContext()>& context,
                                   bool one_at_a_time = false) {
   std::vector<CallOutcome> out(static_cast<size_t>(count));
-  std::vector<RpcFuture> futures(static_cast<size_t>(count));
+  std::vector<RpcClient::Request> batch;
   for (int i = 0; i < count; ++i) {
     if (channel == EngineChannel::kSyncUdp) {
       out[i].reply = client.Call(binding, 1, payload(i), context(), &out[i].info);
       continue;
     }
-    futures[i] = client.CallAsync(binding, 1, payload(i), context());
-    if (one_at_a_time) {
-      out[i].reply = futures[i].Wait();
-    }
-  }
-  for (int i = 0; i < count; ++i) {
-    if (channel != EngineChannel::kSyncUdp) {
-      out[i].reply = futures[i].Wait();
-      out[i].info = futures[i].info();
+    batch.push_back(RpcClient::Request{binding, 1, payload(i), context()});
+    if (one_at_a_time || i + 1 == count) {
+      std::vector<RpcCallInfo> infos;
+      std::vector<Result<Bytes>> replies = client.CallMany(batch, &infos);
+      const size_t first = static_cast<size_t>(i + 1) - batch.size();
+      for (size_t k = 0; k < batch.size(); ++k) {
+        out[first + k].reply = std::move(replies[k]);
+        out[first + k].info = infos[k];
+      }
+      batch.clear();
     }
   }
   return out;
+}
+
+// Reads whatever is still queued on this thread's client socket with one
+// unfaulted call to a fresh echo endpoint, counted into `engine`. A
+// caller-run path counts a straggling reply only when its thread next
+// receives, so a scenario calls this before asserting udp_unmatched exactly.
+void DrainStragglers(AsyncClientEngine* engine) {
+  UdpServerHost host;
+  RpcServer server(ControlKind::kRaw, "chaos-drain");
+  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  Result<uint16_t> port = host.Serve(&server, 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+  UdpTransport transport;
+  RpcClient client(/*world=*/nullptr, "localclient", &transport);
+  client.set_async_engine(engine);
+  Result<Bytes> reply = client.Call(ChannelBinding(*port), 1, Bytes{0xd7});
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, Bytes{0xd7});
+  host.StopAll();
 }
 
 // Polls `done` every millisecond until it holds or `limit_ms` passes; the
@@ -477,20 +497,15 @@ TEST(ChaosTest, DuplicateStormDeliversEveryReplyToItsCall) {
     // Exactly one extra handler invocation per injected duplicate:
     // duplicated traffic is delivered and handled, but never crosses replies
     // between calls. A call returns on its first reply, so wait for the
-    // server to finish with the copies.
+    // server to finish with the copies; stopping the host sends every reply.
     const int want = kCalls + static_cast<int>(stats.duplicates);
     WaitUntil([&] { return handled.load() >= want; });
-    // Each extra reply is counted unmatched: on the loop as it lands, on the
-    // caller when the thread's next call reads it, so the last one may wait.
-    if (channel == EngineChannel::kSyncUdp) {
-      EXPECT_GE(engine.stats().udp_unmatched + 1, stats.duplicates);
-      EXPECT_LE(engine.stats().udp_unmatched, stats.duplicates);
-    } else {
-      WaitUntil([&] { return engine.stats().udp_unmatched >= stats.duplicates; });
-      EXPECT_EQ(engine.stats().udp_unmatched, stats.duplicates);
-    }
     host.StopAll();
     EXPECT_EQ(handled.load(), want);
+    // Each extra reply is counted unmatched when this thread next receives:
+    // during a later call or the batch, or else in the drain call.
+    DrainStragglers(&engine);
+    EXPECT_EQ(engine.stats().udp_unmatched, stats.duplicates);
   }
   UdpClientSocket::ForThisThread().Close();
 }
@@ -688,7 +703,7 @@ TEST(ChaosTest, CorruptAndDropInboundStormStaysLive) {
 
 // --- Reply-side scenarios --------------------------------------------------
 //
-// FaultInjectingTransport's faults are drawn as the engine sends, so they
+// FaultInjectingTransport's faults are drawn as each attempt starts, so they
 // shape requests only. These scenarios fault the reply direction instead
 // with seeded chaotic *servers*: every shuffle, duplication, loss and late
 // reply is drawn from an mt19937_64 keyed by the scenario seed, so a failing
@@ -700,8 +715,8 @@ TEST(ChaosTest, AsyncUdpDuplicateReorderStormMatchesEveryReply) {
 
   // A chaotic echo server: collects every request first, then answers in a
   // seed-shuffled order, duplicating some replies and re-sending a few
-  // stale ones at the end. The client must still hand every future its own
-  // payload, and account the leftovers as unmatched datagrams.
+  // stale ones at the end. The CallMany batch must still hand every call its
+  // own payload, and account the leftovers as unmatched datagrams.
   int server_fd = socket(AF_INET, SOCK_DGRAM, 0);
   ASSERT_GE(server_fd, 0);
   sockaddr_in addr{};
@@ -761,16 +776,16 @@ TEST(ChaosTest, AsyncUdpDuplicateReorderStormMatchesEveryReply) {
   AsyncClientEngine engine;
   client.set_async_engine(&engine);
 
-  std::vector<RpcFuture> futures;
+  std::vector<RpcClient::Request> requests;
   for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(client.CallAsync(UdpBinding(server_port, 7, ControlKind::kRaw), 1,
-                                       Bytes{static_cast<uint8_t>(i), 0x5a}));
+    requests.push_back(RpcClient::Request{UdpBinding(server_port, 7, ControlKind::kRaw), 1,
+                                          Bytes{static_cast<uint8_t>(i), 0x5a}, {}});
   }
+  std::vector<Result<Bytes>> replies = client.CallMany(requests);
   int mismatches = 0;
   for (int i = 0; i < kCalls; ++i) {
-    Result<Bytes> reply = futures[i].Wait();
-    ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
-    if (*reply != (Bytes{static_cast<uint8_t>(i), 0x5a})) {
+    ASSERT_TRUE(replies[i].ok()) << "call " << i << ": " << replies[i].status();
+    if (*replies[i] != (Bytes{static_cast<uint8_t>(i), 0x5a})) {
       ++mismatches;
     }
   }
@@ -779,9 +794,9 @@ TEST(ChaosTest, AsyncUdpDuplicateReorderStormMatchesEveryReply) {
 
   EXPECT_EQ(mismatches, 0) << "a duplicated or reordered reply crossed calls";
   EXPECT_GT(duplicates_sent.load(), 0) << "a 40% duplicate storm that never fired";
-  // Every duplicate eventually lands as an unmatched datagram (its call
-  // already completed). Give stragglers a beat to arrive.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Every duplicate lands as an unmatched datagram (its call already
+  // ended): during the batch, or in the drain call once the server is done.
+  DrainStragglers(&engine);
   EXPECT_EQ(engine.stats().udp_unmatched, static_cast<uint64_t>(duplicates_sent.load()));
   std::cout << "[chaos] AsyncUdpDuplicateReorderStorm duplicates=" << duplicates_sent.load()
             << " unmatched=" << engine.stats().udp_unmatched << std::endl;

@@ -142,7 +142,13 @@ TEST_F(MalformedPacketTest, UdpServersSurviveGarbageAndStayLive) {
 
     for (Bytes frame : AttackFrames(target)) {
       SCOPED_TRACE("frame size " + std::to_string(frame.size()));
-      Result<bool> sent = socket.Send(*port, frame);
+      std::vector<UdpReply> attack(1);  // a batch of one
+      attack[0].peer.sin_family = AF_INET;
+      attack[0].peer.sin_port = htons(*port);
+      attack[0].peer.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      attack[0].peer_len = sizeof(attack[0].peer);
+      attack[0].payload = std::move(frame);
+      Result<size_t> sent = socket.Send(attack);
       ASSERT_TRUE(sent.ok()) << sent.status();
       // Short wait: the common outcome for garbage is a silent drop, and
       // each drop costs the client its full wait.

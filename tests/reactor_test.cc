@@ -1,9 +1,7 @@
 // Serving-runtime tests (ctest label `concurrency`; TSan-clean under
 // -DHCS_SANITIZE=thread):
 //
-//   - Start/Stop idempotence and restartability of the reactor (the async
-//     client engine's event loop), and Serve after StopAll on a
-//     UdpServerHost.
+//   - Serve after StopAll on a UdpServerHost.
 //   - End-to-end echo for every control protocol on the UDP serve loops.
 //   - RequestContext deadline semantics: client-side shed before send,
 //     dispatch-time shed when queue delay eats the budget, ambient
@@ -26,7 +24,6 @@
 #include "src/rpc/client.h"
 #include "src/rpc/context.h"
 #include "src/rpc/ports.h"
-#include "src/rpc/reactor.h"
 #include "src/rpc/server.h"
 #include "src/rpc/udp_transport.h"
 #include "src/wire/value.h"
@@ -44,20 +41,6 @@ HrpcBinding LoopbackBinding(uint16_t port, uint32_t program, ControlKind control
   b.control = control;
   b.transport = TransportKind::kUdp;
   return b;
-}
-
-TEST(ReactorTest, StartStopIdempotentAndRestartable) {
-  Reactor reactor;
-  EXPECT_FALSE(reactor.running());
-  ASSERT_TRUE(reactor.Start().ok());
-  ASSERT_TRUE(reactor.Start().ok()) << "second Start must be a no-op";
-  EXPECT_TRUE(reactor.running());
-  reactor.Stop();
-  reactor.Stop();  // idempotent
-  EXPECT_FALSE(reactor.running());
-  ASSERT_TRUE(reactor.Start().ok()) << "a stopped reactor must restart";
-  EXPECT_TRUE(reactor.running());
-  reactor.Stop();
 }
 
 // StopAll stops and joins the UDP loops; Serve on the same host afterwards

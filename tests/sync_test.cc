@@ -127,8 +127,8 @@ TEST(SyncTest, ConsistentLockOrderDoesNotTrip) {
   SetDeadlockDetectorEnabled(false);
 }
 
-// No detector state may outlive its Mutex: a short-lived mutex per call
-// (every RpcFuture holds one) must not grow the process. Each of these
+// No detector state may outlive its Mutex: short-lived mutexes, made and
+// destroyed in a loop, must not grow the process. Each of these
 // mutexes also leaves an edge from a long-lived lock, so the graph's edge
 // records are covered as well as its per-mutex entries.
 TEST(SyncTest, DestroyedMutexesLeaveNoDetectorState) {

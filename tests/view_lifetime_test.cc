@@ -258,7 +258,7 @@ TEST(ViewLifetimeTest, PartialBatchRecyclePoisonsUnfilledSpans) {
 
   constexpr size_t kSlot = 64;
   UdpRecvBatch batch(4, kSlot, UdpIoSide::kServer);
-  int n = batch.Recv(fd, /*wait_for_one=*/true);
+  int n = batch.Recv(fd);
   ASSERT_EQ(n, 1);
   uint8_t* slot0 = batch.frame(0).data;
   ASSERT_EQ(batch.frame(0).size, 3u);

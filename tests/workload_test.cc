@@ -484,10 +484,10 @@ TEST(WorkloadDriverTest, AsyncWindowDriverMatchesThreadPerCallSemantics) {
   EXPECT_GT(blocking.throughput_qps, 0.0);
   EXPECT_GE(blocking.attempts, 64u);
 
-  SweepPoint async = DriveClientsAsync(*port, /*window=*/4, /*total_requests=*/64);
-  EXPECT_EQ(async.clients, 4);
-  EXPECT_GT(async.throughput_qps, 0.0);
-  EXPECT_GE(async.attempts, 64u);
+  SweepPoint batched = DriveClientsMany(*port, /*window=*/4, /*total_requests=*/64);
+  EXPECT_EQ(batched.clients, 4);
+  EXPECT_GT(batched.throughput_qps, 0.0);
+  EXPECT_GE(batched.attempts, 64u);
   host.StopAll();
 }
 

@@ -10,7 +10,6 @@
 #   lint-wire    tools/lint_wire.py encode/decode symmetry
 #   lint-failpaths   tools/lint_failpaths.py error-discipline lint + self-test
 #   lint-views   tools/lint_views.py view-escape lint + self-test
-#   lint-loop    tools/lint_loop.py loop-affinity lint + self-test
 #   views-asan   view_lifetime_test + fuzz_test under the asan-ubsan build:
 #                the poisoned debug arena and generation stamps made fatal
 #                (HCS_SANITIZE compiles them in)
@@ -23,9 +22,9 @@
 #                speed: the million-client engine's determinism claims with
 #                memory errors made fatal
 #   chaos-tsan   `ctest -L chaos` under the tsan build
-#   async-tsan   async_client_test under the tsan build: the reactor-driven
-#                client engine's loop thread, future completion, and
-#                engine-teardown races
+#   async-tsan   async_client_test under the tsan build: caller-run
+#                CallMany fan-out from several threads against concurrent
+#                serve loops, with the engine's shared counters
 #   bench-smoke  tools/bench_snapshot.py --check over every checked-in
 #                BENCH_*.json: schema + embedded trajectory floors (no
 #                re-measurement; also runs as the bench_smoke ctest)
@@ -35,7 +34,7 @@
 # where clang exists (developer machines, CI images with clang).
 #
 # Usage: tools/check.sh [build-root]   (default: <repo>/check-builds)
-#        tools/check.sh --lints        (quick mode: the four static lints and
+#        tools/check.sh --lints        (quick mode: the three static lints and
 #                                       their self-tests only — no compiles)
 
 set -u
@@ -81,19 +80,6 @@ run_lints() {
     record lint-views PASS
   else
     record lint-views FAIL
-  fi
-
-  # 7c. Loop-affinity discipline lint: loop-only functions called off the
-  # loop thread, blocking waits inside loop bodies and posted callbacks,
-  # completions invoked under a lock or mid-iteration, empty on-loop
-  # reasons. The self-test seeds every rule — including reduced
-  # reproductions of the PR 8 review bugs — and checks it fires.
-  note "lint-loop: tools/lint_loop.py (+ --self-test)"
-  if python3 "${REPO}/tools/lint_loop.py" --self-test &&
-     python3 "${REPO}/tools/lint_loop.py" "${REPO}"; then
-    record lint-loop PASS
-  else
-    record lint-loop FAIL
   fi
 }
 
@@ -177,7 +163,7 @@ else
   record clang-tidy SKIP
 fi
 
-# 6–7c. The four static lints and their self-tests (shared with --lints mode).
+# 6–7b. The three static lints and their self-tests (shared with --lints mode).
 run_lints
 
 # 7c. The runtime half of the view-lifetime gate: under the asan-ubsan build
@@ -269,10 +255,10 @@ else
   record chaos-tsan SKIP
 fi
 
-# 11. The async client core under TSan: the engine's loop thread completes
-# futures that calling threads wait on, windows of calls share its UDP
-# socket, and engine teardown races replies still in flight. Reuses the
-# tsan build from step 3 when it exists.
+# 11. The UDP client core under TSan: caller-run CallMany batches and sync
+# calls from several threads, each on its own socket, against concurrent
+# serve loops, all counting into one engine's atomics. Reuses the tsan
+# build from step 3 when it exists.
 if [[ -x "${BUILD_ROOT}/tsan/tests/async_client_test" ]]; then
   note "async-tsan: async_client_test under thread"
   if (cd "${BUILD_ROOT}/tsan" &&
