@@ -4,22 +4,17 @@
 //   * remote call to an NSM:    22-38 ms depending on the RPC system,
 //   * total basic HNS overhead: 88-126 ms.
 
-#include <chrono>
 #include <cstdio>
-#include <thread>
 
-#include "bench/bench_reactor_util.h"
 #include "bench/bench_util.h"
 #include "src/hns/session.h"
 #include "src/hns/wire_protocol.h"
-#include "src/rpc/server.h"
 #include "src/testbed/testbed.h"
 
 namespace hcs {
 namespace {
 
 void RunComposite(double record_cache_warm_ms);
-void RunRuntimeSweep();
 
 void Run() {
   Testbed bed;
@@ -136,48 +131,6 @@ void RunComposite(double record_cache_warm_ms) {
   std::printf("  warm FindNSM = 1 composite probe + 1 handle copy "
               "(vs 6 record probes): %.1f ms -> %.1f ms\n",
               record_cache_warm_ms, warm);
-
-  RunRuntimeSweep();
-}
-
-// E1-R: the serving runtime under concurrent FindNSM-shaped load, measured
-// in wall-clock over real loopback sockets. One RPC endpoint whose handler
-// costs ~1 ms (the warm remote-NSM exchange of E1), hosted two ways:
-//   (a) a serial loop — the seed contract, so the endpoint processes at
-//       most one request at a time;
-//   (b) concurrent loops — one per client at the sweep's peak, all
-//       receiving from the same socket.
-// Each client thread keeps one budgeted request in flight; with 8+ clients
-// the concurrent loops must clear >= 2x the serial loop's throughput.
-void RunRuntimeSweep() {
-  PrintHeader("E1-R: service runtime sweep, serial loop vs concurrent loops (wall-clock)");
-
-  RpcServer server(ControlKind::kRaw, "findnsm-like");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> {
-    // The warm remote-NSM exchange: ~1 ms of downstream wait.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return args;
-  });
-
-  const std::vector<int> kClients = {1, 2, 4, 8, 16};
-  constexpr int kRequestsPerClient = 100;
-  std::vector<SweepPoint> baseline =
-      SweepRuntime(/*concurrent=*/false, &server, kClients, kRequestsPerClient);
-  std::vector<SweepPoint> concurrent =
-      SweepRuntime(/*concurrent=*/true, &server, kClients, kRequestsPerClient);
-  PrintSweepTable("serial loop", "concurrent loops", baseline, concurrent);
-
-  for (size_t i = 0; i < kClients.size(); ++i) {
-    if (kClients[i] >= 8 && baseline[i].throughput_qps > 0 &&
-        concurrent[i].throughput_qps < 2.0 * baseline[i].throughput_qps) {
-      std::printf("FATAL: concurrent loops %.0f qps < 2x serial loop %.0f qps at %d clients\n",
-                  concurrent[i].throughput_qps, baseline[i].throughput_qps, kClients[i]);
-      std::abort();
-    }
-  }
-  std::printf("  a serial endpoint caps out near 1/handler-cost regardless of offered load;\n");
-  std::printf("  concurrent loops share the endpoint's socket, so throughput scales with\n");
-  std::printf("  clients until the loops saturate.\n");
 }
 
 }  // namespace

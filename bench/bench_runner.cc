@@ -1,27 +1,32 @@
 // Repeatable perf-trajectory runner (BENCH_*.json). Re-measures the
 // serving runtime's hot path over real loopback sockets — a UDP echo
-// floor plus the E1-R / E5-R sweeps from EXPERIMENTS.md — and emits one
+// floor plus the E1-R / E5-R rows from EXPERIMENTS.md — and emits one
 // schema-versioned JSON snapshot with throughput, latency tails, and
 // server-side syscalls per request (from the mmsg wrapper counters).
 // tools/bench_snapshot.py --check validates the schema AND the embedded
 // trajectory floors (each scenario's qps against its recorded baseline),
-// so "this PR is ≥3× PR 3" is a machine-checked claim, not prose.
+// so a speed-up over an earlier snapshot is a machine-checked claim, not
+// prose. E1-R's own claim is checked here, against a comparison row of
+// the same run: the runner exits 1 when e1r_concurrent is below 2x
+// e1r_serial.
 //
 // Usage: bench_runner [--out PATH] [--quick]
-//   --out    write JSON there (default: stdout)
+//   --out    write JSON there (default: stdout); its stem names the snapshot
 //   --quick  ~10× fewer requests; for smoke runs, not for checked-in numbers
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench/bench_reactor_util.h"
 #include "src/rpc/mmsg.h"
 #include "src/rpc/server.h"
+#include "src/workload/driver.h"
 
 namespace hcs {
 namespace {
@@ -36,30 +41,31 @@ struct ScenarioResult {
   std::string name;
   bool concurrent = true;
   int udp_batch = 0;  // datagrams per serve-loop receive
-  int clients = 0;
-  int requests = 0;  // nominal total (clients * requests_per_client)
+  int clients = 0;    // calls in flight: threads x window
+  int requests = 0;   // nominal total (threads * calls_per_thread)
   SweepPoint point;
   UdpIoSnapshot before;
   UdpIoSnapshot after;
   Baseline baseline;  // label empty = no checked floor (comparison row)
 };
 
-// Hosts `server` on one endpoint — `concurrent` loops, one per client, or
-// one serial loop taking up to `udp_batch` datagrams per receive — then
-// drives the closed-loop client sweep. One scenario, one host: the server
-// side of the UdpIoSnapshot delta is this scenario's serve-loop syscalls.
+// Hosts `server` on one endpoint — `concurrent` loops, one per call in
+// flight, or one serial loop — then drives it with `threads` client threads
+// making waves of `window` calls (src/workload/driver.h's DriveClients).
+// One scenario, one host: the server side of the UdpIoSnapshot delta is
+// this scenario's serve-loop syscalls.
 ScenarioResult RunScenario(const std::string& name, RpcServer* server, bool concurrent,
-                           int udp_batch, int clients, int requests_per_client,
-                           Baseline baseline) {
-  UdpServerHost host(/*workers=*/clients, udp_batch);
+                           int threads, int window, int calls_per_thread, Baseline baseline) {
+  UdpServerHost host(/*workers=*/threads * window);
   ScenarioResult result;
   result.name = name;
   result.concurrent = concurrent;
-  result.udp_batch = host.receive_batch(concurrent);
-  std::fprintf(stderr, "  running %-27s batch=%-2d clients=%-2d reqs=%d\n", name.c_str(),
-               result.udp_batch, clients, clients * requests_per_client);
-  result.clients = clients;
-  result.requests = clients * requests_per_client;
+  result.udp_batch =
+      concurrent ? UdpServerHost::kConcurrentRecvBatch : UdpServerHost::kSerialRecvBatch;
+  std::fprintf(stderr, "  running %-27s batch=%-2d threads=%-2d window=%-2d reqs=%d\n",
+               name.c_str(), result.udp_batch, threads, window, threads * calls_per_thread);
+  result.clients = threads * window;
+  result.requests = threads * calls_per_thread;
   result.baseline = std::move(baseline);
 
   Result<uint16_t> port = concurrent ? host.ServeConcurrent(server, 0) : host.Serve(server, 0);
@@ -67,45 +73,13 @@ ScenarioResult RunScenario(const std::string& name, RpcServer* server, bool conc
     std::fprintf(stderr, "serve failed: %s\n", port.status().ToString().c_str());
     std::abort();
   }
-  // Warm the path (thread-local client sockets, scratch buffers) outside
-  // the measured window.
+  // Warm the path (the endpoint's loops, scratch buffers) outside the
+  // measured window: twenty waves per thread, or the whole row if shorter.
   // hcs:ignore-status(warmup sweep; the measured run below is what counts)
-  (void)DriveClients(*port, clients, 20);
+  (void)DriveClients(*port, threads, window, std::min(calls_per_thread, 20 * window));
 
   result.before = SnapshotUdpIoCounters();
-  result.point = DriveClients(*port, clients, requests_per_client);
-  result.after = SnapshotUdpIoCounters();
-  host.StopAll();
-  return result;
-}
-
-// The batched-client counterpart, hosted on one serial loop: the sweep is
-// ONE client thread issuing CallMany waves of `window` calls
-// (src/workload/driver.h's DriveClientsMany) instead of `window` blocking
-// threads with one call each.
-ScenarioResult RunScenarioAsync(const std::string& name, RpcServer* server, int udp_batch,
-                                int window, int requests_per_slot, Baseline baseline) {
-  UdpServerHost host(/*workers=*/window, udp_batch);
-  ScenarioResult result;
-  result.name = name;
-  result.concurrent = false;
-  result.udp_batch = host.receive_batch(/*concurrent=*/false);
-  std::fprintf(stderr, "  running %-27s batch=%-2d window=%-2d reqs=%d (CallMany waves)\n",
-               name.c_str(), result.udp_batch, window, window * requests_per_slot);
-  result.clients = window;
-  result.requests = window * requests_per_slot;
-  result.baseline = std::move(baseline);
-
-  Result<uint16_t> port = host.Serve(server, 0);
-  if (!port.ok()) {
-    std::fprintf(stderr, "serve failed: %s\n", port.status().ToString().c_str());
-    std::abort();
-  }
-  // hcs:ignore-status(warmup sweep; the measured run below is what counts)
-  (void)DriveClientsMany(*port, window, window * 20);
-
-  result.before = SnapshotUdpIoCounters();
-  result.point = DriveClientsMany(*port, window, result.requests);
+  result.point = DriveClients(*port, threads, window, calls_per_thread);
   result.after = SnapshotUdpIoCounters();
   host.StopAll();
   return result;
@@ -124,8 +98,8 @@ void AppendJsonScenario(std::string* out, const ScenarioResult& r, bool last) {
   add("      \"clients\": %d,\n", r.clients);
   add("      \"requests\": %d,\n", r.requests);
   add("      \"qps\": %.1f,\n", r.point.throughput_qps);
-  add("      \"p50_us\": %.1f,\n", r.point.p50_ms * 1000.0);
-  add("      \"p99_us\": %.1f,\n", r.point.p99_ms * 1000.0);
+  add("      \"p50_us\": %.1f,\n", r.point.latency_ms.p50 * 1000.0);
+  add("      \"p99_us\": %.1f,\n", r.point.latency_ms.p99 * 1000.0);
 
   // Server side only: the serve loops' receive and send syscalls.
   const UdpIoCounts& before = r.before.server;
@@ -179,7 +153,7 @@ int Main(int argc, char** argv) {
   });
 
   // E5-R profile: the bimodal E5 mix — 9 in 10 requests ~0.2 ms (cache
-  // hit), 1 in 10 ~2 ms (miss), exactly bench_workload's handler.
+  // hit), 1 in 10 ~2 ms (miss).
   std::atomic<uint64_t> sequence{0};
   RpcServer e5r(ControlKind::kRaw, "bench-e5r");
   e5r.RegisterProcedure(7, 1, [&sequence](BytesView args) -> Result<Bytes> {
@@ -195,46 +169,54 @@ int Main(int argc, char** argv) {
   // 30-50% between container instances, so the floor is a tripwire for
   // order-of-magnitude regressions, not a precision claim. The CallMany leg's
   // 2x floor is immune to that: it compares against the thread-per-call
-  // baseline measured in the SAME run on the SAME box. The serial echo pair
-  // measures the serial loop's receive batch against a batch of one under
-  // the same 8 clients.
+  // baseline measured in the SAME run on the SAME box. So does E1-R's 2x
+  // check, against e1r_serial: one serial loop caps out near 1/handler-cost
+  // (about 1k qps), so its row is short.
   std::vector<ScenarioResult> results;
+  results.push_back(RunScenario("udp_echo_floor", &echo, /*concurrent=*/true, 8, 1,
+                                4000 / scale,
+                                {"BENCH_6 udp_echo_floor (PR 6)", 119464.8, 0.5}));
+  results.push_back(RunScenario("udp_echo_serial_batched", &echo, /*concurrent=*/false, 8, 1,
+                                4000 / scale, {}));
+  ScenarioResult e1r_concurrent =
+      RunScenario("e1r_concurrent", &e1r, /*concurrent=*/true, 64, 1, 400 / scale,
+                  {"BENCH_6 e1r_reactor_batched (PR 6)", 37488.4, 0.5});
+  ScenarioResult e1r_serial =
+      RunScenario("e1r_serial", &e1r, /*concurrent=*/false, 64, 1, 20 / scale, {});
+  const double e1r_concurrent_qps = e1r_concurrent.point.throughput_qps;
+  const double e1r_serial_qps = e1r_serial.point.throughput_qps;
+  results.push_back(std::move(e1r_concurrent));
+  results.push_back(std::move(e1r_serial));
   results.push_back(RunScenario(
-      "udp_echo_floor", &echo, /*concurrent=*/true, kDefaultUdpBatch, 8, 4000 / scale,
-      {"BENCH_6 udp_echo_floor (PR 6)", 119464.8, 0.5}));
-  results.push_back(RunScenario("udp_echo_serial_batched", &echo, /*concurrent=*/false,
-                                kDefaultUdpBatch, 8, 4000 / scale, {}));
-  results.push_back(RunScenario("udp_echo_serial_single_shot", &echo, /*concurrent=*/false,
-                                1, 8, 4000 / scale, {}));
-  results.push_back(RunScenario(
-      "e1r_concurrent", &e1r, /*concurrent=*/true, kDefaultUdpBatch, 64, 400 / scale,
-      {"BENCH_6 e1r_reactor_batched (PR 6)", 37488.4, 0.5}));
-  results.push_back(RunScenario(
-      "e5r_concurrent", &e5r, /*concurrent=*/true, kDefaultUdpBatch, 64, 600 / scale,
+      "e5r_concurrent", &e5r, /*concurrent=*/true, 64, 1, 600 / scale,
       {"BENCH_6 e5r_reactor_batched (PR 6)", 54785.9, 0.5}));
 
   // The two shapes of the one UDP client: 64 blocking threads with one call
   // each vs one thread issuing CallMany waves of 64 calls, same echo
-  // service. Both rows host the echo on one serial loop taking up to 64
-  // datagrams per receive, so the comparison isolates the client side: the
-  // server is fixed, only how the calls are issued differs.
-  // Longer rows than the floor scenarios (3000 requests per slot): the 2x
-  // claim is the PR's headline and per-run scheduler noise on a 1-CPU box
-  // is large, so both sides get enough wall-clock to average it out.
+  // service on one serial loop, so the comparison isolates the client side:
+  // the server is fixed, only how the calls are issued differs.
+  // Longer rows than the floor scenarios (3000 requests per slot):
+  // per-run scheduler noise is large, so both sides of the 2x floor get
+  // enough wall-clock to average it out.
   ScenarioResult tpc = RunScenario("client_thread_per_call_64", &echo, /*concurrent=*/false,
-                                   kMaxUdpBatch, 64, 3000 / scale, {});
+                                   64, 1, 3000 / scale, {});
   double tpc_qps = tpc.point.throughput_qps;
   results.push_back(std::move(tpc));
-  results.push_back(RunScenarioAsync(
-      "client_async_64", &echo, kMaxUdpBatch, 64, 3000 / scale,
-      {"this snapshot's client_thread_per_call_64", tpc_qps, 2.0}));
+  results.push_back(RunScenario("client_async_64", &echo, /*concurrent=*/false, 1, 64,
+                                64 * 3000 / scale,
+                                {"this snapshot's client_thread_per_call_64", tpc_qps, 2.0}));
 
+  const std::string bench_name =
+      out_path != nullptr ? std::filesystem::path(out_path).stem().string() : "bench_runner";
+  char environment[96];
+  std::snprintf(environment, sizeof(environment), "%u-CPU host, loopback UDP, wall-clock",
+                std::thread::hardware_concurrency());
   std::string json;
   json.append("{\n");
   json.append("  \"schema_version\": 1,\n");
-  json.append("  \"bench\": \"BENCH_8\",\n");
+  json.append("  \"bench\": \"" + bench_name + "\",\n");
   json.append("  \"generated_by\": \"bench/bench_runner\",\n");
-  json.append("  \"environment\": \"1-CPU container, loopback UDP, wall-clock\",\n");
+  json.append("  \"environment\": \"" + std::string(environment) + "\",\n");
   json.append("  \"scenarios\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     AppendJsonScenario(&json, results[i], i + 1 == results.size());
@@ -252,6 +234,11 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s\n", out_path);
   } else {
     std::fputs(json.c_str(), stdout);
+  }
+  if (e1r_concurrent_qps < 2.0 * e1r_serial_qps) {
+    std::fprintf(stderr, "FAIL: e1r_concurrent %.0f qps < 2x e1r_serial %.0f qps\n",
+                 e1r_concurrent_qps, e1r_serial_qps);
+    return 1;
   }
   return 0;
 }

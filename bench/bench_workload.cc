@@ -11,16 +11,10 @@
 // lives, the less its private cache can ever learn, and the more the
 // long-lived remote cache's extra hit fraction q is worth.
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <thread>
-#include <vector>
 
-#include "bench/bench_reactor_util.h"
 #include "bench/bench_util.h"
 #include "src/common/rand.h"
-#include "src/rpc/server.h"
 #include "src/testbed/testbed.h"
 
 namespace hcs {
@@ -215,44 +209,10 @@ void Run() {
       "  completing, and refining, the analysis the paper left as future work.\n");
 }
 
-// E5-R: the same skewed-workload idea against the real serving runtime. The
-// E5 mix is bimodal in service time — most queries hit warm caches (fast),
-// a tail misses and pays the remote fetch (slow). This section hosts one
-// endpoint with that service-time profile (9 in 10 requests ~0.2 ms, 1 in
-// 10 ~2 ms) on a serial loop and on concurrent loops, and sweeps
-// concurrent clients. Under the serial baseline every slow request
-// head-of-line-blocks the fast ones, which is exactly what the p99 column
-// shows.
-void RunRuntimeSweep() {
-  PrintHeader("E5-R: skewed service times, serial loop vs concurrent loops (wall-clock)");
-
-  std::atomic<uint64_t> sequence{0};
-  RpcServer server(ControlKind::kRaw, "workload-like");
-  server.RegisterProcedure(7, 1, [&sequence](const Bytes& args) -> Result<Bytes> {
-    uint64_t n = sequence.fetch_add(1, std::memory_order_relaxed);
-    // 1 in 10 requests is a cache miss paying the remote fetch.
-    std::this_thread::sleep_for(n % 10 == 0 ? std::chrono::microseconds(2000)
-                                            : std::chrono::microseconds(200));
-    return args;
-  });
-
-  const std::vector<int> kClients = {1, 4, 8, 16};
-  constexpr int kRequestsPerClient = 150;
-  std::vector<SweepPoint> baseline =
-      SweepRuntime(/*concurrent=*/false, &server, kClients, kRequestsPerClient);
-  std::vector<SweepPoint> concurrent =
-      SweepRuntime(/*concurrent=*/true, &server, kClients, kRequestsPerClient);
-  PrintSweepTable("serial loop", "concurrent loops", baseline, concurrent);
-  std::printf("  concurrent loops keep fast (cache-hit) queries out from behind slow (miss)\n");
-  std::printf("  ones, so the p50 stays near the hit cost while the serial baseline's\n");
-  std::printf("  whole distribution drifts toward the miss cost as load rises.\n");
-}
-
 }  // namespace
 }  // namespace hcs
 
 int main() {
   hcs::Run();
-  hcs::RunRuntimeSweep();
   return 0;
 }

@@ -158,16 +158,7 @@ Result<NsmHandle> Hns::FindNsmUncomposed(const HnsName& name, const QueryClass& 
   HCS_ASSIGN_OR_RETURN(uint32_t address, ResolveHostAddressAtDepth(info.host_context, info.host,
                                                                    0, min_expires, context));
 
-  handle.binding.service_name = info.nsm_name;
-  handle.binding.host = info.host;
-  handle.binding.address = address;
-  handle.binding.port = info.port;
-  handle.binding.program = info.program;
-  handle.binding.version = info.version;
-  handle.binding.data_rep = info.data_rep;
-  handle.binding.transport = info.transport;
-  handle.binding.control = info.control;
-  handle.binding.bind_protocol = BindProtocol::kStatic;
+  handle.binding = info.ToBinding(address);
   return handle;
 }
 
@@ -216,16 +207,7 @@ Result<uint32_t> Hns::ResolveHostAddressAtDepth(const std::string& host_context,
       uint32_t nsm_address,
       ResolveHostAddressAtDepth(info.host_context, info.host, depth + 1, min_expires, context));
 
-  HrpcBinding binding;
-  binding.service_name = info.nsm_name;
-  binding.host = info.host;
-  binding.address = nsm_address;
-  binding.port = info.port;
-  binding.program = info.program;
-  binding.version = info.version;
-  binding.data_rep = info.data_rep;
-  binding.transport = info.transport;
-  binding.control = info.control;
+  const HrpcBinding binding = info.ToBinding(nsm_address);
 
   // Remote NSM query protocol (see NsmServer): context, individual, args.
   XdrEncoder enc;

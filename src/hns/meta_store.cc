@@ -55,6 +55,20 @@ Result<NsmInfo> NsmInfo::FromWire(const WireValue& value) {
   return info;
 }
 
+HrpcBinding NsmInfo::ToBinding(uint32_t address) const {
+  HrpcBinding binding;
+  binding.service_name = nsm_name;
+  binding.host = host;
+  binding.address = address;
+  binding.port = port;
+  binding.program = program;
+  binding.version = version;
+  binding.data_rep = data_rep;
+  binding.transport = transport;
+  binding.control = control;
+  return binding;
+}
+
 MetaStore::MetaStore(RpcClient* client, std::string meta_server_host,
                      std::string authority_host, HnsCache* cache)
     : client_(client),
@@ -89,25 +103,6 @@ HrpcBinding MetaStore::MetaServerBinding(bool authority) const {
   return b;
 }
 
-Result<WireValue> MetaStore::RemoteRead(const std::string& record_name,
-                                        const RequestContext& rctx) {
-  remote_lookups_.fetch_add(1, std::memory_order_relaxed);
-  World* world = client_->world();
-
-  BindQueryRequest request;
-  request.name = record_name;
-  request.type = RrType::kUnspec;
-
-  // The HRPC interface to BIND uses the stub-generated marshalling
-  // routines in both directions (the Table 3.2 lesson).
-  if (world != nullptr) {
-    ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
-  }
-  HCS_ASSIGN_OR_RETURN(Bytes reply, client_->Call(MetaServerBinding(/*authority=*/false),
-                                                  kBindProcQuery, request.Encode(), rctx));
-  return DecodeMetaReply(record_name, reply);
-}
-
 Result<WireValue> MetaStore::DecodeMetaReply(const std::string& record_name, const Bytes& reply) {
   World* world = client_->world();
   HCS_ASSIGN_OR_RETURN(BindQueryResponse response, BindQueryResponse::Decode(reply));
@@ -130,9 +125,9 @@ Result<WireValue> MetaStore::DecodeMetaReply(const std::string& record_name, con
   return value;
 }
 
-SimTime MetaStore::FinishFlight(const std::string& record_name,
-                                const std::shared_ptr<InFlight>& flight,
-                                const Result<WireValue>& fetched) {
+void MetaStore::FinishFlight(const std::string& record_name,
+                             const std::shared_ptr<InFlight>& flight,
+                             const Result<WireValue>& fetched) {
   SimTime expires = 0;
   if (fetched.ok()) {
     cache_->Put(record_name, *fetched, kMetaTtlSeconds);
@@ -149,7 +144,33 @@ SimTime MetaStore::FinishFlight(const std::string& record_name,
     in_flight_.erase(record_name);
   }
   flight_cv_.NotifyAll();
-  return expires;
+}
+
+void MetaStore::FetchClaimed(const std::vector<Claim>& claims, const RequestContext& rctx) {
+  // Every BIND query goes on the wire, in one CallMany batch, before any
+  // reply is awaited. The HRPC interface to BIND uses the stub-generated
+  // marshalling routines in both directions (the Table 3.2 lesson).
+  World* world = client_->world();
+  std::vector<RpcClient::Request> calls;
+  calls.reserve(claims.size());
+  for (const Claim& claim : claims) {
+    remote_lookups_.fetch_add(1, std::memory_order_relaxed);
+    BindQueryRequest request;
+    request.name = claim.name;
+    request.type = RrType::kUnspec;
+    if (world != nullptr) {
+      ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
+    }
+    calls.push_back(RpcClient::Request{MetaServerBinding(/*authority=*/false), kBindProcQuery,
+                                       request.Encode(), rctx});
+  }
+  std::vector<Result<Bytes>> replies = client_->CallMany(calls);
+  for (size_t i = 0; i < claims.size(); ++i) {
+    const Claim& claim = claims[i];
+    Result<WireValue> fetched = replies[i].ok() ? DecodeMetaReply(claim.name, *replies[i])
+                                                : Result<WireValue>(replies[i].status());
+    FinishFlight(claim.name, claim.flight, fetched);
+  }
 }
 
 void MetaStore::PrefetchRecords(const std::vector<std::string>& record_names,
@@ -162,11 +183,7 @@ void MetaStore::PrefetchRecords(const std::vector<std::string>& record_names,
   // Claim leadership for every record that actually needs a fetch. Records
   // already cached, negatively cached, or in flight are skipped — their
   // readers are served without us.
-  struct Launch {
-    std::string name;
-    std::shared_ptr<InFlight> flight;
-  };
-  std::vector<Launch> launches;
+  std::vector<Claim> claims;
   for (const std::string& record_name : record_names) {
     if (cache_->Lookup(record_name).probe != HnsCache::Probe::kMiss) {
       continue;
@@ -179,33 +196,10 @@ void MetaStore::PrefetchRecords(const std::vector<std::string>& record_names,
       auto flight = std::make_shared<InFlight>();
       flight->leader_deadline_ms = effective.has_deadline() ? effective.deadline_ms : 0;
       in_flight_[record_name] = flight;
-      launches.push_back(Launch{record_name, std::move(flight)});
+      claims.push_back(Claim{record_name, std::move(flight)});
     }
   }
-
-  // Fan out: every BIND query goes on the wire, in one CallMany batch,
-  // before any reply is awaited.
-  World* world = client_->world();
-  std::vector<RpcClient::Request> calls;
-  calls.reserve(launches.size());
-  for (const Launch& launch : launches) {
-    remote_lookups_.fetch_add(1, std::memory_order_relaxed);
-    BindQueryRequest request;
-    request.name = launch.name;
-    request.type = RrType::kUnspec;
-    if (world != nullptr) {
-      ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
-    }
-    calls.push_back(RpcClient::Request{MetaServerBinding(/*authority=*/false), kBindProcQuery,
-                                       request.Encode(), effective});
-  }
-  std::vector<Result<Bytes>> replies = client_->CallMany(calls);
-  for (size_t i = 0; i < launches.size(); ++i) {
-    const Launch& launch = launches[i];
-    Result<WireValue> fetched = replies[i].ok() ? DecodeMetaReply(launch.name, *replies[i])
-                                                : Result<WireValue>(replies[i].status());
-    (void)FinishFlight(launch.name, launch.flight, fetched);
-  }
+  FetchClaimed(claims, effective);
 }
 
 Result<WireValue> MetaStore::ReadRecord(const std::string& record_name,
@@ -277,13 +271,13 @@ Result<WireValue> MetaStore::ReadRecord(const std::string& record_name,
     in_flight_[record_name] = flight;
   }
 
-  Result<WireValue> fetched = RemoteRead(record_name, effective);
-  SimTime expires = FinishFlight(record_name, flight, fetched);
-
-  if (fetched.ok() && expires_out != nullptr) {
-    *expires_out = expires;
+  // The leader's fetch is a batch of one. Once it returns the flight is
+  // done and nothing writes it again.
+  FetchClaimed({Claim{record_name, flight}}, effective);
+  if (flight->result.ok() && expires_out != nullptr) {
+    *expires_out = flight->expires;
   }
-  return fetched;
+  return flight->result;
 }
 
 Status MetaStore::DeleteRecord(const std::string& record_name) {
@@ -392,7 +386,7 @@ Status MetaStore::UnregisterNsm(const std::string& ns_name, const QueryClass& qu
   return Status::Ok();
 }
 
-Result<MetaStore::Inventory> MetaStore::TakeInventory() {
+Result<MetaStore::ZoneChunks> MetaStore::TransferMetaZone() {
   BindAxfrRequest request;
   request.origin = kMetaZoneOrigin;
   World* world = client_->world();
@@ -406,22 +400,26 @@ Result<MetaStore::Inventory> MetaStore::TakeInventory() {
   if (response.rcode != Rcode::kNoError) {
     return UnavailableError("meta zone transfer failed");
   }
-
-  std::map<std::string, std::vector<ResourceRecord>> by_name;
-  size_t bytes = 0;
+  ZoneChunks zone;
   for (ResourceRecord& rr : response.records) {
-    bytes += rr.rdata.size();
+    zone.bytes += rr.rdata.size();
     if (rr.type == RrType::kUnspec) {
-      by_name[AsciiToLower(rr.name)].push_back(std::move(rr));
+      zone.by_name[AsciiToLower(rr.name)].push_back(std::move(rr));
     }
   }
+  return zone;
+}
+
+Result<MetaStore::Inventory> MetaStore::TakeInventory() {
+  HCS_ASSIGN_OR_RETURN(ZoneChunks zone, TransferMetaZone());
+  World* world = client_->world();
   if (world != nullptr) {
-    ChargeDemarshal(world, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(bytes));
+    ChargeDemarshal(world, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(zone.bytes));
   }
 
   Inventory inventory;
   std::string suffix = std::string(".") + kMetaZoneOrigin;
-  for (auto& [record_name, chunks] : by_name) {
+  for (auto& [record_name, chunks] : zone.by_name) {
     HCS_ASSIGN_OR_RETURN(WireValue value, ValueFromUnspecRecords(std::move(chunks)));
     if (!EndsWith(record_name, suffix)) {
       continue;
@@ -443,38 +441,18 @@ Result<MetaStore::Inventory> MetaStore::TakeInventory() {
 }
 
 Result<size_t> MetaStore::Preload() {
-  World* world = client_->world();
-
-  BindAxfrRequest request;
-  request.origin = kMetaZoneOrigin;
-  if (world != nullptr) {
-    ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
-  }
-  HCS_ASSIGN_OR_RETURN(Bytes reply,
-                       client_->Call(MetaServerBinding(/*authority=*/true), kBindProcAxfr, request.Encode()));
-  HCS_ASSIGN_OR_RETURN(BindAxfrResponse response, BindAxfrResponse::Decode(reply));
-  if (response.rcode != Rcode::kNoError) {
-    return UnavailableError("meta zone transfer failed");
-  }
-
-  // Group chunks by record name, reassemble, and install in the cache.
-  std::map<std::string, std::vector<ResourceRecord>> by_name;
-  size_t bytes = 0;
-  for (ResourceRecord& rr : response.records) {
-    bytes += rr.rdata.size();
-    if (rr.type == RrType::kUnspec) {
-      by_name[AsciiToLower(rr.name)].push_back(std::move(rr));
-    }
-  }
-  for (auto& [record_name, chunks] : by_name) {
+  HCS_ASSIGN_OR_RETURN(ZoneChunks zone, TransferMetaZone());
+  // Reassemble each record and install it in the cache.
+  for (auto& [record_name, chunks] : zone.by_name) {
     uint32_t ttl = chunks.front().ttl_seconds;
     HCS_ASSIGN_OR_RETURN(WireValue value, ValueFromUnspecRecords(std::move(chunks)));
     cache_->Put(record_name, value, ttl);
   }
+  World* world = client_->world();
   if (world != nullptr) {
-    ChargeDemarshal(world, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(bytes));
+    ChargeDemarshal(world, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(zone.bytes));
   }
-  return bytes;
+  return zone.bytes;
 }
 
 }  // namespace hcs

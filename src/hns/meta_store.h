@@ -61,6 +61,9 @@ struct NsmInfo {
 
   WireValue ToWire() const;
   HCS_NODISCARD static Result<NsmInfo> FromWire(const WireValue& value);
+  // The binding that calls this NSM, given `address`, its host's resolved
+  // address.
+  HrpcBinding ToBinding(uint32_t address) const;
 };
 
 class MetaStore {
@@ -166,18 +169,34 @@ class MetaStore {
   HCS_NODISCARD Result<WireValue> ReadRecord(const std::string& record_name,
                                SimTime* expires_out = nullptr,
                                const RequestContext& rctx = RequestContext{});
-  // One uncached remote BIND lookup via the HRPC interface (stub-generated
-  // marshalling), reassembling chunked unspecified-type records.
-  HCS_NODISCARD Result<WireValue> RemoteRead(const std::string& record_name, const RequestContext& rctx);
+  // A record this caller leads the fetch of, and the flight its followers
+  // wait on.
+  struct Claim {
+    std::string name;
+    std::shared_ptr<InFlight> flight;
+  };
+  // The leader's step for every claimed record: one uncached remote BIND
+  // lookup each via the HRPC interface (stub-generated marshalling), all in
+  // one CallMany batch, then each reply decoded and its flight finished.
+  // A single ReadRecord is a batch of one.
+  void FetchClaimed(const std::vector<Claim>& claims, const RequestContext& rctx);
   // The decode tail of a BIND query reply (rcode mapping, chunk
-  // reassembly, demarshal charge); shared by RemoteRead and the prefetch
-  // fan-out.
+  // reassembly, demarshal charge).
   HCS_NODISCARD Result<WireValue> DecodeMetaReply(const std::string& record_name, const Bytes& reply);
   // Publishes a leader's fetch result: fills the cache, completes the
-  // flight, wakes the followers. Returns the cached entry's absolute
-  // expiry (0 when nothing was cached).
-  SimTime FinishFlight(const std::string& record_name, const std::shared_ptr<InFlight>& flight,
-                       const Result<WireValue>& fetched);
+  // flight (result and absolute expiry, 0 when nothing was cached), wakes
+  // the followers.
+  void FinishFlight(const std::string& record_name, const std::shared_ptr<InFlight>& flight,
+                    const Result<WireValue>& fetched);
+
+  // The meta zone's unspecified-type chunks, grouped by lower-cased record
+  // name, from one zone transfer off the authority (marshal charge
+  // included; the demarshal charge is the caller's).
+  struct ZoneChunks {
+    std::map<std::string, std::vector<ResourceRecord>> by_name;
+    size_t bytes = 0;  // rdata bytes of every transferred record
+  };
+  HCS_NODISCARD Result<ZoneChunks> TransferMetaZone();
   // Writes a structured record (delete-then-add) via dynamic update.
   HCS_NODISCARD Status WriteRecord(const std::string& record_name, const WireValue& value);
   HCS_NODISCARD Status DeleteRecord(const std::string& record_name);

@@ -107,10 +107,6 @@ void PoisonUnreceivedSpans(uint8_t* slots, size_t slot_bytes, const UdpFrame* fr
 
 }  // namespace
 
-int ResolveUdpBatchSize(int requested) {
-  return requested <= 0 ? kDefaultUdpBatch : std::min(requested, kMaxUdpBatch);
-}
-
 UdpIoSnapshot SnapshotUdpIoCounters() {
   UdpIoSnapshot out;
   out.server = Counters(UdpIoSide::kServer).Load();

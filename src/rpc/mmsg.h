@@ -44,20 +44,13 @@
 
 namespace hcs {
 
-// Hard cap on one batch; ResolveUdpBatchSize clamps to it.
+// The most attempts one CallMany batch keeps in flight.
 constexpr int kMaxUdpBatch = 64;
-// The batch when no explicit size is given.
-constexpr int kDefaultUdpBatch = 16;
 
 // The largest UDP payload IPv4 can carry (65,535 less the IP and UDP
 // headers): every receive slot's size, and the largest call the UDP client
 // will send.
 constexpr size_t kMaxDatagram = 65507;
-
-// Resolves a requested batch size: > 0 wins (clamped to [1, kMaxUdpBatch]);
-// 0 is kDefaultUdpBatch. A result of 1 is a batch of one: one datagram per
-// receive call.
-int ResolveUdpBatchSize(int requested);
 
 // --- Syscall counters (relaxed; bench_runner derives syscalls/req) ---------
 // Every server and client datagram syscall goes through these wrappers, so

@@ -62,10 +62,7 @@ int ResolveWorkerCount(int requested) {
 
 }  // namespace
 
-UdpServerHost::UdpServerHost(int workers, int udp_batch, size_t udp_slot_bytes)
-    : workers_(ResolveWorkerCount(workers)),
-      udp_batch_(udp_batch),
-      udp_slot_bytes_(udp_slot_bytes) {}
+UdpServerHost::UdpServerHost(int workers) : workers_(ResolveWorkerCount(workers)) {}
 
 // One serve loop, run to completion: a blocking recvmmsg takes up to
 // `batch` datagrams, each frame is filtered and dispatched on this thread,
@@ -75,8 +72,8 @@ UdpServerHost::UdpServerHost(int workers, int udp_batch, size_t udp_slot_bytes)
 // drop. Exits at the first receive after `state->stop` is raised; the owner
 // closes the socket only after every loop has exited.
 void UdpServerHost::ServeLoop(int fd, uint16_t port, SimService* service, int batch,
-                              size_t slot_bytes, LoopState* state) {
-  UdpRecvBatch recv_batch(batch, slot_bytes, UdpIoSide::kServer);
+                              LoopState* state) {
+  UdpRecvBatch recv_batch(batch, kMaxDatagram, UdpIoSide::kServer);
   // Debug builds stamp every view built over the batch arena with its
   // generation; a view that survives past the next Recv (which Resets the
   // arena) aborts on access instead of reading recycled bytes.
@@ -94,8 +91,8 @@ void UdpServerHost::ServeLoop(int fd, uint16_t port, SimService* service, int ba
         continue;
       }
       if (frame.truncated) {
-        // The kernel cut the datagram to the slot size; it would decode as
-        // garbage, so drop it whole.
+        // The kernel cut the datagram short (MSG_TRUNC); it would decode
+        // as garbage, so drop it whole.
         state->dropped.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
@@ -129,12 +126,6 @@ void UdpServerHost::ServeLoop(int fd, uint16_t port, SimService* service, int ba
   state->running.fetch_sub(1, std::memory_order_release);
 }
 
-// A serial endpoint batches its receives; concurrent loops each take one
-// datagram, so a queued request never waits behind another loop's batch.
-int UdpServerHost::receive_batch(bool concurrent) const {
-  return concurrent ? 1 : ResolveUdpBatchSize(udp_batch_);
-}
-
 Result<uint16_t> UdpServerHost::Serve(SimService* service, uint16_t port) {
   return ServeUdp(service, port, /*concurrent=*/false);
 }
@@ -149,15 +140,14 @@ Result<uint16_t> UdpServerHost::ServeUdp(SimService* service, uint16_t port, boo
   EnableArrivalStamps(fd);
 
   const int loops = concurrent ? workers_ : 1;
-  const int batch = receive_batch(concurrent);
-  const size_t slot_bytes = udp_slot_bytes_ != 0 ? udp_slot_bytes_ : kMaxDatagram;
+  const int batch = concurrent ? kConcurrentRecvBatch : kSerialRecvBatch;
   Endpoint endpoint;
   endpoint.fd = fd;
   endpoint.port = bound_port;
   endpoint.state = std::make_unique<LoopState>();
   endpoint.state->running.store(loops, std::memory_order_relaxed);
   for (int i = 0; i < loops; ++i) {
-    endpoint.loops.emplace_back(ServeLoop, fd, bound_port, service, batch, slot_bytes,
+    endpoint.loops.emplace_back(ServeLoop, fd, bound_port, service, batch,
                                 endpoint.state.get());
   }
 

@@ -7,10 +7,11 @@
 // UdpServerHost serves every UDP endpoint with one kind of loop, run to
 // completion on its own thread: receive a batch (recvmmsg), filter and
 // dispatch each frame, answer the batch (sendmmsg). Serve runs one loop per
-// endpoint, so its handlers never overlap; ServeConcurrent runs several
-// loops on the same socket, each taking one datagram per receive. Services
-// must stay alive until StopAll()/destruction. Simulated-time charging is a
-// no-op on this path (pass a null World to RpcClient).
+// endpoint, so its handlers never overlap, and it takes up to 16 datagrams
+// per receive; ServeConcurrent runs several loops on the same socket, each
+// taking one datagram per receive. Services must stay alive until
+// StopAll()/destruction. Simulated-time charging is a no-op on this path
+// (pass a null World to RpcClient).
 
 #ifndef HCS_SRC_RPC_UDP_TRANSPORT_H_
 #define HCS_SRC_RPC_UDP_TRANSPORT_H_
@@ -32,12 +33,16 @@ namespace hcs {
 // Serves SimService instances on real UDP sockets bound to 127.0.0.1.
 class UdpServerHost {
  public:
+  // Datagrams one receive takes. A Serve loop batches its receives, which
+  // beat a batch of one in alternating pairs (DESIGN.md §13,
+  // EXPERIMENTS.md B18); ServeConcurrent loops take one each, so a queued
+  // request never waits behind another loop's batch.
+  static constexpr int kSerialRecvBatch = 16;
+  static constexpr int kConcurrentRecvBatch = 1;
+
   // `workers` is the number of loops a ServeConcurrent endpoint runs (0 =
-  // min(8, max(2, hardware threads))). `udp_batch` is the datagrams one
-  // Serve loop takes per receive (0 = the default; 1 = a batch of one), and
-  // `udp_slot_bytes` the bytes per received datagram (0 = kMaxDatagram, the
-  // largest one there is).
-  explicit UdpServerHost(int workers = 0, int udp_batch = 0, size_t udp_slot_bytes = 0);
+  // min(8, max(2, hardware threads))).
+  explicit UdpServerHost(int workers = 0);
   ~UdpServerHost() { StopAll(); }
 
   UdpServerHost(const UdpServerHost&) = delete;
@@ -57,10 +62,6 @@ class UdpServerHost {
   // Stops every serve loop and closes the sockets. Idempotent; Serve may be
   // called again afterwards.
   void StopAll();
-
-  // Datagrams one loop of a ServeConcurrent (`concurrent`) or Serve
-  // endpoint takes per receive.
-  int receive_batch(bool concurrent) const;
 
   // Per-endpoint drop counters (port → dropped datagrams). Drops cover
   // garbled or truncated requests, undeliverable replies, and datagrams the
@@ -85,12 +86,10 @@ class UdpServerHost {
 
   // One serve loop of an endpoint; see udp_transport.cc.
   static void ServeLoop(int fd, uint16_t port, SimService* service, int batch,
-                        size_t slot_bytes, LoopState* state);
+                        LoopState* state);
   HCS_NODISCARD Result<uint16_t> ServeUdp(SimService* service, uint16_t port, bool concurrent);
 
   const int workers_;
-  const int udp_batch_;
-  const size_t udp_slot_bytes_;
   mutable Mutex mutex_{"udp-server-host"};
   std::vector<Endpoint> endpoints_ HCS_GUARDED_BY(mutex_);
 };

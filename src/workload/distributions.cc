@@ -71,4 +71,19 @@ double ChiSquareStatistic(const std::vector<uint64_t>& observed,
   return statistic;
 }
 
+Percentiles ComputePercentiles(std::vector<double> samples) {
+  Percentiles out;
+  if (samples.empty()) {
+    return out;
+  }
+  std::sort(samples.begin(), samples.end());
+  auto at = [&samples](double q) {
+    return samples[static_cast<size_t>(q * static_cast<double>(samples.size() - 1))];
+  };
+  out.p50 = at(0.50);
+  out.p99 = at(0.99);
+  out.p999 = at(0.999);
+  return out;
+}
+
 }  // namespace hcs

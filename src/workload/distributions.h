@@ -1,7 +1,9 @@
 // Seeded sampling distributions for the workload engine: Zipf popularity
 // over a finite rank space, exponential inter-arrival times for Poisson
 // processes, and the chi-square goodness-of-fit statistic the self-tests
-// use to verify the samplers actually produce what they claim.
+// use to verify the samplers actually produce what they claim. Also the
+// one latency-tail rule (Percentiles) the sim-clock engine and the
+// wall-clock driver share.
 //
 // Everything here is a pure function of an explicit Rng, so two runs at the
 // same seed draw identical streams no matter where the call sites live —
@@ -56,6 +58,16 @@ SimDuration SampleInterArrival(Rng& rng, double rate_per_s);
 // value for len(observed) - 1 degrees of freedom.
 double ChiSquareStatistic(const std::vector<uint64_t>& observed,
                           const std::vector<double>& expected_probability);
+
+// Exact tails of a latency sample: each is the sorted sample at index
+// floor(q * (n - 1)), with no interpolation. All zero when `samples` is
+// empty.
+struct Percentiles {
+  double p50 = 0;
+  double p99 = 0;
+  double p999 = 0;
+};
+Percentiles ComputePercentiles(std::vector<double> samples);
 
 }  // namespace hcs
 

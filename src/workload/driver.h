@@ -1,7 +1,6 @@
-// The real-socket client drivers shared by the runtime benches and the
-// workload scenario suite (hoisted from bench/bench_reactor_util.h so the
-// two no longer drift): a thread-per-call closed loop and its single-thread
-// counterpart, which issues waves of calls as CallMany batches. Unlike the
+// The real-socket client driver behind bench_runner's rows and the
+// workload scenario suite: client threads making budgeted calls against
+// one served endpoint, one at a time or in CallMany waves. Unlike the
 // sim-clock engine in engine.h, these numbers are wall-clock — the point is
 // the serving and client runtimes, not the name-service model.
 
@@ -9,7 +8,6 @@
 #define HCS_SRC_WORKLOAD_DRIVER_H_
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -19,24 +17,27 @@
 #include "src/rpc/context.h"
 #include "src/rpc/control.h"
 #include "src/rpc/udp_transport.h"
+#include "src/workload/distributions.h"
 
 namespace hcs {
 
 struct SweepPoint {
-  int clients = 0;
+  int clients = 0;  // calls in flight: threads x window
   double throughput_qps = 0;
-  double p50_ms = 0;
-  double p99_ms = 0;
+  Percentiles latency_ms;
   uint64_t attempts = 0;
   uint64_t retries = 0;
 };
 
-// Drives `requests_per_client` sequential budgeted calls from each of
-// `clients` threads against the served endpoint and reports aggregate
-// throughput plus the latency distribution tails. Every call carries a
-// RequestContext deadline so the per-attempt retry loop is live; the
-// attempt/retry totals from RpcCallInfo are surfaced in the row.
-inline HrpcBinding SweepBinding(uint16_t port) {
+// Drives `threads` client threads, each with its own client and socket,
+// against the endpoint on `port`, and reports aggregate throughput, the
+// latency tails, and the attempt/retry totals. Each thread makes
+// `calls_per_thread` calls in waves of `window`: a wave of one is a plain
+// Call (the thread-per-call shape), a larger wave is one CallMany whose
+// calls all return with the wave, so each one's latency is its wave's.
+// Every call carries a RequestContext deadline, so the per-attempt retry
+// loop is live.
+inline SweepPoint DriveClients(uint16_t port, int threads, int window, int calls_per_thread) {
   HrpcBinding binding;
   binding.service_name = "runtime-sweep";
   binding.host = "localhost";
@@ -45,126 +46,87 @@ inline HrpcBinding SweepBinding(uint16_t port) {
   binding.version = 2;
   binding.control = ControlKind::kRaw;
   binding.transport = TransportKind::kUdp;
-  return binding;
-}
-
-inline SweepPoint DriveClients(uint16_t port, int clients, int requests_per_client) {
-  HrpcBinding binding = SweepBinding(port);
   const Bytes payload{1, 2, 3, 4};
+  struct PerThread {
+    std::vector<double> latencies_ms;
+    uint64_t attempts = 0;
+    uint64_t retries = 0;
+    int failures = 0;
+  };
+  std::vector<PerThread> per_thread(static_cast<size_t>(threads));
 
-  std::vector<std::vector<double>> latencies(clients);
-  std::vector<std::thread> threads;
-  std::atomic<uint64_t> attempts{0};
-  std::atomic<uint64_t> retries{0};
-  std::atomic<int> failures{0};
-
-  auto start = std::chrono::steady_clock::now();
-  threads.reserve(clients);
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      UdpTransport transport(/*timeout_ms=*/2000);
-      RpcClient client(/*world=*/nullptr, "benchclient", &transport);
-      latencies[c].reserve(requests_per_client);
-      for (int i = 0; i < requests_per_client; ++i) {
-        RpcCallInfo info;
-        auto t0 = std::chrono::steady_clock::now();
-        Result<Bytes> reply = client.Call(binding, 1, payload,
-                                          RequestContext::WithTimeout(5000), &info);
-        auto t1 = std::chrono::steady_clock::now();
-        if (!reply.ok()) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        latencies[c].push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
-        attempts.fetch_add(info.attempts, std::memory_order_relaxed);
-        retries.fetch_add(info.retries, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  double elapsed_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                         .count();
-
-  std::vector<double> all;
-  for (const std::vector<double>& per_client : latencies) {
-    all.insert(all.end(), per_client.begin(), per_client.end());
-  }
-  std::sort(all.begin(), all.end());
-
-  SweepPoint point;
-  point.clients = clients;
-  if (!all.empty() && elapsed_s > 0) {
-    point.throughput_qps = static_cast<double>(all.size()) / elapsed_s;
-    point.p50_ms = all[all.size() / 2];
-    point.p99_ms = all[std::min(all.size() - 1, (all.size() * 99) / 100)];
-  }
-  point.attempts = attempts.load(std::memory_order_relaxed);
-  point.retries = retries.load(std::memory_order_relaxed);
-  if (failures.load(std::memory_order_relaxed) != 0) {
-    std::printf("  WARNING: %d calls failed at %d clients\n",
-                failures.load(std::memory_order_relaxed), clients);
-  }
-  return point;
-}
-
-// The single-thread counterpart of DriveClients: ONE client on ONE thread
-// issues `total_requests` calls as CallMany waves of `window` calls each,
-// so about `window` calls are in flight at a time without a thread per
-// call. Every call of a wave returns with the wave, so each one's latency
-// is its wave's. `clients` in the returned point is the window, so rows
-// line up with a thread-per-call sweep at the same concurrency.
-inline SweepPoint DriveClientsMany(uint16_t port, int window, int total_requests) {
-  const HrpcBinding binding = SweepBinding(port);
-  const Bytes payload{1, 2, 3, 4};
-  UdpTransport transport(/*timeout_ms=*/2000);
-  RpcClient client(/*world=*/nullptr, "benchclient", &transport);
-
-  std::vector<double> all;
-  all.reserve(total_requests);
-  uint64_t attempts = 0;
-  uint64_t retries = 0;
-  int failures = 0;
-  std::vector<RpcClient::Request> wave;
-  std::vector<RpcCallInfo> infos;
-  auto start = std::chrono::steady_clock::now();
-  for (int issued = 0; issued < total_requests;) {
-    const int size = std::min(window, total_requests - issued);
-    wave.clear();
-    for (int i = 0; i < size; ++i) {
-      wave.push_back(RpcClient::Request{binding, 1, payload, RequestContext::WithTimeout(5000)});
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    std::vector<Result<Bytes>> replies = client.CallMany(wave, &infos);
-    const double wave_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-    for (int i = 0; i < size; ++i) {
-      if (replies[i].ok()) {
-        all.push_back(wave_ms);
+  auto drive = [&](PerThread* out) {
+    UdpTransport transport(/*timeout_ms=*/2000);
+    RpcClient client(/*world=*/nullptr, "benchclient", &transport);
+    out->latencies_ms.reserve(static_cast<size_t>(calls_per_thread));
+    auto tally = [out](bool ok, const RpcCallInfo& info, double ms) {
+      if (ok) {
+        out->latencies_ms.push_back(ms);
       } else {
-        ++failures;
+        ++out->failures;
       }
-      attempts += infos[i].attempts;
-      retries += infos[i].retries;
+      out->attempts += info.attempts;
+      out->retries += info.retries;
+    };
+    std::vector<RpcClient::Request> wave;
+    std::vector<RpcCallInfo> infos;
+    for (int issued = 0; issued < calls_per_thread;) {
+      const int size = std::min(window, calls_per_thread - issued);
+      const auto t0 = std::chrono::steady_clock::now();
+      if (size == 1) {
+        RpcCallInfo info;
+        const bool ok =
+            client.Call(binding, 1, payload, RequestContext::WithTimeout(5000), &info).ok();
+        tally(ok, info,
+              std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+                  .count());
+      } else {
+        wave.clear();
+        for (int i = 0; i < size; ++i) {
+          wave.push_back(
+              RpcClient::Request{binding, 1, payload, RequestContext::WithTimeout(5000)});
+        }
+        std::vector<Result<Bytes>> replies = client.CallMany(wave, &infos);
+        const double wave_ms =
+            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+                .count();
+        for (int i = 0; i < size; ++i) {
+          tally(replies[i].ok(), infos[i], wave_ms);
+        }
+      }
+      issued += size;
     }
-    issued += size;
-  }
-  double elapsed_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                         .count();
+  };
 
-  std::sort(all.begin(), all.end());
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> workers;
+  workers.reserve(per_thread.size());
+  for (PerThread& slot : per_thread) {
+    workers.emplace_back(drive, &slot);
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+
   SweepPoint point;
-  point.clients = window;
+  point.clients = threads * window;
+  std::vector<double> all;
+  int failures = 0;
+  for (const PerThread& t : per_thread) {
+    all.insert(all.end(), t.latencies_ms.begin(), t.latencies_ms.end());
+    point.attempts += t.attempts;
+    point.retries += t.retries;
+    failures += t.failures;
+  }
   if (!all.empty() && elapsed_s > 0) {
     point.throughput_qps = static_cast<double>(all.size()) / elapsed_s;
-    point.p50_ms = all[all.size() / 2];
-    point.p99_ms = all[std::min(all.size() - 1, (all.size() * 99) / 100)];
   }
-  point.attempts = attempts;
-  point.retries = retries;
+  point.latency_ms = ComputePercentiles(std::move(all));
   if (failures != 0) {
-    std::printf("  WARNING: %d batched calls failed at window %d\n", failures, window);
+    std::fprintf(stderr, "  WARNING: %d of %d calls failed (%d threads, window %d)\n", failures,
+                 threads * calls_per_thread, threads, window);
   }
   return point;
 }

@@ -393,17 +393,11 @@ WorkloadReport WorkloadEngine::BuildReport() {
   report.network_messages = world_->stats().total_messages - network_messages_base_;
   report.ended_at_us = world_->clock().Now();
 
-  if (!latencies_us_.empty()) {
-    std::vector<uint64_t> sorted = latencies_us_;
-    std::sort(sorted.begin(), sorted.end());
-    auto percentile = [&sorted](double q) {
-      size_t index = static_cast<size_t>(q * static_cast<double>(sorted.size() - 1));
-      return static_cast<double>(sorted[index]) / 1000.0;
-    };
-    report.p50_ms = percentile(0.50);
-    report.p99_ms = percentile(0.99);
-    report.p999_ms = percentile(0.999);
-  }
+  const Percentiles tails_us =
+      ComputePercentiles(std::vector<double>(latencies_us_.begin(), latencies_us_.end()));
+  report.p50_ms = tails_us.p50 / 1000.0;
+  report.p99_ms = tails_us.p99 / 1000.0;
+  report.p999_ms = tails_us.p999 / 1000.0;
   return report;
 }
 

@@ -69,16 +69,6 @@ TEST(ArenaTest, ResetCoalescesToHighWaterBlock) {
   EXPECT_EQ(arena.bytes_capacity(), high_water);
 }
 
-// --- Batch-size resolution --------------------------------------------------
-
-TEST(BatchSizeTest, ExplicitDefaultAndClamp) {
-  EXPECT_EQ(ResolveUdpBatchSize(4), 4);
-  EXPECT_EQ(ResolveUdpBatchSize(1), 1);
-  EXPECT_EQ(ResolveUdpBatchSize(kMaxUdpBatch + 100), kMaxUdpBatch);
-  EXPECT_EQ(ResolveUdpBatchSize(0), kDefaultUdpBatch);
-  EXPECT_EQ(ResolveUdpBatchSize(-3), kDefaultUdpBatch);
-}
-
 // --- Socket helpers ---------------------------------------------------------
 
 sockaddr_in Loopback(uint16_t port) {
@@ -353,15 +343,18 @@ int BurstEcho(uint16_t port, int count) {
   return replies;
 }
 
+// An echo service on one serve loop: a serial one, which takes up to
+// UdpServerHost::kSerialRecvBatch datagrams per receive, or a one-loop
+// ServeConcurrent endpoint, which takes one.
 class EchoServerFixture {
  public:
-  explicit EchoServerFixture(int batch, size_t slot_bytes = 0)
-      : host_(/*workers=*/2, batch, slot_bytes),
-        server_(ControlKind::kSunRpc, "batch-echo") {
+  explicit EchoServerFixture(bool concurrent = false)
+      : host_(/*workers=*/1), server_(ControlKind::kSunRpc, "batch-echo") {
     server_.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
       return args.ToBytes();
     });
-    Result<uint16_t> port = host_.Serve(&server_, 0);
+    Result<uint16_t> port = concurrent ? host_.ServeConcurrent(&server_, 0)
+                                       : host_.Serve(&server_, 0);
     EXPECT_TRUE(port.ok()) << port.status();
     port_ = port.ok() ? *port : 0;
   }
@@ -376,23 +369,45 @@ class EchoServerFixture {
 };
 
 TEST(BatchIoTest, BatchedEchoRoundTrips) {
-  EchoServerFixture fixture(/*batch=*/8);
+  EchoServerFixture fixture;
   EXPECT_EQ(BurstEcho(fixture.port(), 32), 32);
   fixture.host().StopAll();
 }
 
+// The size of the one datagram TruncatingRecvmmsg marks, and how many
+// frames it has marked.
+std::atomic<size_t> g_truncate_size{0};
+std::atomic<int> g_truncated_frames{0};
+
+// The real recvmmsg, then MSG_TRUNC on every landed frame of exactly
+// g_truncate_size bytes: the kernel's report of a datagram cut to its slot,
+// which no real datagram can draw from a kMaxDatagram slot.
+int TruncatingRecvmmsg(int fd, mmsghdr* msgs, unsigned int vlen, int flags) {
+  int n = recvmmsg(fd, msgs, vlen, flags, nullptr);
+  for (int i = 0; i < n; ++i) {
+    if (msgs[i].msg_len == g_truncate_size.load()) {
+      msgs[i].msg_hdr.msg_flags |= MSG_TRUNC;
+      g_truncated_frames.fetch_add(1);
+    }
+  }
+  return n;
+}
+
 TEST(BatchIoTest, OversizedDatagramInBatchIsDroppedNeighborsAnswered) {
-  // 256-byte slots: a jumbo garbage datagram truncates; echo calls fit.
-  EchoServerFixture fixture(/*batch=*/8, /*slot_bytes=*/256);
+  // A well-formed echo call the fake marks truncated: only the truncation
+  // check stands between it and an answer.
+  Bytes marked = EncodeEchoCall(999, Bytes(1000, 0x5a));
+  g_truncate_size.store(marked.size());
+  g_truncated_frames.store(0);
+  MmsgFakeGuard guard(&TruncatingRecvmmsg, nullptr);
+  EchoServerFixture fixture;
 
   int fd = socket(AF_INET, SOCK_DGRAM, 0);
   ASSERT_GE(fd, 0);
-  Bytes jumbo(1000, 0x5a);
   sockaddr_in addr = Loopback(fixture.port());
-  ASSERT_EQ(sendto(fd, jumbo.data(), jumbo.size(), 0, reinterpret_cast<sockaddr*>(&addr),
+  ASSERT_EQ(sendto(fd, marked.data(), marked.size(), 0, reinterpret_cast<sockaddr*>(&addr),
                    sizeof(addr)),
-            static_cast<ssize_t>(jumbo.size()));
-  close(fd);
+            static_cast<ssize_t>(marked.size()));
 
   // The truncated frame is dropped (counted), its batch neighbors answer.
   EXPECT_EQ(BurstEcho(fixture.port(), 16), 16);
@@ -406,6 +421,14 @@ TEST(BatchIoTest, OversizedDatagramInBatchIsDroppedNeighborsAnswered) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GE(dropped, 1u);
+  EXPECT_EQ(dropped, 1u) << "only the marked frame may be dropped";
+  EXPECT_EQ(g_truncated_frames.load(), 1);
+  // Nothing answered the marked call.
+  timeval tv{0, 100 * 1000};
+  (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  uint8_t buf[16];
+  EXPECT_LT(recv(fd, buf, sizeof(buf), 0), 0) << "a truncated frame was answered";
+  close(fd);
   fixture.host().StopAll();
 }
 
@@ -421,7 +444,7 @@ TEST(BatchIoTest, FaultDecisionsArePerFrameNotPerBatch) {
   FaultInjector injector(config);
   InstallGlobalFaultInjector(&injector);
 
-  EchoServerFixture fixture(/*batch=*/8);
+  EchoServerFixture fixture;
   constexpr int kFrames = 24;
   // All dropped: BurstEcho gets zero replies back.
   EXPECT_EQ(BurstEcho(fixture.port(), kFrames), 0);
@@ -444,11 +467,12 @@ TEST(BatchIoTest, FaultDecisionsArePerFrameNotPerBatch) {
 }
 
 TEST(BatchIoTest, DecisionSequenceMatchesSingleShotServing) {
-  // The same traffic against batch=8 and batch=1 servers must consume
-  // identical per-endpoint decision streams: pure function of (seed,
-  // endpoint, sequence), independent of batch geometry. Serve both on a
-  // fixed port one after the other and compare traces.
-  auto run = [](int batch, std::vector<std::string>* trace_out) {
+  // The same traffic against a batching serial loop and a one-loop
+  // concurrent endpoint (one datagram per receive) must consume identical
+  // per-endpoint decision streams: pure function of (seed, endpoint,
+  // sequence), independent of batch geometry. Serve both one after the
+  // other and compare traces.
+  auto run = [](bool concurrent, std::vector<std::string>* trace_out) {
     FaultConfig config;
     config.seed = 7;
     FaultPlan plan;
@@ -461,7 +485,7 @@ TEST(BatchIoTest, DecisionSequenceMatchesSingleShotServing) {
     injector.set_trace_enabled(true);
     InstallGlobalFaultInjector(&injector);
 
-    EchoServerFixture fixture(batch);
+    EchoServerFixture fixture(concurrent);
     EXPECT_EQ(BurstEcho(fixture.port(), 12), 0);
     auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (std::chrono::steady_clock::now() < deadline &&
@@ -483,8 +507,8 @@ TEST(BatchIoTest, DecisionSequenceMatchesSingleShotServing) {
   };
 
   std::vector<std::string> batched, single;
-  run(8, &batched);
-  run(1, &single);
+  run(/*concurrent=*/false, &batched);
+  run(/*concurrent=*/true, &single);
   ASSERT_EQ(batched.size(), 12u);
   EXPECT_EQ(batched, single);
 }
@@ -551,7 +575,7 @@ TEST(ServeLoopTest, ZeroByteDatagramsGetNoFaultDecisionAndNoDrop) {
   FaultInjector injector(config);
   InstallGlobalFaultInjector(&injector);
 
-  EchoServerFixture fixture(/*batch=*/8);
+  EchoServerFixture fixture;
   constexpr uint64_t kEmpty = 10;
   const uint64_t received_before = SnapshotUdpIoCounters().server.recv_datagrams;
   int fd = socket(AF_INET, SOCK_DGRAM, 0);
@@ -625,7 +649,7 @@ void WaitForServerSends(const UdpIoSnapshot& base, uint64_t want) {
 
 TEST(ServeLoopTest, SyscallCountersSplitServerAndClientSides) {
   constexpr int kCalls = 20;
-  EchoServerFixture fixture(/*batch=*/8);
+  EchoServerFixture fixture;
   HrpcBinding binding;
   binding.service_name = "batch-echo";
   binding.host = "localhost";

@@ -296,7 +296,7 @@ TEST(ViewLifetimeTest, PartialBatchRecyclePoisonsUnfilledSpans) {
 // abort the process on the second request. Returns only if the runtime
 // gate failed to fire (which the death test reports as the failure).
 void ServeWithRetainingHandler() {
-  UdpServerHost host(/*workers=*/1, /*udp_batch=*/8);
+  UdpServerHost host(/*workers=*/1);
   RpcServer server(ControlKind::kSunRpc, "retainer");
   struct Retained {
     // hcs:owns-view(deliberate violation: this death test asserts the
@@ -376,7 +376,7 @@ TEST(ViewLifetimeTest, BatchedStormRetainsNoViews) {
   // concurrent batch-of-one loops is the proof.
   for (bool concurrent : {false, true}) {
     SCOPED_TRACE(concurrent ? "concurrent" : "serial");
-    UdpServerHost host(/*workers=*/2, /*udp_batch=*/8);
+    UdpServerHost host(/*workers=*/2);
     RpcServer server(ControlKind::kSunRpc, "storm-echo");
     server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
       return args.ToBytes();

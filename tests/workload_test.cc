@@ -468,7 +468,7 @@ TEST(WorkloadEngineTest, TraceReplayReproducesTheRecordedRun) {
   }
 }
 
-// --- Shared real-socket driver (hoisted from bench/) -----------------------
+// --- The real-socket driver ---------------------------------------------------
 
 TEST(WorkloadDriverTest, AsyncWindowDriverMatchesThreadPerCallSemantics) {
   UdpServerHost host;
@@ -479,12 +479,14 @@ TEST(WorkloadDriverTest, AsyncWindowDriverMatchesThreadPerCallSemantics) {
     GTEST_SKIP() << "cannot bind a UDP port: " << port.status();
   }
 
-  SweepPoint blocking = DriveClients(*port, /*clients=*/4, /*requests_per_client=*/16);
+  SweepPoint blocking =
+      DriveClients(*port, /*threads=*/4, /*window=*/1, /*calls_per_thread=*/16);
   EXPECT_EQ(blocking.clients, 4);
   EXPECT_GT(blocking.throughput_qps, 0.0);
   EXPECT_GE(blocking.attempts, 64u);
 
-  SweepPoint batched = DriveClientsMany(*port, /*window=*/4, /*total_requests=*/64);
+  SweepPoint batched =
+      DriveClients(*port, /*threads=*/1, /*window=*/4, /*calls_per_thread=*/64);
   EXPECT_EQ(batched.clients, 4);
   EXPECT_GT(batched.throughput_qps, 0.0);
   EXPECT_GE(batched.attempts, 64u);

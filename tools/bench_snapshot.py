@@ -13,9 +13,11 @@ trajectory is validated by CI arithmetic, not by prose in EXPERIMENTS.md.
       tier-1 `bench_smoke` ctest and the check.sh bench-smoke leg: it runs
       in milliseconds and never re-measures (CI boxes are not benchmarks).
 
-  bench_snapshot.py --run [--build-dir DIR] [--out FILE] [--quick]
-      Drive the built bench/bench_runner, write FILE (default
-      BENCH_8.json), then --check it. Run on a quiet machine.
+  bench_snapshot.py --run --out FILE [--build-dir DIR] [--quick]
+      Drive the built bench/bench_runner, write FILE, then --check it.
+      FILE is required, so a re-measure never overwrites a checked-in
+      snapshot by default; its stem names the snapshot ("bench").
+      Run on a quiet machine.
 
 Two scenario shapes share schema v1: the original wall-clock shape
 (bench/bench_runner) and "kind": "workload" sim-clock scenarios
@@ -246,7 +248,7 @@ def main(argv):
         return run_check(argv)
     if "--run" in argv:
         argv.remove("--run")
-        build_dir, out, quick = "build", "BENCH_8.json", False
+        build_dir, out, quick = "build", None, False
         while argv:
             arg = argv.pop(0)
             if arg == "--build-dir" and argv:
@@ -258,6 +260,9 @@ def main(argv):
             else:
                 print(__doc__)
                 return 2
+        if out is None:
+            print("bench_snapshot --run: --out FILE is required", file=sys.stderr)
+            return 2
         return run_bench(build_dir, out, quick)
     print(__doc__)
     return 2
