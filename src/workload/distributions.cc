@@ -71,14 +71,25 @@ double ChiSquareStatistic(const std::vector<uint64_t>& observed,
   return statistic;
 }
 
-Percentiles ComputePercentiles(std::vector<double> samples) {
+Percentiles ComputePercentiles(const LatencyCounts& counts) {
+  uint64_t n = 0;
+  for (const auto& [value, count] : counts) {
+    n += count;
+  }
   Percentiles out;
-  if (samples.empty()) {
+  if (n == 0) {
     return out;
   }
-  std::sort(samples.begin(), samples.end());
-  auto at = [&samples](double q) {
-    return samples[static_cast<size_t>(q * static_cast<double>(samples.size() - 1))];
+  auto at = [&counts, n](double q) {
+    const uint64_t index = static_cast<uint64_t>(q * static_cast<double>(n - 1));
+    uint64_t below = 0;  // samples in the values walked so far
+    for (const auto& [value, count] : counts) {
+      below += count;
+      if (index < below) {
+        return value;
+      }
+    }
+    return counts.rbegin()->first;  // unreachable: index < n
   };
   out.p50 = at(0.50);
   out.p99 = at(0.99);

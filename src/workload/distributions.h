@@ -14,6 +14,7 @@
 #define HCS_SRC_WORKLOAD_DISTRIBUTIONS_H_
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "src/common/rand.h"
@@ -59,15 +60,20 @@ SimDuration SampleInterArrival(Rng& rng, double rate_per_s);
 double ChiSquareStatistic(const std::vector<uint64_t>& observed,
                           const std::vector<double>& expected_probability);
 
-// Exact tails of a latency sample: each is the sorted sample at index
-// floor(q * (n - 1)), with no interpolation. All zero when `samples` is
-// empty.
+// A latency sample in whole microseconds, kept as value -> count: its
+// memory grows with the distinct values, not with the samples (a
+// million-client sim run holds about ten).
+using LatencyCounts = std::map<uint64_t, uint64_t>;
+
+// Exact tails of a sample: each is the sorted sample at index
+// floor(q * (n - 1)), with no interpolation, found by walking the counts in
+// value order. All zero when `counts` is empty.
 struct Percentiles {
-  double p50 = 0;
-  double p99 = 0;
-  double p999 = 0;
+  uint64_t p50 = 0;
+  uint64_t p99 = 0;
+  uint64_t p999 = 0;
 };
-Percentiles ComputePercentiles(std::vector<double> samples);
+Percentiles ComputePercentiles(const LatencyCounts& counts);
 
 }  // namespace hcs
 

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -22,16 +21,17 @@
 namespace hcs {
 
 struct SweepPoint {
-  int clients = 0;  // calls in flight: threads x window
-  double throughput_qps = 0;
-  Percentiles latency_ms;
+  int clients = 0;            // calls in flight: threads x window
+  double throughput_qps = 0;  // calls that succeeded, per second
+  Percentiles latency_us;     // whole us, over the calls that succeeded
   uint64_t attempts = 0;
   uint64_t retries = 0;
+  uint64_t failed = 0;  // calls that returned an error
 };
 
 // Drives `threads` client threads, each with its own client and socket,
 // against the endpoint on `port`, and reports aggregate throughput, the
-// latency tails, and the attempt/retry totals. Each thread makes
+// latency tails, and the attempt/retry/failure totals. Each thread makes
 // `calls_per_thread` calls in waves of `window`: a wave of one is a plain
 // Call (the thread-per-call shape), a larger wave is one CallMany whose
 // calls all return with the wave, so each one's latency is its wave's.
@@ -48,22 +48,26 @@ inline SweepPoint DriveClients(uint16_t port, int threads, int window, int calls
   binding.transport = TransportKind::kUdp;
   const Bytes payload{1, 2, 3, 4};
   struct PerThread {
-    std::vector<double> latencies_ms;
+    LatencyCounts latencies_us;
     uint64_t attempts = 0;
     uint64_t retries = 0;
-    int failures = 0;
+    uint64_t failed = 0;
   };
   std::vector<PerThread> per_thread(static_cast<size_t>(threads));
 
   auto drive = [&](PerThread* out) {
     UdpTransport transport(/*timeout_ms=*/2000);
     RpcClient client(/*world=*/nullptr, "benchclient", &transport);
-    out->latencies_ms.reserve(static_cast<size_t>(calls_per_thread));
-    auto tally = [out](bool ok, const RpcCallInfo& info, double ms) {
+    auto since_us = [](std::chrono::steady_clock::time_point t0) {
+      return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
+                                       std::chrono::steady_clock::now() - t0)
+                                       .count());
+    };
+    auto tally = [out](bool ok, const RpcCallInfo& info, uint64_t us) {
       if (ok) {
-        out->latencies_ms.push_back(ms);
+        ++out->latencies_us[us];
       } else {
-        ++out->failures;
+        ++out->failed;
       }
       out->attempts += info.attempts;
       out->retries += info.retries;
@@ -77,9 +81,7 @@ inline SweepPoint DriveClients(uint16_t port, int threads, int window, int calls
         RpcCallInfo info;
         const bool ok =
             client.Call(binding, 1, payload, RequestContext::WithTimeout(5000), &info).ok();
-        tally(ok, info,
-              std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-                  .count());
+        tally(ok, info, since_us(t0));
       } else {
         wave.clear();
         for (int i = 0; i < size; ++i) {
@@ -87,11 +89,9 @@ inline SweepPoint DriveClients(uint16_t port, int threads, int window, int calls
               RpcClient::Request{binding, 1, payload, RequestContext::WithTimeout(5000)});
         }
         std::vector<Result<Bytes>> replies = client.CallMany(wave, &infos);
-        const double wave_ms =
-            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-                .count();
+        const uint64_t wave_us = since_us(t0);
         for (int i = 0; i < size; ++i) {
-          tally(replies[i].ok(), infos[i], wave_ms);
+          tally(replies[i].ok(), infos[i], wave_us);
         }
       }
       issued += size;
@@ -112,22 +112,21 @@ inline SweepPoint DriveClients(uint16_t port, int threads, int window, int calls
 
   SweepPoint point;
   point.clients = threads * window;
-  std::vector<double> all;
-  int failures = 0;
+  LatencyCounts all;
+  uint64_t succeeded = 0;
   for (const PerThread& t : per_thread) {
-    all.insert(all.end(), t.latencies_ms.begin(), t.latencies_ms.end());
+    for (const auto& [us, count] : t.latencies_us) {
+      all[us] += count;
+      succeeded += count;
+    }
     point.attempts += t.attempts;
     point.retries += t.retries;
-    failures += t.failures;
+    point.failed += t.failed;
   }
-  if (!all.empty() && elapsed_s > 0) {
-    point.throughput_qps = static_cast<double>(all.size()) / elapsed_s;
+  if (elapsed_s > 0) {
+    point.throughput_qps = static_cast<double>(succeeded) / elapsed_s;
   }
-  point.latency_ms = ComputePercentiles(std::move(all));
-  if (failures != 0) {
-    std::fprintf(stderr, "  WARNING: %d of %d calls failed (%d threads, window %d)\n", failures,
-                 threads * calls_per_thread, threads, window);
-  }
+  point.latency_us = ComputePercentiles(all);
   return point;
 }
 

@@ -314,13 +314,10 @@ void WorkloadEngine::NoteLatency(SimDuration elapsed_us) {
   size_t bucket = std::min<size_t>(std::bit_width(us),
                                    counters_.latency_log2_histogram.size() - 1);
   ++counters_.latency_log2_histogram[bucket];
-  latencies_us_.push_back(us);
+  ++latency_counts_[us];
 }
 
 WorkloadReport WorkloadEngine::Run() {
-  latencies_us_.reserve(static_cast<size_t>(options_.population) *
-                            static_cast<size_t>(std::max(1.0, options_.mean_queries_per_client)) +
-                        options_.flash_burst + options_.stampede_burst);
   clients_.reserve(options_.population);
 
   ScheduleArrival();
@@ -339,7 +336,6 @@ Result<WorkloadReport> WorkloadEngine::Replay(const WorkloadTrace& trace) {
   if (trace.header.magic != kTraceMagic || trace.header.version != kTraceVersion) {
     return InvalidArgumentError("workload replay: bad trace header");
   }
-  latencies_us_.reserve(trace.events.size());
   for (const TraceEvent& event : trace.events) {
     world_->events().ScheduleAt(static_cast<SimTime>(event.at_us),
                                 [this, event] { ReplayEvent(event); });
@@ -393,11 +389,10 @@ WorkloadReport WorkloadEngine::BuildReport() {
   report.network_messages = world_->stats().total_messages - network_messages_base_;
   report.ended_at_us = world_->clock().Now();
 
-  const Percentiles tails_us =
-      ComputePercentiles(std::vector<double>(latencies_us_.begin(), latencies_us_.end()));
-  report.p50_ms = tails_us.p50 / 1000.0;
-  report.p99_ms = tails_us.p99 / 1000.0;
-  report.p999_ms = tails_us.p999 / 1000.0;
+  const Percentiles tails_us = ComputePercentiles(latency_counts_);
+  report.p50_ms = static_cast<double>(tails_us.p50) / 1000.0;
+  report.p99_ms = static_cast<double>(tails_us.p99) / 1000.0;
+  report.p999_ms = static_cast<double>(tails_us.p999) / 1000.0;
   return report;
 }
 

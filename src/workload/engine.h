@@ -213,7 +213,7 @@ class WorkloadEngine {
   bool storm_registered_ = true;  // Setup leaves the storm NSM registered
 
   WorkloadCounters counters_;
-  std::vector<uint64_t> latencies_us_;
+  LatencyCounts latency_counts_;  // per-op sim-clock latency, us -> ops
   WorkloadTrace trace_;
 
   // Observation baselines snapshotted at the end of Setup.

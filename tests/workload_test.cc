@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rand.h"
@@ -119,6 +121,30 @@ TEST(DistributionsTest, ChiSquareStatisticSeparatesMatchFromMismatch) {
   std::vector<uint64_t> mismatched = {1000, 2000, 7000};
   EXPECT_LT(ChiSquareStatistic(matching, expected), 1e-9);
   EXPECT_GT(ChiSquareStatistic(mismatched, expected), 1000.0);
+}
+
+TEST(DistributionsTest, PercentilesWalkTheCountsToTheSortedSampleIndex) {
+  Rng rng(WorkloadSeed());
+  for (size_t n : {size_t{1}, size_t{2}, size_t{1001}}) {
+    std::vector<uint64_t> samples;
+    LatencyCounts counts;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t value = rng.Uniform(40);  // few values, so many duplicates
+      samples.push_back(value);
+      ++counts[value];
+    }
+    std::sort(samples.begin(), samples.end());
+    auto sorted_at = [&samples](double q) {
+      return samples[static_cast<size_t>(q * static_cast<double>(samples.size() - 1))];
+    };
+    const Percentiles tails = ComputePercentiles(counts);
+    EXPECT_EQ(tails.p50, sorted_at(0.50)) << "n=" << n;
+    EXPECT_EQ(tails.p99, sorted_at(0.99)) << "n=" << n;
+    EXPECT_EQ(tails.p999, sorted_at(0.999)) << "n=" << n;
+  }
+  const Percentiles empty = ComputePercentiles(LatencyCounts{});
+  EXPECT_EQ(empty.p50, 0u);
+  EXPECT_EQ(empty.p999, 0u);
 }
 
 // --- Trace codec -----------------------------------------------------------
@@ -484,12 +510,37 @@ TEST(WorkloadDriverTest, AsyncWindowDriverMatchesThreadPerCallSemantics) {
   EXPECT_EQ(blocking.clients, 4);
   EXPECT_GT(blocking.throughput_qps, 0.0);
   EXPECT_GE(blocking.attempts, 64u);
+  EXPECT_EQ(blocking.failed, 0u);
 
   SweepPoint batched =
       DriveClients(*port, /*threads=*/1, /*window=*/4, /*calls_per_thread=*/64);
   EXPECT_EQ(batched.clients, 4);
   EXPECT_GT(batched.throughput_qps, 0.0);
   EXPECT_GE(batched.attempts, 64u);
+  EXPECT_EQ(batched.failed, 0u);
+  host.StopAll();
+}
+
+TEST(WorkloadDriverTest, ApplicationErrorsCountAsFailedCalls) {
+  UdpServerHost host;
+  RpcServer server(ControlKind::kRaw, "runtime-sweep");
+  server.RegisterProcedure(7, 1, [](const Bytes&) -> Result<Bytes> {
+    return NotFoundError("no echo here");
+  });
+  Result<uint16_t> port = host.Serve(&server, 0);
+  if (!port.ok()) {
+    GTEST_SKIP() << "cannot bind a UDP port: " << port.status();
+  }
+
+  // An application error is an answer, never retried, so every call fails
+  // on its first attempt without waiting out a timeout, in both shapes.
+  for (const auto& [threads, window] : {std::pair{4, 1}, std::pair{1, 4}}) {
+    SweepPoint point = DriveClients(*port, threads, window, /*calls_per_thread=*/16);
+    EXPECT_EQ(point.failed, static_cast<uint64_t>(threads * 16)) << "window " << window;
+    EXPECT_EQ(point.retries, 0u) << "window " << window;
+    EXPECT_EQ(point.throughput_qps, 0.0) << "window " << window;
+    EXPECT_EQ(point.latency_us.p50, 0u) << "window " << window;
+  }
   host.StopAll();
 }
 

@@ -25,9 +25,10 @@
 #   async-tsan   async_client_test under the tsan build: caller-run
 #                CallMany fan-out from several threads against concurrent
 #                serve loops, with the engine's shared counters
-#   bench-smoke  tools/bench_snapshot.py --check over every checked-in
-#                BENCH_*.json: schema + embedded trajectory floors (no
-#                re-measurement; also runs as the bench_smoke ctest)
+#
+# The perf gate needs no leg of its own: the full ctest of the default leg
+# runs bench_smoke (bench_runner --quick), which re-measures the serving
+# runtime and checks each floor against a comparison row of the same run.
 #
 # Configurations whose toolchain is missing (no clang++, no clang-tidy) are
 # SKIPped, not failed: the container bakes in GCC only; the clang gates run
@@ -270,17 +271,6 @@ if [[ -x "${BUILD_ROOT}/tsan/tests/async_client_test" ]]; then
 else
   note "async-tsan: SKIP (tsan build unavailable)"
   record async-tsan SKIP
-fi
-
-# 12. Perf-trajectory snapshots: every BENCH_*.json must parse, match the
-# schema, and clear the acceptance floors it records against the prior PR's
-# numbers. Pure validation — CI boxes are not benchmarks; regenerate
-# snapshots with tools/bench_snapshot.py --run on a quiet machine.
-note "bench-smoke: tools/bench_snapshot.py --check"
-if (cd "${REPO}" && python3 tools/bench_snapshot.py --check); then
-  record bench-smoke PASS
-else
-  record bench-smoke FAIL
 fi
 
 print_summary
