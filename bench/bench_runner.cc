@@ -1,12 +1,13 @@
 // Real-socket perf gate. Re-measures the serving runtime's hot path over
 // loopback UDP — a UDP echo floor, the E1-R / E5-R rows from EXPERIMENTS.md
-// and the two shapes of the UDP client — and prints one JSON document with
+// and the UDP client's CallMany batch — and prints one JSON document with
 // throughput, latency tails and server-side syscalls per request (from the
-// mmsg wrapper counters). Then it checks itself: each floored row's qps
-// must be at least `min_ratio` times a comparison row of the same run, and
-// no measured call may fail. Any miss exits 1, so every number is checked
-// against this machine in this run, never against a floor recorded
-// elsewhere. `bench_runner --quick` is the tier-1 `bench_smoke` ctest.
+// mmsg wrapper counters). Then it checks itself: each floored row must
+// clear its ratios (qps, or requests per serve-loop receive) against
+// comparison rows of the same run, and no measured call may fail. Any miss
+// exits 1, so every number is checked against this machine in this run,
+// never against a floor recorded elsewhere. `bench_runner --quick` is the
+// tier-1 `bench_smoke` ctest.
 //
 // Usage: bench_runner [--quick]
 //   --quick  ~10x fewer requests, same floors
@@ -28,11 +29,18 @@
 namespace hcs {
 namespace {
 
-// A same-run floor: this row's qps must be at least `min_ratio` times the
-// qps of the row named `vs`.
+// A same-run floor: a ratio between this row and the row named `vs` must
+// be at least `min_ratio`. kQps divides this row's qps by vs's.
+// kReceivesSaved divides vs's serve-loop receive syscalls per request by
+// this row's: a receive takes several requests only when the client keeps
+// several calls in flight together, and the ratio is a count the
+// scheduler's thread placement does not move.
 struct Floor {
-  std::string vs;  // empty = no floor (a comparison row)
+  enum class Measure { kQps, kReceivesSaved };
+  std::string vs;
   double min_ratio = 0;
+  Measure measure = Measure::kQps;
+  double ratio = 0;  // set once every row has run
 };
 
 struct ScenarioResult {
@@ -44,9 +52,14 @@ struct ScenarioResult {
   SweepPoint point;
   UdpIoSnapshot before;
   UdpIoSnapshot after;
-  Floor floor;
-  double ratio = 0;  // qps / the `vs` row's qps, set once every row has run
+  std::vector<Floor> floors;
 };
+
+// The serve loops' receive syscalls per request in `r`'s measured window.
+double ReceivesPerRequest(const ScenarioResult& r) {
+  return static_cast<double>(r.after.server.recv_syscalls - r.before.server.recv_syscalls) /
+         static_cast<double>(r.requests);
+}
 
 // Hosts `server` on one endpoint — `concurrent` loops, one per call in
 // flight, or one serial loop — then drives it with `threads` client threads
@@ -54,7 +67,8 @@ struct ScenarioResult {
 // One scenario, one host: the server side of the UdpIoSnapshot delta is
 // this scenario's serve-loop syscalls.
 ScenarioResult RunScenario(const std::string& name, RpcServer* server, bool concurrent,
-                           int threads, int window, int calls_per_thread, Floor floor = {}) {
+                           int threads, int window, int calls_per_thread,
+                           std::vector<Floor> floors = {}) {
   UdpServerHost host(/*workers=*/threads * window);
   ScenarioResult result;
   result.name = name;
@@ -65,7 +79,7 @@ ScenarioResult RunScenario(const std::string& name, RpcServer* server, bool conc
                name.c_str(), result.udp_batch, threads, window, threads * calls_per_thread);
   result.clients = threads * window;
   result.requests = threads * calls_per_thread;
-  result.floor = std::move(floor);
+  result.floors = std::move(floors);
 
   Result<uint16_t> port = concurrent ? host.ServeConcurrent(server, 0) : host.Serve(server, 0);
   if (!port.ok()) {
@@ -102,20 +116,21 @@ void AppendJsonScenario(std::string* out, const ScenarioResult& r, bool last) {
   add("      \"p99_us\": %" PRIu64 ",\n", r.point.latency_us.p99);
 
   // Server side only: the serve loops' receive and send syscalls.
-  const UdpIoCounts& before = r.before.server;
-  const UdpIoCounts& after = r.after.server;
-  uint64_t recv_sys = after.recv_syscalls - before.recv_syscalls;
-  uint64_t send_sys = after.send_syscalls - before.send_syscalls;
-  double n = static_cast<double>(r.requests);
-  add("      \"recv_syscalls_per_req\": %.3f,\n", static_cast<double>(recv_sys) / n);
-  add("      \"send_syscalls_per_req\": %.3f,\n", static_cast<double>(send_sys) / n);
-  add("      \"syscalls_per_req\": %.3f,\n", static_cast<double>(recv_sys + send_sys) / n);
-  if (r.floor.vs.empty()) {
-    add("      \"floor\": null\n");
-  } else {
-    add("      \"floor\": {\"vs\": \"%s\", \"min_ratio\": %.2f, \"ratio\": %.2f}\n",
-        r.floor.vs.c_str(), r.floor.min_ratio, r.ratio);
+  double recv = ReceivesPerRequest(r);
+  double send = static_cast<double>(r.after.server.send_syscalls -
+                                    r.before.server.send_syscalls) /
+                static_cast<double>(r.requests);
+  add("      \"recv_syscalls_per_req\": %.3f,\n", recv);
+  add("      \"send_syscalls_per_req\": %.3f,\n", send);
+  add("      \"syscalls_per_req\": %.3f,\n", recv + send);
+  add("      \"floors\": [");
+  for (size_t i = 0; i < r.floors.size(); ++i) {
+    const Floor& f = r.floors[i];
+    add("%s{\"vs\": \"%s\", \"measure\": \"%s\", \"min_ratio\": %.2f, \"ratio\": %.2f}",
+        i == 0 ? "" : ", ", f.vs.c_str(),
+        f.measure == Floor::Measure::kQps ? "qps" : "receives_saved", f.min_ratio, f.ratio);
   }
+  add("]\n");
   add("    }%s\n", last ? "" : ",");
 }
 
@@ -154,31 +169,41 @@ int Main(int argc, char** argv) {
   });
 
   // Every floor is a ratio to a comparison row of this run (EXPERIMENTS.md
-  // B19 has the runs they were set from):
+  // B19 and B20 have the runs they were set from):
   // - E1-R and E5-R: one loop per client must clear twice one serial loop,
   //   which caps out near 1/handler-cost, so the serial rows are short;
-  // - eight concurrent echo loops against one batched serial loop, and one
-  //   thread's CallMany waves of 64 against 64 thread-per-call threads, on
-  //   the same serial echo loop: each at least 0.5x. Healthy runs on a
-  //   4-core host never read below 0.74x, beside four CPU hogs included;
-  //   a CallMany held to one call in flight reads 0.24-0.40x.
+  // - eight concurrent echo loops against one batched serial loop: at
+  //   least 0.5x. Healthy runs on a 4-core host never read below 0.74x,
+  //   beside four CPU hogs included;
+  // - one thread's CallMany waves of 64, on the same serial echo loop: at
+  //   least 0.5x the qps of 64 thread-per-call threads, and at least 2x
+  //   fewer serve-loop receives per request than one thread's calls made
+  //   one at a time (which take exactly one each). Healthy runs read
+  //   0.70-2.10x and 4.2-12.8x; a CallMany held to one call in flight reads
+  //   0.20-0.51x and exactly 1x: the receive count catches it in every run,
+  //   the throughput ratio does not.
   // The client rows are longer (3000 requests per slot) so both sides of
-  // their ratio get enough wall-clock to average out scheduler noise.
+  // the throughput ratio get enough wall-clock to average out scheduler
+  // noise.
   std::vector<ScenarioResult> results;
   results.push_back(RunScenario("udp_echo_floor", &echo, /*concurrent=*/true, 8, 1,
-                                4000 / scale, {"udp_echo_serial_batched", 0.5}));
+                                4000 / scale, {{"udp_echo_serial_batched", 0.5}}));
   results.push_back(RunScenario("udp_echo_serial_batched", &echo, /*concurrent=*/false, 8, 1,
                                 4000 / scale));
   results.push_back(RunScenario("e1r_concurrent", &e1r, /*concurrent=*/true, 64, 1, 400 / scale,
-                                {"e1r_serial", 2.0}));
+                                {{"e1r_serial", 2.0}}));
   results.push_back(RunScenario("e1r_serial", &e1r, /*concurrent=*/false, 64, 1, 20 / scale));
   results.push_back(RunScenario("e5r_concurrent", &e5r, /*concurrent=*/true, 64, 1, 600 / scale,
-                                {"e5r_serial", 2.0}));
+                                {{"e5r_serial", 2.0}}));
   results.push_back(RunScenario("e5r_serial", &e5r, /*concurrent=*/false, 64, 1, 20 / scale));
   results.push_back(RunScenario("client_thread_per_call_64", &echo, /*concurrent=*/false, 64, 1,
                                 3000 / scale));
-  results.push_back(RunScenario("client_async_64", &echo, /*concurrent=*/false, 1, 64,
-                                64 * 3000 / scale, {"client_thread_per_call_64", 0.5}));
+  results.push_back(RunScenario("client_serial_calls", &echo, /*concurrent=*/false, 1, 1,
+                                3000 / scale));
+  results.push_back(RunScenario(
+      "client_async_64", &echo, /*concurrent=*/false, 1, 64, 64 * 3000 / scale,
+      {{"client_thread_per_call_64", 0.5},
+       {"client_serial_calls", 2.0, Floor::Measure::kReceivesSaved}}));
 
   int misses = 0;
   for (ScenarioResult& r : results) {
@@ -187,18 +212,24 @@ int Main(int argc, char** argv) {
                    r.point.failed, r.requests);
       ++misses;
     }
-    if (r.floor.vs.empty()) {
-      continue;
-    }
-    auto twin = std::find_if(results.begin(), results.end(),
-                             [&r](const ScenarioResult& t) { return t.name == r.floor.vs; });
-    const double twin_qps = twin->point.throughput_qps;
-    r.ratio = twin_qps > 0 ? r.point.throughput_qps / twin_qps : 0;
-    if (r.ratio < r.floor.min_ratio) {
-      std::fprintf(stderr, "FAIL: %s %.0f qps is %.2fx %s %.0f qps, floor %.2fx\n",
-                   r.name.c_str(), r.point.throughput_qps, r.ratio, r.floor.vs.c_str(),
-                   twin_qps, r.floor.min_ratio);
-      ++misses;
+    for (Floor& floor : r.floors) {
+      auto twin = std::find_if(results.begin(), results.end(),
+                               [&floor](const ScenarioResult& t) { return t.name == floor.vs; });
+      double mine = r.point.throughput_qps;
+      double theirs = twin->point.throughput_qps;
+      const char* unit = "qps";
+      if (floor.measure == Floor::Measure::kReceivesSaved) {
+        // Requests per receive: the inverse of receives per request.
+        mine = 1.0 / ReceivesPerRequest(r);
+        theirs = 1.0 / ReceivesPerRequest(*twin);
+        unit = "requests per serve-loop receive";
+      }
+      floor.ratio = theirs > 0 ? mine / theirs : 0;
+      if (floor.ratio < floor.min_ratio) {
+        std::fprintf(stderr, "FAIL: %s %.2f %s is %.2fx %s %.2f, floor %.2fx\n", r.name.c_str(),
+                     mine, unit, floor.ratio, floor.vs.c_str(), theirs, floor.min_ratio);
+        ++misses;
+      }
     }
   }
 

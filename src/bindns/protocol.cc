@@ -68,20 +68,41 @@ Result<BindQueryResponse> BindQueryResponse::Decode(const Bytes& data) {
 
 Bytes BindUpdateRequest::Encode() const {
   XdrEncoder enc;
-  enc.PutUint32(static_cast<uint32_t>(op));
-  record.EncodeTo(&enc);
+  if (ops.size() != 1) {
+    enc.PutUint32(kUpdateListCode);
+    enc.PutUint32(static_cast<uint32_t>(ops.size()));
+  }
+  for (const UpdateOperation& op : ops) {
+    enc.PutUint32(static_cast<uint32_t>(op.op));
+    op.record.EncodeTo(&enc);
+  }
   return enc.Take();
 }
 
 Result<BindUpdateRequest> BindUpdateRequest::Decode(const Bytes& data) {
   XdrDecoder dec(data);
   BindUpdateRequest req;
-  HCS_ASSIGN_OR_RETURN(uint32_t op, dec.GetUint32());
-  if (op > 1) {
-    return ProtocolError(StrFormat("bad update op %u", op));
+  HCS_ASSIGN_OR_RETURN(uint32_t code, dec.GetUint32());
+  const bool listed = code == kUpdateListCode;
+  uint32_t count = 1;
+  if (listed) {
+    HCS_ASSIGN_OR_RETURN(count, dec.GetUint32());
+    if (count == 0 || count > 65536) {
+      return ProtocolError(StrFormat("bad update list length %u", count));
+    }
   }
-  req.op = static_cast<UpdateOp>(op);
-  HCS_ASSIGN_OR_RETURN(req.record, ResourceRecord::DecodeFrom(&dec));
+  for (uint32_t i = 0; i < count; ++i) {
+    if (listed) {
+      HCS_ASSIGN_OR_RETURN(code, dec.GetUint32());
+    }
+    if (code > 1) {
+      return ProtocolError(StrFormat("bad update op %u", code));
+    }
+    UpdateOperation op;
+    op.op = static_cast<UpdateOp>(code);
+    HCS_ASSIGN_OR_RETURN(op.record, ResourceRecord::DecodeFrom(&dec));
+    req.ops.push_back(std::move(op));
+  }
   return req;
 }
 

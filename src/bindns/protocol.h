@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/bindns/record.h"
+#include "src/bindns/zone.h"
 #include "src/common/result.h"
 
 namespace hcs {
@@ -58,15 +59,16 @@ struct BindQueryResponse {
   HCS_NODISCARD static Result<BindQueryResponse> Decode(const Bytes& data);
 };
 
-enum class UpdateOp : uint8_t {
-  kAdd = 0,
-  // Removes all records of (name, type); type kAny removes the whole name.
-  kDelete = 1,
-};
+// The op-code word that opens a counted list of update operations.
+constexpr uint32_t kUpdateListCode = 2;
 
+// A dynamic update: operations (src/bindns/zone.h) the server applies in
+// order, all or nothing, under one serial bump. One operation travels as
+// its op code and record, the bytes a single update always had; a longer
+// list as kUpdateListCode, a count, and an op code and record per
+// operation.
 struct BindUpdateRequest {
-  UpdateOp op = UpdateOp::kAdd;
-  ResourceRecord record;  // for kDelete only name/type are meaningful
+  std::vector<UpdateOperation> ops;
 
   Bytes Encode() const;
   HCS_NODISCARD static Result<BindUpdateRequest> Decode(const Bytes& data);

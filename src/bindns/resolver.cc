@@ -104,8 +104,7 @@ Result<uint32_t> BindResolver::LookupAddress(const std::string& host_name) {
 
 Status BindResolver::Update(UpdateOp op, const ResourceRecord& record) {
   BindUpdateRequest request;
-  request.op = op;
-  request.record = record;
+  request.ops.push_back(UpdateOperation{op, record});
 
   World* world = client_->world();
   if (world != nullptr) {

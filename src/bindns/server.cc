@@ -1,5 +1,7 @@
 #include "src/bindns/server.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/rpc/context.h"
@@ -112,8 +114,12 @@ void BindServer::RegisterHandlers() {
 
   rpc_server_.RegisterProcedure(
       kBindProgram, kBindProcUpdate, [this](const Bytes& args) -> Result<Bytes> {
-        ChargeDemarshal(world_, MarshalEngine::kHandCoded, 1);
         HCS_ASSIGN_OR_RETURN(BindUpdateRequest request, BindUpdateRequest::Decode(args));
+        // Each operation costs what it cost alone; a list saves only the
+        // round trips.
+        for (size_t i = 0; i < request.ops.size(); ++i) {
+          ChargeDemarshal(world_, MarshalEngine::kHandCoded, 1);
+        }
         HCS_ASSIGN_OR_RETURN(BindUpdateResponse response, UpdateLocal(request));
         ChargeMarshal(world_, MarshalEngine::kHandCoded, 1);
         return response.Encode();
@@ -221,36 +227,48 @@ Result<BindUpdateResponse> BindServer::UpdateLocal(const BindUpdateRequest& requ
   if (!options_.allow_dynamic_update) {
     return PermissionDeniedError("this BIND instance does not accept dynamic updates");
   }
-  if (request.record.type == RrType::kUnspec && !options_.allow_unspecified_type) {
-    return PermissionDeniedError("this BIND instance does not accept unspecified-type data");
+  for (const UpdateOperation& op : request.ops) {
+    if (op.record.type == RrType::kUnspec && !options_.allow_unspecified_type) {
+      return PermissionDeniedError("this BIND instance does not accept unspecified-type data");
+    }
   }
-  world_->ChargeMs(world_->costs().bind_update_cpu_ms);
+  for (size_t i = 0; i < request.ops.size(); ++i) {
+    world_->ChargeMs(world_->costs().bind_update_cpu_ms);
+  }
 
-  Zone* zone = FindZone(request.record.name);
+  // The whole list is one zone's mutation: every operation must fall in
+  // the zone of the first, and the zone checks each before applying any.
+  BindUpdateResponse response;
+  response.rcode = Rcode::kRefused;
+  Zone* zone = request.ops.empty() ? nullptr : FindZone(request.ops.front().record.name);
   if (zone == nullptr) {
-    BindUpdateResponse response;
-    response.rcode = Rcode::kRefused;
     return response;
   }
-  BindUpdateResponse response;
-  if (request.op == UpdateOp::kAdd) {
-    Status status = zone->Add(request.record);
-    response.rcode = status.ok() ? Rcode::kNoError : Rcode::kRefused;
-  } else {
-    std::optional<RrType> type;
-    if (request.record.type != RrType::kAny) {
-      type = request.record.type;
+  for (const UpdateOperation& op : request.ops) {
+    if (FindZone(op.record.name) != zone) {
+      return response;
     }
-    zone->Remove(request.record.name, type);
-    response.rcode = Rcode::kNoError;
   }
+  if (!zone->Apply(request.ops).ok()) {
+    return response;
+  }
+  response.rcode = Rcode::kNoError;
 
   // Push cache invalidations to the registered secondaries so updates are
   // visible promptly rather than after TTL expiry (part of the HNS's BIND
-  // modifications; cheap because the meta data changes slowly).
-  if (response.rcode == Rcode::kNoError) {
+  // modifications; cheap because the meta data changes slowly): one per
+  // distinct name the list touched.
+  std::vector<std::string> names;
+  for (const UpdateOperation& op : request.ops) {
+    if (std::none_of(names.begin(), names.end(), [&](const std::string& name) {
+          return EqualsIgnoreCase(name, op.record.name);
+        })) {
+      names.push_back(op.record.name);
+    }
+  }
+  for (const std::string& name : names) {
     BindInvalidateRequest invalidate;
-    invalidate.name = request.record.name;
+    invalidate.name = name;
     for (const std::string& target : notify_targets_) {
       HrpcBinding peer;
       peer.service_name = "bind";

@@ -70,6 +70,10 @@ class BindServer {
   // --- Local (linked, non-RPC) interface -----------------------------------
   // Used by colocated processes; charges server CPU but no network.
   HCS_NODISCARD Result<BindQueryResponse> QueryLocal(const BindQueryRequest& request);
+  // Applies an update's operation list all or nothing (Zone::Apply); every
+  // operation must fall in one zone. A refused list (kRefused) changes
+  // nothing. A committed one pushes one invalidation per distinct name to
+  // the notify targets.
   HCS_NODISCARD Result<BindUpdateResponse> UpdateLocal(const BindUpdateRequest& request);
   HCS_NODISCARD Result<BindAxfrResponse> AxfrLocal(const BindAxfrRequest& request);
 

@@ -18,7 +18,7 @@ bool Zone::Contains(const std::string& name) const {
   return EndsWith(key, "." + origin_key_);
 }
 
-Status Zone::Add(ResourceRecord rr) {
+Status Zone::CheckRecord(const ResourceRecord& rr) const {
   if (rr.rdata.size() > kMaxRdataBytes) {
     return InvalidArgumentError(
         StrFormat("rdata of %s exceeds %zu bytes", rr.name.c_str(), kMaxRdataBytes));
@@ -27,12 +27,12 @@ Status Zone::Add(ResourceRecord rr) {
     return InvalidArgumentError(
         StrFormat("%s is outside zone %s", rr.name.c_str(), origin_.c_str()));
   }
-  names_[Key(rr.name)][rr.type].push_back(std::move(rr));
-  ++serial_;
   return Status::Ok();
 }
 
-size_t Zone::Remove(const std::string& name, std::optional<RrType> type) {
+void Zone::Insert(ResourceRecord rr) { names_[Key(rr.name)][rr.type].push_back(std::move(rr)); }
+
+size_t Zone::Erase(const std::string& name, std::optional<RrType> type) {
   auto it = names_.find(Key(name));
   if (it == names_.end()) {
     return 0;
@@ -53,10 +53,45 @@ size_t Zone::Remove(const std::string& name, std::optional<RrType> type) {
   if (it->second.empty()) {
     names_.erase(it);
   }
+  return removed;
+}
+
+Status Zone::Add(ResourceRecord rr) {
+  HCS_RETURN_IF_ERROR(CheckRecord(rr));
+  Insert(std::move(rr));
+  ++serial_;
+  return Status::Ok();
+}
+
+size_t Zone::Remove(const std::string& name, std::optional<RrType> type) {
+  size_t removed = Erase(name, type);
   if (removed > 0) {
     ++serial_;
   }
   return removed;
+}
+
+Status Zone::Apply(const std::vector<UpdateOperation>& ops) {
+  for (const UpdateOperation& op : ops) {
+    HCS_RETURN_IF_ERROR(CheckRecord(op.record));  // a delete carries no rdata
+  }
+  bool changed = false;
+  for (const UpdateOperation& op : ops) {
+    if (op.op == UpdateOp::kAdd) {
+      Insert(op.record);
+      changed = true;
+    } else {
+      std::optional<RrType> type;
+      if (op.record.type != RrType::kAny) {
+        type = op.record.type;
+      }
+      changed = Erase(op.record.name, type) > 0 || changed;
+    }
+  }
+  if (changed) {
+    ++serial_;
+  }
+  return Status::Ok();
 }
 
 Result<std::vector<ResourceRecord>> Zone::Lookup(const std::string& name, RrType type) const {

@@ -14,6 +14,18 @@
 
 namespace hcs {
 
+enum class UpdateOp : uint8_t {
+  kAdd = 0,
+  // Removes all records of (name, type); type kAny removes the whole name.
+  kDelete = 1,
+};
+
+// One operation of a dynamic update.
+struct UpdateOperation {
+  UpdateOp op = UpdateOp::kAdd;
+  ResourceRecord record;  // for kDelete only name/type are meaningful
+};
+
 class Zone {
  public:
   // `origin` is the zone's suffix, e.g. "cs.washington.edu". Names are
@@ -35,6 +47,13 @@ class Zone {
   // Returns the number removed; bumps the serial when nonzero.
   size_t Remove(const std::string& name, std::optional<RrType> type);
 
+  // Applies a dynamic update's operations in order, all or nothing: every
+  // operation is checked first (zone membership and the rdata limit), and a
+  // refused list changes nothing. A list that changes the
+  // zone bumps the serial exactly once (RFC 1034 4.3.5: a zone changes as
+  // a whole under one serial).
+  HCS_NODISCARD Status Apply(const std::vector<UpdateOperation>& ops);
+
   // Authoritative lookup. Follows one level of CNAME indirection within the
   // zone when the requested type has no records. kAny returns everything
   // under the name. Returns an empty vector (not an error) when the name
@@ -53,6 +72,11 @@ class Zone {
 
  private:
   static std::string Key(const std::string& name);
+  // The rdata-limit and membership checks of Add and Apply.
+  Status CheckRecord(const ResourceRecord& rr) const;
+  // The unchecked mutations under Add, Remove and Apply; no serial bump.
+  void Insert(ResourceRecord rr);
+  size_t Erase(const std::string& name, std::optional<RrType> type);
 
   std::string origin_;
   std::string origin_key_;

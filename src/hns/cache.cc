@@ -95,30 +95,16 @@ HnsCache::LookupResult HnsCache::Lookup(const std::string& key) {
   result.probe = Probe::kHit;
   result.expires = it->second->expires;
 
-  if (mode_ == CacheMode::kMarshalled) {
-    // Demarshal the stored wire form on every access — the expensive
-    // stub-generated path the prototype started with.
-    if (world_ != nullptr) {
+  if (world_ != nullptr) {
+    if (mode_ == CacheMode::kMarshalled) {
+      // The paper's first HNS cache demarshalled its stored wire form on
+      // every access with the expensive stub-generated routines.
       ChargeDemarshal(world_, MarshalEngine::kStubGenerated,
                       static_cast<int>(it->second->units));
+    } else {
+      world_->ChargeMs(world_->costs().cache_copy_per_record_ms *
+                       static_cast<double>(it->second->units));
     }
-    Result<WireValue> decoded = WireValue::Decode(it->second->marshalled);
-    if (!decoded.ok()) {
-      // A corrupt stored form behaves like a miss.
-      Unlink(&shard, it);
-      shard.stats.hits.fetch_sub(1, std::memory_order_relaxed);
-      shard.stats.misses.fetch_add(1, std::memory_order_relaxed);
-      result.probe = Probe::kMiss;
-      return result;
-    }
-    result.value = *std::move(decoded);
-    return result;
-  }
-
-  // Demarshalled mode: probe plus a copy of the parsed value.
-  if (world_ != nullptr) {
-    world_->ChargeMs(world_->costs().cache_copy_per_record_ms *
-                     static_cast<double>(it->second->units));
   }
   result.value = it->second->value;
   return result;
@@ -179,14 +165,10 @@ void HnsCache::Put(const std::string& key, const WireValue& value, uint32_t ttl_
   }
   Entry entry;
   entry.key = key;
-  Bytes encoded = value.Encode();
-  entry.units = static_cast<size_t>(MarshalUnitsForBytes(encoded.size()));
-  entry.bytes = key.size() + encoded.size() + kEntryOverheadBytes;
-  if (mode_ == CacheMode::kMarshalled) {
-    entry.marshalled = std::move(encoded);
-  } else {
-    entry.value = value;
-  }
+  size_t wire_bytes = value.Encode().size();
+  entry.units = static_cast<size_t>(MarshalUnitsForBytes(wire_bytes));
+  entry.bytes = key.size() + wire_bytes + kEntryOverheadBytes;
+  entry.value = value;
   entry.expires = Now() + MsToSim(static_cast<double>(ttl_seconds) * 1000.0);
   Insert(std::move(entry));
 }
@@ -366,7 +348,7 @@ std::optional<CompositeEntry> CompositeBindingCache::Get(const std::string& cont
   return it->second;
 }
 
-void CompositeBindingCache::Put(CompositeEntry entry) {
+void CompositeBindingCache::Put(CompositeEntry entry, uint64_t generation) {
   if (world_ != nullptr) {
     world_->ChargeMs(world_->costs().cache_insert_ms);
   }
@@ -376,6 +358,9 @@ void CompositeBindingCache::Put(CompositeEntry entry) {
   std::string key = entry.context + '\x1f' + entry.query_class;
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
+  if (generation != counters_.generation.load()) {
+    return;
+  }
   auto it = shard.entries.find(key);
   if (it != shard.entries.end()) {
     counters_.bytes.fetch_sub(CompositeEntryBytes(it->second), std::memory_order_relaxed);
@@ -388,6 +373,7 @@ void CompositeBindingCache::Put(CompositeEntry entry) {
 
 void CompositeBindingCache::InvalidateContext(const std::string& context) {
   std::string needle = AsciiToLower(context);
+  counters_.generation.fetch_add(1);
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
     for (auto it = shard.entries.begin(); it != shard.entries.end();) {
@@ -408,6 +394,7 @@ void CompositeBindingCache::InvalidateNsm(const std::string& ns_name,
   std::string ns = AsciiToLower(ns_name);
   std::string qc = AsciiToLower(query_class);
   std::string nsm = AsciiToLower(nsm_name);
+  counters_.generation.fetch_add(1);
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
     for (auto it = shard.entries.begin(); it != shard.entries.end();) {

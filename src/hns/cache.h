@@ -4,11 +4,15 @@
 // from (cache invalidation is inherited from BIND's time-to-live scheme,
 // paper footnote 7).
 //
-// The storage mode reproduces the paper's marshalling lesson (Table 3.2):
-//   kMarshalled   — entries are kept in wire form and demarshalled on every
-//                   hit with the expensive stub-generated routines;
-//   kDemarshalled — entries are kept as parsed values; a hit is a probe
-//                   plus a copy. "The times decreased dramatically."
+// Every entry holds one parsed value; a hit copies it out. The mode
+// reproduces the paper's marshalling lesson (Table 3.2) on the simulated
+// clock only, by what it charges per hit:
+//   kMarshalled   — the paper's first, wire-form cache: the
+//                   stub-generated demarshal of the entry, as if it were
+//                   decoded;
+//   kDemarshalled — the parsed-value cache: a probe plus a copy. "The
+//                   times decreased dramatically."
+// On the real clock both modes cost the same.
 //
 // Beyond the paper's prototype, the cache is production-shaped: it is
 // sharded (per-shard mutex for the real-transport path), bounded (intrusive
@@ -42,8 +46,8 @@ namespace hcs {
 
 enum class CacheMode {
   kNone,          // every access goes to the network
-  kMarshalled,    // wire-form entries, demarshalled per hit
-  kDemarshalled,  // parsed entries
+  kMarshalled,    // hits charged a stub demarshal (sim clock)
+  kDemarshalled,  // hits charged a copy (sim clock)
 };
 
 std::string CacheModeName(CacheMode mode);
@@ -123,9 +127,9 @@ class HnsCache {
   // on a positive hit (used for min-TTL composition).
   HCS_NODISCARD Result<WireValue> Get(const std::string& key, SimTime* expires_out = nullptr);
 
-  // Inserts `value` under `key` with the given TTL. In marshalled mode the
-  // value's wire form is what gets stored. May evict LRU entries to respect
-  // the byte budget.
+  // Inserts `value` under `key` with the given TTL. The entry's budget
+  // charge and per-hit cost units come from the value's wire size. May
+  // evict LRU entries to respect the byte budget.
   void Put(const std::string& key, const WireValue& value, uint32_t ttl_seconds);
 
   // Records that `key` does not exist upstream, for `ttl_seconds` (0 = the
@@ -160,9 +164,8 @@ class HnsCache {
  private:
   struct Entry {
     std::string key;
-    Bytes marshalled;   // wire form (kMarshalled)
-    WireValue value;    // parsed form (kDemarshalled)
-    size_t units = 0;   // record-equivalents, drives demarshalling cost
+    WireValue value;
+    size_t units = 0;   // record-equivalents of the wire form, drive hit costs
     size_t bytes = 0;   // budget charge, recorded at insert time
     SimTime expires = 0;
     bool negative = false;
@@ -236,9 +239,15 @@ class CompositeBindingCache {
   std::optional<CompositeEntry> Get(const std::string& context,
                                     const std::string& query_class);
 
+  // Invalidations so far. FindNSM reads it before it reads the records it
+  // composes from and hands it to Put.
+  uint64_t generation() const { return counters_.generation.load(); }
+
   // `expires` is absolute (the min of the constituent expiries, already
-  // capped by the caller).
-  void Put(CompositeEntry entry);
+  // capped by the caller). `generation` is generation() from before the
+  // entry's records were read: when an invalidation has come since, the
+  // entry may be composed from records it replaced, and is dropped.
+  void Put(CompositeEntry entry, uint64_t generation);
 
   // Eviction on registration changes: drops every entry composed for
   // `context` (any query class).
@@ -279,6 +288,10 @@ class CompositeBindingCache {
     std::atomic<uint64_t> inserts{0};
     std::atomic<uint64_t> evictions{0};
     std::atomic<uint64_t> bytes{0};
+    // Bumped by each Invalidate* before it sweeps the shards; Put checks it
+    // under the shard lock, so an entry either misses the check or is
+    // swept.
+    std::atomic<uint64_t> generation{0};
   };
 
   SimTime Now() const { return CacheNow(world_); }

@@ -64,6 +64,7 @@ Result<NsmHandle> Hns::FindNsm(const HnsName& name, const QueryClass& query_clas
 
   SimTime min_expires = std::numeric_limits<SimTime>::max();
   std::string ns_name;
+  const uint64_t composite_generation = composite_.generation();
   HCS_ASSIGN_OR_RETURN(NsmHandle handle,
                        FindNsmUncomposed(name, query_class, &min_expires, &ns_name, effective));
 
@@ -77,7 +78,7 @@ Result<NsmHandle> Hns::FindNsm(const HnsName& name, const QueryClass& query_clas
     entry.query_class = query_class;
     entry.ns_name = ns_name;
     entry.expires = std::min(min_expires, cap);
-    composite_.Put(std::move(entry));
+    composite_.Put(std::move(entry), composite_generation);
   }
   return handle;
 }
@@ -250,17 +251,10 @@ Status Hns::RegisterNsm(const NsmInfo& info) {
 }
 
 Status Hns::UnregisterNsm(const std::string& ns_name, const QueryClass& query_class) {
-  // Look the NSM name up before the mapping records disappear, so entries
-  // designating it can be evicted too. (Only when a composite cache is in
-  // play — the lookup is not free.)
+  // The meta store reports the NSM the mapping named, so entries
+  // designating it can be evicted too.
   std::string nsm_name;
-  if (options_.composite_cache) {
-    Result<std::string> resolved = meta_.NsmNameFor(ns_name, query_class);
-    if (resolved.ok()) {
-      nsm_name = *std::move(resolved);
-    }
-  }
-  Status status = meta_.UnregisterNsm(ns_name, query_class);
+  Status status = meta_.UnregisterNsm(ns_name, query_class, &nsm_name);
   if (status.ok()) {
     composite_.InvalidateNsm(ns_name, query_class, nsm_name);
   }

@@ -125,19 +125,35 @@ Result<WireValue> MetaStore::DecodeMetaReply(const std::string& record_name, con
   return value;
 }
 
+std::shared_ptr<MetaStore::InFlight> MetaStore::ClaimFlight(const std::string& record_name,
+                                                            const RequestContext& rctx) {
+  auto flight = std::make_shared<InFlight>();
+  flight->generation = write_generation_;
+  flight->leader_deadline_ms = rctx.has_deadline() ? rctx.deadline_ms : 0;
+  in_flight_[record_name] = flight;
+  return flight;
+}
+
 void MetaStore::FinishFlight(const std::string& record_name,
                              const std::shared_ptr<InFlight>& flight,
                              const Result<WireValue>& fetched) {
   SimTime expires = 0;
-  if (fetched.ok()) {
-    cache_->Put(record_name, *fetched, kMetaTtlSeconds);
-    expires = CacheNow(client_->world()) +
-              MsToSim(static_cast<double>(kMetaTtlSeconds) * 1000.0);
-  } else if (fetched.status().code() == StatusCode::kNotFound) {
-    cache_->PutNegative(record_name);
-  }
   {
+    // The generation check and the cache fill are one step under
+    // flight_mu_, so a commit either lands before it (nothing is cached)
+    // or drops the entry after it.
     MutexLock lock(flight_mu_);
+    if (flight->generation == write_generation_) {
+      if (fetched.ok()) {
+        cache_->Put(record_name, *fetched, kMetaTtlSeconds);
+      } else if (fetched.status().code() == StatusCode::kNotFound) {
+        cache_->PutNegative(record_name);
+      }
+    }
+    if (fetched.ok()) {
+      expires = CacheNow(client_->world()) +
+                MsToSim(static_cast<double>(kMetaTtlSeconds) * 1000.0);
+    }
     flight->result = fetched;
     flight->expires = expires;
     flight->done = true;
@@ -188,15 +204,9 @@ void MetaStore::PrefetchRecords(const std::vector<std::string>& record_names,
     if (cache_->Lookup(record_name).probe != HnsCache::Probe::kMiss) {
       continue;
     }
-    {
-      MutexLock lock(flight_mu_);
-      if (in_flight_.count(record_name) != 0) {
-        continue;
-      }
-      auto flight = std::make_shared<InFlight>();
-      flight->leader_deadline_ms = effective.has_deadline() ? effective.deadline_ms : 0;
-      in_flight_[record_name] = flight;
-      claims.push_back(Claim{record_name, std::move(flight)});
+    MutexLock lock(flight_mu_);
+    if (in_flight_.count(record_name) == 0) {
+      claims.push_back(Claim{record_name, ClaimFlight(record_name, effective)});
     }
   }
   FetchClaimed(claims, effective);
@@ -266,9 +276,7 @@ Result<WireValue> MetaStore::ReadRecord(const std::string& record_name,
       }
       return flight->result;
     }
-    flight = std::make_shared<InFlight>();
-    flight->leader_deadline_ms = effective.has_deadline() ? effective.deadline_ms : 0;
-    in_flight_[record_name] = flight;
+    flight = ClaimFlight(record_name, effective);
   }
 
   // The leader's fetch is a batch of one. Once it returns the flight is
@@ -280,46 +288,54 @@ Result<WireValue> MetaStore::ReadRecord(const std::string& record_name,
   return flight->result;
 }
 
-Status MetaStore::DeleteRecord(const std::string& record_name) {
-  BindUpdateRequest request;
-  request.op = UpdateOp::kDelete;
-  request.record.name = record_name;
-  request.record.type = RrType::kUnspec;
+namespace {
 
-  World* world = client_->world();
-  if (world != nullptr) {
-    ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
-  }
-  HCS_ASSIGN_OR_RETURN(
-      Bytes reply, client_->Call(MetaServerBinding(/*authority=*/true), kBindProcUpdate, request.Encode()));
-  HCS_ASSIGN_OR_RETURN(BindUpdateResponse response, BindUpdateResponse::Decode(reply));
-  if (response.rcode != Rcode::kNoError) {
-    return InvalidArgumentError("meta delete refused: " + record_name);
-  }
-  cache_->Remove(record_name);
-  return Status::Ok();
+UpdateOperation DeleteOp(const std::string& record_name) {
+  UpdateOperation op;
+  op.op = UpdateOp::kDelete;
+  op.record.name = record_name;
+  op.record.type = RrType::kUnspec;
+  return op;
 }
 
-Status MetaStore::WriteRecord(const std::string& record_name, const WireValue& value) {
-  // Replace semantics: clear any previous chunks, then add the new ones.
-  HCS_RETURN_IF_ERROR(DeleteRecord(record_name));
+// Appends the replacement of one structured record: delete its chunks,
+// then add the new ones.
+void AppendWrite(std::vector<UpdateOperation>* ops, const std::string& record_name,
+                 const WireValue& value) {
+  ops->push_back(DeleteOp(record_name));
+  for (ResourceRecord& rr :
+       UnspecRecordsFromValue(record_name, value, MetaStore::kMetaTtlSeconds)) {
+    ops->push_back(UpdateOperation{UpdateOp::kAdd, std::move(rr)});
+  }
+}
+
+}  // namespace
+
+Status MetaStore::Commit(const std::vector<UpdateOperation>& ops) {
   World* world = client_->world();
-  for (const ResourceRecord& rr :
-       UnspecRecordsFromValue(record_name, value, kMetaTtlSeconds)) {
-    BindUpdateRequest request;
-    request.op = UpdateOp::kAdd;
-    request.record = rr;
-    if (world != nullptr) {
+  if (world != nullptr) {
+    // Stub-generated marshalling, charged per operation as if each went
+    // alone: the list saves round trips, not marshalling.
+    for (size_t i = 0; i < ops.size(); ++i) {
       ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
     }
-    HCS_ASSIGN_OR_RETURN(
-        Bytes reply, client_->Call(MetaServerBinding(/*authority=*/true), kBindProcUpdate, request.Encode()));
-    HCS_ASSIGN_OR_RETURN(BindUpdateResponse response, BindUpdateResponse::Decode(reply));
-    if (response.rcode != Rcode::kNoError) {
-      return InvalidArgumentError("meta update refused: " + record_name);
-    }
   }
-  cache_->Remove(record_name);
+  BindUpdateRequest request;
+  request.ops = ops;
+  Result<Bytes> reply =
+      client_->Call(MetaServerBinding(/*authority=*/true), kBindProcUpdate, request.Encode());
+  {
+    MutexLock lock(flight_mu_);
+    ++write_generation_;
+  }
+  for (const UpdateOperation& op : ops) {
+    cache_->Remove(op.record.name);
+  }
+  HCS_RETURN_IF_ERROR(reply.status());
+  HCS_ASSIGN_OR_RETURN(BindUpdateResponse response, BindUpdateResponse::Decode(*reply));
+  if (response.rcode != Rcode::kNoError) {
+    return InvalidArgumentError("meta update refused: " + ops.front().record.name);
+  }
   return Status::Ok();
 }
 
@@ -356,13 +372,16 @@ Status MetaStore::RegisterNameService(const NameServiceInfo& info) {
   if (info.name.empty() || info.type.empty()) {
     return InvalidArgumentError("name service registration needs name and type");
   }
-  return WriteRecord(NameServiceRecordName(info.name), info.ToWire());
+  std::vector<UpdateOperation> ops;
+  AppendWrite(&ops, NameServiceRecordName(info.name), info.ToWire());
+  return Commit(ops);
 }
 
 Status MetaStore::RegisterContext(const std::string& context, const std::string& ns_name) {
   HCS_RETURN_IF_ERROR(ValidateContextName(context));
-  return WriteRecord(ContextRecordName(context),
-                     RecordBuilder().Str("ns", ns_name).Build());
+  std::vector<UpdateOperation> ops;
+  AppendWrite(&ops, ContextRecordName(context), RecordBuilder().Str("ns", ns_name).Build());
+  return Commit(ops);
 }
 
 Status MetaStore::RegisterNsm(const NsmInfo& info) {
@@ -371,17 +390,25 @@ Status MetaStore::RegisterNsm(const NsmInfo& info) {
   }
   // Two records: the (service, query class) -> NSM map entry and the NSM's
   // own location record. Storing them separately is what lets one name
-  // service's binding data be shared by many contexts.
-  HCS_RETURN_IF_ERROR(WriteRecord(NsmMapRecordName(info.ns_name, info.query_class),
-                                  RecordBuilder().Str("nsm", info.nsm_name).Build()));
-  return WriteRecord(NsmLocationRecordName(info.nsm_name), info.ToWire());
+  // service's binding data be shared by many contexts; writing them in one
+  // update is what keeps a reader from meeting one without the other.
+  std::vector<UpdateOperation> ops;
+  AppendWrite(&ops, NsmMapRecordName(info.ns_name, info.query_class),
+              RecordBuilder().Str("nsm", info.nsm_name).Build());
+  AppendWrite(&ops, NsmLocationRecordName(info.nsm_name), info.ToWire());
+  return Commit(ops);
 }
 
-Status MetaStore::UnregisterNsm(const std::string& ns_name, const QueryClass& query_class) {
+Status MetaStore::UnregisterNsm(const std::string& ns_name, const QueryClass& query_class,
+                                std::string* nsm_name_out) {
   Result<std::string> nsm_name = NsmNameFor(ns_name, query_class);
-  HCS_RETURN_IF_ERROR(DeleteRecord(NsmMapRecordName(ns_name, query_class)));
+  std::vector<UpdateOperation> ops = {DeleteOp(NsmMapRecordName(ns_name, query_class))};
   if (nsm_name.ok()) {
-    HCS_RETURN_IF_ERROR(DeleteRecord(NsmLocationRecordName(*nsm_name)));
+    ops.push_back(DeleteOp(NsmLocationRecordName(*nsm_name)));
+  }
+  HCS_RETURN_IF_ERROR(Commit(ops));
+  if (nsm_name_out != nullptr) {
+    *nsm_name_out = nsm_name.ok() ? *nsm_name : std::string();
   }
   return Status::Ok();
 }
@@ -441,12 +468,23 @@ Result<MetaStore::Inventory> MetaStore::TakeInventory() {
 }
 
 Result<size_t> MetaStore::Preload() {
+  uint64_t generation = 0;
+  {
+    MutexLock lock(flight_mu_);
+    generation = write_generation_;
+  }
   HCS_ASSIGN_OR_RETURN(ZoneChunks zone, TransferMetaZone());
-  // Reassemble each record and install it in the cache.
-  for (auto& [record_name, chunks] : zone.by_name) {
-    uint32_t ttl = chunks.front().ttl_seconds;
-    HCS_ASSIGN_OR_RETURN(WireValue value, ValueFromUnspecRecords(std::move(chunks)));
-    cache_->Put(record_name, value, ttl);
+  // Reassemble each record and install it in the cache, unless a commit
+  // landed during the transfer (the flights' rule, FinishFlight).
+  {
+    MutexLock lock(flight_mu_);
+    if (generation == write_generation_) {
+      for (auto& [record_name, chunks] : zone.by_name) {
+        uint32_t ttl = chunks.front().ttl_seconds;
+        HCS_ASSIGN_OR_RETURN(WireValue value, ValueFromUnspecRecords(std::move(chunks)));
+        cache_->Put(record_name, value, ttl);
+      }
+    }
   }
   World* world = client_->world();
   if (world != nullptr) {

@@ -114,10 +114,20 @@ class MetaStore {
                        const RequestContext& rctx = RequestContext{});
 
   // --- Registration (dynamic updates to the modified BIND) ----------------
+  // Each call is one dynamic update: one round trip, applied by the
+  // authority all or nothing under one serial bump. A record is written
+  // delete-then-add inside the list, so a duplicated or retried datagram
+  // rewrites it instead of adding its chunks twice. After the update the
+  // written names leave the record cache (see Commit).
   HCS_NODISCARD Status RegisterNameService(const NameServiceInfo& info);
   HCS_NODISCARD Status RegisterContext(const std::string& context, const std::string& ns_name);
+  // The map entry and the location record, in one update.
   HCS_NODISCARD Status RegisterNsm(const NsmInfo& info);
-  HCS_NODISCARD Status UnregisterNsm(const std::string& ns_name, const QueryClass& query_class);
+  // Deletes the map entry and, when the map names an NSM, its location
+  // record, in one update. `nsm_name_out`, when given, receives the NSM the
+  // map named (empty when it named none).
+  HCS_NODISCARD Status UnregisterNsm(const std::string& ns_name, const QueryClass& query_class,
+                                     std::string* nsm_name_out = nullptr);
 
   // Preloads the cache with the whole meta zone via a BIND zone transfer.
   // Returns the number of bytes transferred.
@@ -155,6 +165,10 @@ class MetaStore {
   // misses wait for the leader's result instead of stampeding BIND.
   struct InFlight {
     bool done = false;
+    // write_generation_ when the flight was claimed. A commit since then
+    // may have changed the record after the upstream read it, so
+    // FinishFlight hands the result to the waiters but does not cache it.
+    uint64_t generation = 0;
     Result<WireValue> result = Result<WireValue>(UnavailableError("fetch pending"));
     SimTime expires = 0;
     // The leader's absolute deadline (0 = none): followers bound their wait
@@ -183,9 +197,9 @@ class MetaStore {
   // The decode tail of a BIND query reply (rcode mapping, chunk
   // reassembly, demarshal charge).
   HCS_NODISCARD Result<WireValue> DecodeMetaReply(const std::string& record_name, const Bytes& reply);
-  // Publishes a leader's fetch result: fills the cache, completes the
-  // flight (result and absolute expiry, 0 when nothing was cached), wakes
-  // the followers.
+  // Publishes a leader's fetch result: fills the cache (unless a commit
+  // came after the claim), completes the flight (result and absolute
+  // expiry, 0 for a failed fetch), wakes the followers.
   void FinishFlight(const std::string& record_name, const std::shared_ptr<InFlight>& flight,
                     const Result<WireValue>& fetched);
 
@@ -197,9 +211,17 @@ class MetaStore {
     size_t bytes = 0;  // rdata bytes of every transferred record
   };
   HCS_NODISCARD Result<ZoneChunks> TransferMetaZone();
-  // Writes a structured record (delete-then-add) via dynamic update.
-  HCS_NODISCARD Status WriteRecord(const std::string& record_name, const WireValue& value);
-  HCS_NODISCARD Status DeleteRecord(const std::string& record_name);
+  // A new flight for `record_name`, registered as its leader's and stamped
+  // with the current write generation.
+  std::shared_ptr<InFlight> ClaimFlight(const std::string& record_name,
+                                        const RequestContext& rctx)
+      HCS_REQUIRES(flight_mu_);
+  // Sends `ops` to the authority as one dynamic update. Whatever the
+  // outcome (a lost reply can hide a commit), it then bumps the write
+  // generation and drops every name the list touched from the record
+  // cache, in that order: a read in flight across the commit finds the
+  // generation moved and does not refill the cache with what it read.
+  HCS_NODISCARD Status Commit(const std::vector<UpdateOperation>& ops);
 
   HrpcBinding MetaServerBinding(bool authority) const;
 
@@ -213,6 +235,8 @@ class MetaStore {
   Mutex flight_mu_{"meta-singleflight"};
   CondVar flight_cv_;
   std::map<std::string, std::shared_ptr<InFlight>> in_flight_ HCS_GUARDED_BY(flight_mu_);
+  // Commits made through this store (Commit).
+  uint64_t write_generation_ HCS_GUARDED_BY(flight_mu_) = 0;
 };
 
 }  // namespace hcs

@@ -172,6 +172,63 @@ TEST(ZoneTest, SerialBumpsOnChange) {
   EXPECT_GT(zone.serial(), s1);
 }
 
+UpdateOperation AddOp(ResourceRecord rr) { return UpdateOperation{UpdateOp::kAdd, std::move(rr)}; }
+
+UpdateOperation DeleteOp(const std::string& name, RrType type) {
+  UpdateOperation op;
+  op.op = UpdateOp::kDelete;
+  op.record.name = name;
+  op.record.type = type;
+  return op;
+}
+
+TEST(ZoneTest, ApplyCommitsAListUnderOneSerial) {
+  Zone zone("z");
+  ASSERT_TRUE(zone.Add(ResourceRecord::MakeA("a.z", 1)).ok());
+  uint32_t serial = zone.serial();
+  ASSERT_TRUE(zone.Apply({DeleteOp("a.z", RrType::kA), AddOp(ResourceRecord::MakeA("a.z", 2)),
+                          AddOp(ResourceRecord::MakeA("a.z", 3)),
+                          AddOp(ResourceRecord::MakeTxt("b.z", "t"))})
+                  .ok());
+  EXPECT_EQ(zone.serial(), serial + 1) << "one serial per committed list";
+  Result<std::vector<ResourceRecord>> a = zone.Lookup("a.z", RrType::kA);
+  ASSERT_TRUE(a.ok());
+  ASSERT_EQ(a->size(), 2u);
+  EXPECT_EQ((*a)[0].AddressRdata().value(), 2u);
+  EXPECT_EQ(zone.size(), 3u);
+
+  // Replaying the same delete-then-add list leaves the same records.
+  ASSERT_TRUE(zone.Apply({DeleteOp("a.z", RrType::kA), AddOp(ResourceRecord::MakeA("a.z", 2)),
+                          AddOp(ResourceRecord::MakeA("a.z", 3))})
+                  .ok());
+  EXPECT_EQ(zone.serial(), serial + 2);
+  EXPECT_EQ(zone.size(), 3u);
+
+  // A list that changes nothing leaves the serial alone, as Remove does.
+  ASSERT_TRUE(zone.Apply({DeleteOp("absent.z", RrType::kA)}).ok());
+  EXPECT_EQ(zone.serial(), serial + 2);
+}
+
+TEST(ZoneTest, ApplyRefusesTheWholeListForOneBadOperation) {
+  Zone zone("z");
+  ASSERT_TRUE(zone.Add(ResourceRecord::MakeA("a.z", 1)).ok());
+  uint32_t serial = zone.serial();
+  ResourceRecord oversized = ResourceRecord::MakeA("b.z", 2);
+  oversized.rdata = Bytes(kMaxRdataBytes + 1, 0);
+  const std::vector<std::vector<UpdateOperation>> bad_lists = {
+      {DeleteOp("a.z", RrType::kA), AddOp(ResourceRecord::MakeA("c.z", 3)), AddOp(oversized)},
+      {DeleteOp("a.z", RrType::kA), AddOp(ResourceRecord::MakeA("a.elsewhere", 3))},
+      {AddOp(ResourceRecord::MakeA("c.z", 3)), DeleteOp("a.elsewhere", RrType::kAny)},
+  };
+  for (const std::vector<UpdateOperation>& ops : bad_lists) {
+    EXPECT_EQ(zone.Apply(ops).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(zone.serial(), serial);
+    EXPECT_EQ(zone.size(), 1u);
+    EXPECT_EQ(zone.Lookup("a.z", RrType::kA).value().size(), 1u);
+    EXPECT_EQ(zone.Lookup("c.z", RrType::kA).status().code(), StatusCode::kNotFound);
+  }
+}
+
 // --- Master files ------------------------------------------------------------------
 
 TEST(MasterFileTest, ParsesTheSupportedDialect) {
@@ -376,6 +433,74 @@ TEST_F(BindServerTest, ForwarderCachesAndInvalidates) {
       to_primary.Update(UpdateOp::kAdd, ResourceRecord::MakeA("fiji.cs.washington.edu", 0x33))
           .ok());
   EXPECT_EQ(via_secondary.LookupAddress("fiji.cs.washington.edu").value(), 0x33u);
+}
+
+// One kBindProcUpdate carrying a list: committed whole under one serial
+// bump with one invalidation per distinct name, or refused whole.
+TEST_F(BindServerTest, UpdateListIsOneAtomicCommit) {
+  BindServerOptions secondary_options;
+  secondary_options.forwarder_host = "ns1";
+  BindServer* secondary = BindServer::InstallOn(&world_, "ns2", secondary_options).value();
+  primary_->AddNotifyTarget("ns2");
+  BindResolver via_secondary = MakeResolver("ns2", /*cache=*/false);
+  ASSERT_EQ(via_secondary.LookupAddress("fiji.cs.washington.edu").value(), 0x11u);
+  ASSERT_EQ(secondary->forward_cache_misses(), 1u);
+
+  Zone* zone = primary_->FindZone("cs.washington.edu");
+  const uint32_t serial = zone->serial();
+  HrpcBinding primary;
+  primary.service_name = "bind";
+  primary.host = "ns1";
+  primary.port = kBindPort;
+  primary.program = kBindProgram;
+  primary.control = ControlKind::kRaw;
+  auto send = [&](const BindUpdateRequest& request) -> Result<BindUpdateResponse> {
+    HCS_ASSIGN_OR_RETURN(Bytes reply, client_->Call(primary, kBindProcUpdate, request.Encode()));
+    return BindUpdateResponse::Decode(reply);
+  };
+
+  BindUpdateRequest update;
+  update.ops = {DeleteOp("fiji.cs.washington.edu", RrType::kA),
+                AddOp(ResourceRecord::MakeA("fiji.cs.washington.edu", 0x33)),
+                AddOp(ResourceRecord::MakeA("new.cs.washington.edu", 0x44)),
+                AddOp(ResourceRecord::MakeTxt("new.cs.washington.edu", "two names"))};
+  uint64_t messages = world_.stats().total_messages;
+  Result<BindUpdateResponse> committed = send(update);
+  ASSERT_TRUE(committed.ok()) << committed.status();
+  EXPECT_EQ(committed->rcode, Rcode::kNoError);
+  EXPECT_EQ(zone->serial(), serial + 1);
+  EXPECT_EQ(world_.stats().total_messages - messages, 3u)
+      << "one update exchange and one invalidation per distinct name";
+  EXPECT_EQ(via_secondary.LookupAddress("fiji.cs.washington.edu").value(), 0x33u)
+      << "the secondary's cached answer was invalidated";
+  EXPECT_EQ(via_secondary.LookupAddress("new.cs.washington.edu").value(), 0x44u);
+
+  // One operation outside every zone of the server refuses the list.
+  BindUpdateRequest stray;
+  stray.ops = {DeleteOp("fiji.cs.washington.edu", RrType::kA),
+               AddOp(ResourceRecord::MakeA("late.cs.washington.edu", 0x55)),
+               AddOp(ResourceRecord::MakeA("x.ee.washington.edu", 0x66))};
+  Result<BindUpdateResponse> refused = send(stray);
+  ASSERT_TRUE(refused.ok()) << refused.status();
+  EXPECT_EQ(refused->rcode, Rcode::kRefused);
+
+  // Oversized rdata: the wire decoder rejects it before the zone sees it,
+  // and the local interface refuses it the same way.
+  BindUpdateRequest oversized;
+  oversized.ops = {DeleteOp("fiji.cs.washington.edu", RrType::kA),
+                   AddOp(ResourceRecord::MakeA("late.cs.washington.edu", 0x55)),
+                   AddOp(ResourceRecord::MakeA("big.cs.washington.edu", 0x77))};
+  oversized.ops.back().record.rdata = Bytes(kMaxRdataBytes + 1, 0);
+  EXPECT_FALSE(send(oversized).ok());
+  Result<BindUpdateResponse> local = primary_->UpdateLocal(oversized);
+  ASSERT_TRUE(local.ok()) << local.status();
+  EXPECT_EQ(local->rcode, Rcode::kRefused);
+
+  EXPECT_EQ(zone->serial(), serial + 1) << "a refused list bumps nothing";
+  BindResolver direct = MakeResolver("ns1", /*cache=*/false);
+  EXPECT_EQ(direct.LookupAddress("fiji.cs.washington.edu").value(), 0x33u);
+  EXPECT_EQ(direct.LookupAddress("late.cs.washington.edu").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(BindServerTest, SecondaryZoneRefreshesOnSerialChange) {

@@ -30,9 +30,11 @@
 #include <vector>
 
 #include "src/bindns/protocol.h"
+#include "src/bindns/server.h"
 #include "src/common/strings.h"
 #include "src/bindns/record.h"
 #include "src/hns/cache.h"
+#include "src/hns/hns.h"
 #include "src/hns/meta_store.h"
 #include "src/hns/name.h"
 #include "src/rpc/async_client.h"
@@ -1179,6 +1181,94 @@ TEST(ChaosTest, MetaServerCrashMidSingleflightRecoversAfterRestart) {
   }
   upstream.Stop();
   Status invariants = cache.CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants;
+}
+
+// A linked HostAddress NSM answering one fixed address: bounds FindNSM's
+// recursion without a remote exchange.
+class FixedAddressNsm : public Nsm {
+ public:
+  FixedAddressNsm(NsmInfo info, uint32_t address)
+      : info_(std::move(info)), address_(address) {}
+  const NsmInfo& info() const override { return info_; }
+  Result<WireValue> Query(const HnsName&, const WireValue&) override {
+    return RecordBuilder().U32("address", address_).Build();
+  }
+
+ private:
+  NsmInfo info_;
+  uint32_t address_;
+};
+
+// Every datagram to the meta authority is delivered twice, updates
+// included: the server applies each registration list twice. A record is
+// written delete-then-add inside its list, so the second copy rewrites the
+// same chunks, and a cold FindNSM after RegisterNsm reads the new binding
+// whole (per-operation adds stored each chunk twice, and every later read
+// failed with "unspecified-type chunk gap").
+TEST(ChaosTest, DuplicatedRegistrationIsIdempotent) {
+  uint64_t seed = AnnounceSeed("DuplicatedRegistrationIsIdempotent");
+  World world;
+  ASSERT_TRUE(world.network().AddHost("metahost", MachineType::kMicroVax, OsType::kUnix).ok());
+  BindServerOptions meta_options;
+  meta_options.allow_dynamic_update = true;
+  meta_options.allow_unspecified_type = true;
+  BindServer* meta_bind = BindServer::InstallOn(&world, "metahost", meta_options).value();
+  ASSERT_TRUE(meta_bind->AddZone(MetaStore::kMetaZoneOrigin).ok());
+  UdpServerHost server_host;
+  Result<uint16_t> port = server_host.Serve(meta_bind->rpc(), 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  FaultSpec twice;
+  twice.duplicate = 1.0;
+  FaultInjector injector(FaultConfig{seed, {OnePhasePlan("metahost", twice)}});
+  UdpTransport udp;
+  FaultInjectingTransport faulty(&udp, &injector);
+  HnsOptions options;
+  options.meta_server_host = "metahost";
+  Hns hns(/*world=*/nullptr, "client", &faulty, options);
+  hns.meta().set_meta_port(*port);
+
+  NsmInfo addr_info;
+  addr_info.nsm_name = "AddrNSM";
+  addr_info.query_class = kQueryClassHostAddress;
+  addr_info.ns_name = "UW-BIND";
+  addr_info.host = "metahost";
+  addr_info.host_context = "hostctx";
+  ASSERT_TRUE(hns.LinkNsm(std::make_shared<FixedAddressNsm>(addr_info, 0x7f000001)).ok());
+  ASSERT_TRUE(hns.RegisterContext("dupctx", "UW-BIND").ok());
+  ASSERT_TRUE(hns.RegisterContext("hostctx", "UW-BIND").ok());
+  ASSERT_TRUE(hns.RegisterNsm(addr_info).ok());
+
+  // The location record is over one chunk: its adds are what duplicated.
+  NsmInfo info;
+  info.nsm_name = "DupNSM";
+  info.query_class = kQueryClassHrpcBinding;
+  info.ns_name = "UW-BIND";
+  info.host = "nsmhost-with-a-long-name-" + std::string(200, 'x');
+  info.host_context = "hostctx";
+  info.program = 4242;
+  info.port = 1001;
+  ASSERT_GT(UnspecRecordsFromValue("loc.dupnsm.hns", info.ToWire()).size(), 1u);
+  for (uint16_t port_number : {1001, 1002}) {
+    info.port = port_number;
+    ASSERT_TRUE(hns.RegisterNsm(info).ok());
+    hns.cache().Clear();  // cold: the read goes to the authority
+    Result<NsmHandle> handle =
+        hns.FindNsm(HnsName::Parse("dupctx!anything").value(), kQueryClassHrpcBinding);
+    ASSERT_TRUE(handle.ok()) << handle.status();
+    EXPECT_EQ(handle->nsm_name, "DupNSM");
+    EXPECT_EQ(handle->binding.host, info.host);
+    EXPECT_EQ(handle->binding.port, port_number);
+    EXPECT_EQ(handle->binding.address, 0x7f000001u);
+  }
+  server_host.StopAll();
+
+  FaultStats stats = injector.stats();
+  ReportStats("DuplicatedRegistrationIsIdempotent", stats);
+  EXPECT_EQ(stats.duplicates, stats.decisions) << "every datagram went twice";
+  EXPECT_GT(stats.duplicates, 0u);
+  Status invariants = hns.cache().CheckInvariants();
   EXPECT_TRUE(invariants.ok()) << invariants;
 }
 

@@ -210,9 +210,25 @@ TEST(DecodeSweepTest, BindQueryResponse) {
 
 TEST(DecodeSweepTest, BindUpdateRequest) {
   BindUpdateRequest request;
-  request.op = UpdateOp::kAdd;
-  request.record = RepresentativeRecord();
+  request.ops.push_back(UpdateOperation{UpdateOp::kAdd, RepresentativeRecord()});
   Sweep("BindUpdateRequest", request.Encode(), ByteCodec<BindUpdateRequest>());
+}
+
+// The counted-list form: a meta-store registration's shape, delete-then-add
+// of an unspecified-type record, with a second name deleted.
+TEST(DecodeSweepTest, BindUpdateRequestList) {
+  BindUpdateRequest request;
+  UpdateOperation del;
+  del.op = UpdateOp::kDelete;
+  del.record.name = "map.hrpcbinding.uw-bind.hns";
+  del.record.type = RrType::kUnspec;
+  request.ops.push_back(del);
+  for (ResourceRecord& rr : UnspecRecordsFromValue(del.record.name, RepresentativeValue())) {
+    request.ops.push_back(UpdateOperation{UpdateOp::kAdd, std::move(rr)});
+  }
+  del.record.name = "loc.bindingnsm-bind.hns";
+  request.ops.push_back(del);
+  Sweep("BindUpdateRequestList", request.Encode(), ByteCodec<BindUpdateRequest>());
 }
 
 TEST(DecodeSweepTest, BindUpdateResponse) {

@@ -155,6 +155,45 @@ TEST_P(FuzzTest, MutatedMetaRecordsFailCleanly) {
   }
 }
 
+// Dynamic-update lists: a mutated list, or junk behind the list code,
+// decodes to a clean error or to operations that re-encode and decode to
+// the same list.
+TEST_P(FuzzTest, MutatedUpdateListsFailCleanlyOrRoundTrip) {
+  Rng rng(GetParam() * 211);
+  BindUpdateRequest request;
+  UpdateOperation del;
+  del.op = UpdateOp::kDelete;
+  del.record.name = "loc.bindingnsm-bind.hns";
+  del.record.type = RrType::kUnspec;
+  request.ops.push_back(del);
+  WireValue value = RecordBuilder().Str("host", std::string(300, 'h')).U32("port", 711).Build();
+  for (ResourceRecord& rr : UnspecRecordsFromValue(del.record.name, value)) {
+    request.ops.push_back(UpdateOperation{UpdateOp::kAdd, std::move(rr)});
+  }
+  const Bytes valid = request.Encode();
+
+  for (int i = 0; i < 300; ++i) {
+    Bytes input;
+    if (i % 2 == 0) {
+      input = Mutate(&rng, valid);
+    } else {
+      XdrEncoder enc;
+      enc.PutUint32(kUpdateListCode);
+      enc.PutUint32(static_cast<uint32_t>(rng.Uniform(4)));
+      input = enc.Take();
+      Bytes junk = RandomBytes(&rng, 200);
+      input.insert(input.end(), junk.begin(), junk.end());
+    }
+    Result<BindUpdateRequest> decoded = BindUpdateRequest::Decode(input);
+    if (!decoded.ok()) {
+      continue;
+    }
+    Result<BindUpdateRequest> again = BindUpdateRequest::Decode(decoded->Encode());
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(again->Encode(), decoded->Encode());
+  }
+}
+
 TEST_P(FuzzTest, LiveServersSurviveGarbageTraffic) {
   Testbed bed;
   Rng rng(GetParam() * 131);

@@ -233,7 +233,7 @@ TEST_F(HnsCacheTest, CompositeEntriesExpire) {
   entry.nsm_name = "SomeNSM";
   entry.ns_name = "SomeNS";
   entry.expires = CacheNow(&world_) + MsToSim(10'000.0);
-  cache.Put(entry);
+  cache.Put(entry, cache.generation());
 
   EXPECT_TRUE(cache.Get("ctx", "qc").has_value()) << "keys are case-insensitive";
   world_.clock().AdvanceMs(10'000.0 + 1.0);
@@ -628,7 +628,7 @@ TEST(CacheSkewTest, HitRateRisesMonotonicallyWithZipfSkew) {
 }
 
 // A cached NotFound must never outlive a Register of the same name: the
-// meta store's WriteRecord purges the record's cache entry (negative
+// meta store's Commit purges the record's cache entry (negative
 // entries included), so a registration becomes visible immediately instead
 // of after the negative TTL.
 TEST(CacheSkewTest, NegativeCacheEntryNeverOutlivesARegister) {
