@@ -80,7 +80,6 @@ void Run() {
         // Miss: one remote read through the same stub-marshalled interface.
         BindResolverOptions options;
         options.server_host = kMetaSecondaryHost;
-        options.enable_cache = false;
         options.engine = MarshalEngine::kStubGenerated;
         BindResolver resolver(&hns->rpc_client(), options);
         Result<std::vector<ResourceRecord>> records =

@@ -28,7 +28,6 @@ void Run() {
   {
     BindResolverOptions options;
     options.server_host = kPublicBindHost;
-    options.enable_cache = false;
     BindResolver resolver(&client, options);
     double ms = MeasureMs(&bed.world(), [&] {
       Result<uint32_t> address = resolver.LookupAddress(kSunServerHost);

@@ -2,25 +2,15 @@
 // of the resolution cache the paper's prototype did not have —
 //   A. warm-path probe counts, composite binding cache off vs on,
 //   B. the sharded LRU's byte budget and eviction behaviour,
-//   C. negative caching of NotFound meta records,
-//   D. miss coalescing under a real multi-threaded stampede (UDP sockets,
-//      one slow upstream fetch shared by every concurrent caller).
-// Exits non-zero if any invariant fails.
+//   C. negative caching of NotFound meta records.
+// Miss coalescing under a real multi-threaded stampede is checked by
+// UdpTransportTest.MetaStoreCoalescesConcurrentMisses. Exits non-zero if
+// any invariant fails.
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <thread>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/strings.h"
-#include "src/bindns/protocol.h"
-#include "src/bindns/record.h"
-#include "src/hns/meta_store.h"
-#include "src/rpc/ports.h"
-#include "src/rpc/server.h"
-#include "src/rpc/udp_transport.h"
 #include "src/testbed/testbed.h"
 
 namespace hcs {
@@ -162,91 +152,10 @@ void RunNegativeCaching() {
   }
 }
 
-// --- D: miss coalescing under a real stampede -------------------------------
-
-void RunStampede() {
-  PrintHeader("D: miss coalescing — 8 threads stampede one cold record (real UDP)");
-
-  // A fake modified-BIND whose every answer takes ~50 ms: long enough that
-  // all the followers arrive while the leader's fetch is still in flight.
-  std::atomic<int> server_hits{0};
-  RpcServer server(ControlKind::kRaw, "slow-meta-bind");
-  server.RegisterProcedure(kBindProgram, kBindProcQuery,
-                           [&server_hits](const Bytes& args) -> Result<Bytes> {
-                             ++server_hits;
-                             HCS_ASSIGN_OR_RETURN(BindQueryRequest request,
-                                                  BindQueryRequest::Decode(args));
-                             std::this_thread::sleep_for(std::chrono::milliseconds(50));
-                             BindQueryResponse response;
-                             response.rcode = Rcode::kNoError;
-                             response.answers = UnspecRecordsFromValue(
-                                 request.name, RecordBuilder().Str("ns", "UW-BIND").Build(),
-                                 300);
-                             return response.Encode();
-                           });
-  UdpServerHost host;
-  Result<uint16_t> port = host.Serve(&server, 0);
-  if (!port.ok()) {
-    std::printf("  (skipped: cannot bind a local UDP socket: %s)\n",
-                port.status().ToString().c_str());
-    return;
-  }
-
-  UdpTransport transport;
-  RpcClient rpc(/*world=*/nullptr, "bench-client", &transport);
-  HnsCache cache(/*world=*/nullptr, CacheMode::kDemarshalled);
-  MetaStore meta(&rpc, "localhost", "", &cache);
-  meta.set_meta_port(*port);
-
-  constexpr int kThreads = 8;
-  std::atomic<int> failures{0};
-  auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      Result<std::string> ns = meta.ContextToNameService("StampedeContext");
-      if (!ns.ok() || *ns != "UW-BIND") {
-        ++failures;
-      }
-    });
-    // Stagger slightly so the first thread reliably becomes the leader.
-    if (t == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  double wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  host.StopAll();
-
-  CacheStats stats = cache.stats();
-  std::printf("  %d threads, wall %.0f ms: upstream fetches=%d coalesced=%llu\n", kThreads,
-              wall_ms, server_hits.load(),
-              static_cast<unsigned long long>(stats.coalesced_misses));
-  if (failures.load() != 0 || server_hits.load() != 1 ||
-      stats.coalesced_misses != kThreads - 1) {
-    std::printf("FATAL: stampede should collapse to one upstream fetch "
-                "(failures=%d fetches=%d coalesced=%llu)\n",
-                failures.load(), server_hits.load(),
-                static_cast<unsigned long long>(stats.coalesced_misses));
-    std::abort();
-  }
-  if (Status invariants = cache.CheckInvariants(); !invariants.ok()) {
-    std::printf("FATAL: cache invariants violated after the stampede: %s\n",
-                invariants.ToString().c_str());
-    std::abort();
-  }
-}
-
 void Run() {
   RunWarmPath();
   RunByteBudget();
   RunNegativeCaching();
-  RunStampede();
   std::printf("\nall cache invariants held\n");
 }
 

@@ -48,7 +48,6 @@ struct CachedStubResolver {
                  [] {
                    BindResolverOptions options;
                    options.server_host = kPublicBindHost;
-                   options.enable_cache = false;
                    options.engine = MarshalEngine::kStubGenerated;
                    return options;
                  }()),

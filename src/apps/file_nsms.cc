@@ -29,7 +29,6 @@ BindFileServiceNsm::BindFileServiceNsm(World* world, const std::string& locus_ho
                 [&bind_server_host] {
                   BindResolverOptions options;
                   options.server_host = bind_server_host;
-                  options.enable_cache = false;
                   options.engine = MarshalEngine::kHandCoded;
                   return options;
                 }()) {}

@@ -44,8 +44,8 @@ constexpr size_t kMaxRdataBytes = 256;
 struct ResourceRecord {
   std::string name;
   RrType type = RrType::kTxt;
-  // Time to live, seconds. Drives both resolver caches and the HNS cache
-  // (the paper inherits BIND's TTL invalidation).
+  // Time to live, seconds. Drives the forwarder's cache, the NSMs' result
+  // caches and the HNS cache (the paper inherits BIND's TTL invalidation).
   uint32_t ttl_seconds = 3600;
   Bytes rdata;
 

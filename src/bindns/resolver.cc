@@ -8,15 +8,6 @@ namespace hcs {
 BindResolver::BindResolver(RpcClient* client, BindResolverOptions options)
     : client_(client), options_(std::move(options)) {}
 
-SimTime BindResolver::Now() const {
-  World* world = client_->world();
-  return world != nullptr ? world->clock().Now() : 0;
-}
-
-std::string BindResolver::Key(const std::string& name, RrType type) {
-  return AsciiToLower(name) + "|" + std::to_string(static_cast<uint32_t>(type));
-}
-
 HrpcBinding BindResolver::ServerBinding() const {
   HrpcBinding b;
   b.service_name = "bind";
@@ -30,22 +21,7 @@ HrpcBinding BindResolver::ServerBinding() const {
 
 Result<std::vector<ResourceRecord>> BindResolver::Query(const std::string& name,
                                                         RrType type) {
-  ++stats_.queries;
-  std::string key = Key(name, type);
   World* world = client_->world();
-
-  if (options_.enable_cache) {
-    if (world != nullptr) {
-      world->ChargeMs(world->costs().cache_probe_ms);
-    }
-    auto it = cache_.find(key);
-    if (it != cache_.end() && (it->second.expires > Now() || world == nullptr)) {
-      ++stats_.cache_hits;
-      return it->second.answers;
-    }
-    ++stats_.cache_misses;
-  }
-
   BindQueryRequest request;
   request.name = name;
   request.type = type;
@@ -74,20 +50,6 @@ Result<std::vector<ResourceRecord>> BindResolver::Query(const std::string& name,
   if (response.answers.empty()) {
     return NotFoundError(
         StrFormat("%s has no %s records", name.c_str(), RrTypeName(type).c_str()));
-  }
-
-  if (options_.enable_cache) {
-    uint32_t min_ttl = response.answers.front().ttl_seconds;
-    for (const ResourceRecord& rr : response.answers) {
-      min_ttl = rr.ttl_seconds < min_ttl ? rr.ttl_seconds : min_ttl;
-    }
-    CacheEntry entry;
-    entry.answers = response.answers;
-    entry.expires = Now() + MsToSim(min_ttl * 1000.0);
-    if (world != nullptr) {
-      world->ChargeMs(world->costs().cache_insert_ms);
-    }
-    cache_[key] = std::move(entry);
   }
   return response.answers;
 }
@@ -119,11 +81,6 @@ Status BindResolver::Update(UpdateOp op, const ResourceRecord& record) {
   if (response.rcode != Rcode::kNoError) {
     return InvalidArgumentError(StrFormat("dynamic update refused (rcode %u)",
                                           static_cast<unsigned>(response.rcode)));
-  }
-  // Invalidate any cached view of the updated name.
-  if (options_.enable_cache) {
-    cache_.erase(Key(record.name, record.type));
-    cache_.erase(Key(record.name, RrType::kAny));
   }
   return Status::Ok();
 }

@@ -1,6 +1,5 @@
 // BindResolver: the client-side BIND library. Issues queries, updates, and
-// zone transfers against a BIND server, with an optional TTL cache in the
-// tradition of the standard resolver.
+// zone transfers against a BIND server.
 //
 // The marshalling engine is selectable: the standard BIND library uses
 // hand-coded routines; the HNS's HRPC interface to BIND uses stub-generated
@@ -9,7 +8,6 @@
 #ifndef HCS_SRC_BINDNS_RESOLVER_H_
 #define HCS_SRC_BINDNS_RESOLVER_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -23,16 +21,8 @@ struct BindResolverOptions {
   // The BIND server this resolver is configured against.
   std::string server_host;
   uint16_t server_port = 53;
-  // Cache query results until their TTL expires.
-  bool enable_cache = true;
   // Which marshalling routines this client uses.
   MarshalEngine engine = MarshalEngine::kHandCoded;
-};
-
-struct ResolverStats {
-  uint64_t queries = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
 };
 
 class BindResolver {
@@ -40,8 +30,8 @@ class BindResolver {
   // `client` supplies the transport/identity; not owned.
   BindResolver(RpcClient* client, BindResolverOptions options);
 
-  // Resolves (name, type). Cache-aware. kNotFound on NXDOMAIN or an empty
-  // answer set.
+  // Resolves (name, type) with one query to the server. kNotFound on
+  // NXDOMAIN or an empty answer set.
   HCS_NODISCARD Result<std::vector<ResourceRecord>> Query(const std::string& name, RrType type);
 
   // Convenience: the internet address of `host_name` (first A record).
@@ -53,26 +43,13 @@ class BindResolver {
   // Full zone transfer, e.g. for preloading caches.
   HCS_NODISCARD Result<BindAxfrResponse> ZoneTransfer(const std::string& origin);
 
-  void FlushCache() { cache_.clear(); }
-  const ResolverStats& stats() const { return stats_; }
   const BindResolverOptions& options() const { return options_; }
 
  private:
-  struct CacheEntry {
-    std::vector<ResourceRecord> answers;
-    SimTime expires = 0;
-  };
-
-  // Simulated now; real transports see an always-cold clock (time 0), which
-  // still honours "cache forever within a run" semantics for TTL > 0.
-  SimTime Now() const;
-  static std::string Key(const std::string& name, RrType type);
   HrpcBinding ServerBinding() const;
 
   RpcClient* client_;
   BindResolverOptions options_;
-  std::map<std::string, CacheEntry> cache_;
-  ResolverStats stats_;
 };
 
 }  // namespace hcs

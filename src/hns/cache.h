@@ -115,7 +115,6 @@ class HnsCache {
   HnsCache(World* world, CacheMode mode, HnsCacheOptions options = {});
 
   CacheMode mode() const { return mode_; }
-  void set_mode(CacheMode mode) { mode_ = mode; }
   const HnsCacheOptions& options() const { return options_; }
 
   // Probes `key`. Charges the probe and, on a positive hit, the mode's
@@ -205,7 +204,7 @@ class HnsCache {
       HCS_REQUIRES(shard->mu);
 
   World* world_;
-  CacheMode mode_;
+  const CacheMode mode_;
   HnsCacheOptions options_;
   size_t shard_mask_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -233,21 +233,17 @@ Status Hns::RegisterNameService(const NameServiceInfo& info) {
 
 Status Hns::RegisterContext(const std::string& context, const std::string& ns_name) {
   Status status = meta_.RegisterContext(context, ns_name);
-  if (status.ok()) {
-    // The context may now map to a different name service; every composite
-    // entry composed for it is stale.
-    composite_.InvalidateContext(context);
-  }
+  // The context may now map to a different name service; every composite
+  // entry composed for it is stale.
+  composite_.InvalidateContext(context);
   return status;
 }
 
 Status Hns::RegisterNsm(const NsmInfo& info) {
   Status status = meta_.RegisterNsm(info);
-  if (status.ok()) {
-    // Entries composed from this (service, query class) mapping — or that
-    // designate this NSM under any mapping — carry stale bindings.
-    composite_.InvalidateNsm(info.ns_name, info.query_class, info.nsm_name);
-  }
+  // Entries composed from this (service, query class) mapping — or that
+  // designate this NSM under any mapping — carry stale bindings.
+  composite_.InvalidateNsm(info.ns_name, info.query_class, info.nsm_name);
   return status;
 }
 
@@ -256,9 +252,7 @@ Status Hns::UnregisterNsm(const std::string& ns_name, const QueryClass& query_cl
   // designating it can be evicted too.
   std::string nsm_name;
   Status status = meta_.UnregisterNsm(ns_name, query_class, &nsm_name);
-  if (status.ok()) {
-    composite_.InvalidateNsm(ns_name, query_class, nsm_name);
-  }
+  composite_.InvalidateNsm(ns_name, query_class, nsm_name);
   return status;
 }
 

@@ -104,7 +104,8 @@ class Hns {
   // --- Registration ----------------------------------------------------------
   // Forwarded to the meta store (dynamic updates to the modified BIND);
   // registering an NSM extends the functionality of all machines at once.
-  // Registrations evict the composite binding-cache entries they affect.
+  // Registrations evict the composite binding-cache entries they affect,
+  // whatever the outcome: a lost reply can hide a commit (MetaStore::Commit).
   HCS_NODISCARD Status RegisterNameService(const NameServiceInfo& info);
   HCS_NODISCARD Status RegisterContext(const std::string& context, const std::string& ns_name);
   HCS_NODISCARD Status RegisterNsm(const NsmInfo& info);

@@ -406,11 +406,10 @@ Status MetaStore::UnregisterNsm(const std::string& ns_name, const QueryClass& qu
   if (nsm_name.ok()) {
     ops.push_back(DeleteOp(NsmLocationRecordName(*nsm_name)));
   }
-  HCS_RETURN_IF_ERROR(Commit(ops));
   if (nsm_name_out != nullptr) {
     *nsm_name_out = nsm_name.ok() ? *nsm_name : std::string();
   }
-  return Status::Ok();
+  return Commit(ops);
 }
 
 Result<MetaStore::ZoneChunks> MetaStore::TransferMetaZone() {

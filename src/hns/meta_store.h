@@ -125,7 +125,7 @@ class MetaStore {
   HCS_NODISCARD Status RegisterNsm(const NsmInfo& info);
   // Deletes the map entry and, when the map names an NSM, its location
   // record, in one update. `nsm_name_out`, when given, receives the NSM the
-  // map named (empty when it named none).
+  // map named (empty when it named none), whatever the update's outcome.
   HCS_NODISCARD Status UnregisterNsm(const std::string& ns_name, const QueryClass& query_class,
                                      std::string* nsm_name_out = nullptr);
 

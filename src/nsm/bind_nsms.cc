@@ -13,9 +13,6 @@ namespace {
 BindResolverOptions UnderlyingResolverOptions(std::string server_host) {
   BindResolverOptions options;
   options.server_host = std::move(server_host);
-  // The NSM keeps its own result cache (NsmBase::cache_); the resolver's is
-  // disabled so every miss is visibly one remote lookup.
-  options.enable_cache = false;
   options.engine = MarshalEngine::kHandCoded;
   return options;
 }

@@ -32,7 +32,6 @@ BindHostNameNsm::BindHostNameNsm(World* world, const std::string& locus_host,
                 [&bind_server_host] {
                   BindResolverOptions options;
                   options.server_host = bind_server_host;
-                  options.enable_cache = false;
                   options.engine = MarshalEngine::kHandCoded;
                   return options;
                 }()) {}

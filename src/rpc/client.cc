@@ -131,7 +131,7 @@ std::optional<Result<Bytes>> RpcClient::PrepareCall(const HrpcBinding& binding,
     return ShedError(binding, spec->context);
   }
   if (spec->channel.kind == AsyncChannelKind::kNone) {
-    // No channel (sim, loopback, a fault wrapper around either): the seed's
+    // No channel (sim, or a fault wrapper around it): the seed's
     // exact semantics, wire bytes, and virtual-clock charges.
     return CallBlocking(GetControlProtocol(binding.control), binding, procedure, args,
                         spec->context, info);

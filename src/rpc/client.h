@@ -81,7 +81,7 @@ class RpcClient {
   // Where it runs depends on the transport's channel. Over UDP the call is
   // a batch of one on the calling thread's socket
   // (AsyncClientEngine::CallManyOnCaller). A channel-less transport (sim,
-  // loopback, a fault wrapper around either) runs the blocking path inline.
+  // or a fault wrapper around it) runs the blocking path inline.
   HCS_NODISCARD Result<Bytes> Call(const HrpcBinding& binding, uint32_t procedure, BytesView args,
                                    const RequestContext& context = RequestContext{},
                                    RpcCallInfo* info_out = nullptr);

@@ -35,9 +35,6 @@ struct CostModel {
   // The raw request/response datagram protocol used by the HNS's HRPC
   // interface to BIND ("Raw HRPC protocol suite").
   double raw_control_ms = 6.0;
-  // Stream (TCP / XNS SPP) connection establishment CPU, on top of the
-  // handshake round trip.
-  double tcp_connect_cpu_ms = 4.0;
 
   // --- BIND (both the public instance and the HNS meta-instance) --------
   // In-memory lookup, no authentication (paper: BIND keeps all data in

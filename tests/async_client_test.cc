@@ -221,16 +221,19 @@ TEST(AsyncClientTest, AsyncUdpCallTooLargeForADatagramNeverSends) {
 }
 
 TEST(AsyncClientTest, ChannellessTransportCompletesInline) {
-  LoopbackTransport loopback;
-  RpcServer server(ControlKind::kSunRpc, "loopback-echo");
+  World world;
+  ASSERT_TRUE(world.network().AddHost("localclient", MachineType::kMicroVax, OsType::kUnix).ok());
+  ASSERT_TRUE(world.network().AddHost("localhost", MachineType::kMicroVax, OsType::kUnix).ok());
+  SimNetTransport sim(&world);
+  RpcServer server(ControlKind::kSunRpc, "sim-echo");
   std::vector<Bytes> handled;  // the order the calls reached the server
   server.RegisterProcedure(7, 1, [&handled](const Bytes& args) -> Result<Bytes> {
     handled.push_back(args);
     return args;
   });
-  ASSERT_TRUE(loopback.Register(9000, &server).ok());
+  ASSERT_TRUE(world.RegisterService("localhost", 9000, &server).ok());
 
-  RpcClient client(nullptr, "localclient", &loopback);
+  RpcClient client(&world, "localclient", &sim);
   HrpcBinding binding = UdpBinding(9000, 7, ControlKind::kSunRpc);
   AsyncClientEngine engine;
   client.set_async_engine(&engine);

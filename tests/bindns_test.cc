@@ -329,10 +329,9 @@ class BindServerTest : public ::testing::Test {
     client_ = std::make_unique<RpcClient>(&world_, "client", transport_.get());
   }
 
-  BindResolver MakeResolver(const std::string& server, bool cache = true) {
+  BindResolver MakeResolver(const std::string& server) {
     BindResolverOptions options;
     options.server_host = server;
-    options.enable_cache = cache;
     return BindResolver(client_.get(), options);
   }
 
@@ -349,21 +348,6 @@ TEST_F(BindServerTest, QueryOverRpc) {
             StatusCode::kNotFound);
 }
 
-TEST_F(BindServerTest, ResolverCachesUntilTtlExpiry) {
-  BindResolver resolver = MakeResolver("ns1");
-  ASSERT_TRUE(resolver.LookupAddress("fiji.cs.washington.edu").ok());
-  uint64_t misses = resolver.stats().cache_misses;
-
-  ASSERT_TRUE(resolver.LookupAddress("fiji.cs.washington.edu").ok());
-  EXPECT_EQ(resolver.stats().cache_misses, misses);
-  EXPECT_EQ(resolver.stats().cache_hits, 1u);
-
-  // The record's TTL is 60 s; advance past it.
-  world_.clock().AdvanceMs(61.0 * 1000.0);
-  ASSERT_TRUE(resolver.LookupAddress("fiji.cs.washington.edu").ok());
-  EXPECT_EQ(resolver.stats().cache_misses, misses + 1);
-}
-
 TEST_F(BindServerTest, DynamicUpdateGatedByOptions) {
   // ns2: stock server, no updates.
   BindServer* stock = BindServer::InstallOn(&world_, "ns2", BindServerOptions{}).value();
@@ -375,7 +359,7 @@ TEST_F(BindServerTest, DynamicUpdateGatedByOptions) {
             StatusCode::kPermissionDenied);
 
   // The modified server accepts them and they are immediately visible.
-  BindResolver to_primary = MakeResolver("ns1", /*cache=*/false);
+  BindResolver to_primary = MakeResolver("ns1");
   ASSERT_TRUE(to_primary
                   .Update(UpdateOp::kAdd, ResourceRecord::MakeA("new.cs.washington.edu", 0x22))
                   .ok());
@@ -417,14 +401,14 @@ TEST_F(BindServerTest, ForwarderCachesAndInvalidates) {
   BindServer* secondary = BindServer::InstallOn(&world_, "ns2", secondary_options).value();
   primary_->AddNotifyTarget("ns2");
 
-  BindResolver via_secondary = MakeResolver("ns2", /*cache=*/false);
+  BindResolver via_secondary = MakeResolver("ns2");
   EXPECT_EQ(via_secondary.LookupAddress("fiji.cs.washington.edu").value(), 0x11u);
   EXPECT_EQ(secondary->forward_cache_misses(), 1u);
   EXPECT_EQ(via_secondary.LookupAddress("fiji.cs.washington.edu").value(), 0x11u);
   EXPECT_EQ(secondary->forward_cache_hits(), 1u);
 
   // A dynamic update at the primary invalidates the secondary's cache entry.
-  BindResolver to_primary = MakeResolver("ns1", /*cache=*/false);
+  BindResolver to_primary = MakeResolver("ns1");
   ResourceRecord del;
   del.name = "fiji.cs.washington.edu";
   del.type = RrType::kA;
@@ -442,7 +426,7 @@ TEST_F(BindServerTest, UpdateListIsOneAtomicCommit) {
   secondary_options.forwarder_host = "ns1";
   BindServer* secondary = BindServer::InstallOn(&world_, "ns2", secondary_options).value();
   primary_->AddNotifyTarget("ns2");
-  BindResolver via_secondary = MakeResolver("ns2", /*cache=*/false);
+  BindResolver via_secondary = MakeResolver("ns2");
   ASSERT_EQ(via_secondary.LookupAddress("fiji.cs.washington.edu").value(), 0x11u);
   ASSERT_EQ(secondary->forward_cache_misses(), 1u);
 
@@ -497,7 +481,7 @@ TEST_F(BindServerTest, UpdateListIsOneAtomicCommit) {
   EXPECT_EQ(local->rcode, Rcode::kRefused);
 
   EXPECT_EQ(zone->serial(), serial + 1) << "a refused list bumps nothing";
-  BindResolver direct = MakeResolver("ns1", /*cache=*/false);
+  BindResolver direct = MakeResolver("ns1");
   EXPECT_EQ(direct.LookupAddress("fiji.cs.washington.edu").value(), 0x33u);
   EXPECT_EQ(direct.LookupAddress("late.cs.washington.edu").status().code(),
             StatusCode::kNotFound);
@@ -509,7 +493,7 @@ TEST_F(BindServerTest, SecondaryZoneRefreshesOnSerialChange) {
 
   // Initial transfer.
   EXPECT_EQ(secondary->RefreshSecondaryZones().value(), 1u);
-  BindResolver via_secondary = MakeResolver("ns2", /*cache=*/false);
+  BindResolver via_secondary = MakeResolver("ns2");
   EXPECT_EQ(via_secondary.LookupAddress("fiji.cs.washington.edu").value(), 0x11u);
 
   // No change: refresh is a no-op (serial check only).
@@ -534,7 +518,7 @@ TEST_F(BindServerTest, PeriodicRefreshRunsOnTheEventQueue) {
 
   // Run 11 simulated minutes of timer events.
   world_.events().RunUntil(world_.clock().Now() + MsToSim(11.0 * 60.0 * 1000.0));
-  BindResolver via_secondary = MakeResolver("ns2", /*cache=*/false);
+  BindResolver via_secondary = MakeResolver("ns2");
   EXPECT_EQ(via_secondary.LookupAddress("tick.cs.washington.edu").value(), 0x55u);
   EXPECT_GT(world_.events().pending(), 0u) << "the refresh timer re-arms itself";
 }
@@ -547,7 +531,7 @@ TEST_F(BindServerTest, SecondaryRefreshSurvivesPrimaryOutage) {
   world_.UnregisterService("ns1", kBindPort);
   EXPECT_FALSE(secondary->RefreshSecondaryZones().ok());
   // The stale replica still answers (availability through replication).
-  BindResolver via_secondary = MakeResolver("ns2", /*cache=*/false);
+  BindResolver via_secondary = MakeResolver("ns2");
   EXPECT_EQ(via_secondary.LookupAddress("fiji.cs.washington.edu").value(), 0x11u);
 }
 

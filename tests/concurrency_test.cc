@@ -1,6 +1,6 @@
 // Concurrency suite for the real-transport resolution path (ctest label
-// `concurrency`; run it under -DHCS_SANITIZE=thread). Four storms and one
-// scripted race:
+// `concurrency`; run it under -DHCS_SANITIZE=thread). Four storms and two
+// scripted races:
 //
 //   1. N threads hammering FindNSM through the composite binding cache
 //      while another thread loops RegisterNsm/UnregisterNsm — the
@@ -13,6 +13,8 @@
 //   4. The sharded LRU under a mixed Put/Get/Remove load, checked against
 //      HnsCache::CheckInvariants afterwards.
 //   5. Multi-threaded logging through the hcs::Mutex sink — no torn lines.
+//   6. A registration the meta BIND commits but whose reply comes too late:
+//      FindNSM must not answer from a composite entry composed before it.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -60,19 +62,43 @@ class FixedAddressNsm : public Nsm {
   uint32_t address_;
 };
 
-// The modified-BIND meta authority on one real UDP socket, and an Hns
-// over real UDP registered with the name service, two contexts and a
-// linked HostAddress NSM. The serve loop is the only thread touching
+// The modified-BIND meta authority on `world`'s host "metahost".
+BindServer* InstallMetaBind(World* world) {
+  EXPECT_TRUE(world->network().AddHost("metahost", MachineType::kMicroVax, OsType::kUnix).ok());
+  BindServerOptions options;
+  options.allow_dynamic_update = true;
+  options.allow_unspecified_type = true;
+  BindServer* bind = BindServer::InstallOn(world, "metahost", options).value();
+  EXPECT_TRUE(bind->AddZone(MetaStore::kMetaZoneOrigin).ok());
+  return bind;
+}
+
+// Registers the name service UW-BIND, its contexts stormctx and hostctx,
+// and a linked HostAddress NSM for it that answers 127.0.0.1.
+void RegisterUwBind(Hns* hns) {
+  NsmInfo addr_info;
+  addr_info.nsm_name = "AddrNSM";
+  addr_info.query_class = kQueryClassHostAddress;
+  addr_info.ns_name = "UW-BIND";
+  addr_info.host = "metahost";
+  addr_info.host_context = "hostctx";
+  EXPECT_TRUE(hns->LinkNsm(std::make_shared<FixedAddressNsm>(addr_info, 0x7f000001)).ok());
+
+  NameServiceInfo ns_info;
+  ns_info.name = "UW-BIND";
+  ns_info.type = "BIND";
+  EXPECT_TRUE(hns->RegisterNameService(ns_info).ok());
+  EXPECT_TRUE(hns->RegisterContext("stormctx", "UW-BIND").ok());
+  EXPECT_TRUE(hns->RegisterContext("hostctx", "UW-BIND").ok());
+  EXPECT_TRUE(hns->RegisterNsm(addr_info).ok());
+}
+
+// The meta authority on one real UDP socket, and an Hns over real UDP
+// registered with UW-BIND. The serve loop is the only thread touching
 // `world` after setup. Member order is teardown order, reversed: the host
 // stops before the server it serves goes.
 struct ServedMeta {
-  explicit ServedMeta(bool composite_cache) {
-    EXPECT_TRUE(world.network().AddHost("metahost", MachineType::kMicroVax, OsType::kUnix).ok());
-    BindServerOptions meta_options;
-    meta_options.allow_dynamic_update = true;
-    meta_options.allow_unspecified_type = true;
-    bind = BindServer::InstallOn(&world, "metahost", meta_options).value();
-    EXPECT_TRUE(bind->AddZone(MetaStore::kMetaZoneOrigin).ok());
+  explicit ServedMeta(bool composite_cache) : bind(InstallMetaBind(&world)) {
     Result<uint16_t> port = server_host.Serve(bind->rpc(), 0);
     EXPECT_TRUE(port.ok()) << port.status();
 
@@ -82,22 +108,7 @@ struct ServedMeta {
     options.cache.negative_ttl_seconds = 1;
     hns = std::make_unique<Hns>(/*world=*/nullptr, "client", &transport, options);
     hns->meta().set_meta_port(port.ok() ? *port : 0);
-
-    NsmInfo addr_info;
-    addr_info.nsm_name = "AddrNSM";
-    addr_info.query_class = kQueryClassHostAddress;
-    addr_info.ns_name = "UW-BIND";
-    addr_info.host = "metahost";
-    addr_info.host_context = "hostctx";
-    EXPECT_TRUE(hns->LinkNsm(std::make_shared<FixedAddressNsm>(addr_info, 0x7f000001)).ok());
-
-    NameServiceInfo ns_info;
-    ns_info.name = "UW-BIND";
-    ns_info.type = "BIND";
-    EXPECT_TRUE(hns->RegisterNameService(ns_info).ok());
-    EXPECT_TRUE(hns->RegisterContext("stormctx", "UW-BIND").ok());
-    EXPECT_TRUE(hns->RegisterContext("hostctx", "UW-BIND").ok());
-    EXPECT_TRUE(hns->RegisterNsm(addr_info).ok());
+    RegisterUwBind(hns.get());
   }
 
   World world;
@@ -303,12 +314,7 @@ INSTANTIATE_TEST_SUITE_P(CompositeCache, ReRegistrationStormTest, ::testing::Boo
 // record cache, where it would outlive the commit for the record's TTL.
 TEST(ConcurrencyTest, ReadInFlightAcrossACommitLeavesNothingStaleCached) {
   World world;
-  ASSERT_TRUE(world.network().AddHost("metahost", MachineType::kMicroVax, OsType::kUnix).ok());
-  BindServerOptions meta_options;
-  meta_options.allow_dynamic_update = true;
-  meta_options.allow_unspecified_type = true;
-  BindServer* bind = BindServer::InstallOn(&world, "metahost", meta_options).value();
-  ASSERT_TRUE(bind->AddZone(MetaStore::kMetaZoneOrigin).ok());
+  BindServer* bind = InstallMetaBind(&world);
 
   // The two serve loops share `bind` (and its world) under bind_mu; a
   // query waits on the latch after it has read, when the latch is armed.
@@ -378,6 +384,120 @@ TEST(ConcurrencyTest, ReadInFlightAcrossACommitLeavesNothingStaleCached) {
   Result<std::string> after = meta.ContextToNameService("racectx");
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_EQ(*after, "NEW-NS") << "the pre-commit read refilled the record cache";
+  server_host.StopAll();
+}
+
+// A registration whose reply comes back after the client gave up. The
+// meta BIND applies the update, then holds its reply until the caller has
+// seen kTimeout; the commit stands, so FindNSM must answer from it, not
+// from a composite entry composed before it. One lost reply each for
+// RegisterNsm, RegisterContext and UnregisterNsm; the last also removes an
+// NSM that a second context's entry designates.
+TEST(ConcurrencyTest, LostRegistrationReplyLeavesNoStaleCompositeEntry) {
+  World world;
+  BindServer* bind = InstallMetaBind(&world);
+
+  // One serve loop, so `bind` has one thread. An update applied while
+  // `hold` is set keeps its reply until the test clears `held`; waiting on
+  // `held`, not `hold`, lets the reply go even if the next case has
+  // already set `hold` again.
+  Mutex latch_mu{"held-reply-latch"};
+  CondVar latch_cv;
+  bool hold = false;
+  bool held = false;
+  RpcServer gated(ControlKind::kRaw, "held-reply-bind");
+  gated.RegisterProcedure(kBindProgram, kBindProcQuery, [&](BytesView args) -> Result<Bytes> {
+    HCS_ASSIGN_OR_RETURN(BindQueryRequest request, BindQueryRequest::Decode(args.ToBytes()));
+    HCS_ASSIGN_OR_RETURN(BindQueryResponse response, bind->QueryLocal(request));
+    return response.Encode();
+  });
+  gated.RegisterProcedure(kBindProgram, kBindProcUpdate, [&](BytesView args) -> Result<Bytes> {
+    HCS_ASSIGN_OR_RETURN(BindUpdateRequest request, BindUpdateRequest::Decode(args.ToBytes()));
+    HCS_ASSIGN_OR_RETURN(BindUpdateResponse response, bind->UpdateLocal(request));
+    MutexLock lock(latch_mu);
+    if (hold) {
+      held = true;
+      latch_cv.NotifyAll();
+      latch_cv.Wait(latch_mu, [&] { return !held; });
+    }
+    return response.Encode();
+  });
+  UdpServerHost server_host;
+  Result<uint16_t> port = server_host.Serve(&gated, 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  UdpTransport transport(/*timeout_ms=*/250);
+  HnsOptions options;
+  options.meta_server_host = "metahost";
+  options.composite_cache = true;
+  Hns hns(/*world=*/nullptr, "client", &transport, options);
+  hns.meta().set_meta_port(*port);
+  RegisterUwBind(&hns);
+  NsmInfo storm_info = StormNsmInfo();
+  storm_info.port = 1001;
+  NsmInfo other_info = StormNsmInfo();
+  other_info.nsm_name = "OtherNSM";
+  other_info.ns_name = "OTHER-NS";
+  NsmInfo third_info = other_info;
+  third_info.ns_name = "THIRD-NS";
+  for (const char* ns_name : {"OTHER-NS", "THIRD-NS"}) {
+    NameServiceInfo ns_info;
+    ns_info.name = ns_name;
+    ns_info.type = "BIND";
+    ASSERT_TRUE(hns.RegisterNameService(ns_info).ok());
+  }
+  ASSERT_TRUE(hns.RegisterContext("thirdctx", "THIRD-NS").ok());
+  for (const NsmInfo& info : {storm_info, other_info, third_info}) {
+    ASSERT_TRUE(hns.RegisterNsm(info).ok());
+  }
+
+  // Runs `registration` with its reply held until it has returned, then
+  // lets the reply go; the client drops it as unmatched.
+  auto with_late_reply = [&](auto registration) {
+    {
+      MutexLock lock(latch_mu);
+      hold = true;
+    }
+    Status status = registration();
+    MutexLock lock(latch_mu);
+    latch_cv.Wait(latch_mu, [&] { return held; });
+    hold = false;
+    held = false;
+    latch_cv.NotifyAll();
+    return status;
+  };
+  auto find = [&](const char* context) {
+    HnsName name;
+    name.context = context;
+    name.individual = "anything";
+    return hns.FindNsm(name, kQueryClassHrpcBinding);
+  };
+  Result<NsmHandle> composed = find("stormctx");
+  ASSERT_TRUE(composed.ok()) << composed.status();
+  ASSERT_EQ(composed->binding.port, 1001);
+
+  storm_info.port = 1002;
+  EXPECT_EQ(with_late_reply([&] { return hns.RegisterNsm(storm_info); }).code(),
+            StatusCode::kTimeout);
+  Result<NsmHandle> moved = find("stormctx");
+  ASSERT_TRUE(moved.ok()) << moved.status();
+  EXPECT_EQ(moved->binding.port, 1002) << "RegisterNsm left the old port composed";
+
+  EXPECT_EQ(with_late_reply([&] { return hns.RegisterContext("stormctx", "OTHER-NS"); }).code(),
+            StatusCode::kTimeout);
+  Result<NsmHandle> remapped = find("stormctx");
+  ASSERT_TRUE(remapped.ok()) << remapped.status();
+  EXPECT_EQ(remapped->nsm_name, "OtherNSM") << "RegisterContext left the old mapping composed";
+
+  ASSERT_TRUE(find("thirdctx").ok());
+  EXPECT_EQ(
+      with_late_reply([&] { return hns.UnregisterNsm("OTHER-NS", kQueryClassHrpcBinding); })
+          .code(),
+      StatusCode::kTimeout);
+  EXPECT_EQ(find("stormctx").status().code(), StatusCode::kNotFound)
+      << "UnregisterNsm left the removed mapping composed";
+  EXPECT_EQ(find("thirdctx").status().code(), StatusCode::kNotFound)
+      << "UnregisterNsm left the removed NSM composed";
   server_host.StopAll();
 }
 

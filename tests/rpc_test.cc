@@ -247,23 +247,6 @@ TEST_F(RpcRuntimeTest, CourierCallsCostMoreThanSunRpc) {
   EXPECT_GT(courier, sun);
 }
 
-TEST_F(RpcRuntimeTest, LoopbackTransportWorksWithoutAWorld) {
-  RpcServer server(ControlKind::kRaw, "test");
-  server.RegisterProcedure(42, 1, [](const Bytes& a) -> Result<Bytes> { return a; });
-  LoopbackTransport loopback;
-  ASSERT_TRUE(loopback.Register(1000, &server).ok());
-  EXPECT_EQ(loopback.Register(1000, &server).code(), StatusCode::kAlreadyExists);
-
-  RpcClient client(/*world=*/nullptr, "anywhere", &loopback);
-  Result<Bytes> reply = client.Call(MakeBinding(ControlKind::kRaw, 1000, 42), 1, Bytes{5});
-  ASSERT_TRUE(reply.ok()) << reply.status();
-  EXPECT_EQ(*reply, Bytes{5});
-
-  loopback.Unregister(1000);
-  EXPECT_EQ(client.Call(MakeBinding(ControlKind::kRaw, 1000, 42), 1, Bytes{}).status().code(),
-            StatusCode::kUnavailable);
-}
-
 // --- Portmapper --------------------------------------------------------------------
 
 TEST_F(RpcRuntimeTest, PortmapperSetGetUnset) {

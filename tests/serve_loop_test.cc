@@ -33,7 +33,7 @@ namespace {
 
 HrpcBinding LoopbackBinding(uint16_t port, uint32_t program, ControlKind control) {
   HrpcBinding b;
-  b.service_name = "reactor-test";
+  b.service_name = "serve-loop-test";
   b.host = "localhost";
   b.port = port;
   b.program = program;
@@ -45,7 +45,7 @@ HrpcBinding LoopbackBinding(uint16_t port, uint32_t program, ControlKind control
 
 // StopAll stops and joins the UDP loops; Serve on the same host afterwards
 // must start fresh ones.
-TEST(ReactorTest, ServeAfterStopAllRestartsTheLoops) {
+TEST(ServeLoopTest, ServeAfterStopAllRestartsTheLoops) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "restart-echo");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
@@ -66,7 +66,7 @@ TEST(ReactorTest, ServeAfterStopAllRestartsTheLoops) {
   }
 }
 
-TEST(ReactorTest, EchoOverLoopsAllControlProtocols) {
+TEST(ServeLoopTest, EchoOverLoopsAllControlProtocols) {
   UdpServerHost host;
   UdpTransport udp;
   RpcClient udp_client(/*world=*/nullptr, "localclient", &udp);
@@ -74,7 +74,7 @@ TEST(ReactorTest, EchoOverLoopsAllControlProtocols) {
   std::vector<std::unique_ptr<RpcServer>> keepalive;
   for (ControlKind kind : {ControlKind::kSunRpc, ControlKind::kCourier, ControlKind::kRaw}) {
     SCOPED_TRACE(ControlKindName(kind));
-    auto server = std::make_unique<RpcServer>(kind, "reactor-echo");
+    auto server = std::make_unique<RpcServer>(kind, "serve-loop-echo");
     server->RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> {
       Bytes out = args;
       out.push_back(0x42);
@@ -95,7 +95,7 @@ TEST(ReactorTest, EchoOverLoopsAllControlProtocols) {
 
 // --- RequestContext deadline semantics --------------------------------------
 
-TEST(ReactorTest, ClientShedsSpentBudgetBeforeSending) {
+TEST(ServeLoopTest, ClientShedsSpentBudgetBeforeSending) {
   UdpServerHost host;
   std::atomic<int> invocations{0};
   RpcServer server(ControlKind::kRaw, "never-called");
@@ -121,7 +121,7 @@ TEST(ReactorTest, ClientShedsSpentBudgetBeforeSending) {
   host.StopAll();
 }
 
-TEST(ReactorTest, QueueDelayCountsAgainstTheBudget) {
+TEST(ServeLoopTest, QueueDelayCountsAgainstTheBudget) {
   // One serial endpoint whose handler holds the loop for 250 ms. A second
   // request with a 100 ms budget arrives while the first is being served
   // and waits in the socket queue; by the time it is dispatched its
@@ -161,7 +161,7 @@ TEST(ReactorTest, QueueDelayCountsAgainstTheBudget) {
   host.StopAll();
 }
 
-TEST(ReactorTest, AmbientContextPropagatesAcrossServerHop) {
+TEST(ServeLoopTest, AmbientContextPropagatesAcrossServerHop) {
   // front's handler burns the whole budget, then makes a nested call to
   // `backend` without passing a context: the ambient (decoded) context must
   // be inherited, found expired, and shed before the nested send.
@@ -197,7 +197,7 @@ TEST(ReactorTest, AmbientContextPropagatesAcrossServerHop) {
   host.StopAll();
 }
 
-TEST(ReactorTest, NsmShedsQueryWhenAmbientBudgetSpent) {
+TEST(ServeLoopTest, NsmShedsQueryWhenAmbientBudgetSpent) {
   UdpTransport transport;
   NsmInfo info;
   info.nsm_name = "HostTableNSM";
@@ -217,7 +217,7 @@ TEST(ReactorTest, NsmShedsQueryWhenAmbientBudgetSpent) {
       << "an NSM must shed a query whose budget is already spent";
 }
 
-TEST(ReactorTest, HnsFindNsmShedsOnEntryWithoutMetaTraffic) {
+TEST(ServeLoopTest, HnsFindNsmShedsOnEntryWithoutMetaTraffic) {
   UdpTransport transport;
   HnsOptions options;
   options.meta_server_host = "metahost";
@@ -252,7 +252,7 @@ class FlakyService : public SimService {
   std::atomic<int> failures_;
 };
 
-TEST(ReactorTest, BudgetedCallRetriesThroughTransientLoss) {
+TEST(ServeLoopTest, BudgetedCallRetriesThroughTransientLoss) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "flaky-echo");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
@@ -274,7 +274,7 @@ TEST(ReactorTest, BudgetedCallRetriesThroughTransientLoss) {
   host.StopAll();
 }
 
-TEST(ReactorTest, UnbudgetedCallStaysSingleAttempt) {
+TEST(ServeLoopTest, UnbudgetedCallStaysSingleAttempt) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "flaky-once");
   server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
@@ -297,7 +297,7 @@ TEST(ReactorTest, UnbudgetedCallStaysSingleAttempt) {
 
 // Singleflight followers must not outwait their own deadline when the
 // leader's upstream fetch is slow.
-TEST(ReactorTest, SingleflightFollowerHonorsItsOwnDeadline) {
+TEST(ServeLoopTest, SingleflightFollowerHonorsItsOwnDeadline) {
   UdpServerHost host;
   RpcServer slow_bind(ControlKind::kRaw, "slow-meta");
   slow_bind.RegisterProcedure(

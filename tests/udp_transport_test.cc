@@ -196,6 +196,7 @@ TEST(UdpTransportTest, MetaStoreCoalescesConcurrentMisses) {
   EXPECT_EQ(upstream.queries(), 1) << "all concurrent misses share one upstream fetch";
   EXPECT_EQ(meta.remote_lookups(), 1u);
   EXPECT_EQ(cache.stats().coalesced_misses, static_cast<uint64_t>(kFollowers));
+  EXPECT_TRUE(cache.CheckInvariants().ok());
 }
 
 TEST(UdpTransportTest, MetaStoreNegativeCachingOverRealSockets) {
