@@ -84,50 +84,6 @@ Result<NsmHandle> Hns::FindNsm(const HnsName& name, const QueryClass& query_clas
   return handle;
 }
 
-void Hns::PrefetchFindNsm(const std::vector<std::pair<std::string, QueryClass>>& pairs,
-                          const RequestContext& context) {
-  const RequestContext& effective = context.empty() ? CurrentRequestContext() : context;
-  if (effective.expired()) {
-    return;  // FindNsm sheds and reports; nothing to warm
-  }
-
-  // Wave 1: every context record, concurrently.
-  std::vector<std::string> wave;
-  wave.reserve(pairs.size());
-  for (const auto& [ctx, qc] : pairs) {
-    wave.push_back(MetaStore::ContextRecordName(ctx));
-  }
-  meta_.PrefetchRecords(wave, effective);
-
-  // Wave 2 needs each context's name service — a cache hit after wave 1
-  // (a wave-1 failure degrades that pair to FindNsm's blocking path).
-  wave.clear();
-  std::vector<std::pair<std::string, QueryClass>> mapped;  // (ns_name, qc)
-  for (const auto& [ctx, qc] : pairs) {
-    Result<std::string> ns_name = meta_.ContextToNameService(ctx, nullptr, effective);
-    if (!ns_name.ok()) {
-      continue;
-    }
-    wave.push_back(MetaStore::NsmMapRecordName(*ns_name, qc));
-    mapped.emplace_back(std::move(*ns_name), qc);
-  }
-  meta_.PrefetchRecords(wave, effective);
-
-  // Wave 3: the designated NSMs' location records.
-  wave.clear();
-  for (const auto& [ns_name, qc] : mapped) {
-    Result<std::string> nsm_name = meta_.NsmNameFor(ns_name, qc, nullptr, effective);
-    if (!nsm_name.ok()) {
-      continue;
-    }
-    wave.push_back(MetaStore::NsmLocationRecordName(*nsm_name));
-  }
-  meta_.PrefetchRecords(wave, effective);
-  // Host-address resolution inside mapping 3 is left to FindNsm: the
-  // HostAddress NSMs are normally linked (the §3 recursion bound), so it
-  // costs no remote exchange.
-}
-
 Result<NsmHandle> Hns::FindNsmUncomposed(const HnsName& name, const QueryClass& query_class,
                                          SimTime* min_expires, std::string* ns_name_out,
                                          const RequestContext& context) {

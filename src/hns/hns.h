@@ -10,8 +10,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "src/hns/cache.h"
 #include "src/hns/meta_store.h"
@@ -72,16 +70,6 @@ class Hns {
   // context); an already-expired context is shed on entry.
   HCS_NODISCARD Result<NsmHandle> FindNsm(const HnsName& name, const QueryClass& query_class,
                             const RequestContext& context = RequestContext{});
-
-  // Warms the meta cache for a batch of (context, query class) pairs in
-  // three concurrent waves mirroring the mapping sequence: all the context
-  // records, then all the (name service, query class) map records, then all
-  // the NSM location records — each wave one CallMany batch through
-  // MetaStore::PrefetchRecords. A subsequent FindNsm per pair is then all
-  // cache hits (host-address resolution aside, which the linked HostAddress
-  // NSMs short-circuit). Errors are absorbed; FindNsm reports them.
-  void PrefetchFindNsm(const std::vector<std::pair<std::string, QueryClass>>& pairs,
-                       const RequestContext& context = RequestContext{});
 
   // Resolves a host name to its internet address through the host's own
   // name service (query class HostAddress). Used by mapping 3 and exposed

@@ -162,54 +162,23 @@ void MetaStore::FinishFlight(const std::string& record_name,
   flight_cv_.NotifyAll();
 }
 
-void MetaStore::FetchClaimed(const std::vector<Claim>& claims, const RequestContext& rctx) {
-  // Every BIND query goes on the wire, in one CallMany batch, before any
-  // reply is awaited. The HRPC interface to BIND uses the stub-generated
-  // marshalling routines in both directions (the Table 3.2 lesson).
-  World* world = client_->world();
-  std::vector<RpcClient::Request> calls;
-  calls.reserve(claims.size());
-  for (const Claim& claim : claims) {
-    remote_lookups_.fetch_add(1, std::memory_order_relaxed);
-    BindQueryRequest request;
-    request.name = claim.name;
-    request.type = RrType::kUnspec;
-    if (world != nullptr) {
-      ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
-    }
-    calls.push_back(RpcClient::Request{MetaServerBinding(/*authority=*/false), kBindProcQuery,
-                                       request.Encode(), rctx});
+void MetaStore::FetchRecord(const std::string& record_name,
+                            const std::shared_ptr<InFlight>& flight,
+                            const RequestContext& rctx) {
+  // The HRPC interface to BIND uses the stub-generated marshalling routines
+  // in both directions (the Table 3.2 lesson).
+  remote_lookups_.fetch_add(1, std::memory_order_relaxed);
+  BindQueryRequest request;
+  request.name = record_name;
+  request.type = RrType::kUnspec;
+  if (World* world = client_->world(); world != nullptr) {
+    ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
   }
-  std::vector<Result<Bytes>> replies = client_->CallMany(calls);
-  for (size_t i = 0; i < claims.size(); ++i) {
-    const Claim& claim = claims[i];
-    Result<WireValue> fetched = replies[i].ok() ? DecodeMetaReply(claim.name, *replies[i])
-                                                : Result<WireValue>(replies[i].status());
-    FinishFlight(claim.name, claim.flight, fetched);
-  }
-}
-
-void MetaStore::PrefetchRecords(const std::vector<std::string>& record_names,
-                                const RequestContext& rctx) {
-  const RequestContext& effective = rctx.empty() ? CurrentRequestContext() : rctx;
-  if (effective.expired()) {
-    return;  // shed like ReadRecord would; the individual reads report it
-  }
-
-  // Claim leadership for every record that actually needs a fetch. Records
-  // already cached, negatively cached, or in flight are skipped — their
-  // readers are served without us.
-  std::vector<Claim> claims;
-  for (const std::string& record_name : record_names) {
-    if (cache_->Lookup(record_name).probe != HnsCache::Probe::kMiss) {
-      continue;
-    }
-    MutexLock lock(flight_mu_);
-    if (in_flight_.count(record_name) == 0) {
-      claims.push_back(Claim{record_name, ClaimFlight(record_name, effective)});
-    }
-  }
-  FetchClaimed(claims, effective);
+  Result<Bytes> reply =
+      client_->Call(MetaServerBinding(/*authority=*/false), kBindProcQuery, request.Encode(), rctx);
+  Result<WireValue> fetched =
+      reply.ok() ? DecodeMetaReply(record_name, *reply) : Result<WireValue>(reply.status());
+  FinishFlight(record_name, flight, fetched);
 }
 
 Result<WireValue> MetaStore::ReadRecord(const std::string& record_name,
@@ -279,9 +248,9 @@ Result<WireValue> MetaStore::ReadRecord(const std::string& record_name,
     flight = ClaimFlight(record_name, effective);
   }
 
-  // The leader's fetch is a batch of one. Once it returns the flight is
-  // done and nothing writes it again.
-  FetchClaimed({Claim{record_name, flight}}, effective);
+  // Once the leader's fetch returns the flight is done and nothing writes
+  // it again.
+  FetchRecord(record_name, flight, effective);
   if (flight->result.ok() && expires_out != nullptr) {
     *expires_out = flight->expires;
   }

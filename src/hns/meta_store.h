@@ -101,18 +101,6 @@ class MetaStore {
   // Name service descriptor (administration, diagnostics).
   HCS_NODISCARD Result<NameServiceInfo> NameService(const std::string& ns_name);
 
-  // Fetches every named record that is neither cached nor already being
-  // fetched, with all the upstream BIND queries in flight CONCURRENTLY
-  // (one CallMany batch) instead of one blocking exchange at a time. Each
-  // fetch registers as the singleflight leader for its record, so readers
-  // racing the prefetch coalesce onto it exactly as they would onto each
-  // other. Results land in the cache (negative results under the negative
-  // TTL); per-record errors are absorbed — the subsequent ReadRecord
-  // reissues and reports them. Used by batch resolution (ResolveMany) to
-  // turn N cold misses into one round trip's worth of latency.
-  void PrefetchRecords(const std::vector<std::string>& record_names,
-                       const RequestContext& rctx = RequestContext{});
-
   // --- Registration (dynamic updates to the modified BIND) ----------------
   // Each call is one dynamic update: one round trip, applied by the
   // authority all or nothing under one serial bump. A record is written
@@ -183,17 +171,11 @@ class MetaStore {
   HCS_NODISCARD Result<WireValue> ReadRecord(const std::string& record_name,
                                SimTime* expires_out = nullptr,
                                const RequestContext& rctx = RequestContext{});
-  // A record this caller leads the fetch of, and the flight its followers
-  // wait on.
-  struct Claim {
-    std::string name;
-    std::shared_ptr<InFlight> flight;
-  };
-  // The leader's step for every claimed record: one uncached remote BIND
-  // lookup each via the HRPC interface (stub-generated marshalling), all in
-  // one CallMany batch, then each reply decoded and its flight finished.
-  // A single ReadRecord is a batch of one.
-  void FetchClaimed(const std::vector<Claim>& claims, const RequestContext& rctx);
+  // The leader's step: one uncached remote BIND lookup via the HRPC
+  // interface (stub-generated marshalling), then the reply decoded and
+  // `flight` finished.
+  void FetchRecord(const std::string& record_name, const std::shared_ptr<InFlight>& flight,
+                   const RequestContext& rctx);
   // The decode tail of a BIND query reply (rcode mapping, chunk
   // reassembly, demarshal charge).
   HCS_NODISCARD Result<WireValue> DecodeMetaReply(const std::string& record_name, const Bytes& reply);

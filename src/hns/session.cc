@@ -42,68 +42,6 @@ Result<NsmHandle> HnsSession::FindNsm(const HnsName& name, const QueryClass& que
   return InternalError("bad HnsLocation");
 }
 
-std::vector<Result<NsmHandle>> HnsSession::ResolveMany(
-    const std::vector<ResolveRequest>& requests, const RequestContext& context) {
-  std::vector<Result<NsmHandle>> results;
-  results.reserve(requests.size());
-  // FindNSM depends only on (context, query class), never on the
-  // individual part — one resolution serves every duplicate in the batch.
-  std::map<std::string, Result<NsmHandle>> memo;
-  // One representative request per unique key, in first-appearance order.
-  std::vector<const ResolveRequest*> unique;
-  for (const ResolveRequest& request : requests) {
-    std::string key =
-        AsciiToLower(request.name.context) + '\x1f' + AsciiToLower(request.query_class);
-    if (memo.emplace(key, UnavailableError("resolution pending")).second) {
-      unique.push_back(&request);
-    }
-  }
-
-  if (options_.hns_location == HnsLocation::kRemote && unique.size() > 1) {
-    // Remote mode: one FindNSM exchange per unique pair, all in one
-    // CallMany batch — N distinct pairs cost one round trip's latency. A
-    // transport without a channel runs them inline, one at a time,
-    // reproducing the sequential loop.
-    std::vector<RpcClient::Request> calls;
-    calls.reserve(unique.size());
-    for (const ResolveRequest* request : unique) {
-      calls.push_back(RpcClient::Request{HnsServerBinding(), kHnsProcFindNsm,
-                                         EncodeFindNsm(request->name, request->query_class),
-                                         context});
-    }
-    std::vector<Result<Bytes>> replies = rpc_client_.CallMany(calls);
-    for (size_t i = 0; i < unique.size(); ++i) {
-      std::string key = AsciiToLower(unique[i]->name.context) + '\x1f' +
-                        AsciiToLower(unique[i]->query_class);
-      memo.at(key) = replies[i].ok() ? DecodeFindNsmReply(*replies[i])
-                                     : Result<NsmHandle>(replies[i].status());
-    }
-  } else {
-    if (options_.hns_location == HnsLocation::kLinked && unique.size() > 1) {
-      // Linked mode: warm the meta cache for every pair with concurrent
-      // fetch waves, so the per-pair resolutions below are cache hits.
-      std::vector<std::pair<std::string, QueryClass>> pairs;
-      pairs.reserve(unique.size());
-      for (const ResolveRequest* request : unique) {
-        pairs.emplace_back(request->name.context, request->query_class);
-      }
-      hns_->PrefetchFindNsm(pairs, context);
-    }
-    for (const ResolveRequest* request : unique) {
-      std::string key =
-          AsciiToLower(request->name.context) + '\x1f' + AsciiToLower(request->query_class);
-      memo.at(key) = FindNsm(request->name, request->query_class, context);
-    }
-  }
-
-  for (const ResolveRequest& request : requests) {
-    std::string key =
-        AsciiToLower(request.name.context) + '\x1f' + AsciiToLower(request.query_class);
-    results.push_back(memo.at(key));
-  }
-  return results;
-}
-
 HrpcBinding HnsSession::HnsServerBinding() const {
   HrpcBinding hns_binding;
   hns_binding.service_name = "hns";
@@ -114,7 +52,9 @@ HrpcBinding HnsSession::HnsServerBinding() const {
   return hns_binding;
 }
 
-Bytes HnsSession::EncodeFindNsm(const HnsName& name, const QueryClass& query_class) {
+Result<NsmHandle> HnsSession::FindNsmRemote(const HnsName& name,
+                                            const QueryClass& query_class,
+                                            const RequestContext& context) {
   FindNsmRequest request;
   request.context = name.context;
   request.query_class = query_class;
@@ -122,10 +62,8 @@ Bytes HnsSession::EncodeFindNsm(const HnsName& name, const QueryClass& query_cla
   if (world_ != nullptr) {
     ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(body.size()));
   }
-  return body;
-}
-
-Result<NsmHandle> HnsSession::DecodeFindNsmReply(const Bytes& reply) {
+  HCS_ASSIGN_OR_RETURN(Bytes reply,
+                       rpc_client_.Call(HnsServerBinding(), kHnsProcFindNsm, body, context));
   if (world_ != nullptr) {
     ChargeDemarshal(world_, MarshalEngine::kStubGenerated,
                     MarshalUnitsForBytes(reply.size()));
@@ -142,15 +80,6 @@ Result<NsmHandle> HnsSession::DecodeFindNsmReply(const Bytes& reply) {
     handle.linked = it->second.get();
   }
   return handle;
-}
-
-Result<NsmHandle> HnsSession::FindNsmRemote(const HnsName& name,
-                                            const QueryClass& query_class,
-                                            const RequestContext& context) {
-  Bytes body = EncodeFindNsm(name, query_class);
-  HCS_ASSIGN_OR_RETURN(Bytes reply,
-                       rpc_client_.Call(HnsServerBinding(), kHnsProcFindNsm, body, context));
-  return DecodeFindNsmReply(reply);
 }
 
 Result<WireValue> HnsSession::CallNsmRemote(const HrpcBinding& binding, const HnsName& name,

@@ -15,7 +15,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/hns/hns.h"
 #include "src/hns/wire_protocol.h"
@@ -69,26 +68,6 @@ class HnsSession {
   HCS_NODISCARD Result<NsmHandle> FindNsm(const HnsName& name, const QueryClass& query_class,
                             const RequestContext& context = RequestContext{});
 
-  // One FindNSM resolution request of a batch.
-  struct ResolveRequest {
-    HnsName name;
-    QueryClass query_class;
-  };
-
-  // Batch FindNSM. Requests sharing a (context, query class) pair are
-  // resolved once and fanned out — a batch over one context costs a single
-  // composite lookup (or one remote FindNSM exchange in remote mode) no
-  // matter how many individuals it names. Results are positional.
-  //
-  // Distinct pairs resolve CONCURRENTLY: in remote mode the unique pairs'
-  // FindNSM exchanges go out as one CallMany batch, all in flight together,
-  // so a batch of N distinct pairs costs one round trip's latency, not N;
-  // in linked mode the meta-store fetches are prefetched in concurrent
-  // waves (Hns::PrefetchFindNsm) before the per-pair resolution runs over
-  // the warmed cache.
-  std::vector<Result<NsmHandle>> ResolveMany(const std::vector<ResolveRequest>& requests,
-                                             const RequestContext& context = RequestContext{});
-
   // The linked HNS instance, or null when the HNS is remote/agent.
   Hns* local_hns() { return hns_.get(); }
   RpcClient& rpc_client() { return rpc_client_; }
@@ -103,11 +82,6 @@ class HnsSession {
                                   const RequestContext& context);
   // The HnsServer's binding (remote mode).
   HrpcBinding HnsServerBinding() const;
-  // Encodes one FindNSM request body, charging the marshal cost.
-  Bytes EncodeFindNsm(const HnsName& name, const QueryClass& query_class);
-  // The decode tail of a FindNSM exchange (demarshal charge, linked-NSM
-  // preference); shared by FindNsmRemote and the ResolveMany fan-out.
-  HCS_NODISCARD Result<NsmHandle> DecodeFindNsmReply(const Bytes& reply);
 
   World* world_;
   std::string client_host_;

@@ -41,7 +41,6 @@ uint64_t WorkloadCounters::Fingerprint() const {
   hash = Fnv1a(hash, queries_ok);
   hash = Fnv1a(hash, queries_not_found);
   hash = Fnv1a(hash, queries_failed);
-  hash = Fnv1a(hash, batches);
   hash = Fnv1a(hash, registers_ok);
   hash = Fnv1a(hash, registers_failed);
   hash = Fnv1a(hash, unregisters_ok);
@@ -141,7 +140,7 @@ void WorkloadEngine::ScheduleArrival() {
 void WorkloadEngine::ClientArrive() {
   uint32_t id = arrived_++;
   ++counters_.arrivals;
-  RecordEvent(TraceEventKind::kArrive, id, 0, 0);
+  RecordEvent(TraceEventKind::kArrive, id, 0);
 
   ClientState state{Rng(MixSeed(options_.seed, id)), 0};
   // Geometric number of queries, mean options_.mean_queries_per_client,
@@ -164,11 +163,11 @@ void WorkloadEngine::ClientOp(uint32_t client) {
   ClientState& state = clients_[client];
   uint32_t rank = zipf_.Sample(state.rng);
   uint32_t pair = rank_to_pair_[rank];
-  ExecuteQuery(client, pair, options_.resolve_batch, options_.record_trace);
+  ExecuteQuery(client, pair, options_.record_trace);
 
   if (--state.ops_left == 0) {
     ++counters_.departures;
-    RecordEvent(TraceEventKind::kDepart, client, 0, 0);
+    RecordEvent(TraceEventKind::kDepart, client, 0);
     return;
   }
   double think_rate = 1000.0 / std::max(1e-3, options_.mean_think_ms);
@@ -204,20 +203,20 @@ void WorkloadEngine::FlashCrowd() {
   for (uint32_t k = 0; k < options_.flash_burst; ++k) {
     uint32_t actor = options_.population + k;
     world_->events().ScheduleAt(world_->clock().Now(), [this, actor, hot] {
-      ExecuteQuery(actor, hot, 0, options_.record_trace);
+      ExecuteQuery(actor, hot, options_.record_trace);
     });
   }
 }
 
 void WorkloadEngine::Stampede() {
   ++counters_.cache_flushes;
-  RecordEvent(TraceEventKind::kCacheFlush, 0, 0, 0);
+  RecordEvent(TraceEventKind::kCacheFlush, 0, 0);
   FlushObservedCaches();
   uint32_t hot = rank_to_pair_[0];
   for (uint32_t k = 0; k < options_.stampede_burst; ++k) {
     uint32_t actor = options_.population + options_.flash_burst + k;
     world_->events().ScheduleAt(world_->clock().Now(), [this, actor, hot] {
-      ExecuteQuery(actor, hot, 0, options_.record_trace);
+      ExecuteQuery(actor, hot, options_.record_trace);
     });
   }
 }
@@ -227,37 +226,20 @@ void WorkloadEngine::FlushObservedCaches() {
   observed()->composite_cache().Clear();
 }
 
-void WorkloadEngine::ExecuteQuery(uint32_t client, uint32_t pair, uint32_t count,
-                                  bool record) {
+void WorkloadEngine::ExecuteQuery(uint32_t client, uint32_t pair, bool record) {
   if (record) {
-    RecordEvent(count > 1 ? TraceEventKind::kResolveMany : TraceEventKind::kFindNsm,
-                client, pair, count > 1 ? count : 0);
+    RecordEvent(TraceEventKind::kFindNsm, client, pair);
   }
   SimTime t0 = world_->clock().Now();
-  if (count > 1) {
-    std::vector<HnsSession::ResolveRequest> requests;
-    requests.reserve(count);
-    for (uint32_t j = 0; j < count; ++j) {
-      auto [context, query_class] = PairFor(pair + j);
-      requests.push_back({HnsName{std::move(context), "x"}, std::move(query_class)});
-    }
-    std::vector<Result<NsmHandle>> results = session_->ResolveMany(requests);
-    ++counters_.batches;
-    for (const Result<NsmHandle>& result : results) {
-      NoteQueryStatus(result.status());
-    }
-  } else {
-    auto [context, query_class] = PairFor(pair);
-    Result<NsmHandle> result =
-        session_->FindNsm(HnsName{std::move(context), "x"}, query_class);
-    NoteQueryStatus(result.status());
-  }
+  auto [context, query_class] = PairFor(pair);
+  Result<NsmHandle> result = session_->FindNsm(HnsName{std::move(context), "x"}, query_class);
+  NoteQueryStatus(result.status());
   NoteLatency(world_->clock().Now() - t0);
 }
 
 void WorkloadEngine::ExecuteRegister(bool record) {
   if (record) {
-    RecordEvent(TraceEventKind::kRegisterNsm, 0, 0, 0);
+    RecordEvent(TraceEventKind::kRegisterNsm, 0, 0);
   }
   Status status = admin_->RegisterNsm(options_.storm_nsm);
   if (status.ok()) {
@@ -269,7 +251,7 @@ void WorkloadEngine::ExecuteRegister(bool record) {
 
 void WorkloadEngine::ExecuteUnregister(bool record) {
   if (record) {
-    RecordEvent(TraceEventKind::kUnregisterNsm, 0, 0, 0);
+    RecordEvent(TraceEventKind::kUnregisterNsm, 0, 0);
   }
   Status status = admin_->UnregisterNsm(kStormNameService, kPairQueryClasses[0]);
   if (status.ok()) {
@@ -279,8 +261,7 @@ void WorkloadEngine::ExecuteUnregister(bool record) {
   }
 }
 
-void WorkloadEngine::RecordEvent(TraceEventKind kind, uint32_t client, uint32_t pair,
-                                 uint32_t count) {
+void WorkloadEngine::RecordEvent(TraceEventKind kind, uint32_t client, uint32_t pair) {
   if (!options_.record_trace) {
     return;
   }
@@ -289,7 +270,6 @@ void WorkloadEngine::RecordEvent(TraceEventKind kind, uint32_t client, uint32_t 
   event.client = client;
   event.kind = kind;
   event.pair = pair;
-  event.count = count;
   trace_.events.push_back(event);
 }
 
@@ -355,10 +335,7 @@ void WorkloadEngine::ReplayEvent(const TraceEvent& event) {
       ++counters_.departures;
       return;
     case TraceEventKind::kFindNsm:
-      ExecuteQuery(event.client, event.pair, 0, /*record=*/false);
-      return;
-    case TraceEventKind::kResolveMany:
-      ExecuteQuery(event.client, event.pair, event.count, /*record=*/false);
+      ExecuteQuery(event.client, event.pair, /*record=*/false);
       return;
     case TraceEventKind::kRegisterNsm:
       ExecuteRegister(/*record=*/false);
@@ -366,15 +343,6 @@ void WorkloadEngine::ReplayEvent(const TraceEvent& event) {
     case TraceEventKind::kUnregisterNsm:
       ExecuteUnregister(/*record=*/false);
       return;
-    case TraceEventKind::kRegisterContext: {
-      Status status = admin_->RegisterContext(kStormContext, kStormNameService);
-      if (status.ok()) {
-        ++counters_.registers_ok;
-      } else {
-        ++counters_.registers_failed;
-      }
-      return;
-    }
     case TraceEventKind::kCacheFlush:
       ++counters_.cache_flushes;
       FlushObservedCaches();

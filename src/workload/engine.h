@@ -52,12 +52,6 @@ struct WorkloadOptions {
   double mean_queries_per_client = 3.0;
   double mean_think_ms = 250;
 
-  // >1: each client op is one ResolveMany batch covering this many
-  // consecutive pairs starting at the drawn pair (deterministic spread, so
-  // a trace event reconstructs the batch from one pair index). 0/1: each
-  // op is a single FindNsm.
-  uint32_t resolve_batch = 0;
-
   // Name services (already registered with the HNS) the synthetic contexts
   // are spread over round-robin. Required: Setup fails when empty.
   std::vector<std::string> name_services;
@@ -95,7 +89,6 @@ struct WorkloadCounters {
   uint64_t queries_ok = 0;
   uint64_t queries_not_found = 0;
   uint64_t queries_failed = 0;
-  uint64_t batches = 0;
   uint64_t registers_ok = 0;
   uint64_t registers_failed = 0;
   uint64_t unregisters_ok = 0;
@@ -193,13 +186,12 @@ class WorkloadEngine {
   void Stampede();
   void FlushObservedCaches();
 
-  // One resolution op: a single FindNsm, or a ResolveMany batch over
-  // `count` consecutive pairs, with sim-clock latency accounting.
-  void ExecuteQuery(uint32_t client, uint32_t pair, uint32_t count, bool record);
+  // One resolution op: a single FindNsm, with sim-clock latency accounting.
+  void ExecuteQuery(uint32_t client, uint32_t pair, bool record);
   void ExecuteRegister(bool record);
   void ExecuteUnregister(bool record);
   void ReplayEvent(const TraceEvent& event);
-  void RecordEvent(TraceEventKind kind, uint32_t client, uint32_t pair, uint32_t count);
+  void RecordEvent(TraceEventKind kind, uint32_t client, uint32_t pair);
   void NoteQueryStatus(const Status& status);
   void NoteLatency(SimDuration elapsed_us);
   WorkloadReport BuildReport();

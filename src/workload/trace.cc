@@ -50,7 +50,6 @@ void TraceEvent::EncodeTo(XdrEncoder& enc) const {
   enc.PutUint32(client);
   enc.PutUint32(static_cast<uint32_t>(kind));
   enc.PutUint32(pair);
-  enc.PutUint32(count);
 }
 
 Result<TraceEvent> TraceEvent::DecodeFrom(XdrDecoder& dec) {
@@ -63,7 +62,6 @@ Result<TraceEvent> TraceEvent::DecodeFrom(XdrDecoder& dec) {
   }
   event.kind = static_cast<TraceEventKind>(kind);
   HCS_ASSIGN_OR_RETURN(event.pair, dec.GetUint32());
-  HCS_ASSIGN_OR_RETURN(event.count, dec.GetUint32());
   return event;
 }
 

@@ -24,22 +24,22 @@
 namespace hcs {
 
 // What one trace event did. Arrive/depart move the client population;
-// FindNsm/ResolveMany are resolutions against the session; the
-// registration kinds are the churn-storm mutations; CacheFlush is the
-// scripted mass expiry a cache-stampede scenario opens with.
+// FindNsm is a resolution against the session; the registration kinds are
+// the churn-storm mutations; CacheFlush is the scripted mass expiry a
+// cache-stampede scenario opens with.
 enum class TraceEventKind : uint32_t {
   kArrive = 0,
   kDepart = 1,
   kFindNsm = 2,
-  kResolveMany = 3,
-  kRegisterNsm = 4,
-  kUnregisterNsm = 5,
-  kRegisterContext = 6,
-  kCacheFlush = 7,
+  kRegisterNsm = 3,
+  kUnregisterNsm = 4,
+  kCacheFlush = 5,
 };
 
 constexpr uint32_t kTraceMagic = 0x48575431;  // "HWT1"
-constexpr uint32_t kTraceVersion = 1;
+// Bumped whenever an event's layout or kind numbering changes, so an older
+// trace is refused, not misread.
+constexpr uint32_t kTraceVersion = 2;
 
 struct TraceHeader {
   uint32_t magic = kTraceMagic;
@@ -63,7 +63,6 @@ struct TraceEvent {
   uint32_t client = 0;  // virtual client id (or actor id for storms)
   TraceEventKind kind = TraceEventKind::kArrive;
   uint32_t pair = 0;    // (context, query class) pair index
-  uint32_t count = 0;   // batch size for kResolveMany; otherwise 0
 
   void EncodeTo(XdrEncoder& enc) const;
   HCS_NODISCARD static Result<TraceEvent> DecodeFrom(XdrDecoder& dec);
@@ -73,7 +72,7 @@ struct TraceEvent {
 
 // Serialized size of one TraceEvent (all fixed-width fields); the decoder
 // uses it to reject a corrupted event_count before allocating.
-constexpr size_t kTraceEventWireBytes = 8 + 4 * 4;
+constexpr size_t kTraceEventWireBytes = 8 + 3 * 4;
 
 struct WorkloadTrace {
   TraceHeader header;

@@ -1,8 +1,7 @@
 // The UDP client core over real UDP sockets: CallMany fan-out, caller-run
 // sync calls and their counters, calls too large for a datagram, the
-// channel-less inline path, the ResolveMany / PrefetchRecords layers built
-// on top, late replies to earlier attempts, and a mixed-outcome batch run
-// from several threads at once.
+// channel-less inline path, late replies to earlier attempts, and a
+// mixed-outcome batch run from several threads at once.
 //
 // Delay-bearing servers are served concurrently with a fixed number of
 // loops, so the wall-clock assertions do not depend on the core count; a
@@ -21,18 +20,14 @@
 #include <utility>
 #include <vector>
 
-#include "src/bindns/protocol.h"
-#include "src/bindns/record.h"
-#include "src/hns/meta_store.h"
-#include "src/hns/session.h"
-#include "src/hns/wire_protocol.h"
 #include "src/rpc/async_client.h"
 #include "src/rpc/client.h"
 #include "src/rpc/fault.h"
 #include "src/rpc/mmsg.h"
-#include "src/rpc/ports.h"
 #include "src/rpc/server.h"
+#include "src/rpc/transport.h"
 #include "src/rpc/udp_transport.h"
+#include "src/sim/world.h"
 #include "src/wire/xdr.h"
 
 namespace hcs {
@@ -256,234 +251,6 @@ TEST(AsyncClientTest, ChannellessTransportCompletesInline) {
   EXPECT_EQ(*batch[1], Bytes{7});
 }
 
-TEST(AsyncClientTest, ResolveManyIssuesRemoteFindNsmConcurrently) {
-  constexpr int kUnique = 8;
-  // Large enough that the overlap signal dominates sanitizer slowdown: the
-  // TSan build adds ~100 ms of instrumentation overhead to the batch, which
-  // must stay well under the half-serial-cost bound below.
-  constexpr int kDelayMs = 50;
-  UdpServerHost host(/*workers=*/8);
-  RpcServer hns_server(ControlKind::kRaw, "hns-server");
-  hns_server.RegisterProcedure(
-      kHnsProgram, kHnsProcFindNsm, [kDelayMs](const Bytes& args) -> Result<Bytes> {
-        HCS_ASSIGN_OR_RETURN(FindNsmRequest request, FindNsmRequest::Decode(args));
-        std::this_thread::sleep_for(std::chrono::milliseconds(kDelayMs));
-        FindNsmResponse response;
-        response.nsm_name = "nsm-" + request.context;
-        response.binding.service_name = response.nsm_name;
-        response.binding.host = "server";
-        response.binding.port = kNsmBasePort;
-        response.binding.program = 1;
-        return response.Encode();
-      });
-  // The session dials the well-known HNS port; this test runs as root in
-  // the container, so the sub-1024 bind is available. Skip, not fail, when
-  // another process owns it.
-  Result<uint16_t> port = host.ServeConcurrent(&hns_server, kHnsServerPort);
-  if (!port.ok()) {
-    GTEST_SKIP() << "cannot bind HNS port " << kHnsServerPort << ": " << port.status();
-  }
-
-  UdpTransport transport;
-  SessionOptions options;
-  options.hns_location = HnsLocation::kRemote;
-  options.hns_server_host = "localhost";
-  HnsSession session(/*world=*/nullptr, "localclient", &transport, options);
-
-  // 16 requests over 8 unique (context, class) pairs: duplicates share one
-  // exchange, distinct pairs all go out before any is awaited.
-  std::vector<HnsSession::ResolveRequest> requests;
-  for (int i = 0; i < kUnique * 2; ++i) {
-    HnsSession::ResolveRequest request;
-    request.name.context = "ctx" + std::to_string(i % kUnique);
-    request.name.individual = "host" + std::to_string(i);
-    request.query_class = "HRPCBinding";
-    requests.push_back(request);
-  }
-
-  Clock::time_point start = Clock::now();
-  std::vector<Result<NsmHandle>> results = session.ResolveMany(requests);
-  int64_t elapsed = ElapsedMs(start);
-
-  ASSERT_EQ(results.size(), requests.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << "request " << i << ": " << results[i].status();
-    EXPECT_EQ(results[i]->nsm_name, "nsm-ctx" + std::to_string(i % kUnique));
-  }
-  // Sequential: kUnique * kDelayMs = 400 ms. Concurrent across 8 server
-  // workers: ~1 delay. Well under half the serial cost proves the batch was
-  // in flight together.
-  EXPECT_LT(elapsed, kUnique * kDelayMs / 2)
-      << "ResolveMany did not overlap its FindNSM exchanges";
-  host.StopAll();
-}
-
-// Partial failure inside one batch: a FaultPlan lets the first few FindNSM
-// exchanges through and then drops everything. The injector's phase clock is
-// driven by a counting time function — one tick per decision — so which
-// pairs resolve and which time out is a pure function of the plan, not of
-// machine speed: per-name Statuses must map exactly, with no cross-talk
-// between the names that resolved and the names that didn't.
-TEST(AsyncClientTest, ResolveManyReportsPartialFailurePerName) {
-  constexpr int kUnique = 8;
-  constexpr int kHealthyCalls = 3;  // pairs 0..2 resolve; pairs 3..7 time out
-  UdpServerHost host;
-  RpcServer hns_server(ControlKind::kRaw, "hns-server");
-  hns_server.RegisterProcedure(
-      kHnsProgram, kHnsProcFindNsm, [](const Bytes& args) -> Result<Bytes> {
-        HCS_ASSIGN_OR_RETURN(FindNsmRequest request, FindNsmRequest::Decode(args));
-        FindNsmResponse response;
-        response.nsm_name = "nsm-" + request.context;
-        response.binding.service_name = response.nsm_name;
-        response.binding.host = "server";
-        response.binding.port = kNsmBasePort;
-        response.binding.program = 1;
-        return response.Encode();
-      });
-  Result<uint16_t> port = host.Serve(&hns_server, kHnsServerPort);
-  if (!port.ok()) {
-    GTEST_SKIP() << "cannot bind HNS port " << kHnsServerPort << ": " << port.status();
-  }
-
-  // The fault wrapper hands its injector to the UDP client core.
-  // ResolveMany puts the unique pairs' calls in one CallMany batch in
-  // first-occurrence order, the batch starts their first attempts in that
-  // order, and each draws its decision as it starts, before any retry can
-  // start — decision k belongs to unique pair k. Every Decide reads the phase
-  // clock exactly once; ticking it 100 "ms" per read puts decisions 0..2 in
-  // the healthy phase and every later decision (first attempts and retries
-  // alike) in the terminal drop-everything phase.
-  FaultInjector injector(FaultConfig{/*seed=*/7, {}});
-  std::atomic<int64_t> ticks{0};
-  injector.SetTimeFn([&ticks] { return 100 * ticks.fetch_add(1); });
-  FaultSpec drop_all;
-  drop_all.drop = 1.0;
-  injector.SetPlan(FaultPlan{
-      "localhost",
-      {FaultPhase{/*duration_ms=*/kHealthyCalls * 100 + 50, FaultSpec{}},
-       FaultPhase{0, drop_all}}});
-
-  UdpTransport transport(/*timeout_ms=*/500);
-  FaultInjectingTransport faulty(&transport, &injector);
-  SessionOptions options;
-  options.hns_location = HnsLocation::kRemote;
-  options.hns_server_host = "localhost";
-  HnsSession session(/*world=*/nullptr, "localclient", &faulty, options);
-
-  // 16 names over 8 unique (context, class) pairs, so every outcome — ok
-  // and timeout — also has a memoized duplicate to check for cross-talk.
-  std::vector<HnsSession::ResolveRequest> requests;
-  for (int i = 0; i < kUnique * 2; ++i) {
-    HnsSession::ResolveRequest request;
-    request.name.context = "ctx" + std::to_string(i % kUnique);
-    request.name.individual = "host" + std::to_string(i);
-    request.query_class = "HRPCBinding";
-    requests.push_back(request);
-  }
-
-  const uint64_t engine_calls = GlobalAsyncClientEngine()->stats().calls;
-  std::vector<Result<NsmHandle>> results =
-      session.ResolveMany(requests, RequestContext::WithTimeout(1000));
-  EXPECT_EQ(GlobalAsyncClientEngine()->stats().calls - engine_calls, uint64_t{kUnique})
-      << "one engine call per unique pair";
-
-  ASSERT_EQ(results.size(), requests.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    size_t pair = i % kUnique;
-    if (pair < kHealthyCalls) {
-      ASSERT_TRUE(results[i].ok())
-          << "healthy-phase pair " << pair << " failed: " << results[i].status();
-      EXPECT_EQ(results[i]->nsm_name, "nsm-ctx" + std::to_string(pair))
-          << "request " << i << " mapped to the wrong pair's result";
-    } else {
-      ASSERT_FALSE(results[i].ok())
-          << "drop-phase pair " << pair << " resolved anyway (request " << i << ")";
-      EXPECT_EQ(results[i].status().code(), StatusCode::kTimeout)
-          << "request " << i << ": " << results[i].status();
-    }
-    // Memoized duplicates of one pair must agree exactly — a timed-out
-    // name must never borrow another name's resolution.
-    if (i >= static_cast<size_t>(kUnique)) {
-      EXPECT_EQ(results[i].ok(), results[pair].ok());
-      if (results[i].ok()) {
-        EXPECT_EQ(results[i]->nsm_name, results[pair]->nsm_name);
-      }
-    }
-  }
-  EXPECT_GT(injector.stats().drops, 0u) << "the drop phase never fired";
-  host.StopAll();
-}
-
-// A delaying modified-BIND upstream served concurrently, for the meta-store
-// prefetch wall-clock test.
-class DelayedMetaBind {
- public:
-  explicit DelayedMetaBind(int delay_ms)
-      : host_(/*workers=*/8),
-        server_(ControlKind::kRaw, "delayed-meta-bind") {
-    server_.RegisterProcedure(
-        kBindProgram, kBindProcQuery, [this, delay_ms](const Bytes& args) -> Result<Bytes> {
-          ++queries_;
-          HCS_ASSIGN_OR_RETURN(BindQueryRequest request, BindQueryRequest::Decode(args));
-          std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-          BindQueryResponse response;
-          response.rcode = Rcode::kNoError;
-          response.answers = UnspecRecordsFromValue(
-              request.name, RecordBuilder().Str("ns", "UW-BIND").Build(), 300);
-          return response.Encode();
-        });
-  }
-
-  Result<uint16_t> Serve() { return host_.ServeConcurrent(&server_, 0); }
-  int queries() const { return queries_.load(); }
-  void Stop() { host_.StopAll(); }
-
- private:
-  UdpServerHost host_;
-  RpcServer server_;
-  std::atomic<int> queries_{0};
-};
-
-TEST(AsyncClientTest, PrefetchRecordsFetchesAWaveConcurrently) {
-  constexpr int kRecords = 6;
-  constexpr int kDelayMs = 40;
-  DelayedMetaBind upstream(kDelayMs);
-  Result<uint16_t> port = upstream.Serve();
-  ASSERT_TRUE(port.ok()) << port.status();
-
-  UdpTransport transport;
-  RpcClient rpc(/*world=*/nullptr, "localclient", &transport);
-  HnsCache cache(/*world=*/nullptr, CacheMode::kDemarshalled);
-  MetaStore meta(&rpc, "localhost", "", &cache);
-  meta.set_meta_port(*port);
-
-  std::vector<std::string> names;
-  std::vector<std::string> contexts;
-  for (int i = 0; i < kRecords; ++i) {
-    contexts.push_back("PrefetchCtx" + std::to_string(i));
-    names.push_back(MetaStore::ContextRecordName(contexts.back()));
-  }
-
-  Clock::time_point start = Clock::now();
-  meta.PrefetchRecords(names);
-  int64_t elapsed = ElapsedMs(start);
-  // Sequential: kRecords * kDelayMs = 240 ms; concurrent: ~1 delay.
-  EXPECT_LT(elapsed, kRecords * kDelayMs / 2)
-      << "prefetch fetched its wave sequentially";
-  EXPECT_EQ(meta.remote_lookups(), static_cast<uint64_t>(kRecords));
-
-  // Every follow-up read is a cache hit off the prefetched wave.
-  for (const std::string& ctx : contexts) {
-    Result<std::string> ns = meta.ContextToNameService(ctx);
-    ASSERT_TRUE(ns.ok()) << ns.status();
-    EXPECT_EQ(*ns, "UW-BIND");
-  }
-  EXPECT_EQ(meta.remote_lookups(), static_cast<uint64_t>(kRecords))
-      << "post-prefetch reads went remote";
-  EXPECT_EQ(upstream.queries(), kRecords);
-  upstream.Stop();
-}
-
 // Binds a UDP socket nobody ever reads: calls to it spend their full
 // deadline budget and end kTimeout.
 int BindBlackHole(uint16_t* port_out) {
@@ -575,7 +342,8 @@ TEST(AsyncClientTest, SyncUdpCallTakesALateReplyToAnEarlierAttempt) {
 
 // One batch of mixed outcomes, run from several threads at once through one
 // engine: live echoes, live calls whose tight deadlines race their delayed
-// replies, and calls to a black hole. Every call ends with its own echo or
+// replies, calls to a black hole, and calls to a live echo whose every
+// attempt the fault plan drops. Every call ends with its own echo or
 // kTimeout, within what its budget admits and with every retry counted, and
 // the batch returns soon after its longest budget. A tight call whose budget
 // ran out before its first attempt could start ends kTimeout with no
@@ -594,6 +362,8 @@ TEST(AsyncClientTest, MixedOutcomeBatchEndsEveryCallWithinItsBudget) {
   ASSERT_TRUE(echo_port.ok()) << echo_port.status();
   Result<uint16_t> delayed_port = host.ServeConcurrent(&delayed, 0);
   ASSERT_TRUE(delayed_port.ok()) << delayed_port.status();
+  Result<uint16_t> dropped_port = host.Serve(&echo, 0);
+  ASSERT_TRUE(dropped_port.ok()) << dropped_port.status();
   uint16_t hole_port = 0;
   int hole_fd = BindBlackHole(&hole_port);
   ASSERT_GE(hole_fd, 0);
@@ -605,12 +375,18 @@ TEST(AsyncClientTest, MixedOutcomeBatchEndsEveryCallWithinItsBudget) {
   // building a request and CallMany cannot shed it before the engine counts
   // it.
   constexpr int64_t kHoleBudgetMs = 50;  // the batch's longest budget
+  FaultSpec drop_all;
+  drop_all.drop = 1.0;
+  FaultInjector injector(FaultConfig{
+      /*seed=*/7, {FaultPlan{"localhost:" + std::to_string(*dropped_port), {{0, drop_all}}}}});
   UdpTransport transport;
+  FaultInjectingTransport faulty(&transport, &injector);
   AsyncClientEngine engine;
+  std::atomic<uint64_t> dropped_attempts{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      RpcClient client(nullptr, "localclient", &transport);
+      RpcClient client(nullptr, "localclient", &faulty);
       client.set_async_engine(&engine);
       std::vector<RpcClient::Request> requests;
       std::vector<int64_t> budgets;
@@ -624,9 +400,10 @@ TEST(AsyncClientTest, MixedOutcomeBatchEndsEveryCallWithinItsBudget) {
           budgets.push_back(20 + 5 * ((i / 3) % 3));
           requests.push_back({UdpBinding(*delayed_port, 7, ControlKind::kSunRpc), 1, payload,
                               RequestContext::WithTimeout(budgets.back())});
-        } else {  // the black hole: kTimeout
+        } else {  // the black hole, or every attempt dropped: kTimeout
           budgets.push_back(kHoleBudgetMs);
-          requests.push_back({UdpBinding(hole_port, 7, ControlKind::kSunRpc), 1, payload,
+          const uint16_t port = (i / 3) % 2 == 0 ? hole_port : *dropped_port;
+          requests.push_back({UdpBinding(port, 7, ControlKind::kSunRpc), 1, payload,
                               RequestContext::WithTimeout(kHoleBudgetMs)});
         }
       }
@@ -647,7 +424,10 @@ TEST(AsyncClientTest, MixedOutcomeBatchEndsEveryCallWithinItsBudget) {
           EXPECT_TRUE(replies[i].ok()) << "a live unbudgeted echo failed";
           EXPECT_EQ(infos[i].attempts, 1u);
         } else if (i % 3 == 2) {
-          EXPECT_FALSE(replies[i].ok()) << "the black hole answered";
+          EXPECT_FALSE(replies[i].ok()) << "the black hole or a dropped call answered";
+        }
+        if (requests[i].binding.port == *dropped_port) {
+          dropped_attempts += infos[i].attempts;
         }
         if (budgets[i] > 0) {
           EXPECT_LE(infos[i].attempts, RetryPolicy::MaxAttempts(budgets[i]));
@@ -665,6 +445,9 @@ TEST(AsyncClientTest, MixedOutcomeBatchEndsEveryCallWithinItsBudget) {
   }
   EXPECT_EQ(engine.stats().calls, uint64_t{kThreads * kBatch});
   EXPECT_EQ(engine.stats().completed, uint64_t{kThreads * kBatch});
+  // The plan dropped every attempt to its endpoint and none to the others.
+  EXPECT_GT(dropped_attempts.load(), 0u);
+  EXPECT_EQ(injector.stats().drops, dropped_attempts.load());
   close(hole_fd);
   host.StopAll();
 }

@@ -365,9 +365,8 @@ TEST(DecodeSweepTest, TraceEvent) {
   TraceEvent event;
   event.at_us = 1'234'567;
   event.client = 42;
-  event.kind = TraceEventKind::kResolveMany;
+  event.kind = TraceEventKind::kFindNsm;
   event.pair = 17;
-  event.count = 4;
   Sweep("TraceEvent", event.Encode(), ByteCodec<TraceEvent>());
 }
 

@@ -105,86 +105,6 @@ TEST(ImporterTest, UnknownServiceFailsCleanly) {
             StatusCode::kNotFound);
 }
 
-TEST(ResolveManyTest, DeduplicatesSharedContextQueryClassPairs) {
-  Testbed bed;
-  ClientSetup client = bed.MakeClient(Arrangement::kAllLinked);
-  client.FlushAll();
-  client.hns_cache->ResetStats();
-
-  // Five requests, one unique (context, query class) pair — context case
-  // differences must not defeat the dedupe.
-  std::vector<HnsSession::ResolveRequest> requests(5);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    requests[i].name = SunName();
-    requests[i].query_class = kQueryClassHrpcBinding;
-  }
-  requests[2].name.context = AsciiToLower(requests[2].name.context);
-
-  std::vector<Result<NsmHandle>> results = client.session->ResolveMany(requests);
-  ASSERT_EQ(results.size(), requests.size());
-  for (const Result<NsmHandle>& result : results) {
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->nsm_name, results.front()->nsm_name);
-    EXPECT_EQ(result->binding, results.front()->binding);
-  }
-  // One cold resolution reads each meta record exactly once; had the
-  // duplicates re-run FindNSM they would show up as record-cache hits.
-  EXPECT_EQ(client.hns_cache->stats().hits, 0u);
-  EXPECT_GT(client.hns_cache->stats().misses, 0u);
-}
-
-TEST(ResolveManyTest, RemoteModeSendsOneFindNsmPerUniquePair) {
-  Testbed bed;
-  ClientSetup client = bed.MakeClient(Arrangement::kAllRemote);
-  client.FlushAll();
-  bed.world().stats().Clear();
-
-  std::vector<HnsSession::ResolveRequest> requests(4);
-  for (HnsSession::ResolveRequest& request : requests) {
-    request.name = SunName();
-    request.query_class = kQueryClassHrpcBinding;
-  }
-  std::vector<Result<NsmHandle>> results = client.session->ResolveMany(requests);
-  for (const Result<NsmHandle>& result : results) {
-    EXPECT_TRUE(result.ok()) << result.status();
-  }
-  std::string hns_endpoint = AsciiToLower(std::string(kHnsServerHost)) + ":" +
-                             std::to_string(kHnsServerPort);
-  EXPECT_EQ(bed.world().stats().messages_per_endpoint[hns_endpoint], 1u)
-      << "four duplicate requests, one wire exchange";
-}
-
-TEST(ResolveManyTest, ResultsArePositionalAndErrorsAreIsolated) {
-  Testbed bed;
-  ClientSetup client = bed.MakeClient(Arrangement::kAllLinked);
-  std::vector<HnsSession::ResolveRequest> requests(3);
-  requests[0].name = SunName();
-  requests[0].query_class = kQueryClassHrpcBinding;
-  requests[1].name = HnsName::Parse("NoSuchContext!x").value();
-  requests[1].query_class = kQueryClassHostAddress;
-  requests[2].name = SunName();
-  requests[2].query_class = kQueryClassHrpcBinding;
-
-  std::vector<Result<NsmHandle>> results = client.session->ResolveMany(requests);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok()) << results[0].status();
-  EXPECT_EQ(results[1].status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(results[2].ok());
-}
-
-TEST(ResolveManyTest, AgentModeIsUnimplementedPerEntry) {
-  Testbed bed;
-  ClientSetup client = bed.MakeClient(Arrangement::kAgent);
-  std::vector<HnsSession::ResolveRequest> requests(2);
-  for (HnsSession::ResolveRequest& request : requests) {
-    request.name = SunName();
-    request.query_class = kQueryClassHrpcBinding;
-  }
-  for (const Result<NsmHandle>& result : client.session->ResolveMany(requests)) {
-    EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented);
-  }
-}
-
 // The arrangements are behaviourally interchangeable even when caches are in
 // arbitrary states — a different ordering from the integration test's
 // cold-state sweep.

@@ -550,9 +550,8 @@ std::vector<Entry> Corpus() {
   TraceEvent event;
   event.at_us = 1'234'567;
   event.client = 42;
-  event.kind = TraceEventKind::kResolveMany;
+  event.kind = TraceEventKind::kFindNsm;
   event.pair = 17;
-  event.count = 4;
   corpus.push_back(Message("TraceEvent", event));
   corpus.push_back(XdrNestedByRef("TraceEvent.EncodeTo", event));
   {
@@ -709,15 +708,15 @@ const Golden kGoldens[] = {
     {"ChListObjectsResponse",
      "00040006446f7261646f0007446f6c7068696e00000944616e64656c696f6e000000"},
     {"RequestContextWire", "00000000000000fa00000002abcdef0123456789"},
-    {"TraceHeader", "4857543100000001000000005eedf00d000f4240000000400010c8e00000000000000002"},
+    {"TraceHeader", "4857543100000002000000005eedf00d000f4240000000400010c8e00000000000000002"},
     {"TraceHeader.EncodeTo",
-     "4857543100000001000000005eedf00d000f4240000000400010c8e00000000000000002"},
-    {"TraceEvent", "000000000012d6870000002a000000030000001100000004"},
-    {"TraceEvent.EncodeTo", "000000000012d6870000002a000000030000001100000004"},
+     "4857543100000002000000005eedf00d000f4240000000400010c8e00000000000000002"},
+    {"TraceEvent", "000000000012d6870000002a0000000200000011"},
+    {"TraceEvent.EncodeTo", "000000000012d6870000002a0000000200000011"},
     {"WorkloadTrace",
-     "4857543100000001000000005eedf00d000f4240000000400010c8e00000000000000002"
-     "000000000012d6870000002a000000030000001100000004000000000000000000000000"
-     "000000000000000000000000"},
+     "4857543100000002000000005eedf00d000f4240000000400010c8e00000000000000002"
+     "000000000012d6870000002a000000020000001100000000000000000000000000000000"
+     "00000000"},
     {"SunRpcCall",
      "00c0ffee000000000000000200061ae40000000200000001000000000000000000000000"
      "0000000000000005deadbeef01000000"},
