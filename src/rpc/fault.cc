@@ -1,12 +1,9 @@
 #include "src/rpc/fault.h"
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
-#include "src/common/logging.h"
 #include "src/common/rand.h"
 #include "src/common/strings.h"
 #include "src/rpc/context.h"
@@ -267,156 +264,12 @@ std::vector<std::string> FaultInjector::TakeTrace() {
 
 namespace {
 
-HCS_NODISCARD Status ParseProbability(const std::string& token, const std::string& value,
-                                      double* out) {
-  char* end = nullptr;
-  double p = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
-    return InvalidArgumentError("HCS_FAULTS: bad probability in '" + token + "' (want [0,1])");
-  }
-  *out = p;
-  return Status::Ok();
-}
-
-HCS_NODISCARD Status ParseInt64(const std::string& token, const std::string& value, int64_t* out) {
-  char* end = nullptr;
-  long long v = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || v < 0) {
-    return InvalidArgumentError("HCS_FAULTS: bad integer in '" + token + "'");
-  }
-  *out = static_cast<int64_t>(v);
-  return Status::Ok();
-}
-
-}  // namespace
-
-Result<FaultConfig> ParseFaultConfig(const std::string& spec) {
-  FaultConfig config;
-  FaultPlan* plan = nullptr;       // current endpoint= plan
-  FaultPhase* phase = nullptr;     // current phase of that plan
-
-  // Re-resolve the current plan/phase pointers after any vector growth.
-  auto current_phase = [&]() -> FaultPhase* {
-    if (plan == nullptr) {
-      return nullptr;
-    }
-    if (plan->phases.empty()) {
-      // Spec keys before any phase= token: the plan is a single terminal
-      // phase.
-      plan->phases.push_back(FaultPhase{});
-    }
-    return &plan->phases.back();
-  };
-
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    while (pos < spec.size() && std::isspace(static_cast<unsigned char>(spec[pos]))) pos++;
-    size_t start = pos;
-    while (pos < spec.size() && !std::isspace(static_cast<unsigned char>(spec[pos]))) pos++;
-    if (start == pos) {
-      break;
-    }
-    std::string token = spec.substr(start, pos - start);
-    size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-      return InvalidArgumentError("HCS_FAULTS: malformed token '" + token + "' (want key=value)");
-    }
-    std::string key = token.substr(0, eq);
-    std::string value = token.substr(eq + 1);
-
-    if (key == "seed") {
-      int64_t seed = 0;
-      HCS_RETURN_IF_ERROR(ParseInt64(token, value, &seed));
-      config.seed = static_cast<uint64_t>(seed);
-      continue;
-    }
-    if (key == "endpoint") {
-      config.plans.push_back(FaultPlan{});
-      plan = &config.plans.back();
-      plan->endpoint = value;
-      phase = nullptr;
-      continue;
-    }
-    if (plan == nullptr) {
-      return InvalidArgumentError("HCS_FAULTS: '" + token + "' before any endpoint= token");
-    }
-    if (key == "phase") {
-      int64_t duration = 0;
-      HCS_RETURN_IF_ERROR(ParseInt64(token, value, &duration));
-      plan->phases.push_back(FaultPhase{});
-      plan->phases.back().duration_ms = duration;
-      phase = &plan->phases.back();
-      continue;
-    }
-    phase = current_phase();
-    if (key == "drop") {
-      HCS_RETURN_IF_ERROR(ParseProbability(token, value, &phase->spec.drop));
-    } else if (key == "dup") {
-      HCS_RETURN_IF_ERROR(ParseProbability(token, value, &phase->spec.duplicate));
-    } else if (key == "reorder") {
-      HCS_RETURN_IF_ERROR(ParseProbability(token, value, &phase->spec.reorder));
-    } else if (key == "corrupt") {
-      HCS_RETURN_IF_ERROR(ParseProbability(token, value, &phase->spec.corrupt));
-    } else if (key == "delay") {
-      HCS_RETURN_IF_ERROR(ParseProbability(token, value, &phase->spec.delay));
-    } else if (key == "delay_ms") {
-      size_t dots = value.find("..");
-      if (dots == std::string::npos) {
-        return InvalidArgumentError("HCS_FAULTS: '" + token + "' wants delay_ms=MIN..MAX");
-      }
-      HCS_RETURN_IF_ERROR(
-          ParseInt64(token, value.substr(0, dots), &phase->spec.delay_min_ms));
-      HCS_RETURN_IF_ERROR(
-          ParseInt64(token, value.substr(dots + 2), &phase->spec.delay_max_ms));
-      if (phase->spec.delay_max_ms < phase->spec.delay_min_ms) {
-        return InvalidArgumentError("HCS_FAULTS: empty range in '" + token + "'");
-      }
-    } else if (key == "blackhole") {
-      if (value != "0" && value != "1") {
-        return InvalidArgumentError("HCS_FAULTS: '" + token + "' wants blackhole=0|1");
-      }
-      phase->spec.blackhole = value == "1";
-    } else {
-      return InvalidArgumentError("HCS_FAULTS: unknown key '" + key + "'");
-    }
-  }
-  return config;
-}
-
-namespace {
-
 std::atomic<FaultInjector*> g_installed_injector{nullptr};
-
-FaultInjector* EnvFaultInjector() {
-  // Parsed once per process; a FaultInjector built from HCS_FAULTS lives for
-  // the process lifetime (reachable through this static, so leak-clean).
-  static FaultInjector* env_injector = []() -> FaultInjector* {
-    const char* spec = std::getenv("HCS_FAULTS");
-    if (spec == nullptr || spec[0] == '\0') {
-      return nullptr;
-    }
-    Result<FaultConfig> config = ParseFaultConfig(spec);
-    if (!config.ok()) {
-      // A typo must not silently run a healthy "chaos" test: injection is
-      // disabled loudly rather than partially.
-      HCS_LOG(Warning) << "ignoring HCS_FAULTS: " << config.status().ToString();
-      return nullptr;
-    }
-    HCS_LOG(Info) << "HCS_FAULTS active, seed=" << config->seed
-                  << ", plans=" << config->plans.size();
-    return new FaultInjector(std::move(config).value());
-  }();
-  return env_injector;
-}
 
 }  // namespace
 
 FaultInjector* GlobalFaultInjector() {
-  FaultInjector* installed = g_installed_injector.load(std::memory_order_acquire);
-  if (installed != nullptr) {
-    return installed;
-  }
-  return EnvFaultInjector();
+  return g_installed_injector.load(std::memory_order_acquire);
 }
 
 void InstallGlobalFaultInjector(FaultInjector* injector) {

@@ -16,14 +16,15 @@
 //   - the injector interposes at two points: FaultInjectingTransport wraps
 //     any client Transport (simulated or real), and UdpServerHost's serve
 //     loops filter inbound datagrams through the process-global injector
-//     installed from the HCS_FAULTS environment spec or by a test. Over a
-//     real transport the wrapper only hands its injector to the UDP client
-//     core, which draws one decision per attempt as the attempt starts
+//     a test installs (InstallGlobalFaultInjector). Over a real transport
+//     the wrapper only hands its injector to the UDP client core, which
+//     draws one decision per attempt as the attempt starts
 //     (src/rpc/async_client.h); over the sim it wraps RoundTrip.
 //
-// Nothing here runs unless an injector is configured: with HCS_FAULTS unset
-// and no wrapper installed, every hot path costs one relaxed atomic load,
-// and the sim-world experiment outputs stay byte-identical to the seed.
+// Nothing here runs unless an injector is configured: with none installed
+// and no wrapper, a serve loop pays one acquire load of the global injector
+// per frame, and the sim-world experiment outputs stay byte-identical to
+// the seed.
 
 #ifndef HCS_SRC_RPC_FAULT_H_
 #define HCS_SRC_RPC_FAULT_H_
@@ -220,25 +221,8 @@ class FaultInjector {
   std::vector<std::string> trace_ HCS_GUARDED_BY(mu_);
 };
 
-// Parses the HCS_FAULTS grammar: whitespace-separated key=value tokens.
-//   seed=N            decision-stream seed (default 1)
-//   endpoint=E        starts a new plan for endpoint pattern E
-//                     ("host:port", "host", or "*")
-//   phase=DUR         starts a new phase of the current plan lasting DUR ms
-//                     (0 = terminal); without any phase= token the plan is a
-//                     single terminal phase
-//   drop=P dup=P reorder=P corrupt=P delay=P     probabilities in [0,1]
-//   delay_ms=MIN..MAX                            injected-latency range
-//   blackhole=1                                  scripted partition
-// Example: "seed=42 endpoint=nsm-host phase=500 phase=2000 blackhole=1 phase=0"
-// (healthy half a second, partitioned two seconds, healed forever).
-// Unknown or malformed tokens are an error, never ignored.
-HCS_NODISCARD Result<FaultConfig> ParseFaultConfig(const std::string& spec);
-
 // The process-global injector the serving runtimes consult for inbound
-// traffic. Null (the common case) when neither HCS_FAULTS is set nor a test
-// installed one. An HCS_FAULTS value that fails to parse disables injection
-// and logs a warning — a typo must not silently run a healthy "chaos" test.
+// traffic. Null (the common case) unless a test installed one.
 FaultInjector* GlobalFaultInjector();
 // Installs `injector` (not owned; pass nullptr to uninstall). Tests pair
 // this with uninstall in their teardown.

@@ -72,10 +72,6 @@ WorkloadEngine::WorkloadEngine(World* world, HnsSession* session, Hns* admin,
   for (uint32_t i = 0; i < pair_count(); ++i) {
     rank_to_pair_[i] = i;
   }
-  trace_.header.seed = options_.seed;
-  trace_.header.population = options_.population;
-  trace_.header.contexts = options_.contexts;
-  trace_.header.zipf_s_micros = static_cast<uint32_t>(options_.zipf_s * 1e6);
 }
 
 uint32_t WorkloadEngine::pair_count() const {
@@ -140,7 +136,6 @@ void WorkloadEngine::ScheduleArrival() {
 void WorkloadEngine::ClientArrive() {
   uint32_t id = arrived_++;
   ++counters_.arrivals;
-  RecordEvent(TraceEventKind::kArrive, id, 0);
 
   ClientState state{Rng(MixSeed(options_.seed, id)), 0};
   // Geometric number of queries, mean options_.mean_queries_per_client,
@@ -163,11 +158,10 @@ void WorkloadEngine::ClientOp(uint32_t client) {
   ClientState& state = clients_[client];
   uint32_t rank = zipf_.Sample(state.rng);
   uint32_t pair = rank_to_pair_[rank];
-  ExecuteQuery(client, pair, options_.record_trace);
+  ExecuteQuery(pair);
 
   if (--state.ops_left == 0) {
     ++counters_.departures;
-    RecordEvent(TraceEventKind::kDepart, client, 0);
     return;
   }
   double think_rate = 1000.0 / std::max(1e-3, options_.mean_think_ms);
@@ -186,9 +180,9 @@ void WorkloadEngine::ScheduleStorm() {
 void WorkloadEngine::StormToggle() {
   ++storm_done_;
   if (storm_registered_) {
-    ExecuteUnregister(options_.record_trace);
+    ExecuteUnregister();
   } else {
-    ExecuteRegister(options_.record_trace);
+    ExecuteRegister();
   }
   storm_registered_ = !storm_registered_;
   ScheduleStorm();
@@ -201,35 +195,21 @@ void WorkloadEngine::FlashCrowd() {
   std::swap(rank_to_pair_[0], rank_to_pair_[pair_count() - 1]);
   uint32_t hot = rank_to_pair_[0];
   for (uint32_t k = 0; k < options_.flash_burst; ++k) {
-    uint32_t actor = options_.population + k;
-    world_->events().ScheduleAt(world_->clock().Now(), [this, actor, hot] {
-      ExecuteQuery(actor, hot, options_.record_trace);
-    });
+    world_->events().ScheduleAt(world_->clock().Now(), [this, hot] { ExecuteQuery(hot); });
   }
 }
 
 void WorkloadEngine::Stampede() {
   ++counters_.cache_flushes;
-  RecordEvent(TraceEventKind::kCacheFlush, 0, 0);
-  FlushObservedCaches();
-  uint32_t hot = rank_to_pair_[0];
-  for (uint32_t k = 0; k < options_.stampede_burst; ++k) {
-    uint32_t actor = options_.population + options_.flash_burst + k;
-    world_->events().ScheduleAt(world_->clock().Now(), [this, actor, hot] {
-      ExecuteQuery(actor, hot, options_.record_trace);
-    });
-  }
-}
-
-void WorkloadEngine::FlushObservedCaches() {
   observed()->cache().Clear();
   observed()->composite_cache().Clear();
+  uint32_t hot = rank_to_pair_[0];
+  for (uint32_t k = 0; k < options_.stampede_burst; ++k) {
+    world_->events().ScheduleAt(world_->clock().Now(), [this, hot] { ExecuteQuery(hot); });
+  }
 }
 
-void WorkloadEngine::ExecuteQuery(uint32_t client, uint32_t pair, bool record) {
-  if (record) {
-    RecordEvent(TraceEventKind::kFindNsm, client, pair);
-  }
+void WorkloadEngine::ExecuteQuery(uint32_t pair) {
   SimTime t0 = world_->clock().Now();
   auto [context, query_class] = PairFor(pair);
   Result<NsmHandle> result = session_->FindNsm(HnsName{std::move(context), "x"}, query_class);
@@ -237,10 +217,7 @@ void WorkloadEngine::ExecuteQuery(uint32_t client, uint32_t pair, bool record) {
   NoteLatency(world_->clock().Now() - t0);
 }
 
-void WorkloadEngine::ExecuteRegister(bool record) {
-  if (record) {
-    RecordEvent(TraceEventKind::kRegisterNsm, 0, 0);
-  }
+void WorkloadEngine::ExecuteRegister() {
   Status status = admin_->RegisterNsm(options_.storm_nsm);
   if (status.ok()) {
     ++counters_.registers_ok;
@@ -249,28 +226,13 @@ void WorkloadEngine::ExecuteRegister(bool record) {
   }
 }
 
-void WorkloadEngine::ExecuteUnregister(bool record) {
-  if (record) {
-    RecordEvent(TraceEventKind::kUnregisterNsm, 0, 0);
-  }
+void WorkloadEngine::ExecuteUnregister() {
   Status status = admin_->UnregisterNsm(kStormNameService, kPairQueryClasses[0]);
   if (status.ok()) {
     ++counters_.unregisters_ok;
   } else {
     ++counters_.unregisters_failed;
   }
-}
-
-void WorkloadEngine::RecordEvent(TraceEventKind kind, uint32_t client, uint32_t pair) {
-  if (!options_.record_trace) {
-    return;
-  }
-  TraceEvent event;
-  event.at_us = static_cast<uint64_t>(world_->clock().Now());
-  event.client = client;
-  event.kind = kind;
-  event.pair = pair;
-  trace_.events.push_back(event);
 }
 
 void WorkloadEngine::NoteQueryStatus(const Status& status) {
@@ -311,43 +273,6 @@ WorkloadReport WorkloadEngine::Run() {
   }
   world_->events().RunUntilIdle();
   return BuildReport();
-}
-
-Result<WorkloadReport> WorkloadEngine::Replay(const WorkloadTrace& trace) {
-  if (trace.header.magic != kTraceMagic || trace.header.version != kTraceVersion) {
-    return InvalidArgumentError("workload replay: bad trace header");
-  }
-  started_at_us_ = world_->clock().Now();
-  for (const TraceEvent& event : trace.events) {
-    world_->events().ScheduleAt(static_cast<SimTime>(event.at_us),
-                                [this, event] { ReplayEvent(event); });
-  }
-  world_->events().RunUntilIdle();
-  return BuildReport();
-}
-
-void WorkloadEngine::ReplayEvent(const TraceEvent& event) {
-  switch (event.kind) {
-    case TraceEventKind::kArrive:
-      ++counters_.arrivals;
-      return;
-    case TraceEventKind::kDepart:
-      ++counters_.departures;
-      return;
-    case TraceEventKind::kFindNsm:
-      ExecuteQuery(event.client, event.pair, /*record=*/false);
-      return;
-    case TraceEventKind::kRegisterNsm:
-      ExecuteRegister(/*record=*/false);
-      return;
-    case TraceEventKind::kUnregisterNsm:
-      ExecuteUnregister(/*record=*/false);
-      return;
-    case TraceEventKind::kCacheFlush:
-      ++counters_.cache_flushes;
-      FlushObservedCaches();
-      return;
-  }
 }
 
 WorkloadReport WorkloadEngine::BuildReport() {

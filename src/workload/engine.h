@@ -9,8 +9,8 @@
 // Determinism discipline (DESIGN.md §16): every random draw comes from a
 // SplitMix64 stream that is a pure function of (seed, actor id), the
 // simulation is single-threaded, and same-time events run FIFO — so two
-// runs at one seed produce byte-identical counters, and a recorded trace
-// (trace.h) replayed against a fresh testbed reproduces them again.
+// runs at one seed produce byte-identical counters, and (seed, options)
+// replays any run.
 
 #ifndef HCS_SRC_WORKLOAD_ENGINE_H_
 #define HCS_SRC_WORKLOAD_ENGINE_H_
@@ -29,7 +29,6 @@
 #include "src/hns/session.h"
 #include "src/sim/world.h"
 #include "src/workload/distributions.h"
-#include "src/workload/trace.h"
 
 namespace hcs {
 
@@ -76,8 +75,6 @@ struct WorkloadOptions {
   // stampede_burst same-instant queries hit the hottest pair.
   SimTime stampede_at_us = 0;
   uint32_t stampede_burst = 0;
-
-  bool record_trace = false;
 };
 
 // The byte-identical-across-same-seed-runs state: pure counters plus a
@@ -116,8 +113,8 @@ struct WorkloadReport {
   CacheStats composite_cache;
   uint64_t meta_remote_lookups = 0;  // meta-store load (BIND exchanges)
   uint64_t network_messages = 0;
-  // The measured window: the virtual time Run or Replay started at (after
-  // Setup) and the time the event queue drained.
+  // The measured window: the virtual time Run started at (after Setup) and
+  // the time the event queue drained.
   SimTime started_at_us = 0;
   SimTime ended_at_us = 0;
   // Exact percentiles over per-op sim-clock latencies.
@@ -148,20 +145,12 @@ class WorkloadEngine {
 
   // Registers the synthetic contexts (and the storm fixture when storms
   // are enabled), then zeroes the observation baselines. Call once, before
-  // Run or Replay.
+  // Run.
   HCS_NODISCARD Status Setup();
 
   // Runs the workload to completion (every actor has a finite schedule, so
   // the event queue drains deterministically) and reports.
   WorkloadReport Run();
-
-  // Replays a recorded trace: every event is re-executed at its recorded
-  // sim time in recorded order. Against an identically-configured fresh
-  // testbed this reproduces the recording run's counters exactly.
-  HCS_NODISCARD Result<WorkloadReport> Replay(const WorkloadTrace& trace);
-
-  // The trace recorded by Run when options.record_trace is set.
-  const WorkloadTrace& trace() const { return trace_; }
 
   // Pair space: contexts x {HRPCBinding, HostAddress}, with the last pair
   // remapped to (kStormContext, HRPCBinding) when storms are enabled.
@@ -184,14 +173,11 @@ class WorkloadEngine {
   void StormToggle();
   void FlashCrowd();
   void Stampede();
-  void FlushObservedCaches();
 
   // One resolution op: a single FindNsm, with sim-clock latency accounting.
-  void ExecuteQuery(uint32_t client, uint32_t pair, bool record);
-  void ExecuteRegister(bool record);
-  void ExecuteUnregister(bool record);
-  void ReplayEvent(const TraceEvent& event);
-  void RecordEvent(TraceEventKind kind, uint32_t client, uint32_t pair);
+  void ExecuteQuery(uint32_t pair);
+  void ExecuteRegister();
+  void ExecuteUnregister();
   void NoteQueryStatus(const Status& status);
   void NoteLatency(SimDuration elapsed_us);
   WorkloadReport BuildReport();
@@ -212,12 +198,11 @@ class WorkloadEngine {
 
   WorkloadCounters counters_;
   LatencyCounts latency_counts_;  // per-op sim-clock latency, us -> ops
-  WorkloadTrace trace_;
 
   // Observation baselines snapshotted at the end of Setup.
   uint64_t meta_lookups_base_ = 0;
   uint64_t network_messages_base_ = 0;
-  SimTime started_at_us_ = 0;  // when Run or Replay began
+  SimTime started_at_us_ = 0;  // when Run began
 };
 
 }  // namespace hcs

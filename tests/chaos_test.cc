@@ -123,44 +123,6 @@ HnsName SunName() {
 
 // --- Injector mechanics ----------------------------------------------------
 
-TEST(ChaosTest, ParseFaultConfigAcceptsTheDocumentedGrammar) {
-  Result<FaultConfig> config = ParseFaultConfig(
-      "seed=42 endpoint=nsm-host phase=500 phase=2000 blackhole=1 phase=0 "
-      "endpoint=* drop=0.25 dup=0.1 delay=0.5 delay_ms=2..7");
-  ASSERT_TRUE(config.ok()) << config.status();
-  EXPECT_EQ(config->seed, 42u);
-  ASSERT_EQ(config->plans.size(), 2u);
-  const FaultPlan& phased = config->plans[0];
-  EXPECT_EQ(phased.endpoint, "nsm-host");
-  ASSERT_EQ(phased.phases.size(), 3u);
-  EXPECT_EQ(phased.phases[0].duration_ms, 500);
-  EXPECT_FALSE(phased.phases[0].spec.blackhole);
-  EXPECT_EQ(phased.phases[1].duration_ms, 2000);
-  EXPECT_TRUE(phased.phases[1].spec.blackhole);
-  EXPECT_EQ(phased.phases[2].duration_ms, 0);
-  EXPECT_TRUE(phased.phases[2].spec.healthy());
-  const FaultPlan& lossy = config->plans[1];
-  EXPECT_EQ(lossy.endpoint, "*");
-  ASSERT_EQ(lossy.phases.size(), 1u);
-  EXPECT_DOUBLE_EQ(lossy.phases[0].spec.drop, 0.25);
-  EXPECT_DOUBLE_EQ(lossy.phases[0].spec.duplicate, 0.1);
-  EXPECT_DOUBLE_EQ(lossy.phases[0].spec.delay, 0.5);
-  EXPECT_EQ(lossy.phases[0].spec.delay_min_ms, 2);
-  EXPECT_EQ(lossy.phases[0].spec.delay_max_ms, 7);
-}
-
-TEST(ChaosTest, ParseFaultConfigRejectsMalformedSpecs) {
-  // A typo must never silently run a healthy "chaos" test.
-  EXPECT_FALSE(ParseFaultConfig("bogus").ok());
-  EXPECT_FALSE(ParseFaultConfig("frobnicate=1").ok());
-  EXPECT_FALSE(ParseFaultConfig("endpoint=x frobnicate=1").ok());
-  EXPECT_FALSE(ParseFaultConfig("endpoint=x drop=1.5").ok());
-  EXPECT_FALSE(ParseFaultConfig("endpoint=x drop=nope").ok());
-  EXPECT_FALSE(ParseFaultConfig("endpoint=x delay_ms=7..2").ok());
-  EXPECT_FALSE(ParseFaultConfig("drop=0.1 endpoint=x").ok()) << "spec before any endpoint";
-  EXPECT_FALSE(ParseFaultConfig("endpoint=").ok());
-}
-
 TEST(ChaosTest, CorruptFrameIsDeterministicAndBounded) {
   uint64_t seed = AnnounceSeed("CorruptFrameIsDeterministicAndBounded");
   Bytes original(64, 0xa5);

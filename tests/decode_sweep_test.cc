@@ -39,7 +39,6 @@
 #include "src/wire/courier.h"
 #include "src/wire/value.h"
 #include "src/wire/xdr.h"
-#include "src/workload/trace.h"
 
 namespace hcs {
 namespace {
@@ -349,42 +348,6 @@ TEST(DecodeSweepTest, RequestContextWire) {
     parsed.EncodeTo(out);
     return out.Take();
   });
-}
-
-TEST(DecodeSweepTest, TraceHeader) {
-  TraceHeader header;
-  header.seed = 0x5eedf00d;
-  header.population = 1'000'000;
-  header.contexts = 64;
-  header.zipf_s_micros = 1'100'000;
-  header.event_count = 3;
-  Sweep("TraceHeader", header.Encode(), ByteCodec<TraceHeader>());
-}
-
-TEST(DecodeSweepTest, TraceEvent) {
-  TraceEvent event;
-  event.at_us = 1'234'567;
-  event.client = 42;
-  event.kind = TraceEventKind::kFindNsm;
-  event.pair = 17;
-  Sweep("TraceEvent", event.Encode(), ByteCodec<TraceEvent>());
-}
-
-TEST(DecodeSweepTest, WorkloadTrace) {
-  WorkloadTrace trace;
-  trace.header.seed = 0x5eedf00d;
-  trace.header.population = 2;
-  trace.header.contexts = 1;
-  trace.header.zipf_s_micros = 1'000'000;
-  for (uint32_t k = 0; k < 3; ++k) {
-    TraceEvent event;
-    event.at_us = 1000 + k;
-    event.client = k;
-    event.kind = static_cast<TraceEventKind>(k);
-    event.pair = k;
-    trace.events.push_back(event);
-  }
-  Sweep("WorkloadTrace", trace.Encode(), ByteCodec<WorkloadTrace>());
 }
 
 // The zero-copy call decoder, swept against the poisoned debug arena. Each

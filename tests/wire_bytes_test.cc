@@ -33,7 +33,6 @@
 #include "src/wire/courier.h"
 #include "src/wire/value.h"
 #include "src/wire/xdr.h"
-#include "src/workload/trace.h"
 
 namespace hcs {
 namespace {
@@ -538,29 +537,6 @@ std::vector<Entry> Corpus() {
     corpus.push_back(XdrNestedByRef("RequestContextWire", wire));
   }
 
-  // src/workload/trace.cc
-  TraceHeader header;
-  header.seed = 0x5eedf00d;
-  header.population = 1'000'000;
-  header.contexts = 64;
-  header.zipf_s_micros = 1'100'000;
-  header.event_count = 2;
-  corpus.push_back(Message("TraceHeader", header));
-  corpus.push_back(XdrNestedByRef("TraceHeader.EncodeTo", header));
-  TraceEvent event;
-  event.at_us = 1'234'567;
-  event.client = 42;
-  event.kind = TraceEventKind::kFindNsm;
-  event.pair = 17;
-  corpus.push_back(Message("TraceEvent", event));
-  corpus.push_back(XdrNestedByRef("TraceEvent.EncodeTo", event));
-  {
-    WorkloadTrace trace;
-    trace.header = header;
-    trace.events = {event, TraceEvent{}};
-    corpus.push_back(Message("WorkloadTrace", trace));
-  }
-
   // src/rpc/control.cc: call and reply headers of every control protocol.
   corpus.push_back(CallHeader("SunRpcCall", ControlKind::kSunRpc, false));
   corpus.push_back(CallHeader("SunRpcCall.context", ControlKind::kSunRpc, true));
@@ -708,15 +684,6 @@ const Golden kGoldens[] = {
     {"ChListObjectsResponse",
      "00040006446f7261646f0007446f6c7068696e00000944616e64656c696f6e000000"},
     {"RequestContextWire", "00000000000000fa00000002abcdef0123456789"},
-    {"TraceHeader", "4857543100000002000000005eedf00d000f4240000000400010c8e00000000000000002"},
-    {"TraceHeader.EncodeTo",
-     "4857543100000002000000005eedf00d000f4240000000400010c8e00000000000000002"},
-    {"TraceEvent", "000000000012d6870000002a0000000200000011"},
-    {"TraceEvent.EncodeTo", "000000000012d6870000002a0000000200000011"},
-    {"WorkloadTrace",
-     "4857543100000002000000005eedf00d000f4240000000400010c8e00000000000000002"
-     "000000000012d6870000002a000000020000001100000000000000000000000000000000"
-     "00000000"},
     {"SunRpcCall",
      "00c0ffee000000000000000200061ae40000000200000001000000000000000000000000"
      "0000000000000005deadbeef01000000"},

@@ -2,8 +2,7 @@
 // testbed. Every scenario is seed-replayable — the run's seed comes from
 // HCS_WORKLOAD_SEED (default fixed), every random draw inside the engine is
 // a pure function of (seed, actor id), and the determinism tests assert the
-// whole run's counter fingerprint is byte-identical across same-seed runs
-// and across trace record/replay.
+// whole run's counter fingerprint is byte-identical across same-seed runs.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,7 +21,6 @@
 #include "src/workload/distributions.h"
 #include "src/workload/driver.h"
 #include "src/workload/engine.h"
-#include "src/workload/trace.h"
 
 namespace hcs {
 namespace {
@@ -147,72 +144,6 @@ TEST(DistributionsTest, PercentilesWalkTheCountsToTheSortedSampleIndex) {
   EXPECT_EQ(empty.p999, 0u);
 }
 
-// --- Trace codec -----------------------------------------------------------
-
-TEST(WorkloadTraceTest, RoundTripsHeaderAndEvents) {
-  WorkloadTrace trace;
-  trace.header.seed = 0xabcdef;
-  trace.header.population = 12;
-  trace.header.contexts = 3;
-  trace.header.zipf_s_micros = 1'250'000;
-  for (uint32_t k = 0; k <= static_cast<uint32_t>(TraceEventKind::kCacheFlush); ++k) {
-    TraceEvent event;
-    event.at_us = 1000 + k;
-    event.client = k;
-    event.kind = static_cast<TraceEventKind>(k);
-    event.pair = 2 * k;
-    trace.events.push_back(event);
-  }
-
-  Result<WorkloadTrace> decoded = WorkloadTrace::Decode(trace.Encode());
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->header.seed, trace.header.seed);
-  EXPECT_EQ(decoded->header.population, trace.header.population);
-  EXPECT_EQ(decoded->header.contexts, trace.header.contexts);
-  EXPECT_EQ(decoded->header.zipf_s_micros, trace.header.zipf_s_micros);
-  EXPECT_EQ(decoded->header.event_count, trace.events.size());
-  ASSERT_EQ(decoded->events.size(), trace.events.size());
-  for (size_t i = 0; i < trace.events.size(); ++i) {
-    EXPECT_EQ(decoded->events[i].at_us, trace.events[i].at_us);
-    EXPECT_EQ(decoded->events[i].client, trace.events[i].client);
-    EXPECT_EQ(decoded->events[i].kind, trace.events[i].kind);
-    EXPECT_EQ(decoded->events[i].pair, trace.events[i].pair);
-  }
-}
-
-TEST(WorkloadTraceTest, CorruptEventCountFailsCleanlyBeforeAllocating) {
-  WorkloadTrace trace;
-  TraceEvent event;
-  event.at_us = 1;
-  event.kind = TraceEventKind::kFindNsm;
-  trace.events.push_back(event);
-  Bytes wire = trace.Encode();
-  // event_count is the u64 at bytes 28..36 of the header
-  // (magic,version,population,contexts,zipf = 5 u32s + the u64 seed).
-  ASSERT_GE(wire.size(), 36u);
-  for (int i = 0; i < 8; ++i) {
-    wire[28 + i] = 0xff;
-  }
-  // A version 1 trace, as its encoder wrote it: two 24-byte events, the
-  // first a batch resolution. Read as version 2 events it would misparse.
-  const std::string version1_hex =
-      "4857543100000001000000005eedf00d000f4240000000400010c8e00000000000000002"
-      "000000000012d6870000002a000000030000001100000004000000000000000000000000"
-      "000000000000000000000000";
-  Bytes version1;
-  for (size_t i = 0; i < version1_hex.size(); i += 2) {
-    version1.push_back(static_cast<uint8_t>(std::stoul(version1_hex.substr(i, 2), nullptr, 16)));
-  }
-  for (const auto& [input, reason] : {std::pair{wire, "event count exceeds frame"},
-                                      std::pair{version1, "unsupported version"}}) {
-    Result<WorkloadTrace> decoded = WorkloadTrace::Decode(input);
-    ASSERT_FALSE(decoded.ok()) << reason;
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << reason;
-    EXPECT_NE(decoded.status().message().find(reason), std::string::npos)
-        << decoded.status();
-  }
-}
-
 // --- Engine scenarios ------------------------------------------------------
 
 WorkloadOptions BaseOptions(uint64_t seed) {
@@ -228,15 +159,10 @@ WorkloadOptions BaseOptions(uint64_t seed) {
   return options;
 }
 
-struct RunOutput {
-  WorkloadReport report;
-  WorkloadTrace trace;
-};
-
 // One full engine run on a fresh all-linked testbed (composite cache on —
 // the arrangement a production resolver would run). `extra_setup_ms` of
 // virtual time pass before the engine's own set-up.
-Result<RunOutput> RunWorkload(const WorkloadOptions& options, double extra_setup_ms = 0) {
+Result<WorkloadReport> RunWorkload(const WorkloadOptions& options, double extra_setup_ms = 0) {
   TestbedOptions bed_options;
   bed_options.hns_composite_cache = true;
   Testbed bed(bed_options);
@@ -245,17 +171,14 @@ Result<RunOutput> RunWorkload(const WorkloadOptions& options, double extra_setup
                         options);
   bed.world().ChargeMs(extra_setup_ms);
   HCS_RETURN_IF_ERROR(engine.Setup());
-  RunOutput out;
-  out.report = engine.Run();
-  out.trace = engine.trace();
-  return out;
+  return engine.Run();
 }
 
 TEST(WorkloadEngineTest, PopulationArrivesQueriesAndDeparts) {
   WorkloadOptions options = BaseOptions(AnnounceSeed("population-lifecycle"));
-  Result<RunOutput> run = RunWorkload(options);
+  Result<WorkloadReport> run = RunWorkload(options);
   ASSERT_TRUE(run.ok()) << run.status();
-  const WorkloadCounters& c = run->report.counters;
+  const WorkloadCounters& c = run->counters;
   EXPECT_EQ(c.arrivals, options.population);
   EXPECT_EQ(c.departures, options.population);
   // Every client issues at least one query and every query is accounted.
@@ -264,22 +187,37 @@ TEST(WorkloadEngineTest, PopulationArrivesQueriesAndDeparts) {
   EXPECT_EQ(c.latency_samples, total);
   EXPECT_EQ(c.queries_failed, 0u) << "healthy testbed: no query may fail";
   EXPECT_EQ(c.queries_not_found, 0u) << "every synthetic context is registered";
-  EXPECT_GT(run->report.ended_at_us, 0);
-  EXPECT_GT(run->report.QueriesPerSimSecond(), 0.0);
+  EXPECT_GT(run->ended_at_us, 0);
+  EXPECT_GT(run->QueriesPerSimSecond(), 0.0);
   // Zipf-concentrated traffic over a composite cache: overwhelmingly warm.
-  EXPECT_GT(run->report.composite_cache.HitFraction(), 0.9);
+  EXPECT_GT(run->composite_cache.HitFraction(), 0.9);
 }
 
 TEST(WorkloadEngineTest, SameSeedRunsAreByteIdentical) {
-  WorkloadOptions options = BaseOptions(AnnounceSeed("determinism"));
-  Result<RunOutput> a = RunWorkload(options);
-  Result<RunOutput> b = RunWorkload(options);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(a->report.counters.Fingerprint(), b->report.counters.Fingerprint());
-  EXPECT_EQ(a->report.ended_at_us, b->report.ended_at_us);
-  EXPECT_EQ(a->report.meta_remote_lookups, b->report.meta_remote_lookups);
-  EXPECT_EQ(a->report.network_messages, b->report.network_messages);
+  WorkloadOptions plain = BaseOptions(AnnounceSeed("determinism"));
+  // The second input adds storm toggles and a stampede flush mid-run.
+  // Scenario times are absolute virtual times, and this input's set-up
+  // ends near 0.6 s, so the flush at 1 s lands among the queries.
+  WorkloadOptions shaped = plain;
+  shaped.population = 800;
+  shaped.contexts = 8;
+  shaped.storm_toggles = 10;
+  shaped.storm_rate_per_second = 50;
+  shaped.storm_nsm = Testbed().BindingBindInfo();
+  shaped.storm_nsm.nsm_name = "wl-storm-nsm";
+  shaped.stampede_at_us = 1'000'000;
+  shaped.stampede_burst = 100;
+  for (const WorkloadOptions& options : {plain, shaped}) {
+    SCOPED_TRACE(options.storm_toggles > 0 ? "storm and stampede" : "plain");
+    Result<WorkloadReport> a = RunWorkload(options);
+    Result<WorkloadReport> b = RunWorkload(options);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    EXPECT_EQ(a->counters.Fingerprint(), b->counters.Fingerprint());
+    EXPECT_EQ(a->ended_at_us, b->ended_at_us);
+    EXPECT_EQ(a->meta_remote_lookups, b->meta_remote_lookups);
+    EXPECT_EQ(a->network_messages, b->network_messages);
+  }
 }
 
 // sim_qps is the throughput of the measured window: the same workload run
@@ -288,26 +226,26 @@ TEST(WorkloadEngineTest, SameSeedRunsAreByteIdentical) {
 TEST(WorkloadEngineTest, SimQpsExcludesSetUp) {
   WorkloadOptions options = BaseOptions(AnnounceSeed("sim-qps-window"));
   options.population = 500;
-  Result<RunOutput> quick = RunWorkload(options);
-  Result<RunOutput> slow = RunWorkload(options, /*extra_setup_ms=*/2500);
+  Result<WorkloadReport> quick = RunWorkload(options);
+  Result<WorkloadReport> slow = RunWorkload(options, /*extra_setup_ms=*/2500);
   ASSERT_TRUE(quick.ok()) << quick.status();
   ASSERT_TRUE(slow.ok()) << slow.status();
-  EXPECT_EQ(quick->report.counters.Fingerprint(), slow->report.counters.Fingerprint())
+  EXPECT_EQ(quick->counters.Fingerprint(), slow->counters.Fingerprint())
       << "the window's work must not depend on when it starts";
-  EXPECT_NE(quick->report.ended_at_us, slow->report.ended_at_us);
-  EXPECT_GT(quick->report.QueriesPerSimSecond(), 0.0);
-  EXPECT_EQ(quick->report.QueriesPerSimSecond(), slow->report.QueriesPerSimSecond());
+  EXPECT_NE(quick->ended_at_us, slow->ended_at_us);
+  EXPECT_GT(quick->QueriesPerSimSecond(), 0.0);
+  EXPECT_EQ(quick->QueriesPerSimSecond(), slow->QueriesPerSimSecond());
 }
 
 TEST(WorkloadEngineTest, DifferentSeedsDiverge) {
   WorkloadOptions options = BaseOptions(WorkloadSeed());
   WorkloadOptions other = options;
   other.seed = options.seed + 1;
-  Result<RunOutput> a = RunWorkload(options);
-  Result<RunOutput> b = RunWorkload(other);
+  Result<WorkloadReport> a = RunWorkload(options);
+  Result<WorkloadReport> b = RunWorkload(other);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_NE(a->report.counters.Fingerprint(), b->report.counters.Fingerprint())
+  EXPECT_NE(a->counters.Fingerprint(), b->counters.Fingerprint())
       << "seeds must actually steer the run";
 }
 
@@ -330,26 +268,26 @@ TEST(WorkloadEngineTest, MillionClientZipfRunIsDeterministic) {
   options.mean_think_ms = 50;
 
   auto t0 = std::chrono::steady_clock::now();
-  Result<RunOutput> a = RunWorkload(options);
+  Result<WorkloadReport> a = RunWorkload(options);
   ASSERT_TRUE(a.ok()) << a.status();
   double first_run_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  Result<RunOutput> b = RunWorkload(options);
+  Result<WorkloadReport> b = RunWorkload(options);
   ASSERT_TRUE(b.ok()) << b.status();
 
-  const WorkloadCounters& c = a->report.counters;
+  const WorkloadCounters& c = a->counters;
   EXPECT_EQ(c.arrivals, population);
   EXPECT_EQ(c.departures, population);
   EXPECT_GE(c.latency_samples, population);
   EXPECT_EQ(c.queries_failed, 0u);
-  EXPECT_EQ(a->report.counters.Fingerprint(), b->report.counters.Fingerprint())
+  EXPECT_EQ(a->counters.Fingerprint(), b->counters.Fingerprint())
       << "million-client runs at one seed must be byte-identical";
-  EXPECT_EQ(a->report.ended_at_us, b->report.ended_at_us);
+  EXPECT_EQ(a->ended_at_us, b->ended_at_us);
   std::cout << "[workload] million-clients population=" << population << " queries="
             << (c.queries_ok + c.queries_not_found + c.queries_failed)
-            << " sim_qps=" << a->report.QueriesPerSimSecond()
-            << " p50_ms=" << a->report.p50_ms << " p99_ms=" << a->report.p99_ms
-            << " p999_ms=" << a->report.p999_ms << " wall_s=" << first_run_s
+            << " sim_qps=" << a->QueriesPerSimSecond()
+            << " p50_ms=" << a->p50_ms << " p99_ms=" << a->p99_ms
+            << " p999_ms=" << a->p999_ms << " wall_s=" << first_run_s
             << std::endl;
 }
 
@@ -387,31 +325,31 @@ TEST(WorkloadEngineTest, FlashCrowdPromotesTheColdestPair) {
   options.zipf_s = 1.3;
   options.flash_crowd_at_us = 400'000;
   options.flash_burst = 500;
-  Result<RunOutput> run = RunWorkload(options);
+  Result<WorkloadReport> run = RunWorkload(options);
   ASSERT_TRUE(run.ok()) << run.status();
-  const WorkloadCounters& c = run->report.counters;
+  const WorkloadCounters& c = run->counters;
   uint64_t total = c.queries_ok + c.queries_not_found + c.queries_failed;
   // The burst queries ride on top of the population's own.
   EXPECT_GE(total, options.population + options.flash_burst);
   EXPECT_EQ(c.queries_failed, 0u);
   // The burst hammers one (context, class) pair: after its first miss the
   // composite cache absorbs the crowd.
-  EXPECT_GT(run->report.composite_cache.HitFraction(), 0.9);
+  EXPECT_GT(run->composite_cache.HitFraction(), 0.9);
 }
 
 TEST(WorkloadEngineTest, CacheStampedeFlushesAndRecovers) {
   WorkloadOptions options = BaseOptions(AnnounceSeed("stampede"));
   options.stampede_at_us = 400'000;
   options.stampede_burst = 300;
-  Result<RunOutput> run = RunWorkload(options);
+  Result<WorkloadReport> run = RunWorkload(options);
   ASSERT_TRUE(run.ok()) << run.status();
-  const WorkloadCounters& c = run->report.counters;
+  const WorkloadCounters& c = run->counters;
   EXPECT_EQ(c.cache_flushes, 1u);
   EXPECT_EQ(c.queries_failed, 0u);
   // The flush forces re-resolution: the meta store sees load again and the
   // record cache records fresh misses, yet every query still succeeds.
-  EXPECT_GT(run->report.meta_remote_lookups, 0u);
-  EXPECT_GT(run->report.record_cache.misses, 0u);
+  EXPECT_GT(run->meta_remote_lookups, 0u);
+  EXPECT_GT(run->record_cache.misses, 0u);
 }
 
 // Chaos composition: the engine's scenarios run unchanged under a PR 5
@@ -458,58 +396,6 @@ TEST(WorkloadEngineTest, ComposesWithFaultPlansDeterministically) {
   EXPECT_GT(a->counters.queries_ok, 0u) << "retries must still land some queries";
   EXPECT_EQ(a->counters.Fingerprint(), b->counters.Fingerprint())
       << "chaos-composed workload must replay byte-identically";
-}
-
-TEST(WorkloadEngineTest, TraceReplayReproducesTheRecordedRun) {
-  Testbed record_bed;
-  WorkloadOptions options = BaseOptions(AnnounceSeed("trace-replay"));
-  options.population = 800;
-  options.contexts = 8;
-  options.record_trace = true;
-  options.storm_toggles = 10;
-  options.storm_rate_per_second = 50;
-  options.storm_nsm = record_bed.BindingBindInfo();
-  options.storm_nsm.nsm_name = "wl-storm-nsm";
-  options.stampede_at_us = 400'000;
-  options.stampede_burst = 100;
-
-  TestbedOptions bed_options;
-  bed_options.hns_composite_cache = true;
-
-  WorkloadReport recorded;
-  WorkloadTrace trace;
-  {
-    Testbed bed(bed_options);
-    ClientSetup client = bed.MakeClient(Arrangement::kAllLinked);
-    WorkloadEngine engine(&bed.world(), client.session.get(),
-                          client.session->local_hns(), options);
-    ASSERT_TRUE(engine.Setup().ok());
-    recorded = engine.Run();
-    trace = engine.trace();
-  }
-  ASSERT_FALSE(trace.events.empty());
-
-  // The trace survives its wire format...
-  Result<WorkloadTrace> decoded = WorkloadTrace::Decode(trace.Encode());
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-
-  // ...and replaying it against an identically-built fresh testbed
-  // reproduces the recorded counters exactly — including latencies, since
-  // the replay drives the same cache evolution on the same virtual clock.
-  {
-    Testbed bed(bed_options);
-    ClientSetup client = bed.MakeClient(Arrangement::kAllLinked);
-    WorkloadOptions replay_options = options;
-    replay_options.record_trace = false;
-    WorkloadEngine engine(&bed.world(), client.session.get(),
-                          client.session->local_hns(), replay_options);
-    ASSERT_TRUE(engine.Setup().ok());
-    Result<WorkloadReport> replayed = engine.Replay(*decoded);
-    ASSERT_TRUE(replayed.ok()) << replayed.status();
-    EXPECT_EQ(replayed->counters.Fingerprint(), recorded.counters.Fingerprint())
-        << "replayed counters diverged from the recorded run";
-    EXPECT_EQ(replayed->ended_at_us, recorded.ended_at_us);
-  }
 }
 
 // --- The real-socket driver ---------------------------------------------------

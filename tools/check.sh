@@ -216,8 +216,8 @@ else
 fi
 
 # 9b. The workload scenario suite under ASan+UBSan at several fixed seeds:
-# the million-client engine's determinism claims (same-seed fingerprints,
-# trace replay) re-checked with memory errors fatal. HCS_WORKLOAD_POPULATION
+# the million-client engine's determinism claims (same-seed fingerprints)
+# re-checked with memory errors fatal. HCS_WORKLOAD_POPULATION
 # scales the tentpole scenario to sanitizer speed; the seeds are fixed so a
 # failure names its replay command.
 if [[ -x "${BUILD_ROOT}/asan-ubsan/tests/workload_test" ]]; then

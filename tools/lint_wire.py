@@ -59,7 +59,6 @@ SCAN_FILES = [
     "src/bindns/record.cc",
     "src/rpc/context.cc",
     "src/ch/protocol.cc",
-    "src/workload/trace.cc",
 ]
 
 # The deterministic truncation/corruption sweep; every two-sided pair found
