@@ -46,7 +46,7 @@ Result<Bytes> NfsLiteServer::GetFile(const std::string& path) const {
 void NfsLiteServer::RegisterHandlers() {
   rpc_server_.RegisterProcedure(
       kNfsLiteProgram, kNfsProcLookup, [this](BytesView args) -> Result<Bytes> {
-        world_->ChargeMs(4.0);  // directory walk
+        ChargeMs(world_, 4.0);  // directory walk
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(std::string path, dec.GetString());
         auto it = files_.find(path);
@@ -76,7 +76,7 @@ void NfsLiteServer::RegisterHandlers() {
         size_t n = std::min<size_t>(count, contents.size() - offset);
         n = std::min(n, kNfsBlockBytes);
         // Disk block read.
-        world_->ChargeMs(3.0 + static_cast<double>(n) / 1024.0);
+        ChargeMs(world_, 3.0 + static_cast<double>(n) / 1024.0);
         XdrEncoder enc;
         enc.PutOpaque(Bytes(contents.begin() + offset, contents.begin() + offset + n));
         enc.PutBool(offset + n >= contents.size());  // eof
@@ -101,7 +101,7 @@ void NfsLiteServer::RegisterHandlers() {
           contents.resize(offset + data.size());
         }
         std::copy(data.begin(), data.end(), contents.begin() + offset);
-        world_->ChargeMs(4.0 + static_cast<double>(data.size()) / 1024.0);
+        ChargeMs(world_, 4.0 + static_cast<double>(data.size()) / 1024.0);
         XdrEncoder enc;
         enc.PutUint32(static_cast<uint32_t>(contents.size()));
         return enc.Take();
@@ -109,7 +109,7 @@ void NfsLiteServer::RegisterHandlers() {
 
   rpc_server_.RegisterProcedure(
       kNfsLiteProgram, kNfsProcCreate, [this](BytesView args) -> Result<Bytes> {
-        world_->ChargeMs(5.0);
+        ChargeMs(world_, 5.0);
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(std::string path, dec.GetString());
         if (files_.count(path) == 0) {
@@ -158,7 +158,7 @@ Result<Bytes> XdeFileServer::GetFile(const std::string& name) const {
 Status XdeFileServer::Authenticate(const std::string& user, const std::string& password) {
   // Xerox services authenticate every access (same story as the
   // Clearinghouse).
-  world_->ChargeMs(world_->costs().ch_auth_ms);
+  ChargeMs(world_, kCosts.ch_auth_ms);
   auto it = accounts_.find(AsciiToLower(user));
   if (it == accounts_.end() || it->second != password) {
     return PermissionDeniedError("filing authentication failed for " + user);
@@ -179,8 +179,7 @@ void XdeFileServer::RegisterHandlers() {
           return NotFoundError("no such file: " + name);
         }
         // Whole-file disk retrieval.
-        world_->ChargeMs(world_->costs().ch_disk_ms +
-                         static_cast<double>(it->second.size()) / 1024.0);
+        ChargeMs(world_, kCosts.ch_disk_ms + static_cast<double>(it->second.size()) / 1024.0);
         CourierEncoder enc;
         enc.PutSequence(it->second);
         return enc.Take();
@@ -194,8 +193,7 @@ void XdeFileServer::RegisterHandlers() {
         HCS_ASSIGN_OR_RETURN(std::string name, dec.GetString());
         HCS_ASSIGN_OR_RETURN(Bytes contents, dec.GetSequence());
         HCS_RETURN_IF_ERROR(Authenticate(user, password));
-        world_->ChargeMs(world_->costs().ch_disk_ms +
-                         static_cast<double>(contents.size()) / 1024.0);
+        ChargeMs(world_, kCosts.ch_disk_ms + static_cast<double>(contents.size()) / 1024.0);
         files_[AsciiToLower(name)] = std::move(contents);
         return Bytes{};
       });
@@ -207,7 +205,7 @@ void XdeFileServer::RegisterHandlers() {
         HCS_ASSIGN_OR_RETURN(std::string password, dec.GetString());
         HCS_ASSIGN_OR_RETURN(std::string prefix, dec.GetString());
         HCS_RETURN_IF_ERROR(Authenticate(user, password));
-        world_->ChargeMs(world_->costs().ch_disk_ms);
+        ChargeMs(world_, kCosts.ch_disk_ms);
         CourierEncoder enc;
         uint16_t count = 0;
         std::string prefix_key = AsciiToLower(prefix);

@@ -55,7 +55,7 @@ void MailDropServer::RegisterHandlers() {
       kMailDropProgram, kMailProcDeliver, [this](const Bytes& args) -> Result<Bytes> {
         HCS_ASSIGN_OR_RETURN(auto delivery, DecodeDeliver(args));
         // Spool write to disk.
-        world_->ChargeMs(6.0 + static_cast<double>(delivery.second.size()) / 1024.0);
+        ChargeMs(world_, 6.0 + static_cast<double>(delivery.second.size()) / 1024.0);
         spools_[AsciiToLower(delivery.first)].push_back(std::move(delivery.second));
         return Bytes{};
       });
@@ -63,7 +63,7 @@ void MailDropServer::RegisterHandlers() {
   rpc_server_.RegisterProcedure(
       kMailDropProgram, kMailProcList, [this](const Bytes& args) -> Result<Bytes> {
         HCS_ASSIGN_OR_RETURN(std::string recipient, DecodeRecipient(args));
-        world_->ChargeMs(2.0);
+        ChargeMs(world_, 2.0);
         uint32_t count = 0;
         auto it = spools_.find(AsciiToLower(recipient));
         if (it != spools_.end()) {
@@ -81,7 +81,7 @@ void MailDropServer::RegisterHandlers() {
 
   rpc_server_.RegisterProcedure(
       kMailDropProgram, kMailProcFetch, [this](const Bytes& args) -> Result<Bytes> {
-        world_->ChargeMs(4.0);
+        ChargeMs(world_, 4.0);
         std::string recipient;
         uint32_t index = 0;
         if (control_ == ControlKind::kCourier) {

@@ -26,10 +26,8 @@ Result<HrpcBinding> LocalFileBinder::Bind(const std::string& service,
                                           const std::string& host) {
   // Open and scan the whole replica (1987 local disk); this dominates the
   // baseline's cost.
-  if (world_ != nullptr) {
-    world_->ChargeMs(world_->costs().local_file_open_scan_ms +
-                     0.05 * static_cast<double>(file_->line_count()));
-  }
+  ChargeMs(world_,
+           kCosts.local_file_open_scan_ms + 0.05 * static_cast<double>(file_->line_count()));
 
   std::string want_host = AsciiToLower(host);
   std::string want_service = AsciiToLower(service);

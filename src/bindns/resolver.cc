@@ -21,24 +21,19 @@ HrpcBinding BindResolver::ServerBinding() const {
 
 Result<std::vector<ResourceRecord>> BindResolver::Query(const std::string& name,
                                                         RrType type) {
-  World* world = client_->world();
   BindQueryRequest request;
   request.name = name;
   request.type = type;
 
-  if (world != nullptr) {
-    ChargeMarshal(world, options_.engine, 1);
-  }
+  ChargeMarshal(client_->world(), options_.engine, 1);
   HCS_ASSIGN_OR_RETURN(Bytes reply,
                        client_->Call(ServerBinding(), kBindProcQuery, request.Encode()));
   HCS_ASSIGN_OR_RETURN(BindQueryResponse response, BindQueryResponse::Decode(reply));
-  if (world != nullptr) {
-    size_t answer_bytes = 0;
-    for (const ResourceRecord& rr : response.answers) {
-      answer_bytes += rr.rdata.size();
-    }
-    ChargeDemarshal(world, options_.engine, MarshalUnitsForBytes(answer_bytes));
+  size_t answer_bytes = 0;
+  for (const ResourceRecord& rr : response.answers) {
+    answer_bytes += rr.rdata.size();
   }
+  ChargeDemarshal(client_->world(), options_.engine, MarshalUnitsForBytes(answer_bytes));
 
   if (response.rcode == Rcode::kNxDomain) {
     return NotFoundError("name does not exist: " + name);
@@ -68,16 +63,11 @@ Status BindResolver::Update(UpdateOp op, const ResourceRecord& record) {
   BindUpdateRequest request;
   request.ops.push_back(UpdateOperation{op, record});
 
-  World* world = client_->world();
-  if (world != nullptr) {
-    ChargeMarshal(world, options_.engine, 1);
-  }
+  ChargeMarshal(client_->world(), options_.engine, 1);
   HCS_ASSIGN_OR_RETURN(Bytes reply,
                        client_->Call(ServerBinding(), kBindProcUpdate, request.Encode()));
   HCS_ASSIGN_OR_RETURN(BindUpdateResponse response, BindUpdateResponse::Decode(reply));
-  if (world != nullptr) {
-    ChargeDemarshal(world, options_.engine, 1);
-  }
+  ChargeDemarshal(client_->world(), options_.engine, 1);
   if (response.rcode != Rcode::kNoError) {
     return InvalidArgumentError(StrFormat("dynamic update refused (rcode %u)",
                                           static_cast<unsigned>(response.rcode)));
@@ -89,16 +79,11 @@ Result<BindAxfrResponse> BindResolver::ZoneTransfer(const std::string& origin) {
   BindAxfrRequest request;
   request.origin = origin;
 
-  World* world = client_->world();
-  if (world != nullptr) {
-    ChargeMarshal(world, options_.engine, 1);
-  }
+  ChargeMarshal(client_->world(), options_.engine, 1);
   HCS_ASSIGN_OR_RETURN(Bytes reply,
                        client_->Call(ServerBinding(), kBindProcAxfr, request.Encode()));
   HCS_ASSIGN_OR_RETURN(BindAxfrResponse response, BindAxfrResponse::Decode(reply));
-  if (world != nullptr) {
-    ChargeDemarshal(world, options_.engine, static_cast<int>(response.records.size()));
-  }
+  ChargeDemarshal(client_->world(), options_.engine, static_cast<int>(response.records.size()));
   if (response.rcode != Rcode::kNoError) {
     return NotFoundError("no such zone for transfer: " + origin);
   }

@@ -129,7 +129,7 @@ void BindServer::RegisterHandlers() {
       kBindProgram, kBindProcInvalidate, [this](BytesView args) -> Result<Bytes> {
         HCS_ASSIGN_OR_RETURN(BindInvalidateRequest request,
                              BindInvalidateRequest::Decode(args));
-        world_->ChargeMs(world_->costs().cache_probe_ms);
+        ChargeMs(world_, kCosts.cache_probe_ms);
         InvalidateForwarded(request.name);
         return Bytes{};
       });
@@ -146,7 +146,7 @@ void BindServer::RegisterHandlers() {
 }
 
 Result<BindQueryResponse> BindServer::HandleQuery(const BindQueryRequest& request) {
-  world_->ChargeMs(world_->costs().bind_lookup_cpu_ms);
+  ChargeMs(world_, kCosts.bind_lookup_cpu_ms);
 
   Zone* zone = FindZone(request.name);
   if (zone != nullptr) {
@@ -173,7 +173,7 @@ Result<BindQueryResponse> BindServer::HandleQuery(const BindQueryRequest& reques
   std::string key = AsciiToLower(request.name) + "|" +
                     std::to_string(static_cast<uint32_t>(request.type));
   auto it = forward_cache_.find(key);
-  if (it != forward_cache_.end() && it->second.expires > world_->clock().Now()) {
+  if (it != forward_cache_.end() && it->second.expires > ClockNow(world_)) {
     ++forward_cache_hits_;
     BindQueryResponse response;
     response.authoritative = false;
@@ -191,7 +191,7 @@ Result<BindQueryResponse> BindServer::HandleQuery(const BindQueryRequest& reques
   for (const ResourceRecord& rr : forwarded.answers) {
     min_ttl = rr.ttl_seconds < min_ttl ? rr.ttl_seconds : min_ttl;
   }
-  entry.expires = world_->clock().Now() + MsToSim(min_ttl * 1000.0);
+  entry.expires = ClockNow(world_) + MsToSim(min_ttl * 1000.0);
   forward_cache_[key] = std::move(entry);
   return forwarded;
 }
@@ -233,7 +233,7 @@ Result<BindUpdateResponse> BindServer::UpdateLocal(const BindUpdateRequest& requ
     }
   }
   for (size_t i = 0; i < request.ops.size(); ++i) {
-    world_->ChargeMs(world_->costs().bind_update_cpu_ms);
+    ChargeMs(world_, kCosts.bind_update_cpu_ms);
   }
 
   // The whole list is one zone's mutation: every operation must fall in
@@ -302,9 +302,8 @@ Result<BindAxfrResponse> BindServer::AxfrLocal(const BindAxfrRequest& request) {
       response.records = zone->All();
       response.serial = zone->serial();
       response.rcode = Rcode::kNoError;
-      world_->ChargeMs(world_->costs().bind_axfr_base_ms +
-                       world_->costs().bind_axfr_per_record_ms *
-                           static_cast<double>(response.records.size()));
+      ChargeMs(world_, kCosts.bind_axfr_base_ms + kCosts.bind_axfr_per_record_ms *
+                                                      static_cast<double>(response.records.size()));
       return response;
     }
   }

@@ -46,18 +46,13 @@ Result<ChRetrieveItemResponse> ChClient::RetrieveItem(const ChName& name, uint32
   request.name = name;
   request.property = property;
 
-  World* world = client_->world();
-  if (world != nullptr) {
-    ChargeMarshal(world, MarshalEngine::kHandCoded, 1);
-  }
+  ChargeMarshal(client_->world(), MarshalEngine::kHandCoded, 1);
   HCS_ASSIGN_OR_RETURN(
       Bytes reply, CallWithFailover(kChProcRetrieveItem, request.Encode()));
   HCS_ASSIGN_OR_RETURN(ChRetrieveItemResponse response,
                        ChRetrieveItemResponse::Decode(reply));
-  if (world != nullptr) {
-    ChargeDemarshal(world, MarshalEngine::kHandCoded,
-                    static_cast<int>(response.item.LeafCount()));
-  }
+  ChargeDemarshal(client_->world(), MarshalEngine::kHandCoded,
+                  static_cast<int>(response.item.LeafCount()));
   return response;
 }
 
@@ -68,10 +63,7 @@ Status ChClient::AddItem(const ChName& name, uint32_t property, const WireValue&
   request.property = property;
   request.item = item;
 
-  World* world = client_->world();
-  if (world != nullptr) {
-    ChargeMarshal(world, MarshalEngine::kHandCoded, static_cast<int>(item.LeafCount()));
-  }
+  ChargeMarshal(client_->world(), MarshalEngine::kHandCoded, static_cast<int>(item.LeafCount()));
   HCS_ASSIGN_OR_RETURN(Bytes reply,
                        CallWithFailover(kChProcAddItem, request.Encode()));
   (void)reply;  // hcs:ignore-status(success reply body is empty; errors already propagated above)
@@ -84,10 +76,7 @@ Status ChClient::DeleteItem(const ChName& name, uint32_t property) {
   request.name = name;
   request.property = property;
 
-  World* world = client_->world();
-  if (world != nullptr) {
-    ChargeMarshal(world, MarshalEngine::kHandCoded, 1);
-  }
+  ChargeMarshal(client_->world(), MarshalEngine::kHandCoded, 1);
   HCS_ASSIGN_OR_RETURN(Bytes reply,
                        CallWithFailover(kChProcDeleteItem, request.Encode()));
   (void)reply;  // hcs:ignore-status(success reply body is empty; errors already propagated above)
@@ -101,17 +90,12 @@ Result<std::vector<std::string>> ChClient::ListObjects(const std::string& domain
   request.domain = domain;
   request.organization = organization;
 
-  World* world = client_->world();
-  if (world != nullptr) {
-    ChargeMarshal(world, MarshalEngine::kHandCoded, 1);
-  }
+  ChargeMarshal(client_->world(), MarshalEngine::kHandCoded, 1);
   HCS_ASSIGN_OR_RETURN(Bytes reply,
                        CallWithFailover(kChProcListObjects, request.Encode()));
   HCS_ASSIGN_OR_RETURN(ChListObjectsResponse response, ChListObjectsResponse::Decode(reply));
-  if (world != nullptr) {
-    ChargeDemarshal(world, MarshalEngine::kHandCoded,
-                    static_cast<int>(response.objects.size()));
-  }
+  ChargeDemarshal(client_->world(), MarshalEngine::kHandCoded,
+                  static_cast<int>(response.objects.size()));
   return response.objects;
 }
 

@@ -64,7 +64,7 @@ Status ChServer::AddAlias(const ChName& alias, const ChName& target) {
 
 Status ChServer::Authenticate(const ChCredentials& credentials) {
   // Authentication happens on every access and dominates the access cost.
-  world_->ChargeMs(world_->costs().ch_auth_ms);
+  ChargeMs(world_, kCosts.ch_auth_ms);
   if (!options_.require_authentication) {
     return Status::Ok();
   }
@@ -85,7 +85,7 @@ Result<ChRetrieveItemResponse> ChServer::RetrieveItemLocal(
     const ChRetrieveItemRequest& request) {
   HCS_RETURN_IF_ERROR(Authenticate(request.credentials));
   // Virtually all data is retrieved from disk.
-  world_->ChargeMs(world_->costs().ch_disk_ms + world_->costs().ch_lookup_cpu_ms);
+  ChargeMs(world_, kCosts.ch_disk_ms + kCosts.ch_lookup_cpu_ms);
 
   ChName distinguished = Canonicalize(request.name);
   if (domains_.count(distinguished.DomainKey()) == 0) {
@@ -108,7 +108,7 @@ Result<ChRetrieveItemResponse> ChServer::RetrieveItemLocal(
 
 Result<ChRetrieveItemResponse> ChServer::AddItemLocal(const ChAddItemRequest& request) {
   HCS_RETURN_IF_ERROR(Authenticate(request.credentials));
-  world_->ChargeMs(world_->costs().ch_disk_ms + world_->costs().ch_lookup_cpu_ms);
+  ChargeMs(world_, kCosts.ch_disk_ms + kCosts.ch_lookup_cpu_ms);
 
   ChName distinguished = Canonicalize(request.name);
   if (domains_.count(distinguished.DomainKey()) == 0) {
@@ -125,7 +125,7 @@ Result<ChRetrieveItemResponse> ChServer::AddItemLocal(const ChAddItemRequest& re
 
 Status ChServer::DeleteItemLocal(const ChDeleteItemRequest& request) {
   HCS_RETURN_IF_ERROR(Authenticate(request.credentials));
-  world_->ChargeMs(world_->costs().ch_disk_ms + world_->costs().ch_lookup_cpu_ms);
+  ChargeMs(world_, kCosts.ch_disk_ms + kCosts.ch_lookup_cpu_ms);
 
   ChName distinguished = Canonicalize(request.name);
   auto oit = objects_.find(ObjectKey(distinguished));
@@ -157,9 +157,9 @@ Result<ChListObjectsResponse> ChServer::ListObjectsLocal(
                                                                  : key.substr(0, colon));
     }
   }
-  world_->ChargeMs(world_->costs().ch_disk_ms +
-                   world_->costs().ch_lookup_cpu_ms *
-                       (1.0 + static_cast<double>(response.objects.size()) / 16.0));
+  ChargeMs(world_,
+           kCosts.ch_disk_ms +
+               kCosts.ch_lookup_cpu_ms * (1.0 + static_cast<double>(response.objects.size()) / 16.0));
   return response;
 }
 

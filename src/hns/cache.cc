@@ -1,7 +1,5 @@
 #include "src/hns/cache.h"
 
-#include <chrono>
-
 #include "src/common/strings.h"
 
 namespace hcs {
@@ -33,15 +31,6 @@ std::string CacheModeName(CacheMode mode) {
   return "unknown";
 }
 
-SimTime CacheNow(const World* world) {
-  if (world != nullptr) {
-    return world->clock().Now();
-  }
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 HnsCache::HnsCache(World* world, CacheMode mode, HnsCacheOptions options)
     : world_(world), mode_(mode), options_(options) {
   size_t n = RoundUpPow2(options_.shards == 0 ? 1 : options_.shards);
@@ -66,9 +55,7 @@ HnsCache::LookupResult HnsCache::Lookup(const std::string& key) {
     ShardFor(key).stats.misses.fetch_add(1, std::memory_order_relaxed);
     return result;
   }
-  if (world_ != nullptr) {
-    world_->ChargeMs(world_->costs().cache_probe_ms);
-  }
+  ChargeMs(world_, kCosts.cache_probe_ms);
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
@@ -95,16 +82,12 @@ HnsCache::LookupResult HnsCache::Lookup(const std::string& key) {
   result.probe = Probe::kHit;
   result.expires = it->second->expires;
 
-  if (world_ != nullptr) {
-    if (mode_ == CacheMode::kMarshalled) {
-      // The paper's first HNS cache demarshalled its stored wire form on
-      // every access with the expensive stub-generated routines.
-      ChargeDemarshal(world_, MarshalEngine::kStubGenerated,
-                      static_cast<int>(it->second->units));
-    } else {
-      world_->ChargeMs(world_->costs().cache_copy_per_record_ms *
-                       static_cast<double>(it->second->units));
-    }
+  if (mode_ == CacheMode::kMarshalled) {
+    // The paper's first HNS cache demarshalled its stored wire form on
+    // every access with the expensive stub-generated routines.
+    ChargeDemarshal(world_, MarshalEngine::kStubGenerated, static_cast<int>(it->second->units));
+  } else {
+    ChargeMs(world_, kCosts.cache_copy_per_record_ms * static_cast<double>(it->second->units));
   }
   result.value = it->second->value;
   return result;
@@ -135,9 +118,7 @@ void HnsCache::Insert(Entry entry) {
   size_t shard_budget =
       options_.max_bytes == 0 ? 0 : std::max<size_t>(1, options_.max_bytes / shards_.size());
 
-  if (world_ != nullptr) {
-    world_->ChargeMs(world_->costs().cache_insert_ms);
-  }
+  ChargeMs(world_, kCosts.cache_insert_ms);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(entry.key);
   if (it != shard.index.end()) {
@@ -321,9 +302,7 @@ const CompositeBindingCache::Shard& CompositeBindingCache::ShardFor(
 
 std::optional<CompositeEntry> CompositeBindingCache::Get(const std::string& context,
                                                          const std::string& query_class) {
-  if (world_ != nullptr) {
-    world_->ChargeMs(world_->costs().cache_probe_ms);
-  }
+  ChargeMs(world_, kCosts.cache_probe_ms);
   std::string key = CompositeKey(context, query_class);
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
@@ -341,17 +320,13 @@ std::optional<CompositeEntry> CompositeBindingCache::Get(const std::string& cont
   }
   counters_.hits.fetch_add(1, std::memory_order_relaxed);
   // The entry is already composed and demarshalled: a hit costs one copy.
-  if (world_ != nullptr) {
-    world_->ChargeMs(world_->costs().cache_copy_per_record_ms *
-                     static_cast<double>(MarshalUnitsForBytes(CompositeEntryBytes(it->second))));
-  }
+  ChargeMs(world_, kCosts.cache_copy_per_record_ms *
+                       static_cast<double>(MarshalUnitsForBytes(CompositeEntryBytes(it->second))));
   return it->second;
 }
 
 void CompositeBindingCache::Put(CompositeEntry entry, uint64_t generation) {
-  if (world_ != nullptr) {
-    world_->ChargeMs(world_->costs().cache_insert_ms);
-  }
+  ChargeMs(world_, kCosts.cache_insert_ms);
   entry.context = AsciiToLower(entry.context);
   entry.query_class = AsciiToLower(entry.query_class);
   entry.ns_name = AsciiToLower(entry.ns_name);

@@ -95,10 +95,6 @@ struct HnsCacheOptions {
   uint32_t negative_ttl_seconds = 5;
 };
 
-// The simulation clock when `world` is present, else a monotonic real
-// clock (microseconds) — TTLs must hold outside the simulator too.
-SimTime CacheNow(const World* world);
-
 class HnsCache {
  public:
   // What a probe found. Distinguishing a cached NotFound from a plain miss
@@ -192,7 +188,7 @@ class HnsCache {
     ShardStats stats;
   };
 
-  SimTime Now() const { return CacheNow(world_); }
+  SimTime Now() const { return ClockNow(world_); }
   Shard& ShardFor(const std::string& key);
   const Shard& ShardFor(const std::string& key) const;
   // Inserts an entry (positive or negative), evicting from the shard's LRU
@@ -293,7 +289,7 @@ class CompositeBindingCache {
     std::atomic<uint64_t> generation{0};
   };
 
-  SimTime Now() const { return CacheNow(world_); }
+  SimTime Now() const { return ClockNow(world_); }
   Shard& ShardFor(const std::string& key);
   const Shard& ShardFor(const std::string& key) const;
 

@@ -9,6 +9,15 @@
 
 namespace hcs {
 
+namespace {
+
+// Upper bound on a composite entry's lifetime, applied on top of the min of
+// the constituent mapping TTLs (the composed host address has no TTL of its
+// own).
+constexpr uint32_t kCompositeTtlCapSeconds = 3600;
+
+}  // namespace
+
 Hns::Hns(World* world, std::string local_host, Transport* transport, HnsOptions options)
     : world_(world),
       local_host_(std::move(local_host)),
@@ -70,8 +79,8 @@ Result<NsmHandle> Hns::FindNsm(const HnsName& name, const QueryClass& query_clas
                        FindNsmUncomposed(name, query_class, &min_expires, &ns_name, effective));
 
   if (options_.composite_cache) {
-    SimTime cap = CacheNow(world_) +
-                  MsToSim(static_cast<double>(options_.composite_ttl_cap_seconds) * 1000.0);
+    SimTime cap =
+        ClockNow(world_) + MsToSim(static_cast<double>(kCompositeTtlCapSeconds) * 1000.0);
     CompositeEntry entry;
     entry.nsm_name = handle.nsm_name;
     entry.binding = handle.binding;
@@ -171,15 +180,11 @@ Result<uint32_t> Hns::ResolveHostAddressAtDepth(const std::string& host_context,
   NsmQueryRequest request;
   request.name = host_name;
   request.args = std::move(no_args);
-  if (world_ != nullptr) {
-    ChargeMarshal(world_, MarshalEngine::kStubGenerated, 1);
-  }
+  ChargeMarshal(world_, MarshalEngine::kStubGenerated, 1);
   HCS_ASSIGN_OR_RETURN(Bytes reply,
                        rpc_client_.Call(binding, kNsmProcQuery, request.Encode(), context));
   HCS_ASSIGN_OR_RETURN(WireValue result, WireValue::Decode(reply));
-  if (world_ != nullptr) {
-    ChargeDemarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(reply.size()));
-  }
+  ChargeDemarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(reply.size()));
   return result.Uint32Field("address");
 }
 

@@ -37,10 +37,6 @@ struct HnsOptions {
   // (context, query class), so a warm FindNSM is one probe instead of six.
   // Orthogonal to cache_mode — the record-level cache still serves misses.
   bool composite_cache = false;
-  // Upper bound on a composite entry's lifetime, applied on top of the min
-  // of the constituent mapping TTLs (the composed host address has no TTL
-  // of its own).
-  uint32_t composite_ttl_cap_seconds = 3600;
 };
 
 // What FindNSM hands back: either a linked (same-process) NSM instance or

@@ -104,7 +104,6 @@ HrpcBinding MetaStore::MetaServerBinding(bool authority) const {
 }
 
 Result<WireValue> MetaStore::DecodeMetaReply(const std::string& record_name, const Bytes& reply) {
-  World* world = client_->world();
   HCS_ASSIGN_OR_RETURN(BindQueryResponse response, BindQueryResponse::Decode(reply));
   if (response.rcode == Rcode::kNxDomain || response.answers.empty()) {
     return NotFoundError("no meta record: " + record_name);
@@ -119,9 +118,8 @@ Result<WireValue> MetaStore::DecodeMetaReply(const std::string& record_name, con
     answer_bytes += rr.rdata.size();
   }
   HCS_ASSIGN_OR_RETURN(WireValue value, ValueFromUnspecRecords(std::move(response.answers)));
-  if (world != nullptr) {
-    ChargeDemarshal(world, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(answer_bytes));
-  }
+  ChargeDemarshal(client_->world(), MarshalEngine::kStubGenerated,
+                  MarshalUnitsForBytes(answer_bytes));
   return value;
 }
 
@@ -151,7 +149,7 @@ void MetaStore::FinishFlight(const std::string& record_name,
       }
     }
     if (fetched.ok()) {
-      expires = CacheNow(client_->world()) +
+      expires = ClockNow(client_->world()) +
                 MsToSim(static_cast<double>(kMetaTtlSeconds) * 1000.0);
     }
     flight->result = fetched;
@@ -171,9 +169,7 @@ void MetaStore::FetchRecord(const std::string& record_name,
   BindQueryRequest request;
   request.name = record_name;
   request.type = RrType::kUnspec;
-  if (World* world = client_->world(); world != nullptr) {
-    ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
-  }
+  ChargeMarshal(client_->world(), MarshalEngine::kStubGenerated, 1);
   Result<Bytes> reply =
       client_->Call(MetaServerBinding(/*authority=*/false), kBindProcQuery, request.Encode(), rctx);
   Result<WireValue> fetched =
@@ -281,13 +277,10 @@ void AppendWrite(std::vector<UpdateOperation>* ops, const std::string& record_na
 }  // namespace
 
 Status MetaStore::Commit(const std::vector<UpdateOperation>& ops) {
-  World* world = client_->world();
-  if (world != nullptr) {
-    // Stub-generated marshalling, charged per operation as if each went
-    // alone: the list saves round trips, not marshalling.
-    for (size_t i = 0; i < ops.size(); ++i) {
-      ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
-    }
+  // Stub-generated marshalling, charged per operation as if each went
+  // alone: the list saves round trips, not marshalling.
+  for (size_t i = 0; i < ops.size(); ++i) {
+    ChargeMarshal(client_->world(), MarshalEngine::kStubGenerated, 1);
   }
   BindUpdateRequest request;
   request.ops = ops;
@@ -384,10 +377,7 @@ Status MetaStore::UnregisterNsm(const std::string& ns_name, const QueryClass& qu
 Result<MetaStore::ZoneChunks> MetaStore::TransferMetaZone() {
   BindAxfrRequest request;
   request.origin = kMetaZoneOrigin;
-  World* world = client_->world();
-  if (world != nullptr) {
-    ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
-  }
+  ChargeMarshal(client_->world(), MarshalEngine::kStubGenerated, 1);
   HCS_ASSIGN_OR_RETURN(
       Bytes reply,
       client_->Call(MetaServerBinding(/*authority=*/true), kBindProcAxfr, request.Encode()));
@@ -407,10 +397,8 @@ Result<MetaStore::ZoneChunks> MetaStore::TransferMetaZone() {
 
 Result<MetaStore::Inventory> MetaStore::TakeInventory() {
   HCS_ASSIGN_OR_RETURN(ZoneChunks zone, TransferMetaZone());
-  World* world = client_->world();
-  if (world != nullptr) {
-    ChargeDemarshal(world, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(zone.bytes));
-  }
+  ChargeDemarshal(client_->world(), MarshalEngine::kStubGenerated,
+                  MarshalUnitsForBytes(zone.bytes));
 
   Inventory inventory;
   std::string suffix = std::string(".") + kMetaZoneOrigin;
@@ -454,10 +442,8 @@ Result<size_t> MetaStore::Preload() {
       }
     }
   }
-  World* world = client_->world();
-  if (world != nullptr) {
-    ChargeDemarshal(world, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(zone.bytes));
-  }
+  ChargeDemarshal(client_->world(), MarshalEngine::kStubGenerated,
+                  MarshalUnitsForBytes(zone.bytes));
   return zone.bytes;
 }
 

@@ -59,15 +59,10 @@ Result<NsmHandle> HnsSession::FindNsmRemote(const HnsName& name,
   request.context = name.context;
   request.query_class = query_class;
   Bytes body = request.Encode();
-  if (world_ != nullptr) {
-    ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(body.size()));
-  }
+  ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(body.size()));
   HCS_ASSIGN_OR_RETURN(Bytes reply,
                        rpc_client_.Call(HnsServerBinding(), kHnsProcFindNsm, body, context));
-  if (world_ != nullptr) {
-    ChargeDemarshal(world_, MarshalEngine::kStubGenerated,
-                    MarshalUnitsForBytes(reply.size()));
-  }
+  ChargeDemarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(reply.size()));
   HCS_ASSIGN_OR_RETURN(FindNsmResponse response, FindNsmResponse::Decode(reply));
 
   NsmHandle handle;
@@ -90,15 +85,11 @@ Result<WireValue> HnsSession::CallNsmRemote(const HrpcBinding& binding, const Hn
   request.args = args;
 
   Bytes body = request.Encode();
-  if (world_ != nullptr) {
-    ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(body.size()));
-  }
+  ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(body.size()));
   HCS_ASSIGN_OR_RETURN(Bytes reply, rpc_client_.Call(binding, kNsmProcQuery, body, context));
   HCS_ASSIGN_OR_RETURN(WireValue result, WireValue::Decode(reply));
-  if (world_ != nullptr) {
-    // The reply is the result's whole encoding: its size is the units.
-    ChargeDemarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(reply.size()));
-  }
+  // The reply is the result's whole encoding: its size is the units.
+  ChargeDemarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(reply.size()));
   return result;
 }
 
@@ -117,15 +108,11 @@ Result<WireValue> HnsSession::CallAgent(const HnsName& name, const QueryClass& q
   agent_binding.control = ControlKind::kRaw;
 
   Bytes body = request.Encode();
-  if (world_ != nullptr) {
-    ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(body.size()));
-  }
+  ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(body.size()));
   HCS_ASSIGN_OR_RETURN(Bytes reply,
                        rpc_client_.Call(agent_binding, kAgentProcQuery, body, context));
   HCS_ASSIGN_OR_RETURN(WireValue result, WireValue::Decode(reply));
-  if (world_ != nullptr) {
-    ChargeDemarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(reply.size()));
-  }
+  ChargeDemarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(reply.size()));
   return result;
 }
 

@@ -76,8 +76,7 @@ Result<WireValue> ChBindingNsm::Query(const HnsName& name, const WireValue& args
   HCS_ASSIGN_OR_RETURN(uint32_t address, address_item.item.Uint32Field("address"));
 
   // 3. The Courier binding protocol's listener handshake with the target.
-  world_->ChargeMs(world_->costs().courier_bind_handshake_cpu_ms +
-                   world_->costs().net_rtt_cross_host_ms);
+  ChargeMs(world_, kCosts.courier_bind_handshake_cpu_ms + kCosts.net_rtt_cross_host_ms);
 
   HrpcBinding binding;
   binding.service_name = service;

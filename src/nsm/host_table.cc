@@ -26,7 +26,7 @@ HostTableServer::HostTableServer(World* world, std::string host)
   rpc_server_.RegisterProcedure(
       kHostTableProgram, kHostTableProcGet, [this](const Bytes& args) -> Result<Bytes> {
         // A table probe is about as cheap as a BIND lookup.
-        world_->ChargeMs(world_->costs().bind_lookup_cpu_ms);
+        ChargeMs(world_, kCosts.bind_lookup_cpu_ms);
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(std::string name, dec.GetString());
         auto it = table_.find(AsciiToLower(name));
@@ -40,7 +40,7 @@ HostTableServer::HostTableServer(World* world, std::string host)
 
   rpc_server_.RegisterProcedure(
       kHostTableProgram, kHostTableProcPut, [this](const Bytes& args) -> Result<Bytes> {
-        world_->ChargeMs(world_->costs().bind_update_cpu_ms);
+        ChargeMs(world_, kCosts.bind_update_cpu_ms);
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(std::string name, dec.GetString());
         HCS_ASSIGN_OR_RETURN(uint32_t address, dec.GetUint32());
@@ -91,17 +91,13 @@ Result<WireValue> HostTableHostAddressNsm::Query(const HnsName& name, const Wire
 
   XdrEncoder enc;
   enc.PutString(local_name);
-  if (world_ != nullptr) {
-    ChargeMarshal(world_, MarshalEngine::kHandCoded, 1);
-  }
+  ChargeMarshal(world_, MarshalEngine::kHandCoded, 1);
   HCS_ASSIGN_OR_RETURN(Bytes reply,
                        rpc_client_.Call(TableServerBinding(table_server_host_),
                                         kHostTableProcGet, enc.Take()));
   XdrDecoder dec(reply);
   HCS_ASSIGN_OR_RETURN(uint32_t address, dec.GetUint32());
-  if (world_ != nullptr) {
-    ChargeDemarshal(world_, MarshalEngine::kHandCoded, 1);
-  }
+  ChargeDemarshal(world_, MarshalEngine::kHandCoded, 1);
 
   WireValue result = RecordBuilder().U32("address", address).Str("host", local_name).Build();
   cache_.Put(key, result, 300);

@@ -45,14 +45,14 @@ thread_local size_t ScratchLease::depth_ = 0;
 
 // Per-call control-protocol processing charged to the simulation (covers
 // both the client and server ends of the exchange).
-double ControlCostMs(const CostModel& costs, ControlKind kind) {
+double ControlCostMs(ControlKind kind) {
   switch (kind) {
     case ControlKind::kSunRpc:
-      return costs.sunrpc_control_ms;
+      return kCosts.sunrpc_control_ms;
     case ControlKind::kCourier:
-      return costs.courier_control_ms;
+      return kCosts.courier_control_ms;
     case ControlKind::kRaw:
-      return costs.raw_control_ms;
+      return kCosts.raw_control_ms;
   }
   return 0.0;
 }
@@ -115,12 +115,6 @@ uint32_t RetryPolicy::MaxAttempts(int64_t budget_ms) {
   return attempts;
 }
 
-void RpcClient::ChargeControlCost(ControlKind control) {
-  if (world_ != nullptr) {
-    world_->ChargeMs(ControlCostMs(world_->costs(), control));
-  }
-}
-
 std::optional<Result<Bytes>> RpcClient::PrepareCall(const HrpcBinding& binding,
                                                     uint32_t procedure, BytesView args,
                                                     const RequestContext& context,
@@ -136,7 +130,7 @@ std::optional<Result<Bytes>> RpcClient::PrepareCall(const HrpcBinding& binding,
     return CallBlocking(GetControlProtocol(binding.control), binding, procedure, args,
                         spec->context, info);
   }
-  ChargeControlCost(binding.control);
+  ChargeMs(world_, ControlCostMs(binding.control));
   spec->binding = &binding;
   spec->procedure = procedure;
   spec->args = args;
@@ -213,7 +207,7 @@ Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const Hrpc
   ScratchLease scratch;
   Bytes& message = *scratch.get();
   control.EncodeCallTo(call, &message);
-  ChargeControlCost(binding.control);
+  ChargeMs(world_, ControlCostMs(binding.control));
   info_out->attempts = 1;
   HCS_ASSIGN_OR_RETURN(Bytes response,
                        transport_->RoundTrip(local_host_, binding.host, binding.port, message));

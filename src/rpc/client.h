@@ -117,10 +117,6 @@ class RpcClient {
   AsyncClientEngine* engine() const {
     return async_engine_ != nullptr ? async_engine_ : GlobalAsyncClientEngine();
   }
-  // Charges the control protocol's per-call processing to the simulation
-  // (a no-op without a World).
-  void ChargeControlCost(ControlKind control);
-
   // The part of a call that never reaches the engine: resolves the
   // effective context into `*spec` and `info->trace_id`, sheds a spent
   // budget, and runs a call on a channel-less transport (`spec->channel`)

@@ -339,7 +339,7 @@ Result<Bytes> FaultInjectingTransport::RoundTrip(const std::string& from_host,
     // charge advances the virtual clock deterministically; otherwise the
     // wall clock pays.
     if (world_ != nullptr) {
-      world_->ChargeMs(static_cast<double>(decision.delay_ms));
+      ChargeMs(world_, static_cast<double>(decision.delay_ms));
     } else {
       std::this_thread::sleep_for(std::chrono::milliseconds(decision.delay_ms));
     }

@@ -29,7 +29,7 @@ void PortMapper::RegisterHandlers() {
   server_.RegisterProcedure(
       kPortmapperProgram, kPmapProcGetPort, [this](BytesView args) -> Result<Bytes> {
         HCS_RETURN_IF_ERROR(ShedIfBudgetSpent("portmapper"));
-        world_->ChargeMs(world_->costs().sun_portmapper_cpu_ms);
+        ChargeMs(world_, kCosts.sun_portmapper_cpu_ms);
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(uint32_t program, dec.GetUint32());
         HCS_ASSIGN_OR_RETURN(uint32_t version, dec.GetUint32());
@@ -44,7 +44,7 @@ void PortMapper::RegisterHandlers() {
 
   server_.RegisterProcedure(
       kPortmapperProgram, kPmapProcSet, [this](BytesView args) -> Result<Bytes> {
-        world_->ChargeMs(world_->costs().sun_portmapper_cpu_ms);
+        ChargeMs(world_, kCosts.sun_portmapper_cpu_ms);
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(uint32_t program, dec.GetUint32());
         HCS_ASSIGN_OR_RETURN(uint32_t version, dec.GetUint32());
@@ -61,7 +61,7 @@ void PortMapper::RegisterHandlers() {
 
   server_.RegisterProcedure(
       kPortmapperProgram, kPmapProcUnset, [this](BytesView args) -> Result<Bytes> {
-        world_->ChargeMs(world_->costs().sun_portmapper_cpu_ms);
+        ChargeMs(world_, kCosts.sun_portmapper_cpu_ms);
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(uint32_t program, dec.GetUint32());
         HCS_ASSIGN_OR_RETURN(uint32_t version, dec.GetUint32());

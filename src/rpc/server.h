@@ -21,8 +21,9 @@ namespace hcs {
 class RpcServer : public SimService {
  public:
   // A procedure body: argument bytes in, result bytes out. CPU costs are
-  // charged by the body itself (simulated servers) or not at all (real
-  // transports). The argument bytes are a view into the arrival buffer,
+  // charged by the body itself, to the World the service was built with,
+  // whichever transport carried the request; only a null World charges
+  // nothing. The argument bytes are a view into the arrival buffer,
   // valid only until the handler returns; handlers decode from it without
   // a copy and copy out only what they keep.
   using Handler = std::function<Result<Bytes>(BytesView args)>;

@@ -10,8 +10,10 @@
 // endpoint, so its handlers never overlap, and it takes up to 16 datagrams
 // per receive; ServeConcurrent runs several loops on the same socket, each
 // taking one datagram per receive. Services must stay alive until
-// StopAll()/destruction. Simulated-time charging is a no-op on this path
-// (pass a null World to RpcClient).
+// StopAll()/destruction. A client with a null World charges nothing, but a
+// served service still charges the World it was built with on every
+// datagram (ChargeMs in src/sim/world.h), and its caches expire on that
+// World's clock.
 
 #ifndef HCS_SRC_RPC_UDP_TRANSPORT_H_
 #define HCS_SRC_RPC_UDP_TRANSPORT_H_

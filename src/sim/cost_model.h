@@ -2,13 +2,16 @@
 // testbed (MicroVAX-IIs on Ethernet, Sun RPC / Courier RPC, BIND 4.x, Xerox
 // Clearinghouse).
 //
-// This is the single place where simulated time comes from. Every constant
-// is expressed in milliseconds and documented with the paper evidence it is
-// calibrated against. EXPERIMENTS.md records how the composed paths compare
-// with the paper's reported figures.
+// This is the single place the calibrated costs come from: one compile-time
+// constant, kCosts, charged through ChargeMs (src/sim/world.h). Every
+// constant is expressed in milliseconds and documented with the paper
+// evidence it is calibrated against. EXPERIMENTS.md records how the composed
+// paths compare with the paper's reported figures.
 
 #ifndef HCS_SRC_SIM_COST_MODEL_H_
 #define HCS_SRC_SIM_COST_MODEL_H_
+
+#include <cstddef>
 
 namespace hcs {
 
@@ -94,27 +97,30 @@ struct CostModel {
   // ---- Derived helpers ----------------------------------------------------
 
   // CPU cost of stub-generated marshalling of `records` records.
-  double StubMarshalMs(int records) const {
+  constexpr double StubMarshalMs(int records) const {
     return stub_marshal_per_call_ms + stub_marshal_per_record_ms * records;
   }
   // CPU cost of stub-generated demarshalling of `records` records.
-  double StubDemarshalMs(int records) const {
+  constexpr double StubDemarshalMs(int records) const {
     return stub_demarshal_per_call_ms + stub_demarshal_per_record_ms * records;
   }
   // CPU cost of hand-coded (de)marshalling of `records` records; the paper
   // reports one number per direction for the standard BIND routines.
-  double HandMarshalMs(int records) const {
+  constexpr double HandMarshalMs(int records) const {
     return hand_marshal_per_call_ms + hand_marshal_per_record_ms * records;
   }
 
   // Network round trip between the named pair, for a payload of
   // `request_bytes` + `response_bytes`.
-  double NetRttMs(bool same_host, size_t request_bytes, size_t response_bytes) const {
+  constexpr double NetRttMs(bool same_host, size_t request_bytes, size_t response_bytes) const {
     double base = same_host ? net_rtt_same_host_ms : net_rtt_cross_host_ms;
     return base + net_per_kbyte_ms *
                       (static_cast<double>(request_bytes + response_bytes) / 1024.0);
   }
 };
+
+// The cost model every charge reads.
+inline constexpr CostModel kCosts{};
 
 }  // namespace hcs
 

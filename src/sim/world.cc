@@ -1,8 +1,19 @@
 #include "src/sim/world.h"
 
+#include <chrono>
+
 #include "src/common/strings.h"
 
 namespace hcs {
+
+SimTime ClockNow(const World* world) {
+  if (world != nullptr) {
+    return world->clock().Now();
+  }
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 std::string World::EndpointKey(const std::string& host, uint16_t port) {
   return AsciiToLower(host) + ":" + std::to_string(port);
@@ -75,7 +86,7 @@ Result<Bytes> World::RoundTrip(const std::string& from_host, const std::string& 
   if (partitioned_ && !same_host &&
       (partition_group_.count(AsciiToLower(from_host)) != 0) !=
           (partition_group_.count(AsciiToLower(to_host)) != 0)) {
-    clock_.AdvanceMs(costs_.NetRttMs(false, request.size(), 0) / 2);
+    clock_.AdvanceMs(kCosts.NetRttMs(false, request.size(), 0) / 2);
     return TimeoutError("network partition (injected): " + AsciiToLower(from_host) +
                         " cannot reach " + AsciiToLower(to_host));
   }
@@ -87,7 +98,7 @@ Result<Bytes> World::RoundTrip(const std::string& from_host, const std::string& 
   // matters.
   Result<Bytes> response = it->second->HandleMessage(request);
   size_t response_bytes = response.ok() ? response.value().size() : 0;
-  double rtt = costs_.NetRttMs(same_host, request.size(), response_bytes) +
+  double rtt = kCosts.NetRttMs(same_host, request.size(), response_bytes) +
                network_.ExtraDelayMs(from_host, to_host);
   clock_.AdvanceMs(rtt);
 

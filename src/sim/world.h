@@ -4,10 +4,10 @@
 //
 // Execution model: client calls are synchronous C++ calls; the virtual
 // clock is advanced by (a) network latency per message exchange, computed
-// from the CostModel and the actual request/response byte counts, and (b)
+// from kCosts and the actual request/response byte counts, and (b)
 // explicit CPU/disk charges made by servers and marshalling code while they
-// run. This reproduces the latency composition of the paper's experiments
-// deterministically.
+// run, each one ChargeMs call. This reproduces the latency composition of
+// the paper's experiments deterministically.
 
 #ifndef HCS_SRC_SIM_WORLD_H_
 #define HCS_SRC_SIM_WORLD_H_
@@ -71,15 +71,10 @@ class World {
 
   VirtualClock& clock() { return clock_; }
   const VirtualClock& clock() const { return clock_; }
-  CostModel& costs() { return costs_; }
-  const CostModel& costs() const { return costs_; }
   Network& network() { return network_; }
   const Network& network() const { return network_; }
   EventQueue& events() { return events_; }
   TrafficStats& stats() { return stats_; }
-
-  // Charges `ms` of CPU/disk time to the simulation clock.
-  void ChargeMs(double ms) { clock_.AdvanceMs(ms); }
 
   // Registers a service at (host, port). The host must exist. The service
   // is not owned; it must outlive the registration (use OwnService to hand
@@ -128,7 +123,6 @@ class World {
   static std::string EndpointKey(const std::string& host, uint16_t port);
 
   VirtualClock clock_;
-  CostModel costs_;
   Network network_;
   EventQueue events_;
   TrafficStats stats_;
@@ -140,6 +134,23 @@ class World {
   std::set<std::string> partition_group_;
   bool partitioned_ = false;
 };
+
+// Virtual time from one place. Every simulated cost is one ChargeMs call and
+// every TTL reads ClockNow. Without a World (a real transport) a charge is
+// nothing and time is the steady clock: real time is real.
+
+// Charges `ms` of CPU, disk or protocol time to `world`'s clock. Each call
+// truncates to whole microseconds (MsToSim), and the seed goldens rely on
+// that per call, so two charges are not one charge of their sum.
+inline void ChargeMs(World* world, double ms) {
+  if (world != nullptr) {
+    world->clock().AdvanceMs(ms);
+  }
+}
+
+// `world`'s virtual time, or without one a monotonic real clock, both in
+// microseconds: TTLs hold outside the simulator too.
+SimTime ClockNow(const World* world);
 
 }  // namespace hcs
 

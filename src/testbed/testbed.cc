@@ -115,8 +115,8 @@ void Testbed::BuildNetwork() {
   auto desired = std::make_unique<RpcServer>(ControlKind::kSunRpc, "DesiredService@fiji");
   desired->RegisterProcedure(kDesiredServiceProgram, 1,
                              [this](const Bytes& args) -> Result<Bytes> {
-                               world_.ChargeMs(1.0);  // trivial service body
-                               return args;           // echo
+                               ChargeMs(&world_, 1.0);  // trivial service body
+                               return args;             // echo
                              });
   RpcServer* desired_raw = world_.OwnService(std::move(desired));
   (void)world_.RegisterService(kSunServerHost, kDesiredServicePort, desired_raw);  // hcs:ignore-status(testbed wiring over fixed fixtures; failures surface in the tests built on this world)
@@ -125,7 +125,7 @@ void Testbed::BuildNetwork() {
   auto print = std::make_unique<RpcServer>(ControlKind::kCourier, "PrintService@Dorado");
   print->RegisterProcedure(kPrintServiceProgram, 1,
                            [this](const Bytes& args) -> Result<Bytes> {
-                             world_.ChargeMs(2.0);
+                             ChargeMs(&world_, 2.0);
                              return args;
                            });
   RpcServer* print_raw = world_.OwnService(std::move(print));

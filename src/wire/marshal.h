@@ -35,21 +35,17 @@ enum class MarshalEngine {
 };
 
 // Charges the simulated CPU cost of marshalling a message containing
-// `records` resource-record-sized items.
+// `records` resource-record-sized items (nothing without a World).
 inline void ChargeMarshal(World* world, MarshalEngine engine, int records) {
-  const CostModel& c = world->costs();
-  double ms = engine == MarshalEngine::kStubGenerated ? c.StubMarshalMs(records)
-                                                      : c.HandMarshalMs(records);
-  world->ChargeMs(ms);
+  ChargeMs(world, engine == MarshalEngine::kStubGenerated ? kCosts.StubMarshalMs(records)
+                                                          : kCosts.HandMarshalMs(records));
 }
 
 // Charges the simulated CPU cost of demarshalling a message containing
-// `records` resource-record-sized items.
+// `records` resource-record-sized items (nothing without a World).
 inline void ChargeDemarshal(World* world, MarshalEngine engine, int records) {
-  const CostModel& c = world->costs();
-  double ms = engine == MarshalEngine::kStubGenerated ? c.StubDemarshalMs(records)
-                                                      : c.HandMarshalMs(records);
-  world->ChargeMs(ms);
+  ChargeMs(world, engine == MarshalEngine::kStubGenerated ? kCosts.StubDemarshalMs(records)
+                                                          : kCosts.HandMarshalMs(records));
 }
 
 }  // namespace hcs

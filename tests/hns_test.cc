@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/bindns/zone.h"
 #include "src/common/strings.h"
 #include "src/hns/cache.h"
 #include "src/hns/hns.h"
@@ -232,7 +233,7 @@ TEST_F(HnsCacheTest, CompositeEntriesExpire) {
   entry.query_class = "QC";
   entry.nsm_name = "SomeNSM";
   entry.ns_name = "SomeNS";
-  entry.expires = CacheNow(&world_) + MsToSim(10'000.0);
+  entry.expires = ClockNow(&world_) + MsToSim(10'000.0);
   cache.Put(entry, cache.generation());
 
   EXPECT_TRUE(cache.Get("ctx", "qc").has_value()) << "keys are case-insensitive";
@@ -464,37 +465,31 @@ TEST_F(CompositeFindNsmTest, RegisterContextInvalidatesItsEntries) {
 }
 
 TEST_F(CompositeFindNsmTest, CompositeTtlCapBoundsEntryLifetime) {
-  // A session with a 10-second composite cap under hour-long record TTLs:
-  // the cap is the min, so after 11 s the composite entry is gone while the
-  // record cache still answers everything.
-  SessionOptions options;
-  options.hns.meta_server_host = kMetaSecondaryHost;
-  options.hns.meta_authority_host = kMetaBindHost;
-  options.hns.composite_cache = true;
-  options.hns.composite_ttl_cap_seconds = 10;
-  HnsSession session(&bed_->world(), kClientHost, &bed_->transport(), options);
-  for (std::shared_ptr<Nsm>& nsm : bed_->MakeLinkedNsms(kClientHost)) {
-    ASSERT_TRUE(session.LinkNsm(std::move(nsm)).ok());
+  // Meta records that live two hours, preloaded by zone transfer, under the
+  // one-hour composite cap: the cap is the min, so an hour later the
+  // composite entry is gone while the record cache still answers everything.
+  Zone* zone = bed_->meta_bind()->FindZone(MetaStore::kMetaZoneOrigin);
+  ASSERT_NE(zone, nullptr);
+  std::vector<ResourceRecord> records = zone->All();
+  for (ResourceRecord& rr : records) {
+    rr.ttl_seconds = 7200;
   }
-  Hns* capped = session.local_hns();
+  ASSERT_TRUE(zone->ReplaceAll(std::move(records), zone->serial() + 1).ok());
+  ASSERT_TRUE(hns()->PreloadCache().ok());
 
-  HnsName name;
-  name.context = kContextBindBinding;
-  name.individual = "whoever";
-  ASSERT_TRUE(capped->FindNsm(name, kQueryClassHrpcBinding).ok());
-
-  bed_->world().clock().AdvanceMs(11'000.0);
-  uint64_t lookups = capped->meta().remote_lookups();
-  capped->composite_cache().ResetStats();
-  ASSERT_TRUE(capped->FindNsm(name, kQueryClassHrpcBinding).ok());
-  EXPECT_EQ(capped->composite_cache().stats().expirations, 1u);
-  EXPECT_EQ(capped->meta().remote_lookups(), lookups)
+  ASSERT_TRUE(Find(kContextBindBinding, kQueryClassHrpcBinding).ok());
+  bed_->world().clock().AdvanceMs(3600'000.0 + 1'000.0);
+  uint64_t lookups = hns()->meta().remote_lookups();
+  hns()->composite_cache().ResetStats();
+  ASSERT_TRUE(Find(kContextBindBinding, kQueryClassHrpcBinding).ok());
+  EXPECT_EQ(hns()->composite_cache().stats().expirations, 1u);
+  EXPECT_EQ(hns()->meta().remote_lookups(), lookups)
       << "records outlive the capped composite entry, so re-composition is local";
 
   // And the re-composed entry serves the next call as a single probe again.
-  capped->composite_cache().ResetStats();
-  ASSERT_TRUE(capped->FindNsm(name, kQueryClassHrpcBinding).ok());
-  EXPECT_EQ(capped->composite_cache().stats().hits, 1u);
+  hns()->composite_cache().ResetStats();
+  ASSERT_TRUE(Find(kContextBindBinding, kQueryClassHrpcBinding).ok());
+  EXPECT_EQ(hns()->composite_cache().stats().hits, 1u);
 }
 
 

@@ -184,18 +184,17 @@ INSTANTIATE_TEST_SUITE_P(Modes, CacheModeTest,
 // --- Cost-model sanity sweeps ------------------------------------------------------------
 
 TEST(CostModelProperty, CompositionInequalitiesHold) {
-  CostModel costs;
   // Stub marshalling dominates hand-coded at every record count.
   for (int records = 1; records <= 32; records *= 2) {
-    EXPECT_GT(costs.StubDemarshalMs(records), costs.HandMarshalMs(records));
-    EXPECT_GT(costs.StubMarshalMs(records), costs.HandMarshalMs(records));
+    EXPECT_GT(kCosts.StubDemarshalMs(records), kCosts.HandMarshalMs(records));
+    EXPECT_GT(kCosts.StubMarshalMs(records), kCosts.HandMarshalMs(records));
   }
   // Same-host exchanges are cheaper at every payload size.
   for (size_t bytes = 0; bytes <= 1 << 16; bytes = bytes * 2 + 64) {
-    EXPECT_LT(costs.NetRttMs(true, bytes, bytes), costs.NetRttMs(false, bytes, bytes));
+    EXPECT_LT(kCosts.NetRttMs(true, bytes, bytes), kCosts.NetRttMs(false, bytes, bytes));
   }
   // Authenticated disk-backed Clearinghouse access must dwarf a BIND lookup.
-  EXPECT_GT(costs.ch_auth_ms + costs.ch_disk_ms, 10 * costs.bind_lookup_cpu_ms);
+  EXPECT_GT(kCosts.ch_auth_ms + kCosts.ch_disk_ms, 10 * kCosts.bind_lookup_cpu_ms);
 }
 
 }  // namespace

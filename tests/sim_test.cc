@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "src/sim/clock.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/network.h"
@@ -149,7 +151,7 @@ class EchoService : public SimService {
  public:
   explicit EchoService(World* world, double cpu_ms) : world_(world), cpu_ms_(cpu_ms) {}
   Result<Bytes> HandleMessage(const Bytes& request) override {
-    world_->ChargeMs(cpu_ms_);
+    ChargeMs(world_, cpu_ms_);
     return request;
   }
 
@@ -176,7 +178,7 @@ TEST_F(WorldTest, RoundTripDispatchesAndCharges) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(*reply, request);
   // cross-host rtt + 5ms server cpu
-  double expected = world_.costs().NetRttMs(false, 3, 3) + 5.0;
+  double expected = kCosts.NetRttMs(false, 3, 3) + 5.0;
   EXPECT_NEAR(world_.clock().NowMs(), expected, 1e-3);  // µs clock quantization
   EXPECT_EQ(world_.stats().total_messages, 1u);
   EXPECT_EQ(world_.stats().messages_per_endpoint["b:99"], 1u);
@@ -236,6 +238,37 @@ TEST_F(WorldTest, ExtraDelayApplied) {
   t0 = world_.clock().NowMs();
   (void)world_.RoundTrip("a", "b", 99, Bytes{});  // hcs:ignore-status(timing probe; only the clock delta is asserted)
   EXPECT_NEAR(world_.clock().NowMs() - t0, base + 40.0, 1e-3);
+}
+
+// --- ChargeMs / ClockNow ------------------------------------------------------------
+
+TEST(ChargeTest, NullWorldChargesNothingAndReadsTheSteadyClock) {
+  World world;
+  ChargeMs(nullptr, 1000.0);
+  EXPECT_EQ(world.clock().Now(), 0);
+
+  auto steady_us = [] {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  };
+  SimTime before = steady_us();
+  SimTime now = ClockNow(nullptr);
+  SimTime after = steady_us();
+  EXPECT_GE(now, before);
+  EXPECT_LE(now, after);
+}
+
+TEST(ChargeTest, EachChargeTruncatesToWholeMicroseconds) {
+  // The seed goldens depend on this: two 78.5 µs charges advance 156 µs,
+  // while one charge of their sum advances 157.
+  World world;
+  ChargeMs(&world, 0.0785);
+  ChargeMs(&world, 0.0785);
+  EXPECT_EQ(world.clock().Now(), 156);
+  EXPECT_EQ(ClockNow(&world), 156);
+  ChargeMs(&world, 0.0785 + 0.0785);
+  EXPECT_EQ(ClockNow(&world), 156 + 157);
 }
 
 }  // namespace

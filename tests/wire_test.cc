@@ -287,8 +287,8 @@ TEST(MarshalUnitsTest, BytesToRecordEquivalents) {
 
 TEST(MarshalUnitsTest, ChargingAdvancesClockByEngine) {
   World world;
-  double stub = world.costs().StubDemarshalMs(3);
-  double hand = world.costs().HandMarshalMs(3);
+  double stub = kCosts.StubDemarshalMs(3);
+  double hand = kCosts.HandMarshalMs(3);
   double t0 = world.clock().NowMs();
   ChargeDemarshal(&world, MarshalEngine::kStubGenerated, 3);
   EXPECT_NEAR(world.clock().NowMs() - t0, stub, 1e-9);

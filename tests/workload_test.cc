@@ -169,7 +169,7 @@ Result<WorkloadReport> RunWorkload(const WorkloadOptions& options, double extra_
   ClientSetup client = bed.MakeClient(Arrangement::kAllLinked);
   WorkloadEngine engine(&bed.world(), client.session.get(), client.session->local_hns(),
                         options);
-  bed.world().ChargeMs(extra_setup_ms);
+  ChargeMs(&bed.world(), extra_setup_ms);
   HCS_RETURN_IF_ERROR(engine.Setup());
   return engine.Run();
 }

@@ -51,15 +51,8 @@ the patterns a compiler cannot judge, and this lint closes them tree-wide:
      bare-statement or (void)-cast call of any of these must bind the
      count, or carry an ignore tag explaining why the shortfall is safe.
 
-  7. CallAsync futures must be consumed. A discarded RpcFuture is a
-     fired-and-forgotten RPC: the call still goes on the wire, but its
-     result — including the error that explains the outage you are
-     debugging — evaporates, and nothing observes completion. The class is
-     HCS_NODISCARD, so a naked discard fails to compile; this rule closes
-     the escape hatches: a bare-statement CallAsync(...) call, a
-     (void)-cast of the call, and a (void)-cast of an RpcFuture variable
-     all require an ignore tag (Wait(), WaitFor(), ready(), or OnComplete()
-     are the intended consumers).
+  7. Retired with the API it policed (CallAsync futures, deleted); the
+     numbers of the other rules stay.
 
   8. Datagram syscalls go through the mmsg wrappers. In src/, sendto,
      recvfrom, sendmsg, recvmsg, sendmmsg and recvmmsg may be called only
@@ -341,55 +334,6 @@ def check_mmsg_completions(root, errors):
                     f"// hcs:ignore-status(reason) tag")
 
 
-def check_async_futures(root, errors):
-    """Rule 7: CallAsync futures must be consumed (see module docstring)."""
-    bare = re.compile(r"^\s*[\w\[\]().\->]*(?:\.|->|::)?\s*CallAsync\s*\(",
-                      re.MULTILINE)
-    voided = re.compile(r"\(void\)\s*[\w\[\]().\->]*(?:\.|->|::)?\s*CallAsync\s*\(")
-    void_ident = re.compile(r"\(void\)\s*(\w+)\s*;")
-
-    for path in iter_files(root, VOID_DIRS):
-        rel = os.path.relpath(path, root)
-        with open(path, encoding="utf-8") as f:
-            raw = f.read()
-        raw_lines = raw.splitlines()
-        text = strip_comments_and_strings(raw)
-
-        for m in bare.finditer(text):
-            # Bare statement: nothing observes the future's completion.
-            if not call_is_bare_statement(text, m.start(), "CallAsync"):
-                continue
-            lineno = line_of(text, m.start())
-            if not has_tag(raw_lines, lineno):
-                errors.append(
-                    f"{rel}:{lineno}: CallAsync() future discarded — a "
-                    f"fired-and-forgotten RPC whose outcome nobody observes "
-                    f"(Wait()/OnComplete() it or add an "
-                    f"// hcs:ignore-status(reason) tag)")
-
-        for m in voided.finditer(text):
-            lineno = line_of(text, m.start())
-            if not has_tag(raw_lines, lineno):
-                errors.append(
-                    f"{rel}:{lineno}: (void)-cast discards the RpcFuture "
-                    f"from CallAsync() without an "
-                    f"// hcs:ignore-status(reason) tag")
-
-        for m in void_ident.finditer(text):
-            ident = m.group(1)
-            decl = re.compile(rf"\bRpcFuture\s+{re.escape(ident)}\s*[=;({{]")
-            window = text[max(0, m.start() - 4000) : m.start()]
-            if not decl.search(window):
-                continue
-            lineno = line_of(text, m.start())
-            if not has_tag(raw_lines, lineno):
-                errors.append(
-                    f"{rel}:{lineno}: (void)-cast discards RpcFuture "
-                    f"'{ident}' — the async completion is never consumed "
-                    f"(Wait()/OnComplete() it or add an "
-                    f"// hcs:ignore-status(reason) tag)")
-
-
 def check_datagram_syscalls(root, errors):
     """Rule 8: datagram syscalls only in the mmsg wrappers (see docstring)."""
     for path in iter_files(root, SRC_DIRS):
@@ -441,7 +385,6 @@ def run(root):
     check_rpc_handlers(root, errors)
     check_fault_decisions(root, errors)
     check_mmsg_completions(root, errors)
-    check_async_futures(root, errors)
     check_datagram_syscalls(root, errors)
     check_empty_tags(root, errors)
 
@@ -533,27 +476,6 @@ SELF_TEST_CASES = [
      "void f() {\n  // hcs:ignore-status(fire-and-forget wake datagram)\n"
      "  SendReplies(fd, replies);\n}\n",
      None),
-    ("bare-callasync-discard",
-     "void f() {\n  client.CallAsync(binding, 1, args);\n}\n",
-     "CallAsync() future discarded"),
-    ("void-callasync-discard",
-     "void f() {\n  (void)client.CallAsync(binding, 1, args);\n}\n",
-     "discards the RpcFuture from CallAsync()"),
-    ("void-future-var-discard",
-     "void f() {\n  RpcFuture fut = client.CallAsync(binding, 1, args);\n"
-     "  (void)fut;\n}\n",
-     "async completion is never consumed"),
-    ("callasync-waited-ok",
-     "void f() {\n  RpcFuture fut = client.CallAsync(binding, 1, args);\n"
-     "  use(fut.Wait());\n}\n",
-     None),
-    ("callasync-in-expression-ok",
-     "void f() {\n  futures.push_back(client.CallAsync(binding, 1, args));\n}\n",
-     None),
-    ("callasync-tagged-ok",
-     "void f() {\n  // hcs:ignore-status(probe call; outcome measured by the drop counter)\n"
-     "  client.CallAsync(binding, 1, args);\n}\n",
-     None),
     ("raw-sendto-outside-mmsg",
      "void f() {\n  ssize_t n = sendto(fd, p, size, 0, addr, len);\n  use(n);\n}\n",
      "raw sendto() outside src/rpc/mmsg.cc"),
@@ -585,7 +507,6 @@ def run_checks_for_self_test(root):
     check_rpc_handlers(root, errors)
     check_fault_decisions(root, errors)
     check_mmsg_completions(root, errors)
-    check_async_futures(root, errors)
     check_datagram_syscalls(root, errors)
     check_empty_tags(root, errors)
     return errors
