@@ -47,8 +47,8 @@ class MailDropServer {
   void RegisterHandlers();
 
   // Encoding helpers over the server's native data representation.
-  HCS_NODISCARD Result<std::pair<std::string, std::string>> DecodeDeliver(const Bytes& args) const;
-  HCS_NODISCARD Result<std::string> DecodeRecipient(const Bytes& args) const;
+  HCS_NODISCARD Result<std::pair<std::string, std::string>> DecodeDeliver(BytesView args) const;
+  HCS_NODISCARD Result<std::string> DecodeRecipient(BytesView args) const;
 
   World* world_;
   std::string host_;

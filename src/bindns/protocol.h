@@ -13,8 +13,22 @@
 #include "src/bindns/record.h"
 #include "src/bindns/zone.h"
 #include "src/common/result.h"
+#include "src/rpc/binding.h"
+#include "src/rpc/ports.h"
 
 namespace hcs {
+
+// The binding of the BIND server at (`host`, `port`): Raw HRPC control over
+// XDR. Bindings never go on the wire; "bind" names the endpoint in logs.
+inline HrpcBinding BindServerBinding(const std::string& host, uint16_t port = kBindPort) {
+  HrpcBinding b;
+  b.service_name = "bind";
+  b.host = host;
+  b.port = port;
+  b.program = kBindProgram;
+  b.control = ControlKind::kRaw;
+  return b;
+}
 
 // BIND server procedures (program kBindProgram).
 constexpr uint32_t kBindProcQuery = 1;

@@ -1,23 +1,11 @@
 #include "src/bindns/resolver.h"
 
 #include "src/common/strings.h"
-#include "src/rpc/ports.h"
 
 namespace hcs {
 
 BindResolver::BindResolver(RpcClient* client, BindResolverOptions options)
     : client_(client), options_(std::move(options)) {}
-
-HrpcBinding BindResolver::ServerBinding() const {
-  HrpcBinding b;
-  b.service_name = "bind";
-  b.host = options_.server_host;
-  b.port = options_.server_port;
-  b.program = kBindProgram;
-  b.control = ControlKind::kRaw;
-  b.data_rep = DataRep::kXdr;
-  return b;
-}
 
 Result<std::vector<ResourceRecord>> BindResolver::Query(const std::string& name,
                                                         RrType type) {
@@ -26,8 +14,9 @@ Result<std::vector<ResourceRecord>> BindResolver::Query(const std::string& name,
   request.type = type;
 
   ChargeMarshal(client_->world(), options_.engine, 1);
-  HCS_ASSIGN_OR_RETURN(Bytes reply,
-                       client_->Call(ServerBinding(), kBindProcQuery, request.Encode()));
+  HCS_ASSIGN_OR_RETURN(
+      Bytes reply, client_->Call(BindServerBinding(options_.server_host, options_.server_port),
+                                 kBindProcQuery, request.Encode()));
   HCS_ASSIGN_OR_RETURN(BindQueryResponse response, BindQueryResponse::Decode(reply));
   size_t answer_bytes = 0;
   for (const ResourceRecord& rr : response.answers) {
@@ -64,8 +53,9 @@ Status BindResolver::Update(UpdateOp op, const ResourceRecord& record) {
   request.ops.push_back(UpdateOperation{op, record});
 
   ChargeMarshal(client_->world(), options_.engine, 1);
-  HCS_ASSIGN_OR_RETURN(Bytes reply,
-                       client_->Call(ServerBinding(), kBindProcUpdate, request.Encode()));
+  HCS_ASSIGN_OR_RETURN(
+      Bytes reply, client_->Call(BindServerBinding(options_.server_host, options_.server_port),
+                                 kBindProcUpdate, request.Encode()));
   HCS_ASSIGN_OR_RETURN(BindUpdateResponse response, BindUpdateResponse::Decode(reply));
   ChargeDemarshal(client_->world(), options_.engine, 1);
   if (response.rcode != Rcode::kNoError) {
@@ -80,8 +70,9 @@ Result<BindAxfrResponse> BindResolver::ZoneTransfer(const std::string& origin) {
   request.origin = origin;
 
   ChargeMarshal(client_->world(), options_.engine, 1);
-  HCS_ASSIGN_OR_RETURN(Bytes reply,
-                       client_->Call(ServerBinding(), kBindProcAxfr, request.Encode()));
+  HCS_ASSIGN_OR_RETURN(
+      Bytes reply, client_->Call(BindServerBinding(options_.server_host, options_.server_port),
+                                 kBindProcAxfr, request.Encode()));
   HCS_ASSIGN_OR_RETURN(BindAxfrResponse response, BindAxfrResponse::Decode(reply));
   ChargeDemarshal(client_->world(), options_.engine, static_cast<int>(response.records.size()));
   if (response.rcode != Rcode::kNoError) {

@@ -46,8 +46,6 @@ class BindResolver {
   const BindResolverOptions& options() const { return options_; }
 
  private:
-  HrpcBinding ServerBinding() const;
-
   RpcClient* client_;
   BindResolverOptions options_;
 };

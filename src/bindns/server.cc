@@ -48,18 +48,12 @@ Status BindServer::AddSecondaryZone(const std::string& origin,
 Result<size_t> BindServer::RefreshSecondaryZones() {
   size_t transferred = 0;
   for (SecondaryConfig& secondary : secondaries_) {
-    HrpcBinding primary;
-    primary.service_name = "bind";
-    primary.host = secondary.primary_host;
-    primary.port = kBindPort;
-    primary.program = kBindProgram;
-    primary.control = ControlKind::kRaw;
-
     BindAxfrRequest request;
     request.origin = secondary.origin;
     ChargeMarshal(world_, MarshalEngine::kHandCoded, 1);
     HCS_ASSIGN_OR_RETURN(Bytes reply,
-                         forward_client_.Call(primary, kBindProcAxfr, request.Encode()));
+                         forward_client_.Call(BindServerBinding(secondary.primary_host),
+                                              kBindProcAxfr, request.Encode()));
     HCS_ASSIGN_OR_RETURN(BindAxfrResponse response, BindAxfrResponse::Decode(reply));
     if (response.rcode != Rcode::kNoError) {
       return UnavailableError("secondary refresh failed for " + secondary.origin);
@@ -200,18 +194,11 @@ Result<BindQueryResponse> BindServer::ForwardQuery(const BindQueryRequest& reque
   // The forward hop is the expensive part of a miss; re-check the budget
   // here — it may have died while this server worked through its queue.
   HCS_RETURN_IF_ERROR(ShedIfBudgetSpent("bind-forwarder"));
-  HrpcBinding upstream;
-  upstream.service_name = "bind";
-  upstream.host = options_.forwarder_host;
-  upstream.port = kBindPort;
-  upstream.program = kBindProgram;
-  upstream.control = ControlKind::kRaw;
-  upstream.data_rep = DataRep::kXdr;
-
   // Server-to-server traffic uses the hand-coded routines.
   ChargeMarshal(world_, MarshalEngine::kHandCoded, 1);
   HCS_ASSIGN_OR_RETURN(Bytes reply,
-                       forward_client_.Call(upstream, kBindProcQuery, request.Encode()));
+                       forward_client_.Call(BindServerBinding(options_.forwarder_host),
+                                            kBindProcQuery, request.Encode()));
   HCS_ASSIGN_OR_RETURN(BindQueryResponse response, BindQueryResponse::Decode(reply));
   ChargeDemarshal(world_, MarshalEngine::kHandCoded,
                   static_cast<int>(response.answers.size()));
@@ -270,14 +257,8 @@ Result<BindUpdateResponse> BindServer::UpdateLocal(const BindUpdateRequest& requ
     BindInvalidateRequest invalidate;
     invalidate.name = name;
     for (const std::string& target : notify_targets_) {
-      HrpcBinding peer;
-      peer.service_name = "bind";
-      peer.host = target;
-      peer.port = kBindPort;
-      peer.program = kBindProgram;
-      peer.control = ControlKind::kRaw;
-      Result<Bytes> ignored =
-          forward_client_.Call(peer, kBindProcInvalidate, invalidate.Encode());
+      Result<Bytes> ignored = forward_client_.Call(BindServerBinding(target),
+                                                   kBindProcInvalidate, invalidate.Encode());
       (void)ignored;  // hcs:ignore-status(best effort; a down secondary converges via TTL expiry instead)
     }
   }

@@ -80,10 +80,10 @@ ViewDebugState* SetAmbientViewDebugState(ViewDebugState* state);  // returns pre
 
 // A non-owning view of a byte range — the zero-copy currency of the
 // request hot path. Converts implicitly from Bytes (so view-taking APIs
-// accept owned buffers) and to Bytes (materializing a copy, so legacy
-// Bytes-taking handlers keep compiling at their old cost). A view does not
-// keep its backing storage alive: on the serve path it points into the
-// arrival batch's arena and is valid only until the handler returns.
+// accept owned buffers); a copy back to Bytes is always an explicit
+// ToBytes(). A view does not keep its backing storage alive: on the serve
+// path it points into the arrival batch's arena and is valid only until the
+// handler returns.
 // The normative lifetime rules are the DESIGN.md §13 table; they are
 // machine-checked by tools/lint_views.py (static) and, in
 // HCS_VIEW_DEBUG_ENABLED builds, by the generation stamp every
@@ -130,7 +130,6 @@ class BytesView {
     CheckAlive();
     return Bytes(data_, data_ + size_);
   }
-  operator Bytes() const { return ToBytes(); }
 
 #if HCS_VIEW_DEBUG_ENABLED
   // True when the view is not arena-stamped, or its arena has not been

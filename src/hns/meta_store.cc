@@ -93,14 +93,8 @@ std::string MetaStore::NameServiceRecordName(const std::string& ns_name) {
 }
 
 HrpcBinding MetaStore::MetaServerBinding(bool authority) const {
-  HrpcBinding b;
-  b.service_name = "hns-meta-bind";
-  b.host = authority ? authority_host_ : meta_server_host_;
-  b.port = meta_port_ != 0 ? meta_port_ : kBindPort;
-  b.program = kBindProgram;
-  b.control = ControlKind::kRaw;
-  b.data_rep = DataRep::kXdr;
-  return b;
+  return BindServerBinding(authority ? authority_host_ : meta_server_host_,
+                           meta_port_ != 0 ? meta_port_ : kBindPort);
 }
 
 Result<WireValue> MetaStore::DecodeMetaReply(const std::string& record_name, const Bytes& reply) {

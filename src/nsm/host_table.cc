@@ -24,7 +24,7 @@ HrpcBinding TableServerBinding(const std::string& host) {
 HostTableServer::HostTableServer(World* world, std::string host)
     : world_(world), host_(std::move(host)), rpc_server_(ControlKind::kRaw, "hosttable@" + host_) {
   rpc_server_.RegisterProcedure(
-      kHostTableProgram, kHostTableProcGet, [this](const Bytes& args) -> Result<Bytes> {
+      kHostTableProgram, kHostTableProcGet, [this](BytesView args) -> Result<Bytes> {
         // A table probe is about as cheap as a BIND lookup.
         ChargeMs(world_, kCosts.bind_lookup_cpu_ms);
         XdrDecoder dec(args);
@@ -39,7 +39,7 @@ HostTableServer::HostTableServer(World* world, std::string host)
       });
 
   rpc_server_.RegisterProcedure(
-      kHostTableProgram, kHostTableProcPut, [this](const Bytes& args) -> Result<Bytes> {
+      kHostTableProgram, kHostTableProcPut, [this](BytesView args) -> Result<Bytes> {
         ChargeMs(world_, kCosts.bind_update_cpu_ms);
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(std::string name, dec.GetString());

@@ -1,10 +1,34 @@
 #include "src/nsm/reverse_nsms.h"
 
-#include "src/bindns/master_file.h"
 #include "src/common/strings.h"
 #include "src/nsm/ch_nsms.h"
 
 namespace hcs {
+
+std::string FormatAddress(uint32_t address) {
+  return StrFormat("%u.%u.%u.%u", (address >> 24) & 0xff, (address >> 16) & 0xff,
+                   (address >> 8) & 0xff, address & 0xff);
+}
+
+Result<uint32_t> ParseAddress(const std::string& text) {
+  std::vector<std::string> parts = StrSplit(text, '.');
+  if (parts.size() != 4) {
+    return InvalidArgumentError("address is not a dotted quad: " + text);
+  }
+  uint32_t address = 0;
+  for (const std::string& part : parts) {
+    if (part.empty() || part.size() > 3 ||
+        part.find_first_not_of("0123456789") != std::string::npos) {
+      return InvalidArgumentError("bad address octet: " + text);
+    }
+    int v = std::stoi(part);
+    if (v > 255) {
+      return InvalidArgumentError("address octet out of range: " + text);
+    }
+    address = (address << 8) | static_cast<uint32_t>(v);
+  }
+  return address;
+}
 
 std::string ReverseRecordName(uint32_t address) {
   return StrFormat("%u.%u.%u.%u.in-addr.arpa", address & 0xff, (address >> 8) & 0xff,

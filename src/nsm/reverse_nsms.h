@@ -22,6 +22,10 @@ namespace hcs {
 
 inline constexpr char kQueryClassHostName[] = "HostName";
 
+// The dotted-quad syntax of a HostName individual name: "128.149.1.4".
+std::string FormatAddress(uint32_t address);
+HCS_NODISCARD Result<uint32_t> ParseAddress(const std::string& text);
+
 // "4.1.149.128.in-addr.arpa" for 128.149.1.4.
 std::string ReverseRecordName(uint32_t address);
 // The PTR record a zone publishes for (address -> host).

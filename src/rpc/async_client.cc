@@ -30,12 +30,6 @@ sockaddr_in LoopbackAddr(uint16_t port) {
   return addr;
 }
 
-// Courier transaction ids are 16-bit: xids match within the protocol's
-// width (the sync client's masked-compare rule).
-uint32_t MaskXid(ControlKind control, uint32_t xid) {
-  return control == ControlKind::kCourier ? (xid & 0xffff) : xid;
-}
-
 // Encodes 0-based `attempt` of the call into `*out`. Every attempt carries
 // the call's one xid, so a late reply to an earlier attempt still answers
 // it; the attempt counter is re-marshalled per try.

@@ -213,9 +213,7 @@ Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const Hrpc
                        transport_->RoundTrip(local_host_, binding.host, binding.port, message));
 
   HCS_ASSIGN_OR_RETURN(RpcReplyView reply, control.DecodeReplyView(response));
-  // Courier transaction ids are 16-bit; compare within the protocol's width.
-  uint32_t want_xid =
-      binding.control == ControlKind::kCourier ? (call.xid & 0xffff) : call.xid;
+  uint32_t want_xid = MaskXid(binding.control, call.xid);
   if (reply.xid != want_xid) {
     return ProtocolError(
         StrFormat("reply xid %u does not match call xid %u", reply.xid, want_xid));

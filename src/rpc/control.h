@@ -99,6 +99,12 @@ class ControlProtocol {
 // Returns the process-wide instance for a control protocol kind.
 const ControlProtocol& GetControlProtocol(ControlKind kind);
 
+// Courier transaction ids are 16-bit: a reply's xid matches its call's
+// within the protocol's width.
+inline uint32_t MaskXid(ControlKind control, uint32_t xid) {
+  return control == ControlKind::kCourier ? (xid & 0xffff) : xid;
+}
+
 }  // namespace hcs
 
 #endif  // HCS_SRC_RPC_CONTROL_H_

@@ -334,16 +334,9 @@ Result<Bytes> FaultInjectingTransport::RoundTrip(const std::string& from_host,
     return TimeoutError("injected drop: " + to_host + ":" + std::to_string(port) + " (seq " +
                         std::to_string(decision.sequence) + ")");
   }
-  if (decision.delay_ms > 0) {
-    // Injected latency (a delayed or reordered carry). On the sim world the
-    // charge advances the virtual clock deterministically; otherwise the
-    // wall clock pays.
-    if (world_ != nullptr) {
-      ChargeMs(world_, static_cast<double>(decision.delay_ms));
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(decision.delay_ms));
-    }
-  }
+  // Injected latency (a delayed or reordered carry) advances the virtual
+  // clock.
+  ChargeMs(world_, static_cast<double>(decision.delay_ms));
   if (decision.corrupt) {
     Bytes corrupted = message;
     FaultInjector::CorruptFrame(&corrupted, decision.corrupt_salt);

@@ -248,10 +248,10 @@ FaultStats CollectFaultStats(const FaultInjector* injector, const UdpServerHost*
 // decisions to each attempt. Over a transport with a channel (real UDP) it
 // hands its injector to the UDP client core with that channel, which
 // applies one decision per attempt as the attempt starts, on the code path
-// production runs. Over a channel-less transport (the sim testbed) it
-// wraps RoundTrip: injected latency is charged to the virtual clock when a
-// World is attached and slept otherwise; drops surface as kTimeout, exactly
-// what a lost datagram looks like, and blackholes as kUnavailable.
+// production runs; `world` stays null there. Over a channel-less transport
+// (the sim testbed, built with its World) it wraps RoundTrip: injected
+// latency is one ChargeMs to the virtual clock; drops surface as kTimeout,
+// exactly what a lost datagram looks like, and blackholes as kUnavailable.
 class FaultInjectingTransport : public Transport {
  public:
   FaultInjectingTransport(Transport* inner, FaultInjector* injector, World* world = nullptr)

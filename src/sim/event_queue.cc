@@ -1,62 +1,29 @@
 #include "src/sim/event_queue.h"
 
-#include <algorithm>
-
 namespace hcs {
 
-uint64_t EventQueue::ScheduleAt(SimTime when, Callback cb) {
+void EventQueue::ScheduleAt(SimTime when, Callback cb) {
   if (when < clock_->Now()) {
     when = clock_->Now();
   }
-  uint64_t id = next_id_++;
-  heap_.push(Event{when, next_sequence_++, id, std::move(cb)});
-  ++pending_count_;
-  return id;
+  heap_.push(Event{when, next_sequence_++, std::move(cb)});
 }
 
-uint64_t EventQueue::ScheduleAfter(SimDuration delay, Callback cb) {
-  return ScheduleAt(clock_->Now() + delay, std::move(cb));
+void EventQueue::ScheduleAfter(SimDuration delay, Callback cb) {
+  ScheduleAt(clock_->Now() + delay, std::move(cb));
 }
 
-bool EventQueue::Cancel(uint64_t id) {
-  if (id == 0 || id >= next_id_) {
-    return false;
-  }
-  if (std::find(cancelled_.begin(), cancelled_.end(), id) != cancelled_.end()) {
-    return false;
-  }
-  // We cannot remove from the middle of a priority queue; record the id and
-  // skip the event when it surfaces. Conservatively verify it is still
-  // pending by tracking the count.
-  cancelled_.push_back(id);
-  if (pending_count_ > 0) {
-    --pending_count_;
-  }
-  return true;
-}
-
-bool EventQueue::PopNext(Event* out) {
-  while (!heap_.empty()) {
-    Event e = heap_.top();
-    heap_.pop();
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), e.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    *out = std::move(e);
-    return true;
-  }
-  return false;
+void EventQueue::RunNext() {
+  Event e = heap_.top();
+  heap_.pop();
+  clock_->AdvanceTo(e.when);
+  e.cb();
 }
 
 size_t EventQueue::RunUntilIdle() {
   size_t run = 0;
-  Event e;
-  while (PopNext(&e)) {
-    clock_->AdvanceTo(e.when);
-    --pending_count_;
-    e.cb();
+  while (!heap_.empty()) {
+    RunNext();
     ++run;
   }
   return run;
@@ -64,23 +31,8 @@ size_t EventQueue::RunUntilIdle() {
 
 size_t EventQueue::RunUntil(SimTime deadline) {
   size_t run = 0;
-  while (!heap_.empty()) {
-    if (heap_.top().when > deadline) {
-      break;
-    }
-    Event e;
-    if (!PopNext(&e)) {
-      break;
-    }
-    if (e.when > deadline) {
-      // Re-queue the event we over-popped (only possible when cancellations
-      // raced; preserve ordering via its original sequence).
-      heap_.push(std::move(e));
-      break;
-    }
-    clock_->AdvanceTo(e.when);
-    --pending_count_;
-    e.cb();
+  while (!heap_.empty() && heap_.top().when <= deadline) {
+    RunNext();
     ++run;
   }
   if (clock_->Now() < deadline) {

@@ -23,16 +23,11 @@ class EventQueue {
   explicit EventQueue(VirtualClock* clock) : clock_(clock) {}
 
   // Schedules `cb` to run at absolute simulated time `when`. Events
-  // scheduled for the past run at the current time. Returns an id usable
-  // with Cancel().
-  uint64_t ScheduleAt(SimTime when, Callback cb);
+  // scheduled for the past run at the current time.
+  void ScheduleAt(SimTime when, Callback cb);
 
   // Schedules `cb` to run `delay` after the current time.
-  uint64_t ScheduleAfter(SimDuration delay, Callback cb);
-
-  // Cancels a pending event. Returns false if it already ran or never
-  // existed.
-  bool Cancel(uint64_t id);
+  void ScheduleAfter(SimDuration delay, Callback cb);
 
   // Runs events in timestamp order until the queue is empty, advancing the
   // clock to each event's time. Returns the number of events run.
@@ -42,16 +37,15 @@ class EventQueue {
   // `deadline` (if it is beyond the last event). Returns events run.
   size_t RunUntil(SimTime deadline);
 
-  // Number of pending (uncancelled) events.
-  size_t pending() const { return pending_count_; }
+  // Number of pending events.
+  size_t pending() const { return heap_.size(); }
 
-  bool empty() const { return pending_count_ == 0; }
+  bool empty() const { return heap_.empty(); }
 
  private:
   struct Event {
     SimTime when;
     uint64_t sequence;  // tie-break: FIFO among same-time events
-    uint64_t id;
     Callback cb;
   };
   struct Later {
@@ -63,15 +57,12 @@ class EventQueue {
     }
   };
 
-  // Pops the next non-cancelled event, or returns false when none remain.
-  bool PopNext(Event* out);
+  // Removes the earliest event, advances the clock to it and runs it.
+  void RunNext();
 
   VirtualClock* clock_;
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::vector<uint64_t> cancelled_;
-  uint64_t next_id_ = 1;
   uint64_t next_sequence_ = 0;
-  size_t pending_count_ = 0;
 };
 
 }  // namespace hcs

@@ -62,22 +62,4 @@ bool Network::HasHost(const std::string& name) const {
   return index_by_name_.count(AsciiToLower(name)) != 0;
 }
 
-std::string Network::PairKey(const std::string& a, const std::string& b) {
-  std::string la = AsciiToLower(a);
-  std::string lb = AsciiToLower(b);
-  if (la > lb) {
-    std::swap(la, lb);
-  }
-  return la + "|" + lb;
-}
-
-void Network::SetExtraDelayMs(const std::string& a, const std::string& b, double ms) {
-  extra_delay_ms_[PairKey(a, b)] = ms;
-}
-
-double Network::ExtraDelayMs(const std::string& a, const std::string& b) const {
-  auto it = extra_delay_ms_.find(PairKey(a, b));
-  return it == extra_delay_ms_.end() ? 0.0 : it->second;
-}
-
 }  // namespace hcs

@@ -1,6 +1,5 @@
 // The simulated internetwork: a set of named heterogeneous hosts joined by
-// an Ethernet. Latency comes from the CostModel; per-link overrides allow
-// modelling loaded links or gateways.
+// an Ethernet. Latency comes from the CostModel.
 
 #ifndef HCS_SRC_SIM_NETWORK_H_
 #define HCS_SRC_SIM_NETWORK_H_
@@ -55,22 +54,12 @@ class Network {
 
   bool HasHost(const std::string& name) const;
 
-  // Adds a fixed extra delay (ms, each round trip) between two hosts, e.g. a
-  // gateway hop or a loaded segment. Symmetric.
-  void SetExtraDelayMs(const std::string& a, const std::string& b, double ms);
-
-  // Extra per-round-trip delay between two hosts (0 when none configured).
-  double ExtraDelayMs(const std::string& a, const std::string& b) const;
-
   // All registered hosts, in registration order.
   const std::vector<HostInfo>& hosts() const { return hosts_; }
 
  private:
-  static std::string PairKey(const std::string& a, const std::string& b);
-
   std::vector<HostInfo> hosts_;
   std::map<std::string, size_t> index_by_name_;  // lower-cased name -> index
-  std::map<std::string, double> extra_delay_ms_;
   uint32_t next_address_ = 0x80010001;  // 128.1.0.1 onward
 };
 

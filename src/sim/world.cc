@@ -98,9 +98,7 @@ Result<Bytes> World::RoundTrip(const std::string& from_host, const std::string& 
   // matters.
   Result<Bytes> response = it->second->HandleMessage(request);
   size_t response_bytes = response.ok() ? response.value().size() : 0;
-  double rtt = kCosts.NetRttMs(same_host, request.size(), response_bytes) +
-               network_.ExtraDelayMs(from_host, to_host);
-  clock_.AdvanceMs(rtt);
+  clock_.AdvanceMs(kCosts.NetRttMs(same_host, request.size(), response_bytes));
 
   stats_.total_messages += 1;
   stats_.total_bytes += request.size() + response_bytes;

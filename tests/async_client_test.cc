@@ -54,7 +54,7 @@ HrpcBinding UdpBinding(uint16_t port, uint32_t program, ControlKind control) {
 TEST(AsyncClientTest, UdpFanOutCompletesEveryFuture) {
   UdpServerHost host;
   RpcServer server(ControlKind::kSunRpc, "async-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -91,9 +91,9 @@ TEST(AsyncClientTest, UdpInFlightCallsShareTheWallClock) {
   constexpr int kDelayMs = 25;
   UdpServerHost host(/*workers=*/8);
   RpcServer server(ControlKind::kRaw, "async-delay");
-  server.RegisterProcedure(7, 1, [kDelayMs](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [kDelayMs](BytesView args) -> Result<Bytes> {
     std::this_thread::sleep_for(std::chrono::milliseconds(kDelayMs));
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> port = host.ServeConcurrent(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -125,7 +125,7 @@ TEST(AsyncClientTest, UdpInFlightCallsShareTheWallClock) {
 TEST(AsyncClientTest, SyncUdpCallsCountIntoEngineStatsAndClientSyscalls) {
   UdpServerHost host;
   RpcServer server(ControlKind::kSunRpc, "caller-run-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -171,7 +171,7 @@ TEST(AsyncClientTest, SyncUdpCallsCountIntoEngineStatsAndClientSyscalls) {
 void ExpectOversizedUdpCallFailsUpFront(bool batched) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "oversize-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -222,9 +222,9 @@ TEST(AsyncClientTest, ChannellessTransportCompletesInline) {
   SimNetTransport sim(&world);
   RpcServer server(ControlKind::kSunRpc, "sim-echo");
   std::vector<Bytes> handled;  // the order the calls reached the server
-  server.RegisterProcedure(7, 1, [&handled](const Bytes& args) -> Result<Bytes> {
-    handled.push_back(args);
-    return args;
+  server.RegisterProcedure(7, 1, [&handled](BytesView args) -> Result<Bytes> {
+    handled.push_back(args.ToBytes());
+    return args.ToBytes();
   });
   ASSERT_TRUE(world.RegisterService("localhost", 9000, &server).ok());
 
@@ -351,12 +351,12 @@ TEST(AsyncClientTest, SyncUdpCallTakesALateReplyToAnEarlierAttempt) {
 TEST(AsyncClientTest, MixedOutcomeBatchEndsEveryCallWithinItsBudget) {
   UdpServerHost host(/*workers=*/32);
   RpcServer echo(ControlKind::kSunRpc, "mixed-echo");
-  echo.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  echo.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   // Answers after args[1] ms: the same band as the tight deadlines below.
   RpcServer delayed(ControlKind::kSunRpc, "mixed-delayed");
-  delayed.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> {
-    std::this_thread::sleep_for(std::chrono::milliseconds(args.at(1)));
-    return args;
+  delayed.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
+    std::this_thread::sleep_for(std::chrono::milliseconds(args[1]));
+    return args.ToBytes();
   });
   Result<uint16_t> echo_port = host.Serve(&echo, 0);
   ASSERT_TRUE(echo_port.ok()) << echo_port.status();

@@ -1,9 +1,8 @@
-// Unit tests for src/bindns: records, zones, master files, server (query /
-// dynamic update / zone transfer / forwarding), resolver caching.
+// Unit tests for src/bindns: records, zones, server (query / dynamic update /
+// zone transfer / forwarding) and resolver.
 
 #include <gtest/gtest.h>
 
-#include "src/bindns/master_file.h"
 #include "src/bindns/resolver.h"
 #include "src/bindns/server.h"
 #include "src/bindns/zone.h"
@@ -229,86 +228,6 @@ TEST(ZoneTest, ApplyRefusesTheWholeListForOneBadOperation) {
   }
 }
 
-// --- Master files ------------------------------------------------------------------
-
-TEST(MasterFileTest, ParsesTheSupportedDialect) {
-  const char* text = R"(
-; the department zone
-$ORIGIN cs.washington.edu
-$TTL 1800
-fiji    3600  A      128.95.1.4
-tahiti        A      128.95.1.5
-www           CNAME  fiji.cs.washington.edu.
-fiji          TXT    "4.3BSD name server"
-@             MX     "10 june.cs.washington.edu"
-)";
-  Result<std::vector<ResourceRecord>> records = ParseMasterFile(text);
-  ASSERT_TRUE(records.ok()) << records.status();
-  ASSERT_EQ(records->size(), 5u);
-  EXPECT_EQ((*records)[0].name, "fiji.cs.washington.edu");
-  EXPECT_EQ((*records)[0].ttl_seconds, 3600u);
-  EXPECT_EQ((*records)[0].AddressRdata().value(), ParseAddress("128.95.1.4").value());
-  EXPECT_EQ((*records)[1].ttl_seconds, 1800u);  // $TTL default
-  EXPECT_EQ((*records)[2].type, RrType::kCname);
-  EXPECT_EQ((*records)[2].TextRdata().value(), "fiji.cs.washington.edu");
-  EXPECT_EQ((*records)[4].name, "cs.washington.edu");  // @ is the origin
-}
-
-TEST(MasterFileTest, ReportsErrorsWithLineNumbers) {
-  Result<std::vector<ResourceRecord>> bad_type = ParseMasterFile("x A2Z 128.0.0.1\n");
-  EXPECT_FALSE(bad_type.ok());
-  Result<std::vector<ResourceRecord>> bad_addr =
-      ParseMasterFile("$ORIGIN z\nx A 999.0.0.1\n");
-  EXPECT_FALSE(bad_addr.ok());
-  EXPECT_NE(bad_addr.status().message().find("999"), std::string::npos);
-  Result<std::vector<ResourceRecord>> unterminated = ParseMasterFile("x TXT \"oops\n");
-  EXPECT_FALSE(unterminated.ok());
-  EXPECT_NE(unterminated.status().message().find("line 1"), std::string::npos);
-}
-
-// Regression: 20-digit "integers" in $TTL or the per-record TTL slot used to
-// flow into std::stoul and throw std::out_of_range — a crash on a hostile
-// zone file. Both must now be clean parse errors.
-TEST(MasterFileTest, OverflowingTtlIsAnErrorNotAThrow) {
-  Result<std::vector<ResourceRecord>> bad_default =
-      ParseMasterFile("$TTL 99999999999999999999\n");
-  EXPECT_EQ(bad_default.status().code(), StatusCode::kInvalidArgument);
-  // A huge per-record TTL no longer parses as a TTL; it is rejected as an
-  // unknown record type instead of throwing.
-  Result<std::vector<ResourceRecord>> bad_record =
-      ParseMasterFile("$ORIGIN z\nx 99999999999999999999 A 128.0.0.1\n");
-  EXPECT_FALSE(bad_record.ok());
-}
-
-TEST(MasterFileTest, AddressFormatting) {
-  EXPECT_EQ(FormatAddress(0x80950104), "128.149.1.4");
-  EXPECT_EQ(ParseAddress("128.149.1.4").value(), 0x80950104u);
-  EXPECT_FALSE(ParseAddress("1.2.3").ok());
-  EXPECT_FALSE(ParseAddress("a.b.c.d").ok());
-  EXPECT_FALSE(ParseAddress("256.0.0.1").ok());
-}
-
-TEST(MasterFileTest, FormatParsesBack) {
-  std::vector<ResourceRecord> records = {
-      ResourceRecord::MakeA("fiji.cs.washington.edu", 0x80950104, 600),
-      ResourceRecord::MakeCname("www.cs.washington.edu", "fiji.cs.washington.edu", 600),
-      ResourceRecord::MakeTxt("fiji.cs.washington.edu", "note", 600),
-  };
-  Result<std::vector<ResourceRecord>> reparsed = ParseMasterFile(FormatMasterFile(records));
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
-  EXPECT_EQ(*reparsed, records);
-}
-
-TEST(MasterFileTest, LoadsIntoZoneAndRejectsOutOfZone) {
-  Zone zone("cs.washington.edu");
-  ASSERT_TRUE(LoadZoneFromMasterFile(&zone,
-                                     "$ORIGIN cs.washington.edu\nfiji A 128.95.1.4\n")
-                  .ok());
-  EXPECT_EQ(zone.size(), 1u);
-  EXPECT_FALSE(
-      LoadZoneFromMasterFile(&zone, "$ORIGIN ee.washington.edu\nx A 1.2.3.4\n").ok());
-}
-
 // --- Server + resolver over the simulated network -----------------------------------
 
 class BindServerTest : public ::testing::Test {
@@ -432,14 +351,9 @@ TEST_F(BindServerTest, UpdateListIsOneAtomicCommit) {
 
   Zone* zone = primary_->FindZone("cs.washington.edu");
   const uint32_t serial = zone->serial();
-  HrpcBinding primary;
-  primary.service_name = "bind";
-  primary.host = "ns1";
-  primary.port = kBindPort;
-  primary.program = kBindProgram;
-  primary.control = ControlKind::kRaw;
   auto send = [&](const BindUpdateRequest& request) -> Result<BindUpdateResponse> {
-    HCS_ASSIGN_OR_RETURN(Bytes reply, client_->Call(primary, kBindProcUpdate, request.Encode()));
+    HCS_ASSIGN_OR_RETURN(Bytes reply, client_->Call(BindServerBinding("ns1"), kBindProcUpdate,
+                                                    request.Encode()));
     return BindUpdateResponse::Decode(reply);
   };
 
@@ -545,12 +459,7 @@ TEST_F(BindServerTest, IterativeQueryDoesNotForward) {
   request.type = RrType::kA;
   request.recursion_desired = false;
 
-  HrpcBinding b;
-  b.host = "ns2";
-  b.port = kBindPort;
-  b.program = kBindProgram;
-  b.control = ControlKind::kRaw;
-  Result<Bytes> reply = client_->Call(b, kBindProcQuery, request.Encode());
+  Result<Bytes> reply = client_->Call(BindServerBinding("ns2"), kBindProcQuery, request.Encode());
   ASSERT_TRUE(reply.ok());
   BindQueryResponse response = BindQueryResponse::Decode(*reply).value();
   EXPECT_EQ(response.rcode, Rcode::kServFail);

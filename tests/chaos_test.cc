@@ -349,7 +349,7 @@ std::vector<CallOutcome> RunCalls(EngineChannel channel, RpcClient& client,
 void DrainStragglers(AsyncClientEngine* engine) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "chaos-drain");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
   UdpTransport transport;
@@ -376,7 +376,7 @@ TEST(ChaosTest, EchoSurvivesThirtyPercentLoss) {
     SCOPED_TRACE(ChannelName(channel));
     UdpServerHost host;
     RpcServer server(ControlKind::kRaw, "chaos-echo");
-    server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+    server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
     Result<uint16_t> port = host.Serve(&server, 0);
     ASSERT_TRUE(port.ok()) << port.status();
 
@@ -426,9 +426,9 @@ TEST(ChaosTest, DuplicateStormDeliversEveryReplyToItsCall) {
     UdpServerHost host;
     std::atomic<int> handled{0};
     RpcServer server(ControlKind::kRaw, "chaos-dup");
-    server.RegisterProcedure(7, 1, [&handled](const Bytes& args) -> Result<Bytes> {
+    server.RegisterProcedure(7, 1, [&handled](BytesView args) -> Result<Bytes> {
       ++handled;
-      return args;
+      return args.ToBytes();
     });
     Result<uint16_t> port = host.Serve(&server, 0);
     ASSERT_TRUE(port.ok()) << port.status();
@@ -483,7 +483,7 @@ TEST(ChaosTest, ReorderAndDelayKeepRepliesMatchedToRequests) {
     // The handler answers with the trace id the request traveled under: the
     // client can then check that every reply belongs to its own request
     // even while the injector shuffles and delays traffic.
-    server.RegisterProcedure(7, 1, [](const Bytes&) -> Result<Bytes> {
+    server.RegisterProcedure(7, 1, [](BytesView) -> Result<Bytes> {
       uint64_t trace = CurrentRequestContext().trace_id;
       Bytes out(8);
       for (int i = 0; i < 8; ++i) {
@@ -569,7 +569,7 @@ TEST(ChaosTest, SameSeedDropRunsReplayDecisionsAndAttempts) {
     SCOPED_TRACE(ChannelName(channel));
     UdpServerHost host;
     RpcServer server(ControlKind::kRaw, "chaos-replay");
-    server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+    server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
     Result<uint16_t> port = host.Serve(&server, 0);
     ASSERT_TRUE(port.ok()) << port.status();
 
@@ -627,7 +627,7 @@ TEST(ChaosTest, CorruptAndDropInboundStormStaysLive) {
 
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "chaos-inbound");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -1018,7 +1018,7 @@ class FakeMetaBind {
  public:
   explicit FakeMetaBind(int delay_ms) : server_(ControlKind::kRaw, "chaos-meta-bind") {
     server_.RegisterProcedure(
-        kBindProgram, kBindProcQuery, [this, delay_ms](const Bytes& args) -> Result<Bytes> {
+        kBindProgram, kBindProcQuery, [this, delay_ms](BytesView args) -> Result<Bytes> {
           ++queries_;
           HCS_ASSIGN_OR_RETURN(BindQueryRequest request, BindQueryRequest::Decode(args));
           if (delay_ms > 0) {

@@ -1,18 +1,14 @@
-// Tests for Export (native publication) and the query-class schema
-// registry.
+// Tests for Export (native publication).
 
 #include <gtest/gtest.h>
 
 #include "src/apps/export.h"
 #include "src/hns/import.h"
-#include "src/hns/query_class.h"
 #include "src/testbed/testbed.h"
 #include "src/wire/xdr.h"
 
 namespace hcs {
 namespace {
-
-// --- Export ----------------------------------------------------------------
 
 class ExportTest : public ::testing::Test {
  protected:
@@ -28,8 +24,8 @@ class ExportTest : public ::testing::Test {
 TEST_F(ExportTest, SunServiceExportsThenImportsEverywhere) {
   // A brand-new service comes up on tahiti and exports itself natively.
   auto server = std::make_unique<RpcServer>(ControlKind::kSunRpc, "CalendarService");
-  server->RegisterProcedure(510001, 1, [](const Bytes& args) -> Result<Bytes> {
-    return args;
+  server->RegisterProcedure(510001, 1, [](BytesView args) -> Result<Bytes> {
+    return args.ToBytes();
   });
   RpcServer* raw = bed_.world().OwnService(std::move(server));
 
@@ -91,7 +87,7 @@ TEST_F(ExportTest, PortCollisionRollsBackThePublication) {
 TEST_F(ExportTest, CourierServiceExportsThroughTheClearinghouse) {
   auto server = std::make_unique<RpcServer>(ControlKind::kCourier, "ScanService");
   server->RegisterProcedure(510010, 1,
-                            [](const Bytes& args) -> Result<Bytes> { return args; });
+                            [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   RpcServer* raw = bed_.world().OwnService(std::move(server));
 
   ChClient ch_client(&rpc_, kChServerHost, TestbedCredentials());
@@ -111,98 +107,6 @@ TEST_F(ExportTest, CourierServiceExportsThroughTheClearinghouse) {
   Result<HrpcBinding> old_binding = importer.Import(
       kPrintService, std::string(kContextChBinding) + "!" + kXeroxServerHost);
   EXPECT_TRUE(old_binding.ok()) << old_binding.status();
-}
-
-// --- Query-class schemas -------------------------------------------------------
-
-TEST(QueryClassRegistryTest, BuiltinSchemasAcceptRealResults) {
-  QueryClassRegistry registry = QueryClassRegistry::WithBuiltinSchemas();
-  Testbed bed;
-  ClientSetup client = bed.MakeClient(Arrangement::kAllLinked);
-  WireValue no_args = WireValue::OfRecord({});
-
-  struct Case {
-    const char* context;
-    QueryClass qc;
-    WireValue args;
-  };
-  const Case cases[] = {
-      {kContextBind, kQueryClassHostAddress, no_args},
-      {kContextBindMail, kQueryClassMailboxInfo, no_args},
-      {kContextBindBinding, kQueryClassHrpcBinding,
-       RecordBuilder().Str("service", kDesiredService).Build()},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.qc);
-    HnsName name;
-    name.context = c.context;
-    name.individual = c.qc == kQueryClassMailboxInfo ? "cs.washington.edu" : kSunServerHost;
-    Result<WireValue> result = client.session->Query(name, c.qc, c.args);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_TRUE(registry.ValidateResult(c.qc, *result).ok());
-  }
-}
-
-TEST(QueryClassRegistryTest, RejectsMalformedResults) {
-  QueryClassRegistry registry = QueryClassRegistry::WithBuiltinSchemas();
-  // Missing field.
-  EXPECT_EQ(registry
-                .ValidateResult(kQueryClassHostAddress,
-                                RecordBuilder().U32("address", 1).Build())
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Mistyped field.
-  EXPECT_EQ(registry
-                .ValidateResult(kQueryClassHostAddress, RecordBuilder()
-                                                            .Str("address", "not-a-number")
-                                                            .Str("host", "h")
-                                                            .Build())
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Extra fields are fine (schemas evolve additively).
-  EXPECT_TRUE(registry
-                  .ValidateResult(kQueryClassHostAddress, RecordBuilder()
-                                                              .U32("address", 1)
-                                                              .Str("host", "h")
-                                                              .Str("extra", "ok")
-                                                              .Build())
-                  .ok());
-}
-
-TEST(QueryClassRegistryTest, NewQueryClassesRegisterAtRuntime) {
-  QueryClassRegistry registry;
-  EXPECT_FALSE(registry.HasSchema("PrinterInfo"));
-  // No schema: everything passes (opt-in).
-  EXPECT_TRUE(registry.ValidateResult("PrinterInfo", WireValue::OfUint32(1)).ok());
-
-  ASSERT_TRUE(registry
-                  .RegisterSchema("PrinterInfo", R"(
-message PrinterInfo {
-  queue: string;
-  pages_per_minute: u32;
-}
-)")
-                  .ok());
-  EXPECT_TRUE(registry.HasSchema("PrinterInfo"));
-  EXPECT_TRUE(registry
-                  .ValidateResult("PrinterInfo", RecordBuilder()
-                                                     .Str("queue", "lw-basement")
-                                                     .U32("pages_per_minute", 8)
-                                                     .Build())
-                  .ok());
-  EXPECT_FALSE(
-      registry.ValidateResult("PrinterInfo", RecordBuilder().Str("queue", "x").Build()).ok());
-  // Bad IDL is rejected at registration.
-  EXPECT_FALSE(registry.RegisterSchema("Broken", "message {").ok());
-  EXPECT_FALSE(registry.RegisterSchema("TwoMessages", R"(
-message A {
-  x: u32;
-}
-message B {
-  y: u32;
-}
-)")
-                   .ok());
 }
 
 }  // namespace

@@ -68,6 +68,7 @@ TEST(IdlParserTest, SyntaxErrorsCarryLineNumbers) {
   EXPECT_FALSE(ParseIdl("x: u32;\n").ok());                      // field outside message
   EXPECT_FALSE(ParseIdl("message A {\n  x: u32;\n").ok());       // unterminated
   EXPECT_FALSE(ParseIdl("message A {\nmessage B {\n}\n}").ok()); // nested
+  EXPECT_FALSE(ParseIdl("message {").ok());                      // unnamed
 }
 
 class IdlStubTest : public ::testing::TestWithParam<IdlRep> {
@@ -115,6 +116,11 @@ TEST_P(IdlStubTest, MissingAndMistypedFieldsRejected) {
     }
   }
   EXPECT_FALSE(message.Marshal(WireValue::OfRecord(fields), GetParam()).ok());
+
+  // An undescribed extra field is ignored: records evolve additively.
+  std::vector<WireField> extended = SampleRecord().AsRecord().value();
+  extended.emplace_back("extra", WireValue::OfString("ok"));
+  EXPECT_TRUE(message.Marshal(WireValue::OfRecord(extended), GetParam()).ok());
 }
 
 TEST_P(IdlStubTest, TruncatedWireFailsCleanly) {

@@ -141,6 +141,7 @@ TEST_F(NsmTest, MailboxNsmsShareTheResultFormat) {
   ASSERT_TRUE(bind_result.ok()) << bind_result.status();
   EXPECT_EQ(bind_result->StringField("mail_host").value(), "june.cs.washington.edu")
       << "lowest-preference MX relay wins";
+  EXPECT_TRUE(bind_result->Uint32Field("preference").ok());
 
   Result<WireValue> ch_result =
       Find(kNsmMailboxCh)->Query(Name(kContextChMail, "Purcell:CSL:Xerox"), no_args_);

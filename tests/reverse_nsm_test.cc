@@ -4,13 +4,22 @@
 
 #include <gtest/gtest.h>
 
-#include "src/bindns/master_file.h"
 #include "src/common/strings.h"
 #include "src/nsm/reverse_nsms.h"
 #include "src/testbed/testbed.h"
 
 namespace hcs {
 namespace {
+
+TEST(ReverseNameTest, AddressFormatting) {
+  EXPECT_EQ(FormatAddress(0x80950104), "128.149.1.4");
+  EXPECT_EQ(ParseAddress("128.149.1.4").value(), 0x80950104u);
+  EXPECT_FALSE(ParseAddress("1.2.3").ok());
+  EXPECT_FALSE(ParseAddress("a.b.c.d").ok());
+  EXPECT_FALSE(ParseAddress("256.0.0.1").ok());
+  // The error names the address it refused.
+  EXPECT_NE(ParseAddress("999.0.0.1").status().message().find("999"), std::string::npos);
+}
 
 TEST(ReverseNameTest, RecordNamingFollowsInAddrArpa) {
   EXPECT_EQ(ReverseRecordName(0x80950104), "4.1.149.128.in-addr.arpa");

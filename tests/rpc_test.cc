@@ -190,8 +190,8 @@ TEST_F(RpcRuntimeTest, EndToEndCallAllProtocols) {
     SCOPED_TRACE(ControlKindName(kind));
     uint16_t port = static_cast<uint16_t>(1000 + static_cast<int>(kind));
     RpcServer server(kind, "test");
-    server.RegisterProcedure(42, 1, [](const Bytes& args) -> Result<Bytes> {
-      Bytes out = args;
+    server.RegisterProcedure(42, 1, [](BytesView args) -> Result<Bytes> {
+      Bytes out = args.ToBytes();
       out.push_back(0xff);
       return out;
     });
@@ -216,7 +216,7 @@ TEST_F(RpcRuntimeTest, UnknownProcedureIsUnimplemented) {
 
 TEST_F(RpcRuntimeTest, HandlerErrorRoundTripsAsStatus) {
   RpcServer server(ControlKind::kSunRpc, "test");
-  server.RegisterProcedure(42, 1, [](const Bytes&) -> Result<Bytes> {
+  server.RegisterProcedure(42, 1, [](BytesView) -> Result<Bytes> {
     return PermissionDeniedError("credentials rejected");
   });
   ASSERT_TRUE(world_.RegisterService("server", 1000, &server).ok());
@@ -231,7 +231,7 @@ TEST_F(RpcRuntimeTest, CourierCallsCostMoreThanSunRpc) {
   for (ControlKind kind : {ControlKind::kSunRpc, ControlKind::kCourier}) {
     uint16_t port = static_cast<uint16_t>(1000 + static_cast<int>(kind));
     auto server = std::make_unique<RpcServer>(kind, "t");
-    server->RegisterProcedure(42, 1, [](const Bytes& a) -> Result<Bytes> { return a; });
+    server->RegisterProcedure(42, 1, [](BytesView a) -> Result<Bytes> { return a.ToBytes(); });
     RpcServer* raw = world_.OwnService(std::move(server));
     ASSERT_TRUE(world_.RegisterService("server", port, raw).ok());
   }

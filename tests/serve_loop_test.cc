@@ -48,7 +48,7 @@ HrpcBinding LoopbackBinding(uint16_t port, uint32_t program, ControlKind control
 TEST(ServeLoopTest, ServeAfterStopAllRestartsTheLoops) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "restart-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
 
   UdpTransport udp;
   RpcClient udp_client(/*world=*/nullptr, "localclient", &udp);
@@ -75,8 +75,8 @@ TEST(ServeLoopTest, EchoOverLoopsAllControlProtocols) {
   for (ControlKind kind : {ControlKind::kSunRpc, ControlKind::kCourier, ControlKind::kRaw}) {
     SCOPED_TRACE(ControlKindName(kind));
     auto server = std::make_unique<RpcServer>(kind, "serve-loop-echo");
-    server->RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> {
-      Bytes out = args;
+    server->RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
+      Bytes out = args.ToBytes();
       out.push_back(0x42);
       return out;
     });
@@ -99,9 +99,9 @@ TEST(ServeLoopTest, ClientShedsSpentBudgetBeforeSending) {
   UdpServerHost host;
   std::atomic<int> invocations{0};
   RpcServer server(ControlKind::kRaw, "never-called");
-  server.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
     ++invocations;
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -130,10 +130,10 @@ TEST(ServeLoopTest, QueueDelayCountsAgainstTheBudget) {
   UdpServerHost host;
   std::atomic<int> invocations{0};
   RpcServer server(ControlKind::kRaw, "slow-serial");
-  server.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
     ++invocations;
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -168,9 +168,9 @@ TEST(ServeLoopTest, AmbientContextPropagatesAcrossServerHop) {
   UdpServerHost host;
   std::atomic<int> backend_invocations{0};
   RpcServer backend(ControlKind::kRaw, "backend");
-  backend.RegisterProcedure(8, 1, [&](const Bytes& args) -> Result<Bytes> {
+  backend.RegisterProcedure(8, 1, [&](BytesView args) -> Result<Bytes> {
     ++backend_invocations;
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> backend_port = host.Serve(&backend, 0);
   ASSERT_TRUE(backend_port.ok()) << backend_port.status();
@@ -178,7 +178,7 @@ TEST(ServeLoopTest, AmbientContextPropagatesAcrossServerHop) {
   UdpTransport nested_transport;
   RpcClient nested_client(/*world=*/nullptr, "fronthost", &nested_transport);
   RpcServer front(ControlKind::kRaw, "front");
-  front.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+  front.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     return nested_client.Call(LoopbackBinding(*backend_port, 8, ControlKind::kRaw), 1, args);
   });
@@ -255,7 +255,7 @@ class FlakyService : public SimService {
 TEST(ServeLoopTest, BudgetedCallRetriesThroughTransientLoss) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "flaky-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   FlakyService flaky(&server, /*failures=*/2);
   Result<uint16_t> port = host.Serve(&flaky, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -277,7 +277,7 @@ TEST(ServeLoopTest, BudgetedCallRetriesThroughTransientLoss) {
 TEST(ServeLoopTest, UnbudgetedCallStaysSingleAttempt) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "flaky-once");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   FlakyService flaky(&server, /*failures=*/1);
   Result<uint16_t> port = host.Serve(&flaky, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -301,7 +301,7 @@ TEST(ServeLoopTest, SingleflightFollowerHonorsItsOwnDeadline) {
   UdpServerHost host;
   RpcServer slow_bind(ControlKind::kRaw, "slow-meta");
   slow_bind.RegisterProcedure(
-      kBindProgram, kBindProcQuery, [](const Bytes&) -> Result<Bytes> {
+      kBindProgram, kBindProcQuery, [](BytesView) -> Result<Bytes> {
         std::this_thread::sleep_for(std::chrono::milliseconds(400));
         return UnavailableError("never answers in time");
       });

@@ -1,4 +1,5 @@
-// Unit tests for src/sim: virtual clock, event queue, network, world.
+// Unit tests for src/sim: virtual clock, event queue, network, world, and
+// an injected delay's charge to the virtual clock.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/network.h"
 #include "src/sim/world.h"
+#include "src/testbed/testbed.h"
 
 namespace hcs {
 namespace {
@@ -53,19 +55,6 @@ TEST(EventQueueTest, SameTimeEventsRunFifo) {
   }
   queue.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueueTest, CancelPreventsExecution) {
-  VirtualClock clock;
-  EventQueue queue(&clock);
-  int fired = 0;
-  uint64_t id = queue.ScheduleAt(MsToSim(5), [&] { ++fired; });
-  queue.ScheduleAt(MsToSim(6), [&] { ++fired; });
-  EXPECT_TRUE(queue.Cancel(id));
-  EXPECT_FALSE(queue.Cancel(id));  // already cancelled
-  EXPECT_FALSE(queue.Cancel(9999));
-  queue.RunUntilIdle();
-  EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueueTest, RunUntilStopsAtDeadline) {
@@ -135,14 +124,6 @@ TEST(NetworkTest, UniqueAddresses) {
   uint32_t a = net.AddHost("a", MachineType::kMicroVax, OsType::kUnix).value();
   uint32_t b = net.AddHost("b", MachineType::kMicroVax, OsType::kUnix).value();
   EXPECT_NE(a, b);
-}
-
-TEST(NetworkTest, ExtraDelayIsSymmetric) {
-  Network net;
-  net.SetExtraDelayMs("a", "b", 12.0);
-  EXPECT_DOUBLE_EQ(net.ExtraDelayMs("a", "b"), 12.0);
-  EXPECT_DOUBLE_EQ(net.ExtraDelayMs("B", "A"), 12.0);
-  EXPECT_DOUBLE_EQ(net.ExtraDelayMs("a", "c"), 0.0);
 }
 
 // --- World ----------------------------------------------------------------------
@@ -227,19 +208,6 @@ TEST_F(WorldTest, DuplicateRegistrationRejectedAndUnregisterWorks) {
             StatusCode::kUnavailable);
 }
 
-TEST_F(WorldTest, ExtraDelayApplied) {
-  EchoService echo(&world_, 0.0);
-  ASSERT_TRUE(world_.RegisterService("b", 99, &echo).ok());
-  double t0 = world_.clock().NowMs();
-  (void)world_.RoundTrip("a", "b", 99, Bytes{});  // hcs:ignore-status(timing probe; only the clock delta is asserted)
-  double base = world_.clock().NowMs() - t0;
-
-  world_.network().SetExtraDelayMs("a", "b", 40.0);
-  t0 = world_.clock().NowMs();
-  (void)world_.RoundTrip("a", "b", 99, Bytes{});  // hcs:ignore-status(timing probe; only the clock delta is asserted)
-  EXPECT_NEAR(world_.clock().NowMs() - t0, base + 40.0, 1e-3);
-}
-
 // --- ChargeMs / ClockNow ------------------------------------------------------------
 
 TEST(ChargeTest, NullWorldChargesNothingAndReadsTheSteadyClock) {
@@ -269,6 +237,35 @@ TEST(ChargeTest, EachChargeTruncatesToWholeMicroseconds) {
   EXPECT_EQ(ClockNow(&world), 156);
   ChargeMs(&world, 0.0785 + 0.0785);
   EXPECT_EQ(ClockNow(&world), 156 + 157);
+}
+
+// --- Injected delay --------------------------------------------------------------
+
+TEST(InjectedDelayTest, ChargesExactlyTheDrawnDelayToTheVirtualClock) {
+  Testbed bed;
+  HrpcBinding echo;
+  echo.host = kSunServerHost;
+  echo.port = kDesiredServicePort;
+  echo.program = kDesiredServiceProgram;
+  auto exchange_us = [&bed, &echo] {
+    RpcClient client(&bed.world(), kClientHost, bed.client_transport());
+    SimTime start = bed.world().clock().Now();
+    EXPECT_TRUE(client.Call(echo, 1, Bytes{1, 2, 3}).ok());
+    return bed.world().clock().Now() - start;
+  };
+  SimTime plain = exchange_us();
+
+  FaultSpec delay;
+  delay.delay = 1.0;
+  delay.delay_min_ms = 7;
+  delay.delay_max_ms = 7;
+  FaultInjector injector(FaultConfig{
+      /*seed=*/1,
+      {FaultPlan{std::string(kSunServerHost) + ":" + std::to_string(kDesiredServicePort),
+                 {{0, delay}}}}});
+  bed.InstallFaultInjector(&injector);
+  EXPECT_EQ(exchange_us(), plain + 7000);
+  EXPECT_EQ(injector.stats().delays, 1u);
 }
 
 }  // namespace

@@ -403,7 +403,7 @@ TEST(WorkloadEngineTest, ComposesWithFaultPlansDeterministically) {
 TEST(WorkloadDriverTest, AsyncWindowDriverMatchesThreadPerCallSemantics) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "runtime-sweep");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   if (!port.ok()) {
     GTEST_SKIP() << "cannot bind a UDP port: " << port.status();
@@ -428,7 +428,7 @@ TEST(WorkloadDriverTest, AsyncWindowDriverMatchesThreadPerCallSemantics) {
 TEST(WorkloadDriverTest, ApplicationErrorsCountAsFailedCalls) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "runtime-sweep");
-  server.RegisterProcedure(7, 1, [](const Bytes&) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [](BytesView) -> Result<Bytes> {
     return NotFoundError("no echo here");
   });
   Result<uint16_t> port = host.Serve(&server, 0);
